@@ -20,7 +20,6 @@ from typing import Optional
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
-from .graph import string_tables
 
 DEFAULT_CONFLUENCE_DEPTH = 7
 
@@ -54,33 +53,15 @@ class _Ctx:
 
     def __init__(self, g):
         self.g = g
-        self._eps, self._phi = string_tables(g)
-
-    def e(self, i, v):
-        return self.g.e_step(i, v)
-
-    def f(self, i, v):
-        return self.g.f_step(i, v)
+        self.e, self.f = g.e_step, g.f_step
+        self.climb, self.descend = g.climb, g.descend
+        self._eps, self._phi = g.tables()
 
     def eps(self, i, v):
         return self._eps[i][v]
 
     def phi(self, i, v):
         return self._phi[i][v]
-
-    def climb(self, v, colors):
-        for c in colors:
-            v = self.g.e_step(c, v)
-            if v is None:
-                return None
-        return v
-
-    def descend(self, v, colors):
-        for c in colors:
-            v = self.g.f_step(c, v)
-            if v is None:
-                return None
-        return v
 
     # delta of the j-statistic across a single step; None when the step
     # (or for the f/phi flavors, the step at the far end) is missing
@@ -439,6 +420,9 @@ class CheckReport:
     max_element: Optional[int] = None
     phi0: Optional[dict] = None
     n_vertices: int = 0
+    # wt_assign of the maximum element, kept for build_isomorphism's layers;
+    # not part of to_dict()
+    grading: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -485,7 +469,7 @@ def check_all(g, A, expected_phi0=None):
     report.max_element = x0
 
     try:
-        g.wt_assign(x0)
+        report.grading = g.wt_assign(x0)
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")

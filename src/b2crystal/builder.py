@@ -18,12 +18,13 @@ from .axioms import check_all
 from .cartan import B2, classify_all_pairs, pairing_of_root_count
 from .errors import (
     BudgetExceeded,
+    CertificationFailed,
     DuplicateEdge,
     NotIsomorphic,
     PrereqFailed,
     SynthesisInconsistency,
 )
-from .graph import ColoredGraph, string_tables
+from .graph import ColoredGraph
 
 
 class UnionFind:
@@ -66,6 +67,7 @@ class _Build:
         self.A = A
         self.phi0 = dict(phi0)
         self.g = ColoredGraph(A.colors, cartan=A)
+        self.e, self.f, self.descend = self.g.e_step, self.g.f_step, self.g.descend
         self.eps = {}
         self.phi = {}
         self.wt = {}
@@ -75,19 +77,6 @@ class _Build:
         self.phi[v0] = dict(self.phi0)
         self.wt[v0] = {}
         self.layers.append([v0])
-
-    def f(self, i, v):
-        return self.g.f_step(i, v)
-
-    def e(self, i, v):
-        return self.g.e_step(i, v)
-
-    def descend(self, v, colors):
-        for c in colors:
-            v = self.g.f_step(c, v)
-            if v is None:
-                return None
-        return v
 
     def df_phi(self, i, j, w):
         c = self.f(i, w)
@@ -265,7 +254,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
                 f"synthesized graph failed certification: {report.summary()}"
             )
         # the (K1)-defined statistics must coincide with the literal strings
-        eps_t, phi_t = string_tables(g)
+        eps_t, phi_t = g.tables()
         for v in g.vertices():
             for c in A.colors:
                 if eps_t[c][v] != st.eps[v][c] or phi_t[c][v] != st.phi[v][c]:
@@ -290,10 +279,9 @@ class IsoMap:
         return len(self.forward)
 
 
-def _layers_from(g, x0):
-    grading = g.wt_assign(x0)
+def _layers(report):
     layers = {}
-    for v, (_, dist) in grading.items():
+    for v, (_, dist) in report.grading.items():
         layers.setdefault(dist, []).append(v)
     return [sorted(layers[d]) for d in sorted(layers)]
 
@@ -301,27 +289,29 @@ def _layers_from(g, x0):
 def build_isomorphism(X, Y, gcm=None):
     """The unique color-preserving isomorphism between two certified graphs.
 
-    Both inputs must pass check_all for the same Cartan matrix and agree on
-    the top statistics (PrereqFailed otherwise).  Constructed layer by
-    layer: the image of a vertex is the i-child of the image of any of its
-    i-parents, and every parent choice must agree.
+    Both inputs must pass check_all for the same Cartan matrix
+    (CertificationFailed otherwise, the first graph tested first), share
+    their colors and agree on the top statistics (PrereqFailed otherwise).
+    Constructed layer by layer: the image of a vertex is the i-child of the
+    image of any of its i-parents, and every parent choice must agree.
     """
     A = gcm or X.cartan or Y.cartan
     if A is None:
         raise PrereqFailed("no Cartan matrix available")
+    reports = []
+    for name, g in (("first", X), ("second", Y)):
+        rep = check_all(g, A)
+        if not rep.passed:
+            raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")
+        reports.append(rep)
+    rx, ry = reports
     if X.colors != Y.colors:
         raise PrereqFailed("color sets differ")
-    rx = check_all(X, A)
-    ry = check_all(Y, A)
-    if not rx.passed:
-        raise PrereqFailed(f"first graph fails certification: {rx.summary()}")
-    if not ry.passed:
-        raise PrereqFailed(f"second graph fails certification: {ry.summary()}")
     if rx.phi0 != ry.phi0:
         raise PrereqFailed(f"top statistics differ: {rx.phi0} vs {ry.phi0}")
 
-    lx = _layers_from(X, rx.max_element)
-    ly = _layers_from(Y, ry.max_element)
+    lx = _layers(rx)
+    ly = _layers(ry)
     if [len(l) for l in lx] != [len(l) for l in ly]:
         raise NotIsomorphic(0, f"layer profiles differ: {[len(l) for l in lx]} vs {[len(l) for l in ly]}")
 
@@ -354,8 +344,8 @@ def build_isomorphism(X, Y, gcm=None):
             raise NotIsomorphic(-1, f"edge ({u},{v},{i}) not preserved")
     if len(h) != len(Y.vertices()):
         raise NotIsomorphic(-1, "map is not onto")
-    ex, px = string_tables(X)
-    ey, py = string_tables(Y)
+    ex, px = X.tables()
+    ey, py = Y.tables()
     for v in X.vertices():
         for i in X.colors:
             if ex[i][v] != ey[i][h[v]] or px[i][v] != py[i][h[v]]:
@@ -376,7 +366,7 @@ def verify_reversal_involution(lam):
     if not rep.passed:
         return False
     iso = build_isomorphism(g, r, gcm=A)
-    eg, pg = string_tables(g)
+    eg, pg = g.tables()
     for v in g.vertices():
         if iso[iso[v]] != v:  # the identification must be an involution
             return False

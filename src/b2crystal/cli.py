@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 2 input error (bad flags, malformed files, failed preconditions),
 3 budget exceeded.  The vertex budget honors the CRYSTAL_BUDGET
-environment variable.
+environment variable.  `iso` certifies each input once, inside
+build_isomorphism.
 
 Graph document schema (JSON):
   {
@@ -15,6 +16,7 @@ Graph document schema (JSON):
     "max":       0
   }
 where a/x/wt/eps/phi are optional per vertex and "max" is optional.
+Documents are written as compact one-line JSON.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from . import __version__
 from .axioms import check_all
 from .builder import build_isomorphism, synthesize
 from .cartan import GCM, b2_gcm, b3_gcm
-from .errors import BudgetExceeded, NotIsomorphic, PrereqFailed
+from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
 from .graph import ColoredGraph
 from .oracle import run_verification
 from .pbw import PbwElement, generate
@@ -71,24 +73,31 @@ def doc_to_graph(doc):
     """Rebuild a graph from a document, preserving ids and labels.
 
     Arrows are loaded without the degree guard so that deliberately broken
-    documents can still be checked.
+    documents can still be checked; an arrow between undeclared vertices or
+    of a color outside index_set is an input error (ValueError).
     """
     colors = [int(c) for c in doc["index_set"]]
     cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
     g = ColoredGraph(colors, cartan=cartan)
+    ids = set()
     for entry in doc["vertices"]:
         label = None
         if "a" in entry and "x" in entry:
             label = PbwElement(tuple(entry["a"]), tuple(entry["x"]))
-        g.add_vertex(vid=int(entry["id"]), label=label)
+        ids.add(g.add_vertex(vid=int(entry["id"]), label=label))
     for e in doc["edges"]:
-        g.add_edge_unchecked(int(e["from"]), int(e["to"]), int(e["color"]))
+        s, d, c = int(e["from"]), int(e["to"]), int(e["color"])
+        if s not in ids or d not in ids:
+            raise ValueError(f"edge {e}: endpoint {d if s in ids else s} is not a declared vertex")
+        if c not in g.colors:
+            raise ValueError(f"edge {e}: color {c} is not in index_set {colors}")
+        g.add_edge_unchecked(s, d, c)
     return g.freeze()
 
 
 def dump_doc(doc, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -149,7 +158,7 @@ def cmd_gen(args):
         g = synthesize(A, hw, budget_vertices=_budget())
         doc = graph_to_doc(g, stats=g.synthesis_stats)
     dump_doc(doc, args.out)
-    print(f"wrote {args.out}: {len(g)} vertices, {len(g.edges())} edges")
+    print(f"wrote {args.out}: {len(g)} vertices, {len(doc['edges'])} edges")
     return EXIT_PASS
 
 
@@ -174,13 +183,11 @@ def cmd_iso(args):
     if A is None:
         print("error: neither document has a cartan matrix", file=sys.stderr)
         return EXIT_INPUT
-    for name, g in (("first", ga), ("second", gb)):
-        rep = check_all(g, A)
-        if not rep.passed:
-            print(f"error: {name} graph fails certification: {rep.summary()}", file=sys.stderr)
-            return EXIT_INPUT
     try:
         iso = build_isomorphism(ga, gb, gcm=A)
+    except CertificationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (PrereqFailed, NotIsomorphic) as exc:
         print(f"not isomorphic: {exc}")
         return EXIT_FAIL

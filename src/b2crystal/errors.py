@@ -49,6 +49,10 @@ class PrereqFailed(ValueError):
     """Isomorphism construction input failed its preconditions."""
 
 
+class CertificationFailed(PrereqFailed):
+    """An isomorphism input does not pass check_all."""
+
+
 class NotIsomorphic(ValueError):
     """The layered isomorphism construction broke down."""
 

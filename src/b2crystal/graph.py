@@ -5,7 +5,8 @@ successor map f and its inverse partial predecessor map e; the goodness
 conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi and the
 delta differences well defined.  Graphs are built mutably, then frozen;
-every query below is read-only.
+every query below is read-only, and a frozen graph keeps its string tables
+once they are computed.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ class ColoredGraph:
         self._succ = {i: {} for i in self.colors}
         self._pred = {i: {} for i in self.colors}
         self._frozen = False
+        self._tables = None
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -96,9 +98,6 @@ class ColoredGraph:
     def label(self, v):
         return self._label.get(v)
 
-    def labels(self):
-        return dict(self._label)
-
     def edges(self):
         """All arrows as (src, dst, color), sorted."""
         out = []
@@ -115,23 +114,28 @@ class ColoredGraph:
         """Source of the i-arrow into v, or None."""
         return self._pred[i].get(v)
 
+    def climb(self, v, colors):
+        """Apply e_c for each c in turn; None as soon as a step is undefined."""
+        for c in colors:
+            v = self._pred[c].get(v)
+            if v is None:
+                return None
+        return v
+
+    def descend(self, v, colors):
+        """Apply f_c for each c in turn; None as soon as a step is undefined."""
+        for c in colors:
+            v = self._succ[c].get(v)
+            if v is None:
+                return None
+        return v
+
     def step(self, direction, i, v):
         if direction == "f":
             return self._succ[i].get(v)
         if direction == "e":
             return self._pred[i].get(v)
         raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
-
-    def walk(self, v, ops):
-        """Apply a sequence of (direction, color) steps, first entry first.
-
-        Returns the end vertex, or None as soon as a step is undefined.
-        """
-        for direction, i in ops:
-            v = self.step(direction, i, v)
-            if v is None:
-                return None
-        return v
 
     # -- string statistics -------------------------------------------------
 
@@ -153,6 +157,15 @@ class ColoredGraph:
     def phi(self, i, v):
         """Length of the maximal f_i-chain below v."""
         return self._string_length(self._succ, i, v)
+
+    def tables(self):
+        """string_tables(self); a frozen graph computes them once and keeps
+        them, so callers share one read-only copy."""
+        if not self._frozen:
+            return string_tables(self)
+        if self._tables is None:
+            self._tables = string_tables(self)
+        return self._tables
 
     def string_stats(self, v):
         """Per-color (eps, phi) vectors at v."""
@@ -212,23 +225,22 @@ class ColoredGraph:
         return violations
 
     def maximum_elements(self):
-        """Vertices with no incoming arrows that f-reach every vertex."""
-        out = []
-        for v in self.vertices():
-            if any(v in self._pred[i] for i in self.colors):
-                continue
-            seen = {v}
-            queue = [v]
-            while queue:
-                u = queue.pop()
-                for i in self.colors:
-                    w = self._succ[i].get(u)
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) == len(self._vertices):
-                out.append(v)
-        return out
+        """Vertices with no incoming arrows that f-reach every vertex.  No
+        vertex reaches another source, so only a sole source can qualify."""
+        sources = self._vertices.difference(*(self._pred[i] for i in self.colors))
+        if len(sources) != 1:
+            return []
+        (v,) = sources
+        seen = {v}
+        queue = [v]
+        while queue:
+            u = queue.pop()
+            for i in self.colors:
+                w = self._succ[i].get(u)
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return [v] if len(seen) == len(self._vertices) else []
 
     def wt_assign(self, x0):
         """BFS weight/distance grading from a maximum element.

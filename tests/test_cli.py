@@ -2,11 +2,14 @@ import json
 
 import pytest
 
-from b2crystal import pbw
+from b2crystal import axioms, builder, cli, pbw
+from b2crystal.cartan import b2_gcm
 from b2crystal.cli import (
     doc_to_graph,
+    dump_doc,
     graph_to_doc,
     graph_to_dot,
+    load_doc,
     main,
 )
 
@@ -94,12 +97,48 @@ def test_iso_mismatch(docs):
     assert main(["iso", docs["pbw11"], docs["pbw30"]]) == 1
 
 
-def test_iso_precondition(docs, tmp_path):
+def test_iso_precondition(docs, tmp_path, capsys):
     doc = json.load(open(docs["pbw11"]))
     del doc["edges"][0]
     broken = tmp_path / "b.json"
     json.dump(doc, open(broken, "w"))
     assert main(["iso", str(broken), docs["pbw11"]]) == 2
+    capsys.readouterr()
+    assert main(["iso", docs["syn11"], str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: second graph fails certification: FAIL:")
+
+
+def test_each_graph_certified_once(docs, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return axioms.check_all(*args, **kwargs)
+
+    for mod in (cli, builder):
+        monkeypatch.setattr(mod, "check_all", counted)
+    assert main(["iso", docs["pbw11"], docs["syn11"]]) == 0
+    assert len(calls) == 2
+    calls.clear()
+    out = tmp_path / "syn.json"
+    assert main(["gen", "--gcm", "b2", "--hw", "2,1", "--method", "axioms", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"to": 99}, "endpoint 99 is not a declared vertex"),
+    ({"color": 7}, "color 7 is not in index_set"),
+])
+def test_check_rejects_bad_edge(docs, tmp_path, capsys, change, message):
+    doc = json.load(open(docs["pbw11"]))
+    doc["edges"][3].update(change)
+    path = tmp_path / "edited.json"
+    json.dump(doc, open(path, "w"))
+    capsys.readouterr()
+    assert main(["check", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(doc["edges"][3]) in err and message in err
 
 
 def test_export_dot(docs, tmp_path):
@@ -140,3 +179,16 @@ def test_json_roundtrip_identity():
     assert g2.edges() == g.edges()
     assert graph_to_doc(g2) == doc
     assert graph_to_dot(g2) == graph_to_dot(g)
+
+
+def test_dump_load_roundtrip(tmp_path):
+    syn = builder.synthesize(b2_gcm(), (2, 1))
+    cases = {
+        "pbw": graph_to_doc(pbw.generate((2, 1))),
+        "axioms": graph_to_doc(syn, stats=syn.synthesis_stats),
+    }
+    for name, doc in cases.items():
+        path = tmp_path / f"{name}.json"
+        dump_doc(doc, str(path))
+        assert load_doc(str(path)) == doc
+        assert path.read_text().count("\n") == 1  # one compact line

@@ -8,7 +8,7 @@ from b2crystal.errors import (
     UndefinedStep,
 )
 from b2crystal.graph import ColoredGraph, string_tables
-from helpers import bad_confluence_graph
+from helpers import a2_crystal_1_1, a2_crystal_2_0, bad_confluence_graph, deletion_mutants
 
 
 def two_vertex():
@@ -145,6 +145,64 @@ def test_maximum_elements():
         union.add_edge(s, d, c)
         union.add_edge(100 + s, 100 + d, c)
     assert union.maximum_elements() == []
+
+
+def _maximum_elements_per_source(g):
+    """The definition maximum_elements replaced: one BFS from every source."""
+    out = []
+    for v in g.vertices():
+        if any(g.e_step(i, v) is not None for i in g.colors):
+            continue
+        seen = {v}
+        queue = [v]
+        while queue:
+            u = queue.pop()
+            for i in g.colors:
+                w = g.f_step(i, u)
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) == len(g):
+            out.append(v)
+    return out
+
+
+def test_maximum_elements_matches_per_source_definition():
+    fixtures = [a2_crystal_2_0(), a2_crystal_1_1(), bad_confluence_graph(),
+                pbw.generate((1, 1)), pbw.generate((2, 1)).reverse()]
+    fixtures += [mut for _, mut in deletion_mutants(pbw.generate((1, 1)))]
+    # many sources feeding one long chain: no maximum element
+    fan = ColoredGraph((1, 2))
+    chain = [fan.add_vertex() for _ in range(40)]
+    for s, d in zip(chain, chain[1:]):
+        fan.add_edge(s, d, 1)
+    for k in range(1, 30):
+        fan.add_edge(fan.add_vertex(), chain[k], 2)
+    fixtures.append(fan.freeze())
+    # a 40-chain with a single source: its head is the maximum
+    lone = ColoredGraph((1,))
+    for v in range(40):
+        lone.add_vertex()
+    for v in range(39):
+        lone.add_edge(v, v + 1, 1)
+    fixtures.append(lone.freeze())
+    for g in fixtures:
+        assert g.maximum_elements() == _maximum_elements_per_source(g)
+    assert fan.maximum_elements() == [] and lone.maximum_elements() == [0]
+
+
+def test_frozen_graph_keeps_string_tables():
+    g = pbw.generate((2, 1))
+    assert g.tables() == string_tables(g)
+    assert g.tables() is g.tables()
+
+    m = ColoredGraph((1,))
+    m.add_vertex()
+    m.add_vertex()
+    first = m.tables()
+    assert first == string_tables(m) and m.tables() is not first
+    m.add_edge(0, 1, 1)  # an unfrozen graph's tables follow its edits
+    assert m.tables() == string_tables(m) == ({1: {0: 0, 1: 1}}, {1: {0: 1, 1: 0}})
 
 
 def test_wt_assign_on_crystal():
