@@ -3,7 +3,7 @@
 Submodules:
   cartan   Cartan matrices, rank-2 pair classification, pairing bookkeeping
   graph    colored directed graphs, string statistics, weight grading
-  kernel   transition-map kernels (compiled core with pure fallback)
+  kernel   the two transition maps between the PBW coordinate systems
   pbw      dual PBW coordinates, Kashiwara operators, crystal generation
   axioms   the local axiom checker and bounded confluence search
   builder  synthesis from a highest weight; layered graph isomorphism

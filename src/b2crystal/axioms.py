@@ -73,10 +73,6 @@ class _Ctx:
         w = self.e(i, v)
         return None if w is None else self.phi(j, w) - self.phi(j, v)
 
-    def df_eps(self, i, j, v):
-        w = self.f(i, v)
-        return None if w is None else self.eps(j, w) - self.eps(j, v)
-
     def df_phi(self, i, j, v):
         w = self.f(i, v)
         return None if w is None else self.phi(j, w) - self.phi(j, v)

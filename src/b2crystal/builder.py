@@ -298,13 +298,20 @@ def build_isomorphism(X, Y, gcm=None):
     A = gcm or X.cartan or Y.cartan
     if A is None:
         raise PrereqFailed("no Cartan matrix available")
-    reports = []
-    for name, g in (("first", X), ("second", Y)):
-        rep = check_all(g, A)
-        if not rep.passed:
-            raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")
-        reports.append(rep)
-    rx, ry = reports
+    rx = _certify("first", X, A)
+    ry = _certify("second", Y, A)
+    return _match(X, rx, Y, ry)
+
+
+def _certify(name, g, A):
+    rep = check_all(g, A)
+    if not rep.passed:
+        raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")
+    return rep
+
+
+def _match(X, rx, Y, ry):
+    """build_isomorphism on graphs whose passing reports are rx and ry."""
     if X.colors != Y.colors:
         raise PrereqFailed("color sets differ")
     if rx.phi0 != ry.phi0:
@@ -362,10 +369,11 @@ def verify_reversal_involution(lam):
     g = generate(lam)
     r = g.reverse()
     A = b2_gcm()
-    rep = check_all(r, A, expected_phi0={1: lam[0], 2: lam[1]})
-    if not rep.passed:
+    rep = check_all(r, A)
+    if not rep.passed or rep.phi0 != {1: lam[0], 2: lam[1]}:
         return False
-    iso = build_isomorphism(g, r, gcm=A)
+    # build_isomorphism(g, r), with r's report reused instead of re-certified
+    iso = _match(g, _certify("first", g, A), r, rep)
     eg, pg = g.tables()
     for v in g.vertices():
         if iso[iso[v]] != v:  # the identification must be an involution

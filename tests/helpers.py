@@ -1,6 +1,12 @@
 """Hand-built fixture graphs and mutation helpers shared by the tests."""
 
+from itertools import product
+
 from b2crystal.graph import ColoredGraph
+
+# Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
+# 2**64), where fixed-width arithmetic would wrap around or overflow.
+LARGE_BOX = list(product((0, 1, 2**62, 2**62 + 1, 2**63), repeat=4))
 
 
 def a2_crystal_2_0():

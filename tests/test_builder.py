@@ -3,8 +3,9 @@ import pytest
 from b2crystal import axioms, builder, pbw
 from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded, NotIsomorphic, PrereqFailed, UnsupportedPair
-from b2crystal.graph import string_tables
+from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
+from helpers import deletion_mutants
 
 A = b2_gcm()
 
@@ -91,6 +92,25 @@ def test_synthesized_stats_match_strings():
 def test_reversal_involution():
     for lam in [(0, 0), (1, 1), (3, 2)]:
         assert builder.verify_reversal_involution(lam)
+
+
+def test_reversal_certifies_each_graph_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return axioms.check_all(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "check_all", counted)
+    assert builder.verify_reversal_involution((2, 1))
+    assert len(calls) == 2
+    # a reversal that fails certification, or passes it with the wrong top
+    # statistics, is a False, not an exception
+    reverse = ColoredGraph.reverse
+    for fake in (lambda g: next(deletion_mutants(reverse(g)))[1],
+                 lambda g: pbw.generate((1, 2))):
+        monkeypatch.setattr(ColoredGraph, "reverse", fake)
+        assert builder.verify_reversal_involution((2, 1)) is False
 
 
 def test_rank3_smoke():

@@ -1,30 +1,41 @@
-from itertools import product
+from itertools import chain, product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from b2crystal import kernel
+from helpers import LARGE_BOX
 
-nat4 = st.tuples(*[st.integers(0, 200)] * 4)
+# small values hit the branch boundaries; the wide range runs past 2**64
+nat = st.one_of(st.integers(0, 200), st.integers(0, 2**80))
+nat4 = st.tuples(nat, nat, nat, nat)
+
+# (a, r_transfer(a)) pairs
+KNOWN = [
+    ((0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, 0, 0, 0), (0, 0, 0, 1)),
+    ((1, 1, 1, 1), (1, 1, 1, 1)),
+    ((1, 1, 1, 0), (1, 1, 0, 3)),
+]
 
 
 def test_known_values():
-    assert kernel.r_transfer((0, 0, 0, 0)) == (0, 0, 0, 0)
-    assert kernel.r_transfer((1, 0, 0, 0)) == (0, 0, 0, 1)
-    assert kernel.r_transfer((1, 1, 1, 1)) == (1, 1, 1, 1)
-    assert kernel.r_transfer((1, 1, 1, 0)) == (1, 1, 0, 3)
-    assert kernel.r_inverse((0, 0, 0, 0)) == (0, 0, 0, 0)
-    assert kernel.r_inverse((0, 0, 0, 1)) == (1, 0, 0, 0)
-    assert kernel.r_inverse((1, 1, 0, 3)) == (1, 1, 1, 0)
+    # both maps are positively homogeneous, so every scaling of a known
+    # pair is known too
+    for scale in (1, 2**62, 2**63):
+        for a, x in KNOWN:
+            a = tuple(scale * v for v in a)
+            x = tuple(scale * v for v in x)
+            assert kernel.r_transfer(a) == x
+            assert kernel.r_inverse(x) == a
 
 
 def test_roundtrip_box():
-    for a in product(range(9), repeat=4):
+    for a in chain(product(range(9), repeat=4), LARGE_BOX):
         x = kernel.r_transfer(a)
         assert all(v >= 0 for v in x)
         assert kernel.r_inverse(x) == a
-    for x in product(range(9), repeat=4):
+    for x in chain(product(range(9), repeat=4), LARGE_BOX):
         a = kernel.r_inverse(x)
         assert all(v >= 0 for v in a)
         assert kernel.r_transfer(a) == x
@@ -33,26 +44,3 @@ def test_roundtrip_box():
 @given(nat4)
 def test_roundtrip_random(a):
     assert kernel.r_inverse(kernel.r_transfer(a)) == a
-
-
-def test_backends_agree():
-    impls = {name: kernel._IMPLS[name] for name in kernel.available_backends()}
-    assert "python" in impls
-    if len(impls) == 1:
-        pytest.skip("compiled kernel not built")
-    for a in product(range(7), repeat=4):
-        results_f = {fwd(a) for fwd, _ in impls.values()}
-        results_i = {inv(a) for _, inv in impls.values()}
-        assert len(results_f) == 1, a
-        assert len(results_i) == 1, a
-
-
-def test_force_backend_roundtrip():
-    start = kernel.BACKEND
-    prev = kernel.force_backend("python")
-    assert prev == start and kernel.BACKEND == "python"
-    assert kernel.r_transfer((1, 1, 1, 0)) == (1, 1, 0, 3)
-    kernel.force_backend(start)
-    assert kernel.BACKEND == start
-    with pytest.raises(ValueError):
-        kernel.force_backend("fortran")

@@ -1,10 +1,11 @@
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from b2crystal import kernel, pbw
 from b2crystal.errors import BudgetExceeded, HypothesisNotMet, MembershipViolation
 from b2crystal.oracle import weyl_dim_b2
+from helpers import LARGE_BOX
 
 BOX = list(product(range(9), repeat=4))
 
@@ -35,9 +36,9 @@ def test_closed_forms_spec_values():
 
 
 def test_closed_forms_match_kernel_on_box():
-    for a in BOX:
+    for a in chain(BOX, LARGE_BOX):
         assert pbw.closed_form_r(a) == kernel.r_transfer(a)
-    for x in BOX:
+    for x in chain(BOX, LARGE_BOX):
         assert pbw.closed_form_rinv(x) == kernel.r_inverse(x)
 
 
