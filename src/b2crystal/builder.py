@@ -289,9 +289,10 @@ def _layers(report):
 def build_isomorphism(X, Y, gcm=None):
     """The unique color-preserving isomorphism between two certified graphs.
 
-    Both inputs must pass check_all for the same Cartan matrix
-    (CertificationFailed otherwise, the first graph tested first), share
-    their colors and agree on the top statistics (PrereqFailed otherwise).
+    Both inputs must have the matrix's colors and pass check_all for it
+    (CertificationFailed otherwise, the first graph tested first), list
+    their colors in one order and agree on the top statistics (PrereqFailed
+    otherwise).
     Constructed layer by layer: the image of a vertex is the i-child of the
     image of any of its i-parents, and every parent choice must agree.
     """
@@ -304,6 +305,10 @@ def build_isomorphism(X, Y, gcm=None):
 
 
 def _certify(name, g, A):
+    if set(g.colors) != set(A.colors):
+        raise CertificationFailed(
+            f"{name} graph has colors {tuple(g.colors)} but the Cartan matrix has {tuple(A.colors)}"
+        )
     rep = check_all(g, A)
     if not rep.passed:
         raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")

@@ -15,7 +15,9 @@ Graph document schema (JSON):
     "edges":     [{"from": 0, "to": 1, "color": 1}, ...],
     "max":       0
   }
-where a/x/wt/eps/phi are optional per vertex and "max" is optional.
+where a/x/wt/eps/phi are optional per vertex and "max" is optional; when
+given, it must be a declared vertex, and `check` rejects a document whose
+"max" is not the maximum element it finds (exit 2).
 Documents are written as compact one-line JSON.
 """
 
@@ -74,7 +76,8 @@ def doc_to_graph(doc):
 
     Arrows are loaded without the degree guard so that deliberately broken
     documents can still be checked; an arrow between undeclared vertices or
-    of a color outside index_set is an input error (ValueError).
+    of a color outside index_set, or an undeclared "max", is an input error
+    (ValueError).
     """
     colors = [int(c) for c in doc["index_set"]]
     cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
@@ -92,6 +95,9 @@ def doc_to_graph(doc):
         if c not in g.colors:
             raise ValueError(f"edge {e}: color {c} is not in index_set {colors}")
         g.add_edge_unchecked(s, d, c)
+    declared = doc.get("max")
+    if declared is not None and int(declared) not in ids:
+        raise ValueError(f"max {declared} is not a declared vertex")
     return g.freeze()
 
 
@@ -163,11 +169,17 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    g = doc_to_graph(load_doc(args.infile))
+    doc = load_doc(args.infile)
+    g = doc_to_graph(doc)
     if g.cartan is None:
         print("error: document has no cartan matrix", file=sys.stderr)
         return EXIT_INPUT
     report = check_all(g, g.cartan)
+    declared = doc.get("max")
+    if declared is not None and report.max_element is not None and report.max_element != int(declared):
+        print(f"error: document declares max {declared}, but the maximum element is "
+              f"{report.max_element}", file=sys.stderr)
+        return EXIT_INPUT
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=1)

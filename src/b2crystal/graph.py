@@ -5,8 +5,10 @@ successor map f and its inverse partial predecessor map e; the goodness
 conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi and the
 delta differences well defined.  Graphs are built mutably, then frozen;
-every query below is read-only, and a frozen graph keeps its string tables
-once they are computed.
+every query below is read-only.  A frozen graph keeps what it derives from
+its arrows once computed: its string tables, its maximum elements and its
+DenseView, the flat per-color lists (positions instead of ids) that the
+axiom checker scans.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ class ColoredGraph:
         self._succ = {i: {} for i in self.colors}
         self._pred = {i: {} for i in self.colors}
         self._frozen = False
-        self._tables = None
+        self._kept = {}
         self._next_id = 0
 
     # -- construction ------------------------------------------------------
@@ -114,14 +116,6 @@ class ColoredGraph:
         """Source of the i-arrow into v, or None."""
         return self._pred[i].get(v)
 
-    def climb(self, v, colors):
-        """Apply e_c for each c in turn; None as soon as a step is undefined."""
-        for c in colors:
-            v = self._pred[c].get(v)
-            if v is None:
-                return None
-        return v
-
     def descend(self, v, colors):
         """Apply f_c for each c in turn; None as soon as a step is undefined."""
         for c in colors:
@@ -158,14 +152,22 @@ class ColoredGraph:
         """Length of the maximal f_i-chain below v."""
         return self._string_length(self._succ, i, v)
 
-    def tables(self):
-        """string_tables(self); a frozen graph computes them once and keeps
-        them, so callers share one read-only copy."""
+    def _keep(self, key, compute):
+        """compute(self); a frozen graph computes it once and keeps it, so
+        callers share one read-only copy."""
         if not self._frozen:
-            return string_tables(self)
-        if self._tables is None:
-            self._tables = string_tables(self)
-        return self._tables
+            return compute(self)
+        if key not in self._kept:
+            self._kept[key] = compute(self)
+        return self._kept[key]
+
+    def tables(self):
+        """string_tables(self), kept once the graph is frozen."""
+        return self._keep("tables", string_tables)
+
+    def dense(self):
+        """DenseView(self), kept once the graph is frozen."""
+        return self._keep("dense", DenseView)
 
     def string_stats(self, v):
         """Per-color (eps, phi) vectors at v."""
@@ -225,22 +227,9 @@ class ColoredGraph:
         return violations
 
     def maximum_elements(self):
-        """Vertices with no incoming arrows that f-reach every vertex.  No
-        vertex reaches another source, so only a sole source can qualify."""
-        sources = self._vertices.difference(*(self._pred[i] for i in self.colors))
-        if len(sources) != 1:
-            return []
-        (v,) = sources
-        seen = {v}
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for i in self.colors:
-                w = self._succ[i].get(u)
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return [v] if len(seen) == len(self._vertices) else []
+        """Vertices with no incoming arrows that f-reach every vertex, kept
+        once the graph is frozen."""
+        return list(self._keep("max", _maximum_elements))
 
     def wt_assign(self, x0):
         """BFS weight/distance grading from a maximum element.
@@ -301,6 +290,24 @@ class ColoredGraph:
         return cp
 
 
+def _maximum_elements(g):
+    """No vertex reaches another source, so only a sole source can qualify."""
+    sources = g._vertices.difference(*(g._pred[i] for i in g.colors))
+    if len(sources) != 1:
+        return []
+    (v,) = sources
+    seen = {v}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for i in g.colors:
+            w = g._succ[i].get(u)
+            if w is not None and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return [v] if len(seen) == len(g._vertices) else []
+
+
 def string_tables(g):
     """eps/phi of every vertex for every color, in O(V) per color.
 
@@ -328,3 +335,66 @@ def string_tables(g):
         if len(eps[i]) != len(g):
             raise NonTerminating(f"some {i}-string has no head (cycle)")
     return eps, phi
+
+
+class DenseView:
+    """A good graph's arrows and string lengths as flat lists over positions.
+
+    Position k is the k-th vertex id in sorted order (ids[k]).  For each
+    color i, up[i][k] and down[i][k] are the positions of the e_i-parent and
+    the f_i-child of k, or None where the step is undefined; eps[i][k] and
+    phi[i][k] are k's string lengths.  Nothing here knows ids except ids.
+    """
+
+    __slots__ = ("ids", "up", "down", "eps", "phi")
+
+    def __init__(self, g):
+        ids = g.vertices()
+        pos = {v: k for k, v in enumerate(ids)}
+        eps_t, phi_t = g.tables()
+        self.ids = ids
+        self.up, self.down, self.eps, self.phi = {}, {}, {}, {}
+        for i in g.colors:
+            self.up[i] = _positions(g._pred[i], pos)
+            self.down[i] = _positions(g._succ[i], pos)
+            self.eps[i] = list(map(eps_t[i].__getitem__, ids))
+            self.phi[i] = list(map(phi_t[i].__getitem__, ids))
+
+    def vid(self, k):
+        """The vertex id at position k (None stays None)."""
+        return None if k is None else self.ids[k]
+
+    def climb(self, k, colors):
+        """Apply e_c for each c in turn; None as soon as a step is undefined."""
+        up = self.up
+        for c in colors:
+            k = up[c][k]
+            if k is None:
+                return None
+        return k
+
+    def descend(self, k, colors):
+        """Apply f_c for each c in turn; None as soon as a step is undefined."""
+        down = self.down
+        for c in colors:
+            k = down[c][k]
+            if k is None:
+                return None
+        return k
+
+    # change of the j-statistic across one i-step from k; None when the
+    # step is undefined
+    def de_eps(self, i, j, k):
+        w = self.up[i][k]
+        return None if w is None else self.eps[j][w] - self.eps[j][k]
+
+    def df_phi(self, i, j, k):
+        w = self.down[i][k]
+        return None if w is None else self.phi[j][w] - self.phi[j][k]
+
+
+def _positions(step, pos):
+    out = [None] * len(pos)
+    for s, d in step.items():
+        out[pos[s]] = pos[d]
+    return out

@@ -1,7 +1,12 @@
-"""Hand-built fixture graphs and mutation helpers shared by the tests."""
+"""Hand-built fixture graphs, mutation helpers and the reference axiom
+checker shared by the tests."""
 
+import random
 from itertools import product
 
+from b2crystal.axioms import CheckReport, Violation
+from b2crystal.cartan import B2, classify_pair
+from b2crystal.errors import InconsistentWeight, UnsupportedPair
 from b2crystal.graph import ColoredGraph
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
@@ -75,3 +80,340 @@ def redirect_mutants(g):
         t = mut.add_vertex()
         mut.add_edge_unchecked(s, t, c)
         yield edge, mut.freeze()
+
+
+def relabelled(g, seed):
+    """Copy of g with vertex v renamed 1000 + 7*pi(v), pi a seeded
+    permutation, so that no id equals its position in sorted order."""
+    ids = g.vertices()
+    perm = random.Random(seed).sample(range(len(ids)), len(ids))
+    name = {v: 1000 + 7 * k for v, k in zip(ids, perm)}
+    out = ColoredGraph(g.colors, cartan=g.cartan)
+    for v in ids:
+        out.add_vertex(vid=name[v], label=g.label(v))
+    for s, d, c in g.edges():
+        out.add_edge_unchecked(name[s], name[d], c)
+    return out.freeze()
+
+
+# -- reference axiom checker ---------------------------------------------------
+#
+# The per-vertex batteries as they were before the checker scanned dense
+# positions: every statistic is a dict lookup by vertex id, and every
+# hypothesis is evaluated through _Ctx.  The differential tests require
+# axioms.check_all and each battery to report exactly what these do.
+
+class _Ctx:
+    """Navigation by vertex id plus the string statistics of a good graph."""
+
+    def __init__(self, g):
+        self.g = g
+        self.e, self.f = g.e_step, g.f_step
+        self._eps, self._phi = g.tables()
+
+    def climb(self, v, colors):
+        for c in colors:
+            v = self.e(c, v)
+            if v is None:
+                return None
+        return v
+
+    def descend(self, v, colors):
+        for c in colors:
+            v = self.f(c, v)
+            if v is None:
+                return None
+        return v
+
+    def eps(self, i, v):
+        return self._eps[i][v]
+
+    def phi(self, i, v):
+        return self._phi[i][v]
+
+    # delta of the j-statistic across a single step; None when the step
+    # (or for the f/phi flavors, the step at the far end) is missing
+    def de_eps(self, i, j, v):
+        w = self.e(i, v)
+        return None if w is None else self.eps(j, w) - self.eps(j, v)
+
+    def de_phi(self, i, j, v):
+        w = self.e(i, v)
+        return None if w is None else self.phi(j, w) - self.phi(j, v)
+
+    def df_phi(self, i, j, v):
+        w = self.f(i, v)
+        return None if w is None else self.phi(j, w) - self.phi(j, v)
+
+
+def _sorted(violations):
+    return sorted(violations, key=Violation.sort_key)
+
+
+# -- S2 / S3 -----------------------------------------------------------------
+
+def reference_check_s2_s3(g, A, include_diagonal=False):
+    """String-difference equality and sign bounds across every raising step.
+
+    With include_diagonal the equality is also checked at j = i, where the
+    differences are the constants -1 and +1 and the equality reads 2 = a_ii.
+    """
+    ctx = _Ctx(g)
+    out = []
+    for x in g.vertices():
+        for i in g.colors:
+            if ctx.e(i, x) is None:
+                continue
+            for j in g.colors:
+                if j == i and not include_diagonal:
+                    continue
+                dphi = ctx.de_phi(i, j, x)
+                deps = ctx.de_eps(i, j, x)
+                if dphi - deps != A.a(j, i):
+                    out.append(
+                        Violation(
+                            "S2", (i, j), x,
+                            f"phi/eps difference {dphi}-{deps} != a[{j},{i}]={A.a(j, i)}",
+                        )
+                    )
+                if j != i and not (dphi <= 0 <= deps):
+                    out.append(
+                        Violation("S3", (i, j), x, f"need {dphi} <= 0 <= {deps}")
+                    )
+    return _sorted(out)
+
+
+# -- S4 / S5 -----------------------------------------------------------------
+
+def _square_minus(ctx, x, k, ell, out):
+    # raising square: both orders of one k-step and one ell-step meet,
+    # and the closing lowering delta vanishes
+    if ctx.de_eps(k, ell, x) != 0:
+        return
+    z1 = ctx.climb(x, [k, ell])
+    z2 = ctx.climb(x, [ell, k])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(Violation("A_MINUS", (k, ell), x, f"square above does not close ({z1} vs {z2})"))
+        return
+    d = ctx.df_phi(ell, k, z1)
+    if d != 0:
+        out.append(Violation("A_MINUS", (k, ell), x, f"closing lowering delta is {d}, not 0"))
+
+
+def _square_plus(ctx, x, k, ell, out):
+    if ctx.df_phi(k, ell, x) != 0:
+        return
+    z1 = ctx.descend(x, [k, ell])
+    z2 = ctx.descend(x, [ell, k])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(Violation("A_PLUS", (k, ell), x, f"square below does not close ({z1} vs {z2})"))
+        return
+    d = ctx.de_eps(ell, k, z1)
+    if d != 0:
+        out.append(Violation("A_PLUS", (k, ell), x, f"closing raising delta is {d}, not 0"))
+
+
+def _octagon_minus(ctx, x, i, j, out):
+    if (ctx.de_eps(i, j, x), ctx.de_eps(j, i, x)) != (1, 1):
+        return
+    z1 = ctx.climb(x, [i, j, j, i])
+    z2 = ctx.climb(x, [j, i, i, j])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(Violation("B_MINUS", (i, j), x, f"length-4 words above do not meet ({z1} vs {z2})"))
+        return
+    d = (ctx.df_phi(i, j, z1), ctx.df_phi(j, i, z1))
+    if d != (1, 1):
+        out.append(Violation("B_MINUS", (i, j), x, f"closing lowering deltas {d} != (1,1)"))
+
+
+def _octagon_plus(ctx, x, i, j, out):
+    if (ctx.df_phi(i, j, x), ctx.df_phi(j, i, x)) != (1, 1):
+        return
+    z1 = ctx.descend(x, [i, j, j, i])
+    z2 = ctx.descend(x, [j, i, i, j])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(Violation("B_PLUS", (i, j), x, f"length-4 words below do not meet ({z1} vs {z2})"))
+        return
+    d = (ctx.de_eps(i, j, z1), ctx.de_eps(j, i, z1))
+    if d != (1, 1):
+        out.append(Violation("B_PLUS", (i, j), x, f"closing raising deltas {d} != (1,1)"))
+
+
+def reference_check_s4_s5(g, A, ctx=None):
+    """Square and length-4 confluences above and below every two-parent /
+    two-child vertex, for every color pair."""
+    ctx = ctx or _Ctx(g)
+    out = []
+    colors = g.colors
+    for x in g.vertices():
+        for ai, i in enumerate(colors):
+            for j in colors[ai + 1:]:
+                if ctx.e(i, x) is not None and ctx.e(j, x) is not None:
+                    _square_minus(ctx, x, i, j, out)
+                    _square_minus(ctx, x, j, i, out)
+                    _octagon_minus(ctx, x, i, j, out)
+                if ctx.f(i, x) is not None and ctx.f(j, x) is not None:
+                    _square_plus(ctx, x, i, j, out)
+                    _square_plus(ctx, x, j, i, out)
+                    _octagon_plus(ctx, x, i, j, out)
+    return _sorted(out)
+
+
+# -- S6 .. S9 ----------------------------------------------------------------
+
+def _b2_oriented_pairs(A):
+    """Ordered color pairs whose 2x2 restriction is doubly laced with the
+    long arrow from the first color (the orientation the axioms assume)."""
+    return [(i, j) for (i, j) in A.pairs() if classify_pair(A, i, j) == B2]
+
+
+def _check_c1_plus(ctx, x, i, j, via, out):
+    z1 = ctx.descend(x, [i, i, j, j, i])
+    z2 = ctx.descend(x, [j, i, i, i, j])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(
+            Violation("C1_PLUS", (i, j), x, f"via {via}: pentagon words below do not meet ({z1} vs {z2})")
+        )
+
+
+def _check_s6(ctx, x, i, j, out):
+    y = ctx.climb(x, [j, i, i])
+    if y is None:
+        out.append(Violation("D_MINUS", (i, j), x, "first branch point above is missing"))
+        return
+    y1 = ctx.climb(x, [i, j, j, i, i])
+    if y1 is None:
+        out.append(Violation("D_MINUS", (i, j), x, "second branch point above is missing"))
+        return
+    t = (ctx.df_phi(i, j, y), ctx.df_phi(i, j, y1))
+    if t[0] is None or t[1] is None:
+        out.append(Violation("D_MINUS", (i, j), x, "branch-point lowering deltas undefined"))
+        return
+    if t == (1, 0):
+        out.append(Violation("D_MINUS", (i, j), x, "branch deltas (1,0) are forbidden"))
+    elif t == (1, 1):
+        fy1 = ctx.f(j, y1)
+        ey = ctx.e(i, y)
+        if fy1 is None or ey is None or fy1 != ey:
+            out.append(Violation("P1_MINUS", (i, j), x, f"expected j-child of y' = i-parent of y ({fy1} vs {ey})"))
+        elif ctx.df_phi(j, i, y1) != 1:
+            out.append(Violation("P1_MINUS", (i, j), x, f"lowering delta at y' is {ctx.df_phi(j, i, y1)}, not 1"))
+    elif t == (0, 1):
+        z1 = ctx.climb(x, [i, j, j, i, i, i, j])
+        z2 = ctx.climb(x, [j, i, i, i, j, j, i])
+        if z1 is None or z2 is None or z1 != z2:
+            out.append(Violation("Q1_MINUS", (i, j), x, f"depth-7 words above do not meet ({z1} vs {z2})"))
+            return
+        dz = (ctx.df_phi(i, j, z1), ctx.df_phi(j, i, z1))
+        if dz != (1, 2):
+            out.append(Violation("Q1_MINUS", (i, j), x, f"lowering deltas at the meet are {dz}, not (1,2)"))
+    elif t == (0, 0):
+        fy1 = ctx.f(j, y1)
+        ey = ctx.e(i, y)
+        if fy1 is None or ey is None or fy1 != ey:
+            out.append(Violation("R_MINUS", (i, j), x, f"expected j-child of y' = i-parent of y ({fy1} vs {ey})"))
+            return
+        if ctx.df_phi(j, i, y1) != 2:
+            out.append(Violation("R_MINUS", (i, j), x, f"lowering delta at y' is {ctx.df_phi(j, i, y1)}, not 2"))
+            return
+        w = ctx.descend(y1, [i, i])
+        d = None if w is None else ctx.df_phi(j, i, w)
+        if d != 0:
+            out.append(Violation("R_MINUS", (i, j), x, f"delta two i-steps under y' is {d}, not 0"))
+
+
+def _check_s7(ctx, x, i, j, out):
+    y = ctx.descend(x, [j, i, i])
+    if y is None:
+        out.append(Violation("D_PLUS", (i, j), x, "first branch point below is missing"))
+        return
+    y1 = ctx.descend(x, [i, j, j, i, i])
+    if y1 is None:
+        out.append(Violation("D_PLUS", (i, j), x, "second branch point below is missing"))
+        return
+    t = (ctx.de_eps(i, j, y), ctx.de_eps(i, j, y1))
+    if t[0] is None or t[1] is None:
+        out.append(Violation("D_PLUS", (i, j), x, "branch-point raising deltas undefined"))
+        return
+    if t != (0, 1):
+        return
+    z1 = ctx.descend(x, [i, j, j, i, i, i, j])
+    z2 = ctx.descend(x, [j, i, i, i, j, j, i])
+    if z1 is None or z2 is None or z1 != z2:
+        out.append(Violation("D_PLUS", (i, j), x, f"depth-7 words below do not meet ({z1} vs {z2})"))
+
+
+def reference_check_s6_s9(g, A, ctx=None):
+    """The doubly-laced battery, per oriented pair of that type."""
+    ctx = ctx or _Ctx(g)
+    out = []
+    for i, j in _b2_oriented_pairs(A):
+        for x in g.vertices():
+            up = ctx.e(i, x) is not None and ctx.e(j, x) is not None
+            down = ctx.f(i, x) is not None and ctx.f(j, x) is not None
+            if up and (ctx.de_eps(i, j, x), ctx.de_eps(j, i, x)) == (1, 2):
+                _check_s6(ctx, x, i, j, out)
+            if down:
+                dp = (ctx.df_phi(i, j, x), ctx.df_phi(j, i, x))
+                if dp == (1, 2):
+                    _check_s7(ctx, x, i, j, out)
+                if dp == (1, 1) and ctx.phi(i, x) >= 2:
+                    _check_c1_plus(ctx, x, i, j, "two-child hypothesis", out)
+                if dp == (0, 2):
+                    v = ctx.descend(x, [i, i])
+                    if v is not None and ctx.f(j, v) is not None and ctx.df_phi(j, i, v) == 0:
+                        _check_c1_plus(ctx, x, i, j, "flat-ledge hypothesis", out)
+    return _sorted(out)
+
+
+
+# -- the aggregate check ---------------------------------------------------------
+
+def reference_check_all(g, A, expected_phi0=None):
+    """Goodness, unique maximum, weight grading, then the axiom batteries.
+
+    A graph passing with zero violations is regular in the axiomatic sense
+    and therefore the highest-weight crystal graph for the top statistics.
+    """
+    report = CheckReport(n_vertices=len(g))
+    for gv in g.is_good():
+        report.violations.append(Violation("S1", None, gv.witness, f"{gv.rule}: {gv.detail}"))
+    if report.violations:
+        report.violations = _sorted(report.violations)
+        return report
+
+    maxes = g.maximum_elements()
+    if len(maxes) != 1:
+        report.violations.append(
+            Violation("MAX", None, maxes[0] if maxes else None,
+                      f"found {len(maxes)} maximum elements, need exactly 1")
+        )
+        report.violations = _sorted(report.violations)
+        return report
+    x0 = maxes[0]
+    report.max_element = x0
+
+    try:
+        report.grading = g.wt_assign(x0)
+    except InconsistentWeight as exc:
+        report.violations.append(
+            Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")
+        )
+
+    ctx = _Ctx(g)
+    report.violations.extend(reference_check_s2_s3(g, A))
+    report.violations.extend(reference_check_s4_s5(g, A, ctx=ctx))
+    try:
+        report.violations.extend(reference_check_s6_s9(g, A, ctx=ctx))
+    except UnsupportedPair as exc:
+        report.violations.append(Violation("S1", None, None, f"unsupported pair: {exc}"))
+
+    report.phi0 = {i: ctx.phi(i, x0) for i in g.colors}
+    if expected_phi0 is not None:
+        expected = dict(expected_phi0)
+        if report.phi0 != expected:
+            report.violations.append(
+                Violation("PHI0", None, x0, f"top statistics {report.phi0} != expected {expected}")
+            )
+    report.violations = _sorted(report.violations)
+    return report

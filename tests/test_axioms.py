@@ -3,7 +3,8 @@ import json
 import pytest
 
 from b2crystal import axioms, pbw
-from b2crystal.cartan import GCM, b2_gcm
+from b2crystal.builder import synthesize
+from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.graph import ColoredGraph
 from helpers import (
     a2_crystal_1_1,
@@ -11,6 +12,11 @@ from helpers import (
     bad_confluence_graph,
     deletion_mutants,
     redirect_mutants,
+    reference_check_all,
+    reference_check_s2_s3,
+    reference_check_s4_s5,
+    reference_check_s6_s9,
+    relabelled,
 )
 
 A = b2_gcm()
@@ -126,24 +132,24 @@ def test_split_pentagon_meet_breaks_c1_plus():
     # find a two-child vertex of the 14-element crystal satisfying the
     # flat-ledge hypothesis, then split the pentagon meet
     g = pbw.generate((0, 2))
-    ctx = axioms._Ctx(g)
+    view = g.dense()
     hit = None
-    for x in g.vertices():
+    for x in range(len(view.ids)):
         for i, j in axioms._b2_oriented_pairs(A):
-            if ctx.f(i, x) is None or ctx.f(j, x) is None:
+            if view.down[i][x] is None or view.down[j][x] is None:
                 continue
-            if (ctx.df_phi(i, j, x), ctx.df_phi(j, i, x)) != (0, 2):
+            if (view.df_phi(i, j, x), view.df_phi(j, i, x)) != (0, 2):
                 continue
-            v = ctx.descend(x, [i, i])
-            if v is not None and ctx.f(j, v) is not None and ctx.df_phi(j, i, v) == 0:
+            v = view.descend(x, [i, i])
+            if v is not None and view.down[j][v] is not None and view.df_phi(j, i, v) == 0:
                 hit = (x, i, j)
     assert hit is not None
     x, i, j = hit
-    q = ctx.descend(x, [j, i, i, i])
-    z = ctx.f(j, q)
-    mut = g.copy_mutable(skip_edge=(q, z, j))
+    q = view.descend(x, [j, i, i, i])
+    z = view.down[j][q]
+    mut = g.copy_mutable(skip_edge=(view.ids[q], view.ids[z], j))
     twin = mut.add_vertex()
-    mut.add_edge(q, twin, j)
+    mut.add_edge(view.ids[q], twin, j)
     out = axioms.check_s6_s9(mut.freeze(), A)
     assert any(v.axiom == "C1_PLUS" for v in out), sorted({v.axiom for v in out})
 
@@ -151,23 +157,22 @@ def test_split_pentagon_meet_breaks_c1_plus():
 def test_branch_deltas_never_one_zero():
     # at every fork with raising deltas (1,2) the two branch-point lowering
     # deltas take one of three values and never (1,0)
-    seen = set()
+    seen = dict.fromkeys([(1, 1), (0, 1), (0, 0)], 0)
     for l1 in range(4):
         for l2 in range(4):
             lam = (l1, l2)
-            g = pbw.generate(lam)
-            ctx = axioms._Ctx(g)
-            for x in g.vertices():
-                if ctx.e(1, x) is None or ctx.e(2, x) is None:
+            view = pbw.generate(lam).dense()
+            for x in range(len(view.ids)):
+                if view.up[1][x] is None or view.up[2][x] is None:
                     continue
-                if (ctx.de_eps(1, 2, x), ctx.de_eps(2, 1, x)) != (1, 2):
+                if (view.de_eps(1, 2, x), view.de_eps(2, 1, x)) != (1, 2):
                     continue
-                y = ctx.climb(x, [2, 1, 1])
-                y1 = ctx.climb(x, [1, 2, 2, 1, 1])
-                t = (ctx.df_phi(1, 2, y), ctx.df_phi(1, 2, y1))
-                assert t in {(1, 1), (0, 1), (0, 0)}, (lam, x, t)
-                seen.add(t)
-    assert seen == {(1, 1), (0, 1), (0, 0)}  # all three cases occur
+                y = view.climb(x, [2, 1, 1])
+                y1 = view.climb(x, [1, 2, 2, 1, 1])
+                t = (view.df_phi(1, 2, y), view.df_phi(1, 2, y1))
+                assert t in seen, (lam, view.ids[x], t)
+                seen[t] += 1
+    assert all(seen.values()), seen  # all three cases occur
 
 
 def test_axiom_hypotheses_all_fire():
@@ -176,27 +181,63 @@ def test_axiom_hypotheses_all_fire():
     counts = dict.fromkeys(["S6", "S7", "S8", "S9", "S8'"], 0)
     for l1 in range(5):
         for l2 in range(5):
-            g = pbw.generate((l1, l2))
-            ctx = axioms._Ctx(g)
+            view = pbw.generate((l1, l2)).dense()
             for i, j in axioms._b2_oriented_pairs(A):
-                for x in g.vertices():
-                    if ctx.e(i, x) is not None and ctx.e(j, x) is not None:
-                        d = (ctx.de_eps(i, j, x), ctx.de_eps(j, i, x))
+                for x in range(len(view.ids)):
+                    if view.up[i][x] is not None and view.up[j][x] is not None:
+                        d = (view.de_eps(i, j, x), view.de_eps(j, i, x))
                         if d == (1, 2):
                             counts["S6"] += 1
-                        if d == (1, 1) and ctx.eps(i, x) >= 2:
+                        if d == (1, 1) and view.eps[i][x] >= 2:
                             counts["S8'"] += 1
-                    if ctx.f(i, x) is not None and ctx.f(j, x) is not None:
-                        dp = (ctx.df_phi(i, j, x), ctx.df_phi(j, i, x))
+                    if view.down[i][x] is not None and view.down[j][x] is not None:
+                        dp = (view.df_phi(i, j, x), view.df_phi(j, i, x))
                         if dp == (1, 2):
                             counts["S7"] += 1
-                        if dp == (1, 1) and ctx.phi(i, x) >= 2:
+                        if dp == (1, 1) and view.phi[i][x] >= 2:
                             counts["S8"] += 1
                         if dp == (0, 2):
-                            v = ctx.descend(x, [i, i])
-                            if v is not None and ctx.f(j, v) is not None and ctx.df_phi(j, i, v) == 0:
+                            v = view.descend(x, [i, i])
+                            if v is not None and view.down[j][v] is not None and view.df_phi(j, i, v) == 0:
                                 counts["S9"] += 1
     assert all(n > 0 for n in counts.values()), counts
+
+
+BATTERY_TAGS = {"S2", "S3", "A_MINUS", "A_PLUS", "B_MINUS", "B_PLUS", "C1_PLUS",
+                "D_MINUS", "D_PLUS", "P1_MINUS", "Q1_MINUS", "R_MINUS"}
+
+
+def _differential_cases():
+    seed = 0
+    for lam in ((2, 2), (3, 2)):
+        g = pbw.generate(lam)
+        for mutants in (deletion_mutants, redirect_mutants):
+            for _, mut in mutants(g):
+                seed += 1
+                yield A, relabelled(mut, seed)
+    B3 = b3_gcm()
+    for _, mut in deletion_mutants(synthesize(B3, (0, 1, 0))):
+        yield B3, mut
+
+
+def test_batteries_match_reference():
+    # the dense scans report exactly what the per-vertex loops did, with
+    # ids that are not positions, and every battery tag occurs
+    tags = set()
+    batteries = (
+        (axioms.check_s2_s3, reference_check_s2_s3),
+        (lambda g, M: axioms.check_s2_s3(g, M, include_diagonal=True),
+         lambda g, M: reference_check_s2_s3(g, M, include_diagonal=True)),
+        (axioms.check_s4_s5, reference_check_s4_s5),
+        (axioms.check_s6_s9, reference_check_s6_s9),
+    )
+    for M, g in _differential_cases():
+        assert axioms.check_all(g, M).to_dict() == reference_check_all(g, M).to_dict()
+        for battery, reference in batteries:
+            out = battery(g, M)
+            assert out == reference(g, M), g.vertices()[:3]
+            tags.update(v.axiom for v in out)
+    assert BATTERY_TAGS <= tags, BATTERY_TAGS - tags
 
 
 def test_confluence_checker():

@@ -2,7 +2,13 @@ import pytest
 
 from b2crystal import axioms, builder, pbw
 from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
-from b2crystal.errors import BudgetExceeded, NotIsomorphic, PrereqFailed, UnsupportedPair
+from b2crystal.errors import (
+    BudgetExceeded,
+    CertificationFailed,
+    NotIsomorphic,
+    PrereqFailed,
+    UnsupportedPair,
+)
 from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
 from helpers import deletion_mutants
@@ -58,6 +64,10 @@ def test_prereq_failures():
     bad = pbw.generate((1, 1)).copy_mutable(skip_edge=pbw.generate((1, 1)).edges()[4]).freeze()
     with pytest.raises(PrereqFailed):
         builder.build_isomorphism(bad, pbw.generate((1, 1)))
+    # colors other than the matrix's are refused before check_all runs
+    b3 = builder.synthesize(b3_gcm(), (1, 0, 0))
+    with pytest.raises(CertificationFailed, match=r"first graph has colors \(1, 2\) but the Cartan matrix has \(1, 2, 3\)"):
+        builder.build_isomorphism(pbw.generate((1, 1)), b3, gcm=b3_gcm())
 
 
 def test_not_isomorphic_same_profile():

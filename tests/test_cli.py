@@ -109,6 +109,32 @@ def test_iso_precondition(docs, tmp_path, capsys):
     assert err.startswith("error: second graph fails certification: FAIL:")
 
 
+def test_iso_color_sets_differ(docs, tmp_path, capsys):
+    b3 = tmp_path / "b3.json"
+    assert main(["gen", "--gcm", "b3", "--hw", "1,0,0", "--method", "axioms", "--out", str(b3)]) == 0
+    capsys.readouterr()
+    # the first document supplies the matrix, so the second one mismatches
+    for pair, colors, matrix in (((docs["pbw11"], str(b3)), "(1, 2, 3)", "(1, 2)"),
+                                 ((str(b3), docs["pbw11"]), "(1, 2)", "(1, 2, 3)")):
+        assert main(["iso", *pair]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: second graph has colors {colors} but the Cartan matrix has {matrix}\n"
+
+
+@pytest.mark.parametrize("declared, message", [
+    (9999, "max 9999 is not a declared vertex"),
+    (3, "error: document declares max 3, but the maximum element is 0"),
+])
+def test_check_validates_declared_max(docs, tmp_path, capsys, declared, message):
+    doc = json.load(open(docs["pbw11"]))
+    doc["max"] = declared
+    path = tmp_path / "edited.json"
+    json.dump(doc, open(path, "w"))
+    capsys.readouterr()
+    assert main(["check", "--in", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_each_graph_certified_once(docs, tmp_path, monkeypatch):
     calls = []
 

@@ -1,6 +1,9 @@
 import pytest
 
-from b2crystal import pbw
+from b2crystal import graph, pbw
+from b2crystal.axioms import check_all
+from b2crystal.builder import build_isomorphism, synthesize
+from b2crystal.cartan import b2_gcm
 from b2crystal.errors import (
     DuplicateEdge,
     InconsistentWeight,
@@ -8,7 +11,13 @@ from b2crystal.errors import (
     UndefinedStep,
 )
 from b2crystal.graph import ColoredGraph, string_tables
-from helpers import a2_crystal_1_1, a2_crystal_2_0, bad_confluence_graph, deletion_mutants
+from helpers import (
+    a2_crystal_1_1,
+    a2_crystal_2_0,
+    bad_confluence_graph,
+    deletion_mutants,
+    relabelled,
+)
 
 
 def two_vertex():
@@ -167,7 +176,15 @@ def _maximum_elements_per_source(g):
     return out
 
 
-def test_maximum_elements_matches_per_source_definition():
+def test_maximum_elements_matches_per_source_definition(monkeypatch):
+    computed = []
+    find = graph._maximum_elements
+
+    def counted(g):
+        computed.append(g)
+        return find(g)
+
+    monkeypatch.setattr(graph, "_maximum_elements", counted)
     fixtures = [a2_crystal_2_0(), a2_crystal_1_1(), bad_confluence_graph(),
                 pbw.generate((1, 1)), pbw.generate((2, 1)).reverse()]
     fixtures += [mut for _, mut in deletion_mutants(pbw.generate((1, 1)))]
@@ -188,7 +205,14 @@ def test_maximum_elements_matches_per_source_definition():
     fixtures.append(lone.freeze())
     for g in fixtures:
         assert g.maximum_elements() == _maximum_elements_per_source(g)
+        assert g.maximum_elements() == _maximum_elements_per_source(g)
     assert fan.maximum_elements() == [] and lone.maximum_elements() == [0]
+    # a frozen graph finds its maximum elements once, an unfrozen one per call
+    assert len(computed) == len(fixtures)
+    computed.clear()
+    m = pbw.generate((1, 1)).copy_mutable()
+    assert m.maximum_elements() == m.maximum_elements() == [0]
+    assert computed == [m, m]
 
 
 def test_frozen_graph_keeps_string_tables():
@@ -203,6 +227,43 @@ def test_frozen_graph_keeps_string_tables():
     assert first == string_tables(m) and m.tables() is not first
     m.add_edge(0, 1, 1)  # an unfrozen graph's tables follow its edits
     assert m.tables() == string_tables(m) == ({1: {0: 0, 1: 1}}, {1: {0: 1, 1: 0}})
+
+
+def test_frozen_graph_keeps_dense_view(monkeypatch):
+    built = []
+
+    class Counted(graph.DenseView):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(graph, "DenseView", Counted)
+    # positions index the sorted ids, which here are not 0..n-1
+    r = relabelled(pbw.generate((2, 1)), seed=5)
+    view = r.dense()
+    eps, phi = r.tables()
+    assert view.ids == r.vertices() and view.ids[0] >= 1000
+    for k, v in enumerate(view.ids):
+        for i in r.colors:
+            assert view.vid(view.up[i][k]) == r.e_step(i, v)
+            assert view.vid(view.down[i][k]) == r.f_step(i, v)
+            assert (view.eps[i][k], view.phi[i][k]) == (eps[i][v], phi[i][v])
+        assert view.vid(view.descend(k, (1, 2, 2))) == r.descend(v, (1, 2, 2))
+
+    A = b2_gcm()
+    built.clear()
+    g = pbw.generate((2, 1))
+    s = synthesize(A, (2, 1))  # certified, so its view is built
+    assert check_all(g, A).passed
+    build_isomorphism(g, s)
+    assert sorted(map(id, built)) == sorted([id(g), id(s)])
+    assert g.dense() is g.dense() and len(built) == 2
+
+    m = g.copy_mutable()
+    built.clear()
+    assert check_all(m, A).passed  # one view shared by the three batteries
+    assert built == [m]
+    assert m.dense() is not m.dense()
 
 
 def test_wt_assign_on_crystal():
