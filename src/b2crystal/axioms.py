@@ -6,8 +6,8 @@ doubly-laced battery: the two depth-7 diamond axioms, the two pentagon
 merge axioms, and their sub-conditions.  Everything is evaluated on the
 literal graph; phi/eps are always string lengths, never trusted labels,
 so the checker is meaningful on arbitrary graphs.  The batteries scan the
-graph's DenseView, one pass over positions per color pair, and report
-witnesses as vertex ids.
+graph's per-color position lists and its string tables, one pass over
+positions per color pair, and report witnesses as vertex ids.
 
 Violation tags: S1 (goodness, with the G-rule in the detail), S2, S3,
 A_MINUS/B_MINUS (under S4), A_PLUS/B_PLUS (under S5), S6..S9 reported via
@@ -23,6 +23,7 @@ from typing import Optional
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
+from .graph import delta
 
 DEFAULT_CONFLUENCE_DEPTH = 7
 
@@ -55,29 +56,34 @@ def _sorted(violations):
     return sorted(violations, key=Violation.sort_key)
 
 
-# The batteries scan a DenseView: x, y, z, w are positions, and view.ids /
-# view.vid turn them back into vertex ids for the reports.  Each scan tests
-# its hypotheses inline on the flat lists; a witness helper runs only where
-# one fires.
+# The batteries scan the graph's lists with its string tables (eps, phi):
+# x, y, z, w are positions, and g.ids / _vid turn them back into vertex ids
+# for the reports.  Each scan tests its hypotheses inline on the flat lists;
+# a witness helper runs only where one fires.
+
+def _vid(g, k):
+    """The vertex id at position k (None stays None)."""
+    return None if k is None else g.ids[k]
+
 
 # -- S2 / S3 -----------------------------------------------------------------
 
-def check_s2_s3(g, A, include_diagonal=False, view=None):
+def check_s2_s3(g, A, include_diagonal=False, tables=None):
     """String-difference equality and sign bounds across every raising step.
 
     With include_diagonal the equality is also checked at j = i, where the
     differences are the constants -1 and +1 and the equality reads 2 = a_ii.
     """
-    view = view or g.dense()
-    ids = view.ids
+    eps, phi = tables or g.tables()
+    ids = g.ids
     out = []
     for i in g.colors:
-        up_i = view.up[i]
+        up_i = g.up[i]
         for j in g.colors:
             if j == i and not include_diagonal:
                 continue
             a = A.a(j, i)
-            eps_j, phi_j = view.eps[j], view.phi[j]
+            eps_j, phi_j = eps[j], phi[j]
             for x, w in enumerate(up_i):
                 if w is None:
                     continue
@@ -99,72 +105,51 @@ def check_s2_s3(g, A, include_diagonal=False, view=None):
 
 # -- S4 / S5 -----------------------------------------------------------------
 
-def _square_minus(view, x, k, ell, out):
-    # raising square at a vertex whose raising delta de_eps(k, ell) is 0:
+# The two sides of S4/S5: the raising side scans parents and eps, walks up
+# and closes on the lowering deltas; the lowering side is its mirror.
+def _sides(g, eps, phi):
+    return (("MINUS", "above", "lowering", g.up, eps, g.climb, g.down, phi),
+            ("PLUS", "below", "raising", g.down, phi, g.descend, g.up, eps))
+
+
+def _square(g, side, x, k, ell, out):
+    # at a vertex whose delta of the ell-statistic across its k-step is 0:
     # both orders of one k-step and one ell-step meet, and the closing
-    # lowering delta vanishes
-    z1 = view.climb(x, (k, ell))
-    z2 = view.climb(x, (ell, k))
+    # delta vanishes
+    sign, where, closing, _, _, walk, steps, stat = side
+    z1, z2 = walk(x, (k, ell)), walk(x, (ell, k))
     if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("A_MINUS", (k, ell), view.ids[x],
-                             f"square above does not close ({view.vid(z1)} vs {view.vid(z2)})"))
+        out.append(Violation("A_" + sign, (k, ell), g.ids[x],
+                             f"square {where} does not close ({_vid(g, z1)} vs {_vid(g, z2)})"))
         return
-    d = view.df_phi(ell, k, z1)
+    d = delta(steps, stat, ell, k, z1)
     if d != 0:
-        out.append(Violation("A_MINUS", (k, ell), view.ids[x], f"closing lowering delta is {d}, not 0"))
+        out.append(Violation("A_" + sign, (k, ell), g.ids[x], f"closing {closing} delta is {d}, not 0"))
 
 
-def _square_plus(view, x, k, ell, out):
-    # mirror of _square_minus at a vertex whose df_phi(k, ell) is 0
-    z1 = view.descend(x, (k, ell))
-    z2 = view.descend(x, (ell, k))
+def _octagon(g, side, x, i, j, out):
+    # at a vertex whose deltas are (1,1)
+    sign, where, closing, _, _, walk, steps, stat = side
+    z1, z2 = walk(x, (i, j, j, i)), walk(x, (j, i, i, j))
     if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("A_PLUS", (k, ell), view.ids[x],
-                             f"square below does not close ({view.vid(z1)} vs {view.vid(z2)})"))
+        out.append(Violation("B_" + sign, (i, j), g.ids[x],
+                             f"length-4 words {where} do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
         return
-    d = view.de_eps(ell, k, z1)
-    if d != 0:
-        out.append(Violation("A_PLUS", (k, ell), view.ids[x], f"closing raising delta is {d}, not 0"))
-
-
-def _octagon_minus(view, x, i, j, out):
-    # at a vertex whose raising deltas are (1,1)
-    z1 = view.climb(x, (i, j, j, i))
-    z2 = view.climb(x, (j, i, i, j))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("B_MINUS", (i, j), view.ids[x],
-                             f"length-4 words above do not meet ({view.vid(z1)} vs {view.vid(z2)})"))
-        return
-    d = (view.df_phi(i, j, z1), view.df_phi(j, i, z1))
+    d = (delta(steps, stat, i, j, z1), delta(steps, stat, j, i, z1))
     if d != (1, 1):
-        out.append(Violation("B_MINUS", (i, j), view.ids[x], f"closing lowering deltas {d} != (1,1)"))
+        out.append(Violation("B_" + sign, (i, j), g.ids[x], f"closing {closing} deltas {d} != (1,1)"))
 
 
-def _octagon_plus(view, x, i, j, out):
-    # at a vertex whose lowering deltas are (1,1)
-    z1 = view.descend(x, (i, j, j, i))
-    z2 = view.descend(x, (j, i, i, j))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("B_PLUS", (i, j), view.ids[x],
-                             f"length-4 words below do not meet ({view.vid(z1)} vs {view.vid(z2)})"))
-        return
-    d = (view.de_eps(i, j, z1), view.de_eps(j, i, z1))
-    if d != (1, 1):
-        out.append(Violation("B_PLUS", (i, j), view.ids[x], f"closing raising deltas {d} != (1,1)"))
-
-
-def check_s4_s5(g, A, view=None):
+def check_s4_s5(g, A, tables=None):
     """Square and length-4 confluences above and below every two-parent /
     two-child vertex, for every color pair."""
-    view = view or g.dense()
+    eps, phi = tables or g.tables()
     out = []
     colors = g.colors
-    # the raising side scans parents and eps, the lowering side children and phi
-    sides = ((view.up, view.eps, _square_minus, _octagon_minus),
-             (view.down, view.phi, _square_plus, _octagon_plus))
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
-            for steps, stat, square, octagon in sides:
+            for side in _sides(g, eps, phi):
+                steps, stat = side[3], side[4]
                 stat_i, stat_j = stat[i], stat[j]
                 for x, (si, sj) in enumerate(zip(steps[i], steps[j])):
                     if si is None or sj is None:
@@ -172,11 +157,11 @@ def check_s4_s5(g, A, view=None):
                     dij = stat_j[si] - stat_j[x]
                     dji = stat_i[sj] - stat_i[x]
                     if dij == 0:
-                        square(view, x, i, j, out)
+                        _square(g, side, x, i, j, out)
                     if dji == 0:
-                        square(view, x, j, i, out)
+                        _square(g, side, x, j, i, out)
                     if dij == 1 and dji == 1:
-                        octagon(view, x, i, j, out)
+                        _octagon(g, side, x, i, j, out)
     return _sorted(out)
 
 
@@ -188,122 +173,122 @@ def _b2_oriented_pairs(A):
     return [(i, j) for (i, j) in A.pairs() if classify_pair(A, i, j) == B2]
 
 
-def _check_c1_plus(view, x, i, j, via, out):
-    z1 = view.descend(x, (i, i, j, j, i))
-    z2 = view.descend(x, (j, i, i, i, j))
+def _check_c1_plus(g, x, i, j, via, out):
+    z1 = g.descend(x, (i, i, j, j, i))
+    z2 = g.descend(x, (j, i, i, i, j))
     if z1 is None or z2 is None or z1 != z2:
         out.append(
-            Violation("C1_PLUS", (i, j), view.ids[x],
-                      f"via {via}: pentagon words below do not meet ({view.vid(z1)} vs {view.vid(z2)})")
+            Violation("C1_PLUS", (i, j), g.ids[x],
+                      f"via {via}: pentagon words below do not meet ({_vid(g, z1)} vs {_vid(g, z2)})")
         )
 
 
-def _check_s6(view, x, i, j, out):
+def _check_s6(g, phi, x, i, j, out):
     # at a vertex whose raising deltas are (1,2)
-    vid = view.vid
-    wx = view.ids[x]
-    y = view.climb(x, (j, i, i))
+    wx = g.ids[x]
+    down = g.down
+    y = g.climb(x, (j, i, i))
     if y is None:
         out.append(Violation("D_MINUS", (i, j), wx, "first branch point above is missing"))
         return
-    y1 = view.climb(x, (i, j, j, i, i))
+    y1 = g.climb(x, (i, j, j, i, i))
     if y1 is None:
         out.append(Violation("D_MINUS", (i, j), wx, "second branch point above is missing"))
         return
-    t = (view.df_phi(i, j, y), view.df_phi(i, j, y1))
+    t = (delta(down, phi, i, j, y), delta(down, phi, i, j, y1))
     if t[0] is None or t[1] is None:
         out.append(Violation("D_MINUS", (i, j), wx, "branch-point lowering deltas undefined"))
         return
     if t == (1, 0):
         out.append(Violation("D_MINUS", (i, j), wx, "branch deltas (1,0) are forbidden"))
     elif t == (1, 1):
-        fy1 = view.down[j][y1]
-        ey = view.up[i][y]
+        fy1 = down[j][y1]
+        ey = g.up[i][y]
         if fy1 is None or ey is None or fy1 != ey:
             out.append(Violation("P1_MINUS", (i, j), wx,
-                                 f"expected j-child of y' = i-parent of y ({vid(fy1)} vs {vid(ey)})"))
-        elif view.df_phi(j, i, y1) != 1:
+                                 f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
+        elif delta(down, phi, j, i, y1) != 1:
             out.append(Violation("P1_MINUS", (i, j), wx,
-                                 f"lowering delta at y' is {view.df_phi(j, i, y1)}, not 1"))
+                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not 1"))
     elif t == (0, 1):
-        z1 = view.climb(x, (i, j, j, i, i, i, j))
-        z2 = view.climb(x, (j, i, i, i, j, j, i))
+        z1 = g.climb(x, (i, j, j, i, i, i, j))
+        z2 = g.climb(x, (j, i, i, i, j, j, i))
         if z1 is None or z2 is None or z1 != z2:
             out.append(Violation("Q1_MINUS", (i, j), wx,
-                                 f"depth-7 words above do not meet ({vid(z1)} vs {vid(z2)})"))
+                                 f"depth-7 words above do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
             return
-        dz = (view.df_phi(i, j, z1), view.df_phi(j, i, z1))
+        dz = (delta(down, phi, i, j, z1), delta(down, phi, j, i, z1))
         if dz != (1, 2):
             out.append(Violation("Q1_MINUS", (i, j), wx, f"lowering deltas at the meet are {dz}, not (1,2)"))
     elif t == (0, 0):
-        fy1 = view.down[j][y1]
-        ey = view.up[i][y]
+        fy1 = down[j][y1]
+        ey = g.up[i][y]
         if fy1 is None or ey is None or fy1 != ey:
             out.append(Violation("R_MINUS", (i, j), wx,
-                                 f"expected j-child of y' = i-parent of y ({vid(fy1)} vs {vid(ey)})"))
+                                 f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
             return
-        if view.df_phi(j, i, y1) != 2:
+        if delta(down, phi, j, i, y1) != 2:
             out.append(Violation("R_MINUS", (i, j), wx,
-                                 f"lowering delta at y' is {view.df_phi(j, i, y1)}, not 2"))
+                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not 2"))
             return
-        w = view.descend(y1, (i, i))
-        d = None if w is None else view.df_phi(j, i, w)
+        w = g.descend(y1, (i, i))
+        d = None if w is None else delta(down, phi, j, i, w)
         if d != 0:
             out.append(Violation("R_MINUS", (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
 
 
-def _check_s7(view, x, i, j, out):
+def _check_s7(g, eps, x, i, j, out):
     # at a vertex whose lowering deltas are (1,2)
-    wx = view.ids[x]
-    y = view.descend(x, (j, i, i))
+    wx = g.ids[x]
+    y = g.descend(x, (j, i, i))
     if y is None:
         out.append(Violation("D_PLUS", (i, j), wx, "first branch point below is missing"))
         return
-    y1 = view.descend(x, (i, j, j, i, i))
+    y1 = g.descend(x, (i, j, j, i, i))
     if y1 is None:
         out.append(Violation("D_PLUS", (i, j), wx, "second branch point below is missing"))
         return
-    t = (view.de_eps(i, j, y), view.de_eps(i, j, y1))
+    t = (delta(g.up, eps, i, j, y), delta(g.up, eps, i, j, y1))
     if t[0] is None or t[1] is None:
         out.append(Violation("D_PLUS", (i, j), wx, "branch-point raising deltas undefined"))
         return
     if t != (0, 1):
         return
-    z1 = view.descend(x, (i, j, j, i, i, i, j))
-    z2 = view.descend(x, (j, i, i, i, j, j, i))
+    z1 = g.descend(x, (i, j, j, i, i, i, j))
+    z2 = g.descend(x, (j, i, i, i, j, j, i))
     if z1 is None or z2 is None or z1 != z2:
         out.append(Violation("D_PLUS", (i, j), wx,
-                             f"depth-7 words below do not meet ({view.vid(z1)} vs {view.vid(z2)})"))
+                             f"depth-7 words below do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
 
 
-def check_s6_s9(g, A, view=None):
+def check_s6_s9(g, A, tables=None):
     """The doubly-laced battery, per oriented pair of that type."""
-    view = view or g.dense()
+    eps, phi = tables or g.tables()
     out = []
     for i, j in _b2_oriented_pairs(A):
-        eps_i, eps_j = view.eps[i], view.eps[j]
-        for x, (pi, pj) in enumerate(zip(view.up[i], view.up[j])):
+        eps_i, eps_j = eps[i], eps[j]
+        for x, (pi, pj) in enumerate(zip(g.up[i], g.up[j])):
             if pi is None or pj is None:
                 continue
             if eps_j[pi] - eps_j[x] == 1 and eps_i[pj] - eps_i[x] == 2:
-                _check_s6(view, x, i, j, out)
-        down_i, down_j = view.down[i], view.down[j]
-        phi_i, phi_j = view.phi[i], view.phi[j]
+                _check_s6(g, phi, x, i, j, out)
+        down_i, down_j = g.down[i], g.down[j]
+        phi_i, phi_j = phi[i], phi[j]
         for x, (ci, cj) in enumerate(zip(down_i, down_j)):
             if ci is None or cj is None:
                 continue
             dp = (phi_j[ci] - phi_j[x], phi_i[cj] - phi_i[x])
             if dp == (1, 2):
-                _check_s7(view, x, i, j, out)
+                _check_s7(g, eps, x, i, j, out)
             elif dp == (1, 1):
                 if phi_i[x] >= 2:
-                    _check_c1_plus(view, x, i, j, "two-child hypothesis", out)
+                    _check_c1_plus(g, x, i, j, "two-child hypothesis", out)
             elif dp == (0, 2):
                 v = down_i[ci]
                 if v is not None:
                     w = down_j[v]
                     if w is not None and phi_i[w] == phi_i[v]:
-                        _check_c1_plus(view, x, i, j, "flat-ledge hypothesis", out)
+                        _check_c1_plus(g, x, i, j, "flat-ledge hypothesis", out)
     return _sorted(out)
 
 
@@ -315,34 +300,34 @@ def check_variants(g, A):
     These are consequences of the main battery on true crystals; checking
     them separately exercises the equivalence claims.
     """
-    view = g.dense()
-    ids, vid, climb = view.ids, view.vid, view.climb
+    eps, phi = g.tables()
+    ids, up, down, climb = g.ids, g.up, g.down, g.climb
     out = []
     for i, j in _b2_oriented_pairs(A):
-        for x, (pi, pj) in enumerate(zip(view.up[i], view.up[j])):
+        for x, (pi, pj) in enumerate(zip(up[i], up[j])):
             if pi is None or pj is None:
                 continue
-            d = (view.de_eps(i, j, x), view.de_eps(j, i, x))
-            if d == (1, 1) and view.eps[i][x] >= 2:
+            d = (delta(up, eps, i, j, x), delta(up, eps, j, i, x))
+            if d == (1, 1) and eps[i][x] >= 2:
                 z1 = climb(x, (i, i, j, j, i))
                 z2 = climb(x, (j, i, i, i, j))
                 if z1 is None or z2 is None or z1 != z2:
                     out.append(Violation("S8_PRIME", (i, j), ids[x],
-                                         f"pentagon words above do not meet ({vid(z1)} vs {vid(z2)})"))
+                                         f"pentagon words above do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
             if d != (1, 2):
                 continue
             y = climb(x, (j, i, i))
             y1 = climb(x, (i, j, j, i, i))
             if y is None or y1 is None:
                 continue  # reported by check_s6_s9
-            t = (view.df_phi(i, j, y), view.df_phi(i, j, y1))
+            t = (delta(down, phi, i, j, y), delta(down, phi, i, j, y1))
             if t == (1, 1):
                 wa = climb(x, (i, j, i, j, i))
                 wb = climb(x, (j, i, i, i, j))
                 if not (wa == wb == y1) or wa is None:
                     out.append(Violation("P_MINUS", (i, j), ids[x],
-                                         f"alternating words above miss y' ({vid(wa)}, {vid(wb)} vs {vid(y1)})"))
-                elif view.df_phi(j, i, y1) != 1:
+                                         f"alternating words above miss y' ({_vid(g, wa)}, {_vid(g, wb)} vs {_vid(g, y1)})"))
+                elif delta(down, phi, j, i, y1) != 1:
                     out.append(Violation("P_MINUS", (i, j), ids[x], "lowering delta at y' is not 1"))
             elif t == (0, 1):
                 words = [
@@ -354,17 +339,17 @@ def check_variants(g, A):
                 ends = [climb(x, w) for w in words]
                 if None in ends or len(set(ends)) != 1:
                     out.append(Violation("Q_MINUS", (i, j), ids[x],
-                                         f"four depth-7 words disagree ({[vid(e) for e in ends]})"))
+                                         f"four depth-7 words disagree ({[_vid(g, e) for e in ends]})"))
                     continue
                 z = ends[0]
-                if (view.df_phi(i, j, z), view.df_phi(j, i, z)) != (1, 2):
+                if (delta(down, phi, i, j, z), delta(down, phi, j, i, z)) != (1, 2):
                     out.append(Violation("Q_MINUS", (i, j), ids[x], "lowering deltas at the meet are not (1,2)"))
                     continue
                 # post-merge raising deltas under the meet
-                u = view.descend(z, (j, i, i))
-                v = view.descend(z, (i, j, j, i, i))
-                du = None if u is None else view.de_eps(i, j, u)
-                dv = None if v is None else view.de_eps(i, j, v)
+                u = g.descend(z, (j, i, i))
+                v = g.descend(z, (i, j, j, i, i))
+                du = None if u is None else delta(up, eps, i, j, u)
+                dv = None if v is None else delta(up, eps, i, j, v)
                 if (du, dv) != (0, 1):
                     out.append(Violation("Q1_MINUS", (i, j), ids[x],
                                          f"post-merge raising deltas ({du},{dv}) != (0,1)"))
@@ -379,35 +364,34 @@ def check_confluence(g, s_max=DEFAULT_CONFLUENCE_DEPTH):
     A violation is a bounded-search failure at depth s_max, not a proof
     of absence.
     """
-    view = g.dense()
     out = []
     colors = g.colors
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
-            for x, (pi, pj) in enumerate(zip(view.up[i], view.up[j])):
+            for x, (pi, pj) in enumerate(zip(g.up[i], g.up[j])):
                 if pi is None or pj is None:
                     continue
-                if not _meets_within(view, colors, x, i, j, s_max):
+                if not _meets_within(g, colors, x, i, j, s_max):
                     out.append(
                         Violation(
-                            "CONFLUENCE", (i, j), view.ids[x],
+                            "CONFLUENCE", (i, j), g.ids[x],
                             f"no equal-multiset meet above within {s_max} steps",
                         )
                     )
     return _sorted(out)
 
 
-def _meets_within(view, colors, x, i, j, s_max):
+def _meets_within(g, colors, x, i, j, s_max):
     def start(c):
         ms = [0] * len(colors)
         ms[colors.index(c)] = 1
-        return {(view.up[c][x], tuple(ms))}
+        return {(g.up[c][x], tuple(ms))}
 
     def grow(level):
         nxt = set()
         for v, ms in level:
             for idx, c in enumerate(colors):
-                w = view.up[c][v]
+                w = g.up[c][v]
                 if w is not None:
                     nxt.add((w, ms[:idx] + (ms[idx] + 1,) + ms[idx + 1:]))
         return nxt
@@ -485,16 +469,16 @@ def check_all(g, A, expected_phi0=None):
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")
         )
 
-    view = g.dense()  # one view for all three batteries, even when unfrozen
-    report.violations.extend(check_s2_s3(g, A, view=view))
-    report.violations.extend(check_s4_s5(g, A, view=view))
+    tables = g.tables()  # one pair for all three batteries, even when unfrozen
+    report.violations.extend(check_s2_s3(g, A, tables=tables))
+    report.violations.extend(check_s4_s5(g, A, tables=tables))
     try:
-        report.violations.extend(check_s6_s9(g, A, view=view))
+        report.violations.extend(check_s6_s9(g, A, tables=tables))
     except UnsupportedPair as exc:
         report.violations.append(Violation("S1", None, None, f"unsupported pair: {exc}"))
 
-    k0 = bisect_left(view.ids, x0)
-    report.phi0 = {i: view.phi[i][k0] for i in g.colors}
+    k0 = bisect_left(g.ids, x0)
+    report.phi0 = {i: tables[1][i][k0] for i in g.colors}
     if expected_phi0 is not None:
         expected = dict(expected_phi0)
         if report.phi0 != expected:

@@ -24,7 +24,7 @@ from .errors import (
     PrereqFailed,
     SynthesisInconsistency,
 )
-from .graph import ColoredGraph
+from .graph import ColoredGraph, delta
 
 
 class UnionFind:
@@ -61,30 +61,19 @@ class UnionFind:
 
 
 class _Build:
-    """Mutable synthesis state."""
+    """Mutable synthesis state.  Vertex ids are allocated 0, 1, 2, ..., so
+    they are the graph's positions, and the statistics are per-color lists
+    over them."""
 
     def __init__(self, A, phi0):
         self.A = A
         self.phi0 = dict(phi0)
         self.g = ColoredGraph(A.colors, cartan=A)
-        self.e, self.f, self.descend = self.g.e_step, self.g.f_step, self.g.descend
-        self.eps = {}
-        self.phi = {}
-        self.wt = {}
-        self.layers = []
         v0 = self.g.add_vertex()
-        self.eps[v0] = {i: 0 for i in A.colors}
-        self.phi[v0] = dict(self.phi0)
-        self.wt[v0] = {}
-        self.layers.append([v0])
-
-    def df_phi(self, i, j, w):
-        c = self.f(i, w)
-        return None if c is None else self.phi[c][j] - self.phi[w][j]
-
-    def de_eps(self, i, j, w):
-        p = self.e(i, w)
-        return None if p is None else self.eps[p][j] - self.eps[w][j]
+        self.eps = {i: [0] for i in A.colors}
+        self.phi = {i: [self.phi0[i]] for i in A.colors}
+        self.wt = [{}]
+        self.layers = [[v0]]
 
     def layer(self, k):
         return self.layers[k] if 0 <= k < len(self.layers) else []
@@ -94,6 +83,8 @@ def _collect_merges(st, k, uf, candidates):
     """Fire every lowering-side axiom whose conclusion lands in layer k."""
     A = st.A
     types = classify_all_pairs(A)
+    up, down, descend = st.g.up, st.g.down, st.g.descend
+    eps, phi = st.eps, st.phi
 
     def merge(c1, c2, reason):
         for c in (c1, c2):
@@ -106,22 +97,20 @@ def _collect_merges(st, k, uf, candidates):
     # squares: one step of each color commutes when the lowering delta is flat
     for w in st.layer(k - 2):
         for i, j in A.pairs():
-            fi, fj = st.f(i, w), st.f(j, w)
+            fi, fj = down[i][w], down[j][w]
             if fi is None or fj is None:
                 continue
-            if st.df_phi(i, j, w) == 0:
+            if delta(down, phi, i, j, w) == 0:
                 merge((fi, j), (fj, i), f"square at {w} ({i},{j})")
 
     # length-4 confluence for every pair with a (1,1) lowering profile
     for w in st.layer(k - 4):
         for ai, i in enumerate(A.colors):
             for j in A.colors[ai + 1:]:
-                if st.f(i, w) is None or st.f(j, w) is None:
+                if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 1):
                     continue
-                if (st.df_phi(i, j, w), st.df_phi(j, i, w)) != (1, 1):
-                    continue
-                p = st.descend(w, [i, j, j])
-                q = st.descend(w, [j, i, i])
+                p = descend(w, (i, j, j))
+                q = descend(w, (j, i, i))
                 if p is None or q is None:
                     raise SynthesisInconsistency(
                         f"layer {k}: length-4 confluence at {w} lost its prefix"
@@ -133,20 +122,18 @@ def _collect_merges(st, k, uf, candidates):
     # pentagon merges (two hypotheses share one conclusion)
     for w in st.layer(k - 5):
         for i, j in b2_pairs:
-            if st.f(i, w) is None or st.f(j, w) is None:
-                continue
-            dp = (st.df_phi(i, j, w), st.df_phi(j, i, w))
+            dp = (delta(down, phi, i, j, w), delta(down, phi, j, i, w))
             fire = False
-            if dp == (1, 1) and st.phi[w][i] >= 2:
+            if dp == (1, 1) and phi[i][w] >= 2:
                 fire = True
             elif dp == (0, 2):
-                v = st.descend(w, [i, i])
-                if v is not None and st.f(j, v) is not None and st.df_phi(j, i, v) == 0:
+                v = descend(w, (i, i))
+                if v is not None and delta(down, phi, j, i, v) == 0:
                     fire = True
             if not fire:
                 continue
-            p = st.descend(w, [i, i, j, j])
-            q = st.descend(w, [j, i, i, i])
+            p = descend(w, (i, i, j, j))
+            q = descend(w, (j, i, i, i))
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: pentagon at {w} lost its prefix")
             merge((p, i), (q, j), f"pentagon at {w}")
@@ -154,18 +141,16 @@ def _collect_merges(st, k, uf, candidates):
     # depth-7 diamond
     for w in st.layer(k - 7):
         for i, j in b2_pairs:
-            if st.f(i, w) is None or st.f(j, w) is None:
+            if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 2):
                 continue
-            if (st.df_phi(i, j, w), st.df_phi(j, i, w)) != (1, 2):
-                continue
-            y = st.descend(w, [j, i, i])
-            y1 = st.descend(w, [i, j, j, i, i])
+            y = descend(w, (j, i, i))
+            y1 = descend(w, (i, j, j, i, i))
             if y is None or y1 is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its branch points")
-            if (st.de_eps(i, j, y), st.de_eps(i, j, y1)) != (0, 1):
+            if (delta(up, eps, i, j, y), delta(up, eps, i, j, y1)) != (0, 1):
                 continue
-            p = st.descend(w, [i, j, j, i, i, i])
-            q = st.descend(w, [j, i, i, i, j, j])
+            p = descend(w, (i, j, j, i, i, i))
+            q = descend(w, (j, i, i, i, j, j))
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
             merge((q, i), (p, j), f"diamond at {w}")
@@ -197,7 +182,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
         candidates = set()
         for p in prev:
             for i in A.colors:
-                if st.phi[p][i] > 0:
+                if st.phi[i][p] > 0:
                     uf.add((p, i))
                     candidates.add((p, i))
         if not candidates:
@@ -228,21 +213,18 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
                     raise SynthesisInconsistency(
                         f"layer {k}: vertex {v} merged with unequal weights {wt0} vs {wt}"
                     )
-            st.wt[v] = wt0
-            eps_v = {}
-            for c in A.colors:
-                parent = st.e(c, v)
-                eps_v[c] = 0 if parent is None else st.eps[parent][c] + 1
-            st.eps[v] = eps_v
+            st.wt.append(wt0)
             drop = pairing_of_root_count(A, wt0)
-            phi_v = {}
             for c in A.colors:
-                phi_v[c] = eps_v[c] + st.phi0[c] - drop[c]
-                if phi_v[c] < 0:
+                parent = st.g.up[c][v]
+                eps_c = 0 if parent is None else st.eps[c][parent] + 1
+                phi_c = eps_c + st.phi0[c] - drop[c]
+                if phi_c < 0:
                     raise SynthesisInconsistency(
                         f"layer {k}: vertex {v} got negative lowering statistic for {c}"
                     )
-            st.phi[v] = phi_v
+                st.eps[c].append(eps_c)
+                st.phi[c].append(phi_c)
             new_layer.append(v)
         st.layers.append(new_layer)
 
@@ -255,13 +237,14 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
             )
         # the (K1)-defined statistics must coincide with the literal strings
         eps_t, phi_t = g.tables()
-        for v in g.vertices():
-            for c in A.colors:
-                if eps_t[c][v] != st.eps[v][c] or phi_t[c][v] != st.phi[v][c]:
-                    raise SynthesisInconsistency(
-                        f"vertex {v}: bookkeeping stats differ from string lengths"
-                    )
-    g.synthesis_stats = {v: (st.wt[v], st.eps[v], st.phi[v]) for v in g.vertices()}
+        if (eps_t, phi_t) != (st.eps, st.phi):
+            v = next(v for v in range(len(g)) if any(
+                eps_t[c][v] != st.eps[c][v] or phi_t[c][v] != st.phi[c][v] for c in A.colors))
+            raise SynthesisInconsistency(f"vertex {v}: bookkeeping stats differ from string lengths")
+    g.synthesis_stats = {
+        v: (st.wt[v], {c: st.eps[c][v] for c in A.colors}, {c: st.phi[c][v] for c in A.colors})
+        for v in range(len(g))
+    }
     return g
 
 
@@ -279,11 +262,14 @@ class IsoMap:
         return len(self.forward)
 
 
-def _layers(report):
+def _layers(g, report):
+    """g's positions by distance from the maximum element, each layer in
+    increasing order."""
     layers = {}
-    for v, (_, dist) in report.grading.items():
-        layers.setdefault(dist, []).append(v)
-    return [sorted(layers[d]) for d in sorted(layers)]
+    grading = report.grading
+    for k, v in enumerate(g.ids):
+        layers.setdefault(grading[v][1], []).append(k)
+    return [layers[d] for d in sorted(layers)]
 
 
 def build_isomorphism(X, Y, gcm=None):
@@ -322,47 +308,52 @@ def _match(X, rx, Y, ry):
     if rx.phi0 != ry.phi0:
         raise PrereqFailed(f"top statistics differ: {rx.phi0} vs {ry.phi0}")
 
-    lx = _layers(rx)
-    ly = _layers(ry)
+    lx = _layers(X, rx)
+    ly = _layers(Y, ry)
     if [len(l) for l in lx] != [len(l) for l in ly]:
         raise NotIsomorphic(0, f"layer profiles differ: {[len(l) for l in lx]} vs {[len(l) for l in ly]}")
 
-    h = {rx.max_element: ry.max_element}
+    # h maps X's positions to Y's; ids appear only in the messages
+    xid, yid = X.ids, Y.ids
+    h = [None] * len(X)
+    h[lx[0][0]] = ly[0][0]
     for k in range(1, len(lx)):
         taken = set()
         for x in lx[k]:
             images = set()
             for i in X.colors:
-                p = X.e_step(i, x)
+                p = X.up[i][x]
                 if p is None:
                     continue
-                q = Y.f_step(i, h[p])
+                q = Y.down[i][h[p]]
                 if q is None:
-                    raise NotIsomorphic(k, f"image of parent of {x} has no {i}-child")
+                    raise NotIsomorphic(k, f"image of parent of {xid[x]} has no {i}-child")
                 images.add(q)
             if len(images) != 1:
-                raise NotIsomorphic(k, f"parent images of {x} disagree: {sorted(images)}")
+                raise NotIsomorphic(k, f"parent images of {xid[x]} disagree: {sorted(yid[q] for q in images)}")
             (y,) = images
             if y in taken:
-                raise NotIsomorphic(k, f"two vertices map onto {y}")
+                raise NotIsomorphic(k, f"two vertices map onto {yid[y]}")
             taken.add(y)
             h[x] = y
         if taken != set(ly[k]):
             raise NotIsomorphic(k, "layer image is not the whole target layer")
 
     # edge preservation both ways, and string statistics
-    for u, v, i in X.edges():
-        if Y.f_step(i, h[u]) != h[v]:
-            raise NotIsomorphic(-1, f"edge ({u},{v},{i}) not preserved")
-    if len(h) != len(Y.vertices()):
+    for i in X.colors:
+        y_down = Y.down[i]
+        for u, v in zip(*X.arrows[i]):
+            if y_down[h[u]] != h[v]:
+                raise NotIsomorphic(-1, f"edge ({xid[u]},{xid[v]},{i}) not preserved")
+    if len(h) != len(Y):
         raise NotIsomorphic(-1, "map is not onto")
     ex, px = X.tables()
     ey, py = Y.tables()
-    for v in X.vertices():
+    for x, y in enumerate(h):
         for i in X.colors:
-            if ex[i][v] != ey[i][h[v]] or px[i][v] != py[i][h[v]]:
-                raise NotIsomorphic(-1, f"string statistics differ at {v}")
-    return IsoMap(h)
+            if ex[i][x] != ey[i][y] or px[i][x] != py[i][y]:
+                raise NotIsomorphic(-1, f"string statistics differ at {xid[x]}")
+    return IsoMap(dict(zip(xid, map(yid.__getitem__, h))))
 
 
 def verify_reversal_involution(lam):
@@ -379,7 +370,7 @@ def verify_reversal_involution(lam):
         return False
     # build_isomorphism(g, r), with r's report reused instead of re-certified
     iso = _match(g, _certify("first", g, A), r, rep)
-    eg, pg = g.tables()
+    eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
     for v in g.vertices():
         if iso[iso[v]] != v:  # the identification must be an involution
             return False

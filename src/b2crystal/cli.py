@@ -17,14 +17,20 @@ Graph document schema (JSON):
   }
 where a/x/wt/eps/phi are optional per vertex and "max" is optional; when
 given, it must be a declared vertex, and `check` rejects a document whose
-"max" is not the maximum element it finds (exit 2).
-Documents are written as compact one-line JSON.
+"max" is not the maximum element it finds (exit 2).  The integer fields
+(index_set entries, id, from, to, color, max) are read as int() reads
+them, numeric strings and integral floats included, but a boolean or a
+number with a fractional part is an input error (exit 2), not truncated.
+The loader reads the vertex and edge arrays whole into the graph's
+position lists.  Documents are written as compact one-line JSON.
 """
 
 import argparse
 import json
 import os
 import sys
+from itertools import compress
+from operator import itemgetter
 
 from . import __version__
 from .axioms import check_all
@@ -71,32 +77,54 @@ def graph_to_doc(g, stats=None):
     return doc
 
 
+def _integers(values, name):
+    """values as int() reads them, refusing what int() would truncate: a
+    boolean or a number with a fractional part; name(k) names values[k]."""
+    if set(map(type, values)) <= {int}:
+        return values
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"{name(k)} {v} is not an integer")
+    return list(map(int, values))
+
+
+_EDGE_FIELDS = ("from", "to", "color")
+
+
 def doc_to_graph(doc):
-    """Rebuild a graph from a document, preserving ids and labels.
+    """Rebuild a frozen graph from a document, preserving ids and labels.
 
     Arrows are loaded without the degree guard so that deliberately broken
-    documents can still be checked; an arrow between undeclared vertices or
-    of a color outside index_set, or an undeclared "max", is an input error
-    (ValueError).
+    documents can still be checked.  Input errors (ValueError, or the
+    KeyError/TypeError of a missing or malformed field) are looked for one
+    kind at a time, each naming its first vertex or edge: integer fields,
+    duplicate ids, undeclared endpoints, colors outside index_set, and an
+    undeclared "max".
     """
-    colors = [int(c) for c in doc["index_set"]]
+    colors = _integers(doc["index_set"], lambda k: "index_set entry")
     cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
     g = ColoredGraph(colors, cartan=cartan)
-    ids = set()
-    for entry in doc["vertices"]:
-        label = None
-        if "a" in entry and "x" in entry:
-            label = PbwElement(tuple(entry["a"]), tuple(entry["x"]))
-        ids.add(g.add_vertex(vid=int(entry["id"]), label=label))
-    for e in doc["edges"]:
-        s, d, c = int(e["from"]), int(e["to"]), int(e["color"])
-        if s not in ids or d not in ids:
-            raise ValueError(f"edge {e}: endpoint {d if s in ids else s} is not a declared vertex")
-        if c not in g.colors:
-            raise ValueError(f"edge {e}: color {c} is not in index_set {colors}")
-        g.add_edge_unchecked(s, d, c)
+    vertices = doc["vertices"]
+    ids = _integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
+    g.add_vertices(ids, [PbwElement(tuple(v["a"]), tuple(v["x"])) if "a" in v and "x" in v else None
+                         for v in vertices])
+    edges = doc["edges"]
+    srcs, dsts, cols = (_integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
+                        for f in _EDGE_FIELDS)
+    s_pos, d_pos = g.positions(srcs), g.positions(dsts)
+    if None in s_pos or None in d_pos:
+        k = min(p.index(None) for p in (s_pos, d_pos) if None in p)
+        s, d = srcs[k], dsts[k]
+        raise ValueError(f"edge {edges[k]}: endpoint {d if s_pos[k] is not None else s} "
+                         "is not a declared vertex")
+    if not set(cols) <= set(colors):
+        k = next(k for k, c in enumerate(cols) if c not in g.colors)
+        raise ValueError(f"edge {edges[k]}: color {cols[k]} is not in index_set {colors}")
+    for i in g.colors:
+        mask = list(map(i.__eq__, cols))
+        g.add_arrows(i, compress(s_pos, mask), compress(d_pos, mask))
     declared = doc.get("max")
-    if declared is not None and int(declared) not in ids:
+    if declared is not None and g.positions(_integers([declared], lambda k: "max")) == [None]:
         raise ValueError(f"max {declared} is not a declared vertex")
     return g.freeze()
 

@@ -13,10 +13,6 @@ class NonTerminating(RuntimeError):
     """A monochromatic walk exceeded the vertex count (cycle)."""
 
 
-class UndefinedStep(ValueError):
-    """A Kashiwara step required by a computation does not exist."""
-
-
 class InconsistentWeight(ValueError):
     """Two paths from the maximum element carry different color multisets."""
 

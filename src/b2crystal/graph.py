@@ -1,20 +1,30 @@
 """Finite I-colored directed graphs and their string statistics.
 
-Vertices are integer ids.  For each color the arrows form a partial
-successor map f and its inverse partial predecessor map e; the goodness
-conditions (per-color out-degree <= 1, in-degree <= 1, finite
-monochromatic strings) make the up/down string lengths eps/phi and the
-delta differences well defined.  Graphs are built mutably, then frozen;
-every query below is read-only.  A frozen graph keeps what it derives from
-its arrows once computed: its string tables, its maximum elements and its
-DenseView, the flat per-color lists (positions instead of ids) that the
-axiom checker scans.
+A graph stores its vertices as positions 0..n-1.  Position k holds the
+vertex ids[k] and its label labels[k]; for each color i, up[i][k] and
+down[i][k] are the positions of the e_i-parent and the f_i-child of k, or
+None where the step is undefined (the first recorded arrow wins).  Beside
+them, arrows[i] keeps every recorded i-arrow, duplicates included, as two
+position lists (sources, targets); the goodness check reads those.  Ids are
+read only where they enter or leave: add_vertex(vid=...), e_step/f_step,
+label, vertices/edges, and the reports built from the passes below.  A
+frozen graph's positions are its ids in increasing order (an unfrozen one
+is renumbered so before the passes whose output depends on the order), so
+a scan over positions visits vertices in id order.
+
+The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
+monochromatic strings) make the up/down string lengths eps/phi well
+defined; string_tables computes them as per-color lists over positions.
+Graphs are built mutably, then frozen; a frozen graph keeps its string
+tables and its maximum elements once computed.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import is_, lt
 
-from .cartan import add_counts
-from .errors import DuplicateEdge, InconsistentWeight, NonTerminating, UndefinedStep
+from .errors import DuplicateEdge, InconsistentWeight, NonTerminating
 
 
 @dataclass(frozen=True)
@@ -30,11 +40,13 @@ class ColoredGraph:
         if len(set(self.colors)) != len(self.colors) or not self.colors:
             raise ValueError("colors must be a nonempty list of distinct labels")
         self.cartan = cartan
-        self._vertices = set()
-        self._label = {}
-        self._edges = {i: [] for i in self.colors}  # raw (src, dst) lists
-        self._succ = {i: {} for i in self.colors}
-        self._pred = {i: {} for i in self.colors}
+        self.ids = []
+        self.labels = []
+        self.up = {i: [] for i in self.colors}
+        self.down = {i: [] for i in self.colors}
+        self.arrows = {i: ([], []) for i in self.colors}
+        self._pos = {}  # id -> position
+        self._sorted = True  # positions follow increasing ids
         self._frozen = False
         self._kept = {}
         self._next_id = 0
@@ -47,32 +59,65 @@ class ColoredGraph:
 
     def add_vertex(self, vid=None, label=None):
         self._check_mutable()
+        pos, ids = self._pos, self.ids
         if vid is None:
-            while self._next_id in self._vertices:
+            while self._next_id in pos:
                 self._next_id += 1
             vid = self._next_id
             self._next_id += 1
-        if vid in self._vertices:
+        if vid in pos:
             raise ValueError(f"vertex {vid} already present")
-        self._vertices.add(vid)
-        if label is not None:
-            self._label[vid] = label
+        if ids and vid < ids[-1]:
+            self._sorted = False
+        pos[vid] = len(ids)
+        ids.append(vid)
+        self.labels.append(label)
+        for i in self.colors:
+            self.up[i].append(None)
+            self.down[i].append(None)
         return vid
+
+    def add_vertices(self, ids, labels):
+        """add_vertex for each id in turn, labels[k] labelling ids[k]."""
+        self._check_mutable()
+        ids = list(ids)
+        n0, n = len(self.ids), len(ids)
+        first = dict(zip(reversed(ids), range(n0 + n - 1, n0 - 1, -1)))  # id -> first position
+        if len(first) != n or not self._pos.keys().isdisjoint(first):
+            vid = next(v for k, v in enumerate(ids, n0) if v in self._pos or first[v] != k)
+            raise ValueError(f"vertex {vid} already present")
+        if n and not (all(map(lt, ids, islice(ids, 1, None))) and (not n0 or self.ids[-1] < ids[0])):
+            self._sorted = False
+        self._pos.update(first)
+        self.ids.extend(ids)
+        self.labels.extend(labels)
+        for i in self.colors:
+            self.up[i].extend([None] * n)
+            self.down[i].extend([None] * n)
+
+    def positions(self, ids):
+        """The position of each id, None for an id that is not a vertex."""
+        return list(map(self._pos.get, ids))
 
     def add_edge(self, src, dst, color):
         """Add the i-colored arrow src -> dst, refusing G1/G2 violations."""
         self._check_mutable()
-        if src not in self._vertices or dst not in self._vertices:
+        pos = self._pos
+        s, d = pos.get(src), pos.get(dst)
+        if s is None or d is None:
             raise ValueError("edge endpoints must be existing vertices")
-        if color not in self._edges:
+        if color not in self.down:
             raise ValueError(f"unknown color {color}")
-        if src in self._succ[color]:
+        up, down = self.up[color], self.down[color]
+        if down[s] is not None:
             raise DuplicateEdge(f"vertex {src} already has an outgoing {color}-arrow")
-        if dst in self._pred[color]:
+        if up[d] is not None:
             raise DuplicateEdge(f"vertex {dst} already has an incoming {color}-arrow")
-        self._edges[color].append((src, dst))
-        self._succ[color][src] = dst
-        self._pred[color][dst] = src
+        srcs, dsts = self.arrows[color]
+        srcs.append(s)
+        dsts.append(d)
+        down[s] = d
+        up[d] = s
 
     def add_edge_unchecked(self, src, dst, color):
         """Record an arrow without the G1/G2 guard (for crafting bad graphs).
@@ -80,77 +125,97 @@ class ColoredGraph:
         Navigation keeps the first arrow per (vertex, color); is_good still
         sees every recorded arrow.
         """
+        self.add_arrows(color, [self._pos[src]], [self._pos[dst]])
+
+    def add_arrows(self, color, sources, targets):
+        """add_edge_unchecked for each pair of positions (sources[k], targets[k])."""
         self._check_mutable()
-        self._edges[color].append((src, dst))
-        self._succ[color].setdefault(src, dst)
-        self._pred[color].setdefault(dst, src)
+        if color not in self.arrows:
+            raise ValueError(f"unknown color {color}")
+        sources, targets = list(sources), list(targets)
+        srcs, dsts = self.arrows[color]
+        srcs.extend(sources)
+        dsts.extend(targets)
+        up, down = self.up[color], self.down[color]
+        for s, d in zip(sources, targets):
+            if down[s] is None:
+                down[s] = d
+            if up[d] is None:
+                up[d] = s
 
     def freeze(self):
+        self._settle()
         self._frozen = True
         return self
+
+    def _settle(self):
+        """Renumber the positions so that they follow the ids in increasing order."""
+        if self._sorted:
+            return
+        # replay the vertices in id order and the arrows in recorded order
+        fresh = ColoredGraph(self.colors)
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        fresh.add_vertices(map(self.ids.__getitem__, order), list(map(self.labels.__getitem__, order)))
+        new = fresh.positions(self.ids).__getitem__
+        for i, (srcs, dsts) in self.arrows.items():
+            fresh.add_arrows(i, map(new, srcs), map(new, dsts))
+        self.ids, self.labels, self.up, self.down = fresh.ids, fresh.labels, fresh.up, fresh.down
+        self.arrows, self._pos, self._sorted = fresh.arrows, fresh._pos, True
 
     # -- basic queries -----------------------------------------------------
 
     def vertices(self):
-        return sorted(self._vertices)
+        return sorted(self.ids)
 
     def __len__(self):
-        return len(self._vertices)
+        return len(self.ids)
 
     def label(self, v):
-        return self._label.get(v)
+        k = self._pos.get(v)
+        return None if k is None else self.labels[k]
 
     def edges(self):
         """All arrows as (src, dst, color), sorted."""
+        vid = self.ids.__getitem__
         out = []
-        for i in self.colors:
-            out.extend((s, d, i) for s, d in self._edges[i])
+        for i, (srcs, dsts) in self.arrows.items():
+            out.extend(zip(map(vid, srcs), map(vid, dsts), repeat(i)))
         out.sort()
         return out
 
     def f_step(self, i, v):
-        """Target of the i-arrow out of v, or None."""
-        return self._succ[i].get(v)
+        """Id of the target of the i-arrow out of vertex v, or None."""
+        k = self._pos.get(v)
+        w = None if k is None else self.down[i][k]
+        return None if w is None else self.ids[w]
 
     def e_step(self, i, v):
-        """Source of the i-arrow into v, or None."""
-        return self._pred[i].get(v)
+        """Id of the source of the i-arrow into vertex v, or None."""
+        k = self._pos.get(v)
+        w = None if k is None else self.up[i][k]
+        return None if w is None else self.ids[w]
 
-    def descend(self, v, colors):
-        """Apply f_c for each c in turn; None as soon as a step is undefined."""
+    # navigation over positions; None as soon as a step is undefined
+
+    def climb(self, k, colors):
+        """Apply e_c to position k for each c in turn."""
+        up = self.up
         for c in colors:
-            v = self._succ[c].get(v)
-            if v is None:
+            k = up[c][k]
+            if k is None:
                 return None
-        return v
+        return k
 
-    def step(self, direction, i, v):
-        if direction == "f":
-            return self._succ[i].get(v)
-        if direction == "e":
-            return self._pred[i].get(v)
-        raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
+    def descend(self, k, colors):
+        """Apply f_c to position k for each c in turn."""
+        down = self.down
+        for c in colors:
+            k = down[c][k]
+            if k is None:
+                return None
+        return k
 
-    # -- string statistics -------------------------------------------------
-
-    def _string_length(self, maps, i, v):
-        n = 0
-        cap = len(self._vertices) + 1
-        while True:
-            v = maps[i].get(v)
-            if v is None:
-                return n
-            n += 1
-            if n >= cap:
-                raise NonTerminating(f"monochromatic {i}-cycle through {v}")
-
-    def eps(self, i, v):
-        """Length of the maximal e_i-chain above v."""
-        return self._string_length(self._pred, i, v)
-
-    def phi(self, i, v):
-        """Length of the maximal f_i-chain below v."""
-        return self._string_length(self._succ, i, v)
+    # -- derived data --------------------------------------------------------
 
     def _keep(self, key, compute):
         """compute(self); a frozen graph computes it once and keeps it, so
@@ -165,65 +230,37 @@ class ColoredGraph:
         """string_tables(self), kept once the graph is frozen."""
         return self._keep("tables", string_tables)
 
-    def dense(self):
-        """DenseView(self), kept once the graph is frozen."""
-        return self._keep("dense", DenseView)
-
-    def string_stats(self, v):
-        """Per-color (eps, phi) vectors at v."""
-        return (
-            {i: self.eps(i, v) for i in self.colors},
-            {i: self.phi(i, v) for i in self.colors},
-        )
-
-    def delta(self, direction, stat, i, j, v):
-        """Change of the j-statistic across one i-step from v."""
-        if stat not in ("eps", "phi"):
-            raise ValueError(f"stat must be 'eps' or 'phi', not {stat!r}")
-        w = self.step(direction, i, v)
-        if w is None:
-            raise UndefinedStep(f"{direction}_{i} undefined at {v}")
-        measure = self.eps if stat == "eps" else self.phi
-        return measure(j, w) - measure(j, v)
-
     # -- structure checks --------------------------------------------------
 
     def is_good(self):
         """All G1/G2/G3 violations (empty list means the graph is good)."""
+        self._settle()
+        n = len(self.ids)
+        ids = self.ids
         violations = []
         for i in self.colors:
-            out_deg = {}
-            in_deg = {}
-            for s, d in self._edges[i]:
-                out_deg[s] = out_deg.get(s, 0) + 1
-                in_deg[d] = in_deg.get(d, 0) + 1
-            for v in sorted(out_deg):
-                if out_deg[v] > 1:
-                    violations.append(
-                        GraphViolation("G1", v, f"{out_deg[v]} outgoing {i}-arrows")
-                    )
-            for v in sorted(in_deg):
-                if in_deg[v] > 1:
-                    violations.append(
-                        GraphViolation("G2", v, f"{in_deg[v]} incoming {i}-arrows")
-                    )
-            # cycle detection along the navigation successor map
-            state = {}  # 0 visiting, 1 done
-            for v in self.vertices():
-                if v in state:
+            srcs, dsts = self.arrows[i]
+            up, down = self.up[i], self.down[i]
+            # as many arrows as vertices with a step: no vertex has two
+            for rule, ends, step, way in (("G1", srcs, down, "outgoing"), ("G2", dsts, up, "incoming")):
+                if len(ends) == n - step.count(None):
                     continue
-                path = []
+                counts = Counter(ends)
+                for k in sorted(k for k, c in counts.items() if c > 1):
+                    violations.append(GraphViolation(rule, ids[k], f"{counts[k]} {way} {i}-arrows"))
+            # cycle detection along the navigation successor map: a walk that
+            # meets a position it marked itself has closed a cycle
+            walk = [0] * n
+            for v in range(n):
+                if walk[v]:
+                    continue
+                mark = v + 1
                 u = v
-                while u is not None and u not in state:
-                    state[u] = 0
-                    path.append(u)
-                    u = self._succ[i].get(u)
-                if u is not None and state.get(u) == 0:
-                    violations.append(
-                        GraphViolation("G3", u, f"monochromatic {i}-cycle")
-                    )
-                for p in path:
-                    state[p] = 1
+                while u is not None and not walk[u]:
+                    walk[u] = mark
+                    u = down[u]
+                if u is not None and walk[u] == mark:
+                    violations.append(GraphViolation("G3", ids[u], f"monochromatic {i}-cycle"))
         return violations
 
     def maximum_elements(self):
@@ -234,167 +271,129 @@ class ColoredGraph:
     def wt_assign(self, x0):
         """BFS weight/distance grading from a maximum element.
 
-        Returns {vertex: (color multiset dict, dist)}.  Every arrow must be
-        weight-consistent: WT(dst) = WT(src) + color.  A conflict raises
-        InconsistentWeight, the practical detection of a failed homogeneous
-        local confluence.
+        Returns {vertex: (color multiset dict, dist)}, in increasing vertex
+        order.  Every arrow must be weight-consistent: WT(dst) = WT(src) +
+        color.  A conflict raises InconsistentWeight, the practical
+        detection of a failed homogeneous local confluence.
         """
-        if x0 not in self._vertices:
+        k0 = self._pos.get(x0)
+        if k0 is None:
             raise ValueError(f"no vertex {x0}")
-        wt = {x0: {}}
-        dist = {x0: 0}
-        frontier = [x0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in self.colors:
-                    v = self._succ[i].get(u)
-                    if v is None:
-                        continue
-                    cand = add_counts(wt[u], {i: 1})
-                    if v in wt:
-                        if wt[v] != cand:
-                            raise InconsistentWeight(v, wt[v], cand)
-                    else:
-                        wt[v] = cand
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(wt) != len(self._vertices):
-            missing = sorted(self._vertices - set(wt))[0]
+        n, colors = len(self.ids), self.colors
+        # A weight is one integer: the count of color c is its base**c digit
+        # and the distance its base**m digit.  Every count is at most the
+        # distance, which is below n + 1, so no digit carries.
+        base, m = n + 1, len(colors)
+        steps = [(i, self.down[i], base**m + base**c) for c, i in enumerate(colors)]
+        code = [None] * n
+        code[k0] = 0
+        parent = [None] * n
+        queue = [k0]
+        for u in queue:
+            cu = code[u]
+            for i, down, inc in steps:
+                v = down[u]
+                if v is None:
+                    continue
+                cv = code[v]
+                if cv is None:
+                    code[v] = cu + inc
+                    parent[v] = u
+                    queue.append(v)
+                elif cv != cu + inc:
+                    # multisets keyed in order of first use along the paths
+                    path = self._tree_path
+                    raise InconsistentWeight(self.ids[v], Counter(path(parent, k0, v)),
+                                             Counter(path(parent, k0, u) + [i]))
+        if len(queue) != n:
+            missing = min(compress(self.ids, map(is_, code, repeat(None))))
             raise ValueError(f"{x0} is not a maximum element: {missing} unreachable")
-        return {v: (wt[v], dist[v]) for v in self.vertices()}
+        weights = {}
+        for c in set(code):
+            dist, rest = divmod(c, base**m)
+            counts = {}
+            for i in colors:
+                rest, counts[i] = divmod(rest, base)
+            weights[c] = ({i: t for i, t in counts.items() if t}, dist)
+        return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}
+
+    def _tree_path(self, parent, k0, k):
+        """Colors along the BFS-tree path from k0 to k, in order."""
+        path = []
+        while k != k0:
+            u = parent[k]
+            path.append(next(i for i in self.colors if self.down[i][u] == k))
+            k = u
+        return path[::-1]
 
     def reverse(self):
         """New graph with every arrow reversed; colors and labels kept."""
         rev = ColoredGraph(self.colors, cartan=self.cartan)
-        for v in self.vertices():
-            rev.add_vertex(vid=v, label=self._label.get(v))
+        rev.ids, rev.labels = list(self.ids), list(self.labels)
+        rev._pos, rev._sorted, rev._next_id = dict(self._pos), self._sorted, self._next_id
         for i in self.colors:
-            for s, d in self._edges[i]:
-                rev.add_edge_unchecked(d, s, i)
+            rev.up[i], rev.down[i] = list(self.down[i]), list(self.up[i])
+            srcs, dsts = self.arrows[i]
+            rev.arrows[i] = (list(dsts), list(srcs))
         if self._frozen:
             rev.freeze()
         return rev
 
-    def copy_mutable(self, skip_edge=None):
-        """Unfrozen copy, optionally leaving out one (src, dst, color) arrow."""
-        cp = ColoredGraph(self.colors, cartan=self.cartan)
-        for v in self.vertices():
-            cp.add_vertex(vid=v, label=self._label.get(v))
-        for i in self.colors:
-            for s, d in self._edges[i]:
-                if skip_edge == (s, d, i):
-                    continue
-                cp.add_edge_unchecked(s, d, i)
-        return cp
+
+def delta(steps, stat, i, j, k):
+    """Change of stat[j] across the step steps[i] from position k, or None
+    where that step is undefined (steps/stat: g.up with eps, g.down with phi)."""
+    w = steps[i][k]
+    return None if w is None else stat[j][w] - stat[j][k]
 
 
 def _maximum_elements(g):
     """No vertex reaches another source, so only a sole source can qualify."""
-    sources = g._vertices.difference(*(g._pred[i] for i in g.colors))
+    n = len(g.ids)
+    ups = [g.up[i] for i in g.colors]
+    sources = list(compress(range(n), map(((None,) * len(ups)).__eq__, zip(*ups))))
     if len(sources) != 1:
         return []
     (v,) = sources
-    seen = {v}
+    downs = [g.down[i] for i in g.colors]
+    seen = [False] * n
+    seen[v] = True
     queue = [v]
-    while queue:
-        u = queue.pop()
-        for i in g.colors:
-            w = g._succ[i].get(u)
-            if w is not None and w not in seen:
-                seen.add(w)
+    for u in queue:
+        for down in downs:
+            w = down[u]
+            if w is not None and not seen[w]:
+                seen[w] = True
                 queue.append(w)
-    return [v] if len(seen) == len(g._vertices) else []
+    return [g.ids[v]] if len(queue) == n else []
 
 
 def string_tables(g):
-    """eps/phi of every vertex for every color, in O(V) per color.
+    """eps/phi of every position for every color, in O(V) per color.
 
+    Returns (eps, phi), each mapping a color to a list over positions.
     Requires a good graph (strings decompose into disjoint chains).
     """
-    eps = {i: {} for i in g.colors}
-    phi = {i: {} for i in g.colors}
+    g._settle()
+    n = len(g.ids)
+    eps, phi = {}, {}
     for i in g.colors:
-        for v in g.vertices():
-            if g.e_step(i, v) is not None:
-                continue
+        down = g.down[i]
+        e, p = [None] * n, [None] * n
+        for v in compress(range(n), map(is_, g.up[i], repeat(None))):
             chain = [v]
-            while True:
-                nxt = g.f_step(i, chain[-1])
-                if nxt is None:
-                    break
-                chain.append(nxt)
-                if len(chain) > len(g) + 1:
-                    raise NonTerminating(f"monochromatic {i}-cycle through {v}")
+            w = down[v]
+            while w is not None:
+                chain.append(w)
+                if len(chain) > n + 1:
+                    raise NonTerminating(f"monochromatic {i}-cycle through {g.ids[v]}")
+                w = down[w]
             top = len(chain) - 1
             for k, u in enumerate(chain):
-                eps[i][u] = k
-                phi[i][u] = top - k
+                e[u] = k
+                p[u] = top - k
+        eps[i], phi[i] = e, p
     for i in g.colors:
-        if len(eps[i]) != len(g):
+        if None in eps[i]:
             raise NonTerminating(f"some {i}-string has no head (cycle)")
     return eps, phi
-
-
-class DenseView:
-    """A good graph's arrows and string lengths as flat lists over positions.
-
-    Position k is the k-th vertex id in sorted order (ids[k]).  For each
-    color i, up[i][k] and down[i][k] are the positions of the e_i-parent and
-    the f_i-child of k, or None where the step is undefined; eps[i][k] and
-    phi[i][k] are k's string lengths.  Nothing here knows ids except ids.
-    """
-
-    __slots__ = ("ids", "up", "down", "eps", "phi")
-
-    def __init__(self, g):
-        ids = g.vertices()
-        pos = {v: k for k, v in enumerate(ids)}
-        eps_t, phi_t = g.tables()
-        self.ids = ids
-        self.up, self.down, self.eps, self.phi = {}, {}, {}, {}
-        for i in g.colors:
-            self.up[i] = _positions(g._pred[i], pos)
-            self.down[i] = _positions(g._succ[i], pos)
-            self.eps[i] = list(map(eps_t[i].__getitem__, ids))
-            self.phi[i] = list(map(phi_t[i].__getitem__, ids))
-
-    def vid(self, k):
-        """The vertex id at position k (None stays None)."""
-        return None if k is None else self.ids[k]
-
-    def climb(self, k, colors):
-        """Apply e_c for each c in turn; None as soon as a step is undefined."""
-        up = self.up
-        for c in colors:
-            k = up[c][k]
-            if k is None:
-                return None
-        return k
-
-    def descend(self, k, colors):
-        """Apply f_c for each c in turn; None as soon as a step is undefined."""
-        down = self.down
-        for c in colors:
-            k = down[c][k]
-            if k is None:
-                return None
-        return k
-
-    # change of the j-statistic across one i-step from k; None when the
-    # step is undefined
-    def de_eps(self, i, j, k):
-        w = self.up[i][k]
-        return None if w is None else self.eps[j][w] - self.eps[j][k]
-
-    def df_phi(self, i, j, k):
-        w = self.down[i][k]
-        return None if w is None else self.phi[j][w] - self.phi[j][k]
-
-
-def _positions(step, pos):
-    out = [None] * len(pos)
-    for s, d in step.items():
-        out[pos[s]] = pos[d]
-    return out

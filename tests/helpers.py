@@ -1,13 +1,13 @@
-"""Hand-built fixture graphs, mutation helpers and the reference axiom
-checker shared by the tests."""
+"""Hand-built fixture graphs, mutation helpers, and the reference graph
+passes and axiom checker shared by the tests."""
 
 import random
 from itertools import product
 
 from b2crystal.axioms import CheckReport, Violation
-from b2crystal.cartan import B2, classify_pair
-from b2crystal.errors import InconsistentWeight, UnsupportedPair
-from b2crystal.graph import ColoredGraph
+from b2crystal.cartan import B2, add_counts, classify_pair
+from b2crystal.errors import InconsistentWeight, NonTerminating, UnsupportedPair
+from b2crystal.graph import ColoredGraph, GraphViolation
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -66,19 +66,41 @@ def bad_confluence_graph():
     return g.freeze()
 
 
+def copy_mutable(g, skip_edge=None):
+    """Unfrozen copy of g, optionally leaving out one (src, dst, color) arrow."""
+    cp = ColoredGraph(g.colors, cartan=g.cartan)
+    for v in g.vertices():
+        cp.add_vertex(vid=v, label=g.label(v))
+    for i in g.colors:
+        for s, d in zip(*g.arrows[i]):
+            s, d = g.ids[s], g.ids[d]
+            if skip_edge == (s, d, i):
+                continue
+            cp.add_edge_unchecked(s, d, i)
+    return cp
+
+
 def deletion_mutants(g):
     """Every graph obtained from g by dropping one arrow."""
     for edge in g.edges():
-        yield edge, g.copy_mutable(skip_edge=edge).freeze()
+        yield edge, copy_mutable(g, skip_edge=edge).freeze()
 
 
 def redirect_mutants(g):
     """Every graph obtained by rerouting one arrow to a fresh vertex."""
     for edge in g.edges():
         s, d, c = edge
-        mut = g.copy_mutable(skip_edge=edge)
+        mut = copy_mutable(g, skip_edge=edge)
         t = mut.add_vertex()
         mut.add_edge_unchecked(s, t, c)
+        yield edge, mut.freeze()
+
+
+def duplicate_mutants(g):
+    """Every graph obtained by recording one arrow twice (G1 and G2)."""
+    for edge in g.edges():
+        mut = copy_mutable(g)
+        mut.add_edge_unchecked(*edge)
         yield edge, mut.freeze()
 
 
@@ -96,6 +118,131 @@ def relabelled(g, seed):
     return out.freeze()
 
 
+# -- reference graph passes ------------------------------------------------------
+#
+# The goodness, maximum-element, weight-grading and string-table passes as
+# they were before the graph stored positions: every map is keyed by vertex
+# id and every step goes through e_step / f_step.  The differential tests
+# require graph.py's list passes to return exactly what these do.
+
+def reference_is_good(g):
+    """All G1/G2/G3 violations (empty list means the graph is good)."""
+    violations = []
+    for i in g.colors:
+        out_deg = {}
+        in_deg = {}
+        for s, d, c in g.edges():
+            if c != i:
+                continue
+            out_deg[s] = out_deg.get(s, 0) + 1
+            in_deg[d] = in_deg.get(d, 0) + 1
+        for v in sorted(out_deg):
+            if out_deg[v] > 1:
+                violations.append(
+                    GraphViolation("G1", v, f"{out_deg[v]} outgoing {i}-arrows")
+                )
+        for v in sorted(in_deg):
+            if in_deg[v] > 1:
+                violations.append(
+                    GraphViolation("G2", v, f"{in_deg[v]} incoming {i}-arrows")
+                )
+        # cycle detection along the navigation successor map
+        state = {}  # 0 visiting, 1 done
+        for v in g.vertices():
+            if v in state:
+                continue
+            path = []
+            u = v
+            while u is not None and u not in state:
+                state[u] = 0
+                path.append(u)
+                u = g.f_step(i, u)
+            if u is not None and state.get(u) == 0:
+                violations.append(
+                    GraphViolation("G3", u, f"monochromatic {i}-cycle")
+                )
+            for p in path:
+                state[p] = 1
+    return violations
+
+
+def reference_maximum_elements(g):
+    """No vertex reaches another source, so only a sole source can qualify."""
+    sources = [v for v in g.vertices() if all(g.e_step(i, v) is None for i in g.colors)]
+    if len(sources) != 1:
+        return []
+    (v,) = sources
+    seen = {v}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for i in g.colors:
+            w = g.f_step(i, u)
+            if w is not None and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return [v] if len(seen) == len(g) else []
+
+
+def reference_wt_assign(g, x0):
+    """BFS weight/distance grading from a maximum element, as
+    {vertex: (color multiset dict, dist)}; InconsistentWeight on a conflict."""
+    if x0 not in g.vertices():
+        raise ValueError(f"no vertex {x0}")
+    wt = {x0: {}}
+    dist = {x0: 0}
+    frontier = [x0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in g.colors:
+                v = g.f_step(i, u)
+                if v is None:
+                    continue
+                cand = add_counts(wt[u], {i: 1})
+                if v in wt:
+                    if wt[v] != cand:
+                        raise InconsistentWeight(v, wt[v], cand)
+                else:
+                    wt[v] = cand
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if len(wt) != len(g):
+        missing = sorted(set(g.vertices()) - set(wt))[0]
+        raise ValueError(f"{x0} is not a maximum element: {missing} unreachable")
+    return {v: (wt[v], dist[v]) for v in g.vertices()}
+
+
+def reference_string_tables(g):
+    """eps/phi of every vertex for every color, keyed by vertex id.
+
+    Requires a good graph (strings decompose into disjoint chains).
+    """
+    eps = {i: {} for i in g.colors}
+    phi = {i: {} for i in g.colors}
+    for i in g.colors:
+        for v in g.vertices():
+            if g.e_step(i, v) is not None:
+                continue
+            chain = [v]
+            while True:
+                nxt = g.f_step(i, chain[-1])
+                if nxt is None:
+                    break
+                chain.append(nxt)
+                if len(chain) > len(g) + 1:
+                    raise NonTerminating(f"monochromatic {i}-cycle through {v}")
+            top = len(chain) - 1
+            for k, u in enumerate(chain):
+                eps[i][u] = k
+                phi[i][u] = top - k
+    for i in g.colors:
+        if len(eps[i]) != len(g):
+            raise NonTerminating(f"some {i}-string has no head (cycle)")
+    return eps, phi
+
+
 # -- reference axiom checker ---------------------------------------------------
 #
 # The per-vertex batteries as they were before the checker scanned dense
@@ -109,7 +256,7 @@ class _Ctx:
     def __init__(self, g):
         self.g = g
         self.e, self.f = g.e_step, g.f_step
-        self._eps, self._phi = g.tables()
+        self._eps, self._phi = reference_string_tables(g)
 
     def climb(self, v, colors):
         for c in colors:
@@ -376,13 +523,13 @@ def reference_check_all(g, A, expected_phi0=None):
     and therefore the highest-weight crystal graph for the top statistics.
     """
     report = CheckReport(n_vertices=len(g))
-    for gv in g.is_good():
+    for gv in reference_is_good(g):
         report.violations.append(Violation("S1", None, gv.witness, f"{gv.rule}: {gv.detail}"))
     if report.violations:
         report.violations = _sorted(report.violations)
         return report
 
-    maxes = g.maximum_elements()
+    maxes = reference_maximum_elements(g)
     if len(maxes) != 1:
         report.violations.append(
             Violation("MAX", None, maxes[0] if maxes else None,
@@ -394,7 +541,7 @@ def reference_check_all(g, A, expected_phi0=None):
     report.max_element = x0
 
     try:
-        report.grading = g.wt_assign(x0)
+        report.grading = reference_wt_assign(g, x0)
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")

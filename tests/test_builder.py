@@ -11,7 +11,7 @@ from b2crystal.errors import (
 )
 from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
-from helpers import deletion_mutants
+from helpers import copy_mutable, deletion_mutants
 
 A = b2_gcm()
 
@@ -61,7 +61,7 @@ def test_identity_isomorphism():
 def test_prereq_failures():
     with pytest.raises(PrereqFailed):
         builder.build_isomorphism(pbw.generate((1, 1)), pbw.generate((3, 0)))
-    bad = pbw.generate((1, 1)).copy_mutable(skip_edge=pbw.generate((1, 1)).edges()[4]).freeze()
+    bad = copy_mutable(pbw.generate((1, 1)), skip_edge=pbw.generate((1, 1)).edges()[4]).freeze()
     with pytest.raises(PrereqFailed):
         builder.build_isomorphism(bad, pbw.generate((1, 1)))
     # colors other than the matrix's are refused before check_all runs

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from b2crystal.cli import (
     load_doc,
     main,
 )
+from b2crystal.graph import ColoredGraph
+from helpers import reference_check_all
 
 
 @pytest.fixture
@@ -124,6 +127,7 @@ def test_iso_color_sets_differ(docs, tmp_path, capsys):
 @pytest.mark.parametrize("declared, message", [
     (9999, "max 9999 is not a declared vertex"),
     (3, "error: document declares max 3, but the maximum element is 0"),
+    (0.5, "max 0.5 is not an integer"),
 ])
 def test_check_validates_declared_max(docs, tmp_path, capsys, declared, message):
     doc = json.load(open(docs["pbw11"]))
@@ -155,6 +159,9 @@ def test_each_graph_certified_once(docs, tmp_path, monkeypatch):
 @pytest.mark.parametrize("change, message", [
     ({"to": 99}, "endpoint 99 is not a declared vertex"),
     ({"color": 7}, "color 7 is not in index_set"),
+    ({"color": 1.5}, "color 1.5 is not an integer"),
+    ({"to": 3.9}, "to 3.9 is not an integer"),
+    ({"from": True}, "from True is not an integer"),
 ])
 def test_check_rejects_bad_edge(docs, tmp_path, capsys, change, message):
     doc = json.load(open(docs["pbw11"]))
@@ -165,6 +172,61 @@ def test_check_rejects_bad_edge(docs, tmp_path, capsys, change, message):
     assert main(["check", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert str(doc["edges"][3]) in err and message in err
+
+
+def test_check_integer_fields(docs, tmp_path, capsys):
+    # a non-integral vertex id or index_set entry is refused; integral floats
+    # and numeric strings are read as int() reads them
+    doc = json.load(open(docs["pbw11"]))
+    path = tmp_path / "edited.json"
+    for edit, message in (({"vertices": [{"id": 0.5}] + doc["vertices"][1:]}, "id 0.5 is not an integer"),
+                          ({"index_set": [1, 2.5]}, "index_set entry 2.5 is not an integer")):
+        json.dump({**doc, **edit}, open(path, "w"))
+        capsys.readouterr()
+        assert main(["check", "--in", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    edges = [{"from": str(e["from"]), "to": float(e["to"]), "color": e["color"]} for e in doc["edges"]]
+    json.dump({**doc, "edges": edges, "index_set": ["1", 2.0], "max": "0"}, open(path, "w"))
+    assert main(["check", "--in", str(path)]) == 0
+    assert doc_to_graph(json.load(open(path))).edges() == doc_to_graph(doc).edges()
+
+
+def _permuted_mutants(doc, rng):
+    """The document with its ids renamed by a seeded permutation and its
+    arrays shuffled, intact and with one arrow deleted, redirected onto a
+    vertex that already has an arrow of that color, or recorded twice."""
+    ids = [v["id"] for v in doc["vertices"]]
+    image = dict(zip(ids, rng.sample(range(3, 3 + 5 * len(ids), 5), len(ids))))
+    vertices = [{**v, "id": image[v["id"]]} for v in doc["vertices"]]
+    edges = [{"from": image[e["from"]], "to": image[e["to"]], "color": e["color"]} for e in doc["edges"]]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    base = {**doc, "vertices": vertices, "edges": edges, "max": image[doc["max"]]}
+    yield base
+    for k in rng.sample(range(len(edges)), 6):
+        yield {**base, "edges": edges[:k] + edges[k + 1:]}
+        taken = [e["to"] for e in edges if e["color"] == edges[k]["color"] and e["to"] != edges[k]["to"]]
+        yield {**base, "edges": edges[:k] + [{**edges[k], "to": rng.choice(taken)}] + edges[k + 1:]}
+        yield {**base, "edges": edges + [edges[k]]}
+
+
+def test_check_reports_match_reference(tmp_path):
+    # the bulk loader and the list passes, end to end: each report equals
+    # the reference checker's on the same document loaded arrow by arrow
+    rng = random.Random(6)
+    doc = graph_to_doc(pbw.generate((2, 2)))
+    path, report = tmp_path / "doc.json", tmp_path / "report.json"
+    for k, mutant in enumerate(_permuted_mutants(doc, rng)):
+        json.dump(mutant, open(path, "w"))
+        code = main(["check", "--in", str(path), "--report", str(report)])
+        g = ColoredGraph(mutant["index_set"], cartan=b2_gcm())
+        for v in mutant["vertices"]:
+            g.add_vertex(vid=v["id"])
+        for e in mutant["edges"]:
+            g.add_edge_unchecked(e["from"], e["to"], e["color"])
+        want = reference_check_all(g.freeze(), b2_gcm())
+        assert json.load(open(report)) == json.loads(json.dumps(want.to_dict())), k
+        assert code == (0 if want.passed else 1) and (k == 0) == want.passed
 
 
 def test_export_dot(docs, tmp_path):

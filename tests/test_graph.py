@@ -3,19 +3,21 @@ import pytest
 from b2crystal import graph, pbw
 from b2crystal.axioms import check_all
 from b2crystal.builder import build_isomorphism, synthesize
-from b2crystal.cartan import b2_gcm
-from b2crystal.errors import (
-    DuplicateEdge,
-    InconsistentWeight,
-    NonTerminating,
-    UndefinedStep,
-)
+from b2crystal.cartan import b2_gcm, b3_gcm
+from b2crystal.errors import DuplicateEdge, InconsistentWeight, NonTerminating
 from b2crystal.graph import ColoredGraph, string_tables
 from helpers import (
     a2_crystal_1_1,
     a2_crystal_2_0,
     bad_confluence_graph,
+    copy_mutable,
     deletion_mutants,
+    duplicate_mutants,
+    redirect_mutants,
+    reference_is_good,
+    reference_maximum_elements,
+    reference_string_tables,
+    reference_wt_assign,
     relabelled,
 )
 
@@ -51,17 +53,32 @@ def test_frozen_graph_rejects_mutation():
         g.add_edge(0, 1, 1)
 
 
+def string_stats(g, v):
+    """Per-color (eps, phi) vectors at vertex v, read from the tables."""
+    eps, phi = g.tables()
+    (k,) = g.positions([v])
+    return {i: eps[i][k] for i in g.colors}, {i: phi[i][k] for i in g.colors}
+
+
+def delta(g, direction, stat, i, j, v):
+    """Change of the j-statistic across the i-step from v, read from the tables."""
+    w = g.e_step(i, v) if direction == "e" else g.f_step(i, v)
+    assert w is not None
+    k = 0 if stat == "eps" else 1
+    return string_stats(g, w)[k][j] - string_stats(g, v)[k][j]
+
+
 def test_string_stats_isolated_and_chain():
     g = ColoredGraph((1, 2))
     g.add_vertex()
-    eps, phi = g.string_stats(0)
+    eps, phi = string_stats(g, 0)
     assert eps == {1: 0, 2: 0} and phi == {1: 0, 2: 0}
 
     crystal = pbw.generate((1, 0))  # a 4-chain 1,2,1
-    eps, phi = crystal.string_stats(0)
+    eps, phi = string_stats(crystal, 0)
     assert eps == {1: 0, 2: 0} and phi[1] == 1
     child = crystal.f_step(1, 0)
-    eps, phi = crystal.string_stats(child)
+    eps, phi = string_stats(crystal, child)
     assert eps[1] == 1 and phi[1] == 0
 
 
@@ -69,8 +86,6 @@ def test_string_stats_cycle_detection():
     g = ColoredGraph((1,))
     g.add_vertex()
     g.add_edge_unchecked(0, 0, 1)
-    with pytest.raises(NonTerminating):
-        g.eps(1, 0)
     assert any(v.rule == "G3" for v in g.is_good())
     with pytest.raises(NonTerminating):
         string_tables(g)
@@ -82,10 +97,9 @@ def test_delta_basics():
     for v in g.vertices():
         for i in g.colors:
             if g.e_step(i, v) is not None:
-                assert g.delta("e", "eps", i, i, v) == -1
-                assert g.delta("e", "phi", i, i, v) == 1
-    with pytest.raises(UndefinedStep):
-        g.delta("e", "eps", 1, 2, 0)  # no raising steps at the top
+                assert delta(g, "e", "eps", i, i, v) == -1
+                assert delta(g, "e", "phi", i, i, v) == 1
+    assert all(g.e_step(i, 0) is None for i in g.colors)  # no raising steps at the top
 
 
 def test_delta_pair_at_interlocked_element():
@@ -94,7 +108,7 @@ def test_delta_pair_at_interlocked_element():
     pick = [v for v in g.vertices() if g.label(v) == pbw.PbwElement((1, 1, 1, 1), (1, 1, 1, 1))]
     assert len(pick) == 1
     x = pick[0]
-    assert (g.delta("e", "eps", 1, 2, x), g.delta("e", "eps", 2, 1, x)) == (1, 2)
+    assert (delta(g, "e", "eps", 1, 2, x), delta(g, "e", "eps", 2, 1, x)) == (1, 2)
 
 
 def test_lowering_raising_delta_mirror():
@@ -107,7 +121,7 @@ def test_lowering_raising_delta_mirror():
                 continue
             for j in g.colors:
                 for stat in ("eps", "phi"):
-                    assert g.delta("f", stat, i, j, v) == -g.delta("e", stat, i, j, w)
+                    assert delta(g, "f", stat, i, j, v) == -delta(g, "e", stat, i, j, w)
 
 
 def test_string_step_identities():
@@ -118,8 +132,9 @@ def test_string_step_identities():
             w = g.f_step(i, v)
             if w is None:
                 continue
-            assert g.eps(i, w) == g.eps(i, v) + 1
-            assert g.phi(i, w) == g.phi(i, v) - 1
+            (eps_v, phi_v), (eps_w, phi_w) = string_stats(g, v), string_stats(g, w)
+            assert eps_w[i] == eps_v[i] + 1
+            assert phi_w[i] == phi_v[i] - 1
 
 
 def test_is_good_reports_all():
@@ -132,6 +147,16 @@ def test_is_good_reports_all():
     g.add_edge_unchecked(0, 1, 1)  # G1 at 0 (two outgoing)
     rules = {v.rule for v in g.is_good()}
     assert rules == {"G1", "G2", "G3"}
+    # navigation keeps the first recorded arrow, also in a graph whose
+    # vertices came out of id order and were renumbered by freeze()
+    assert (g.f_step(1, 0), g.e_step(1, 2)) == (2, 0)
+    h = ColoredGraph((1,))
+    for v in (3, 2, 1, 0):
+        h.add_vertex(vid=v)
+    for s, d in ((0, 2), (1, 2), (3, 3), (0, 1)):
+        h.add_edge_unchecked(s, d, 1)
+    h.freeze()
+    assert (h.f_step(1, 0), h.e_step(1, 2), h.is_good()) == (2, 0, g.is_good())
     assert pbw.generate((2, 2)).is_good() == []
 
 
@@ -210,7 +235,7 @@ def test_maximum_elements_matches_per_source_definition(monkeypatch):
     # a frozen graph finds its maximum elements once, an unfrozen one per call
     assert len(computed) == len(fixtures)
     computed.clear()
-    m = pbw.generate((1, 1)).copy_mutable()
+    m = copy_mutable(pbw.generate((1, 1)))
     assert m.maximum_elements() == m.maximum_elements() == [0]
     assert computed == [m, m]
 
@@ -226,44 +251,74 @@ def test_frozen_graph_keeps_string_tables():
     first = m.tables()
     assert first == string_tables(m) and m.tables() is not first
     m.add_edge(0, 1, 1)  # an unfrozen graph's tables follow its edits
-    assert m.tables() == string_tables(m) == ({1: {0: 0, 1: 1}}, {1: {0: 1, 1: 0}})
+    assert m.tables() == string_tables(m) == ({1: [0, 1]}, {1: [1, 0]})
 
 
-def test_frozen_graph_keeps_dense_view(monkeypatch):
-    built = []
-
-    class Counted(graph.DenseView):
-        def __init__(self, g):
-            built.append(g)
-            super().__init__(g)
-
-    monkeypatch.setattr(graph, "DenseView", Counted)
+def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     # positions index the sorted ids, which here are not 0..n-1
     r = relabelled(pbw.generate((2, 1)), seed=5)
-    view = r.dense()
     eps, phi = r.tables()
-    assert view.ids == r.vertices() and view.ids[0] >= 1000
-    for k, v in enumerate(view.ids):
+    ref_eps, ref_phi = reference_string_tables(r)
+    assert r.ids == r.vertices() and r.ids[0] >= 1000
+    assert r.positions(r.ids) == list(range(len(r))) and r.positions([0]) == [None]
+    for k, v in enumerate(r.ids):
         for i in r.colors:
-            assert view.vid(view.up[i][k]) == r.e_step(i, v)
-            assert view.vid(view.down[i][k]) == r.f_step(i, v)
-            assert (view.eps[i][k], view.phi[i][k]) == (eps[i][v], phi[i][v])
-        assert view.vid(view.descend(k, (1, 2, 2))) == r.descend(v, (1, 2, 2))
+            assert vid(r, r.up[i][k]) == r.e_step(i, v)
+            assert vid(r, r.down[i][k]) == r.f_step(i, v)
+            assert (eps[i][k], phi[i][k]) == (ref_eps[i][v], ref_phi[i][v])
+        assert vid(r, r.descend(k, (1, 2, 2))) == reference_descend(r, v, (1, 2, 2))
+        assert vid(r, r.climb(k, (2, 1))) == reference_climb(r, v, (2, 1))
+    # a graph built in any id order is renumbered when it is frozen
+    shuffled = ColoredGraph(r.colors, cartan=r.cartan)
+    for v in reversed(r.ids):
+        shuffled.add_vertex(vid=v, label=r.label(v))
+    for s, d, c in r.edges():
+        shuffled.add_edge(s, d, c)
+    shuffled.freeze()
+    assert (shuffled.ids, shuffled.labels, shuffled.up, shuffled.down) == (r.ids, r.labels, r.up, r.down)
+    assert shuffled.edges() == r.edges()
 
+    computed = []
+    tables = graph.string_tables
+
+    def counted(g):
+        computed.append(g)
+        return tables(g)
+
+    monkeypatch.setattr(graph, "string_tables", counted)
     A = b2_gcm()
-    built.clear()
     g = pbw.generate((2, 1))
-    s = synthesize(A, (2, 1))  # certified, so its view is built
+    s = synthesize(A, (2, 1))  # certified, so its tables are computed
     assert check_all(g, A).passed
     build_isomorphism(g, s)
-    assert sorted(map(id, built)) == sorted([id(g), id(s)])
-    assert g.dense() is g.dense() and len(built) == 2
+    assert sorted(map(id, computed)) == sorted([id(g), id(s)])
+    assert g.tables() is g.tables() and len(computed) == 2
 
-    m = g.copy_mutable()
-    built.clear()
-    assert check_all(m, A).passed  # one view shared by the three batteries
-    assert built == [m]
-    assert m.dense() is not m.dense()
+    m = copy_mutable(g)
+    computed.clear()
+    assert check_all(m, A).passed  # one pair of tables shared by the three batteries
+    assert computed == [m]
+    assert m.tables() is not m.tables()
+
+
+def vid(g, k):
+    return None if k is None else g.ids[k]
+
+
+def reference_descend(g, v, colors):
+    for c in colors:
+        v = g.f_step(c, v)
+        if v is None:
+            return None
+    return v
+
+
+def reference_climb(g, v, colors):
+    for c in colors:
+        v = g.e_step(c, v)
+        if v is None:
+            return None
+    return v
 
 
 def test_wt_assign_on_crystal():
@@ -321,3 +376,101 @@ def test_k1_identity_on_generated():
             drop = pairing_of_root_count(A, grading[v][0])
             for k, i in enumerate(A.colors):
                 assert phi[i][v] - eps[i][v] == lam[k] - drop[i]
+
+
+def chain_into_cycle():
+    """A 1-chain 0 -> 1 entering the 1-cycle 1 -> 2 -> 3 -> 1, a 2-cycle
+    4 <-> 5 that nothing enters, and a 2-arrow from the chain to it."""
+    g = ColoredGraph((1, 2))
+    for _ in range(6):
+        g.add_vertex()
+    for s, d, c in ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 4, 2), (0, 4, 2)):
+        g.add_edge_unchecked(s, d, c)
+    return g.freeze()
+
+
+def recolored(g):
+    """g with its two colors exchanged, so that paths use color 2 first."""
+    out = ColoredGraph(g.colors)
+    for v in g.vertices():
+        out.add_vertex(vid=v)
+    for s, d, c in g.edges():
+        out.add_edge_unchecked(s, d, 3 - c)
+    return out.freeze()
+
+
+def with_loose_loop(g):
+    """g plus a vertex whose only arrow is a 2-loop: it is no source, and
+    nothing reaches it."""
+    out = copy_mutable(g)
+    v = out.add_vertex()
+    out.add_edge_unchecked(v, v, 2)
+    return out.freeze()
+
+
+def fork_mutants(g):
+    """g with a second arrow out of the source of one arrow, of its color,
+    to the vertex after its target."""
+    ids = g.vertices()
+    for s, d, c in g.edges():
+        mut = copy_mutable(g)
+        mut.add_edge_unchecked(s, ids[(ids.index(d) + 1) % len(ids)], c)
+        yield mut.freeze()
+
+
+def _list_pass_cases():
+    seed = 0
+    for g in (a2_crystal_2_0(), a2_crystal_1_1(), bad_confluence_graph(), pbw.generate((2, 1)),
+              chain_into_cycle(), recolored(bad_confluence_graph()),
+              with_loose_loop(pbw.generate((1, 1)))):
+        seed += 1
+        yield g
+        yield relabelled(g, seed)
+    for lam in ((2, 2), (3, 2)):
+        g = pbw.generate(lam)
+        for mutants in (deletion_mutants, redirect_mutants, duplicate_mutants):
+            for _, mut in mutants(g):
+                seed += 1
+                yield relabelled(mut, seed)
+        for mut in fork_mutants(g):
+            seed += 1
+            yield relabelled(mut, seed)
+    for _, mut in deletion_mutants(synthesize(b3_gcm(), (0, 1, 0))):
+        yield mut
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (InconsistentWeight, NonTerminating, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _id_keyed(g, tables):
+    eps, phi = tables
+    return ({i: dict(zip(g.ids, eps[i])) for i in g.colors},
+            {i: dict(zip(g.ids, phi[i])) for i in g.colors})
+
+
+def test_list_passes_match_reference():
+    # the passes over positions return, or raise, exactly what the id-keyed
+    # passes did, on graphs whose ids are not their positions
+    seen = set()
+    for g in _list_pass_cases():
+        good = g.is_good()
+        assert good == reference_is_good(g), g.vertices()[:3]
+        seen.update(v.rule for v in good)
+        maxes = g.maximum_elements()
+        assert maxes == reference_maximum_elements(g)
+        for x0 in maxes + [g.vertices()[-1]]:
+            got = _outcome(g.wt_assign, x0)
+            assert got == _outcome(reference_wt_assign, g, x0), (g.vertices()[:3], x0)
+            seen.add(got[0] if isinstance(got, tuple) else "graded")
+        tables = _outcome(string_tables, g)
+        if isinstance(tables, tuple) and tables[0] == "NonTerminating":
+            assert tables == _outcome(reference_string_tables, g)
+        else:
+            assert _id_keyed(g, tables) == reference_string_tables(g)
+        seen.add(tables[0] if isinstance(tables[0], str) else "tables")
+    assert seen == {"G1", "G2", "G3", "InconsistentWeight", "ValueError", "NonTerminating",
+                    "graded", "tables"}, seen

@@ -119,8 +119,9 @@ def test_generate_structure():
     assert g.is_good() == []
     assert g.maximum_elements() == [0]
     g.wt_assign(0)
-    eps, phi = g.string_stats(0)
-    assert phi == {1: 2, 2: 2} and eps == {1: 0, 2: 0}
+    eps, phi = g.tables()
+    assert {i: phi[i][0] for i in g.colors} == {1: 2, 2: 2}
+    assert {i: eps[i][0] for i in g.colors} == {1: 0, 2: 0}
 
 
 def test_string_lengths_match_element_stats():
@@ -128,10 +129,11 @@ def test_string_lengths_match_element_stats():
     # coordinate formulas at every vertex
     for lam in [(1, 1), (2, 3), (4, 2)]:
         g = pbw.generate(lam)
+        eps, phi = g.tables()
+        assert g.ids == list(range(len(g)))  # generated ids are positions
         for v in g.vertices():
             st = pbw.elem_stats(g.label(v), lam)
-            eps, phi = g.string_stats(v)
-            assert (eps[1], eps[2], phi[1], phi[2]) == (st.eps1, st.eps2, st.phi1, st.phi2)
+            assert (eps[1][v], eps[2][v], phi[1][v], phi[2][v]) == (st.eps1, st.eps2, st.phi1, st.phi2)
 
 
 def test_generate_deterministic_ids():
