@@ -7,19 +7,25 @@ merge axioms, and their sub-conditions.  Everything is evaluated on the
 literal graph; phi/eps are always string lengths, never trusted labels,
 so the checker is meaningful on arbitrary graphs.  The batteries scan the
 graph's per-color position lists and its string tables, one pass over
-positions per color pair, and report witnesses as vertex ids.
+positions per color pair and side, and report witnesses as vertex ids.
+
+The lowering-side rules (square, octagon, the pentagon's two hypotheses,
+the diamond) are one table, RULES, with one hypothesis scan, scan(); the
+checker asserts them and the synthesizer (builder) merges by them.  Only
+the raising-side S6 battery is written out by hand.
 
 Violation tags: S1 (goodness, with the G-rule in the detail), S2, S3,
 A_MINUS/B_MINUS (under S4), A_PLUS/B_PLUS (under S5), S6..S9 reported via
 their innermost sub-condition D_MINUS/D_PLUS/C1_PLUS/P1_MINUS/Q1_MINUS/
-R_MINUS, the variant tags S8_PRIME/P_MINUS/Q_MINUS, plus MAX (maximum
-element count), WT (weight grading conflict), PHI0 (top statistics
-mismatch) and CONFLUENCE (bounded search failure).
+R_MINUS, plus MAX (maximum element count), WT (weight grading conflict),
+PHI0 (top statistics mismatch) and CONFLUENCE (bounded search failure).
 """
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
@@ -58,8 +64,8 @@ def _sorted(violations):
 
 # The batteries scan the graph's lists with its string tables (eps, phi):
 # x, y, z, w are positions, and g.ids / _vid turn them back into vertex ids
-# for the reports.  Each scan tests its hypotheses inline on the flat lists;
-# a witness helper runs only where one fires.
+# for the reports.  Each scan tests its hypotheses on the flat lists; the
+# words are walked only where one fires.
 
 def _vid(g, k):
     """The vertex id at position k (None stays None)."""
@@ -103,42 +109,177 @@ def check_s2_s3(g, A, include_diagonal=False, tables=None):
     return _sorted(out)
 
 
+# -- the lowering-side rules -------------------------------------------------
+#
+# Each rule: at a vertex x whose deltas (ij, ji) across its i- and j-steps
+# match the hypothesis, the two words over i and j applied from x meet, and
+# the deltas (ij, ji) at the meet, read on the other side, match the closing
+# values.  The checker asserts the rules (S5, S7, S8/S9, and S4 for the
+# square and octagon read through the raising side); the synthesizer merges
+# the last-step candidates of the two words.
+
+ORDERED, UNORDERED, ORIENTED = "ordered", "unordered", "B2-oriented"
+
+
+class Side(NamedTuple):
+    """A direction through the graph, named for reports, with the opposite
+    steps and statistic that closing deltas read."""
+    sign: str
+    where: str
+    other: str
+    steps: dict
+    stat: dict
+    walk: object
+    back: dict
+    back_stat: dict
+
+
+def lowering(g, eps, phi):
+    return Side("PLUS", "below", "raising", g.down, phi, g.descend, g.up, eps)
+
+
+def raising(g, eps, phi):
+    return Side("MINUS", "above", "lowering", g.up, eps, g.climb, g.down, phi)
+
+
+class Rule(NamedTuple):
+    """tag: reported with _PLUS or _MINUS; name: used in synthesis errors;
+    pairs: the color pairs it runs on; hypothesis / closing: the deltas
+    (ij, ji) at x / at the meet, None where free (a closing of None tests
+    nothing); words(i, j): the two words; guard(side, xs, i, j): a further
+    test at each x, True, False or a defect detail; apart / unclosed: the
+    details when the words do not meet / the closing deltas are off."""
+    tag: str
+    name: str
+    pairs: str
+    hypothesis: tuple
+    words: object
+    apart: str
+    closing: Optional[tuple] = None
+    unclosed: str = ""
+    guard: object = None
+
+
+def _two_child(side, xs, i, j):
+    stat_i = side.stat[i]
+    return [stat_i[x] >= 2 for x in xs]
+
+
+def _flat_ledge(side, xs, i, j):
+    # the j-step two i-steps from x leaves the i-statistic flat (the first
+    # i-step is there by the hypothesis)
+    step_i, step_j, stat_i = side.steps[i], side.steps[j], side.stat[i]
+    ledges = [step_i[step_i[x]] for x in xs]
+    return [v is not None and step_j[v] is not None and stat_i[step_j[v]] == stat_i[v] for v in ledges]
+
+
+def _branch_points(side, x, i, j):
+    """The diamond's two branch points from x and their deltas (ij), read on
+    the other side; or the detail of what is missing."""
+    walk, back, back_stat = side.walk, side.back, side.back_stat
+    y, y1 = walk(x, (j, i, i)), walk(x, (i, j, j, i, i))
+    if y is None:
+        return f"first branch point {side.where} is missing"
+    if y1 is None:
+        return f"second branch point {side.where} is missing"
+    t = (delta(back, back_stat, i, j, y), delta(back, back_stat, i, j, y1))
+    if None in t:
+        return f"branch-point {side.other} deltas undefined"
+    return y, y1, t
+
+
+def _diamond_fork(side, xs, i, j):
+    # the diamond closes only where the branch-point deltas are (0,1)
+    found = [_branch_points(side, x, i, j) for x in xs]
+    return [b if isinstance(b, str) else b[2] == (0, 1) for b in found]
+
+
+SQUARE = Rule("A", "square", ORDERED, (0, None), lambda i, j: ((i, j), (j, i)),
+              "square {where} does not close ({} vs {})",
+              closing=(None, 0), unclosed="closing {other} delta is {1}, not 0")
+OCTAGON = Rule("B", "length-4 confluence", UNORDERED, (1, 1), lambda i, j: ((i, j, j, i), (j, i, i, j)),
+               "length-4 words {where} do not meet ({} vs {})",
+               closing=(1, 1), unclosed="closing {other} deltas ({0}, {1}) != (1,1)")
+PENTAGON = Rule("C1", "pentagon", ORIENTED, (1, 1), lambda i, j: ((i, i, j, j, i), (j, i, i, i, j)),
+                "via two-child hypothesis: pentagon words {where} do not meet ({} vs {})",
+                guard=_two_child)
+LEDGE_PENTAGON = PENTAGON._replace(
+    hypothesis=(0, 2), guard=_flat_ledge,
+    apart="via flat-ledge hypothesis: pentagon words {where} do not meet ({} vs {})")
+DIAMOND = Rule("D", "diamond", ORIENTED, (1, 2), lambda i, j: ((i, j, j, i, i, i, j), (j, i, i, i, j, j, i)),
+               "depth-7 words {where} do not meet ({} vs {})", guard=_diamond_fork)
+# S6 reads the diamond through the raising side: where its hypothesis holds
+# the branch-point deltas decide what must hold, and under (0,1) (Q1) the
+# words meet and close on the lowering deltas (1,2)
+RAISED_DIAMOND = DIAMOND._replace(tag="Q1", guard=None, closing=(1, 2),
+                                  unclosed="{other} deltas at the meet are ({0}, {1}), not (1,2)")
+TWO_SIDED = (SQUARE, OCTAGON)  # the checker reads these through both sides
+DOUBLY_LACED = (PENTAGON, LEDGE_PENTAGON, DIAMOND)
+RULES = TWO_SIDED + DOUBLY_LACED
+
+
+def rule_pairs(A, i, j, rules=RULES):
+    """(rule, oriented pair) for each rule the color pair {i, j} runs: an
+    ordered rule on (i, j) and (j, i), an unordered one on (i, j), a
+    B2-oriented one on the orientation that classifies as B2."""
+    out = []
+    for rule in rules:
+        pairs = [(i, j), (j, i)]
+        if rule.pairs == UNORDERED:
+            pairs = pairs[:1]
+        elif rule.pairs == ORIENTED:
+            pairs = [p for p in pairs if classify_pair(A, *p) == B2]
+        out.extend((rule, p) for p in pairs)
+    return out
+
+
+def scan(side, xs, i, j, entries):
+    """(rule, pair, fired, defects) for each (rule, oriented pair) of
+    entries on the color pair {i, j}: the positions of the range xs where
+    the hypothesis holds, and (x, detail) where the guard found it
+    malformed instead.
+
+    The deltas (ij, ji) are computed once per x, and each entry is decided
+    once per distinct value.
+    """
+    steps_i, steps_j, stat_i, stat_j = side.steps[i], side.steps[j], side.stat[i], side.stat[j]
+    groups = defaultdict(list)
+    for x, si, sj in zip(xs, steps_i[xs.start:xs.stop], steps_j[xs.start:xs.stop]):
+        if si is not None and sj is not None:
+            groups[stat_j[si] - stat_j[x], stat_i[sj] - stat_i[x]].append(x)
+    for rule, pair in entries:
+        h_ij, h_ji = rule.hypothesis if pair[0] == i else rule.hypothesis[::-1]
+        fired = [x for (d_ij, d_ji), group in groups.items()
+                 if h_ij in (None, d_ij) and h_ji in (None, d_ji) for x in group]
+        defects = []
+        if rule.guard is not None:
+            verdicts = rule.guard(side, fired, *pair)
+            defects = [(x, v) for x, v in zip(fired, verdicts) if isinstance(v, str)]
+            fired = [x for x, v in zip(fired, verdicts) if v is True]
+        yield rule, pair, fired, defects
+
+
+def _assert(g, side, hits, out):
+    """Report each guard defect, and each fired entry whose words do not
+    meet or whose closing deltas are off."""
+    walk, back, back_stat, ids = side.walk, side.back, side.back_stat, g.ids
+    for rule, (i, j), fired, defects in hits:
+        tag = f"{rule.tag}_{side.sign}"
+        out.extend(Violation(tag, (i, j), ids[x], detail) for x, detail in defects)
+        w1, w2 = rule.words(i, j)
+        closing = rule.closing
+        for x, z1, z2 in zip(fired, map(walk, fired, repeat(w1)), map(walk, fired, repeat(w2))):
+            if z1 is None or z2 is None or z1 != z2:
+                out.append(Violation(tag, (i, j), ids[x],
+                                     rule.apart.format(_vid(g, z1), _vid(g, z2), where=side.where)))
+            elif closing is not None:
+                d = (None if closing[0] is None else delta(back, back_stat, i, j, z1),
+                     None if closing[1] is None else delta(back, back_stat, j, i, z1))
+                if d != closing:
+                    out.append(Violation(tag, (i, j), ids[x], rule.unclosed.format(*d, other=side.other)))
+
+
 # -- S4 / S5 -----------------------------------------------------------------
-
-# The two sides of S4/S5: the raising side scans parents and eps, walks up
-# and closes on the lowering deltas; the lowering side is its mirror.
-def _sides(g, eps, phi):
-    return (("MINUS", "above", "lowering", g.up, eps, g.climb, g.down, phi),
-            ("PLUS", "below", "raising", g.down, phi, g.descend, g.up, eps))
-
-
-def _square(g, side, x, k, ell, out):
-    # at a vertex whose delta of the ell-statistic across its k-step is 0:
-    # both orders of one k-step and one ell-step meet, and the closing
-    # delta vanishes
-    sign, where, closing, _, _, walk, steps, stat = side
-    z1, z2 = walk(x, (k, ell)), walk(x, (ell, k))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("A_" + sign, (k, ell), g.ids[x],
-                             f"square {where} does not close ({_vid(g, z1)} vs {_vid(g, z2)})"))
-        return
-    d = delta(steps, stat, ell, k, z1)
-    if d != 0:
-        out.append(Violation("A_" + sign, (k, ell), g.ids[x], f"closing {closing} delta is {d}, not 0"))
-
-
-def _octagon(g, side, x, i, j, out):
-    # at a vertex whose deltas are (1,1)
-    sign, where, closing, _, _, walk, steps, stat = side
-    z1, z2 = walk(x, (i, j, j, i)), walk(x, (j, i, i, j))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("B_" + sign, (i, j), g.ids[x],
-                             f"length-4 words {where} do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
-        return
-    d = (delta(steps, stat, i, j, z1), delta(steps, stat, j, i, z1))
-    if d != (1, 1):
-        out.append(Violation("B_" + sign, (i, j), g.ids[x], f"closing {closing} deltas {d} != (1,1)"))
-
 
 def check_s4_s5(g, A, tables=None):
     """Square and length-4 confluences above and below every two-parent /
@@ -148,20 +289,9 @@ def check_s4_s5(g, A, tables=None):
     colors = g.colors
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
-            for side in _sides(g, eps, phi):
-                steps, stat = side[3], side[4]
-                stat_i, stat_j = stat[i], stat[j]
-                for x, (si, sj) in enumerate(zip(steps[i], steps[j])):
-                    if si is None or sj is None:
-                        continue
-                    dij = stat_j[si] - stat_j[x]
-                    dji = stat_i[sj] - stat_i[x]
-                    if dij == 0:
-                        _square(g, side, x, i, j, out)
-                    if dji == 0:
-                        _square(g, side, x, j, i, out)
-                    if dij == 1 and dji == 1:
-                        _octagon(g, side, x, i, j, out)
+            entries = rule_pairs(A, i, j, TWO_SIDED)
+            for side in (raising(g, eps, phi), lowering(g, eps, phi)):
+                _assert(g, side, scan(side, range(len(g)), i, j, entries), out)
     return _sorted(out)
 
 
@@ -173,186 +303,52 @@ def _b2_oriented_pairs(A):
     return [(i, j) for (i, j) in A.pairs() if classify_pair(A, i, j) == B2]
 
 
-def _check_c1_plus(g, x, i, j, via, out):
-    z1 = g.descend(x, (i, i, j, j, i))
-    z2 = g.descend(x, (j, i, i, i, j))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(
-            Violation("C1_PLUS", (i, j), g.ids[x],
-                      f"via {via}: pentagon words below do not meet ({_vid(g, z1)} vs {_vid(g, z2)})")
-        )
-
-
-def _check_s6(g, phi, x, i, j, out):
-    # at a vertex whose raising deltas are (1,2)
+def _check_s6(g, rais, x, i, j, out, q1):
+    # at a vertex whose raising deltas are (1,2): the lowering deltas t of
+    # the diamond's branch points above x decide what must hold; the Q1
+    # forks are set aside for the rule table
     wx = g.ids[x]
-    down = g.down
-    y = g.climb(x, (j, i, i))
-    if y is None:
-        out.append(Violation("D_MINUS", (i, j), wx, "first branch point above is missing"))
+    down, phi = rais.back, rais.back_stat
+    found = _branch_points(rais, x, i, j)
+    if isinstance(found, str):
+        out.append(Violation("D_MINUS", (i, j), wx, found))
         return
-    y1 = g.climb(x, (i, j, j, i, i))
-    if y1 is None:
-        out.append(Violation("D_MINUS", (i, j), wx, "second branch point above is missing"))
-        return
-    t = (delta(down, phi, i, j, y), delta(down, phi, i, j, y1))
-    if t[0] is None or t[1] is None:
-        out.append(Violation("D_MINUS", (i, j), wx, "branch-point lowering deltas undefined"))
-        return
+    y, y1, t = found
     if t == (1, 0):
         out.append(Violation("D_MINUS", (i, j), wx, "branch deltas (1,0) are forbidden"))
-    elif t == (1, 1):
-        fy1 = down[j][y1]
-        ey = g.up[i][y]
-        if fy1 is None or ey is None or fy1 != ey:
-            out.append(Violation("P1_MINUS", (i, j), wx,
-                                 f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
-        elif delta(down, phi, j, i, y1) != 1:
-            out.append(Violation("P1_MINUS", (i, j), wx,
-                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not 1"))
     elif t == (0, 1):
-        z1 = g.climb(x, (i, j, j, i, i, i, j))
-        z2 = g.climb(x, (j, i, i, i, j, j, i))
-        if z1 is None or z2 is None or z1 != z2:
-            out.append(Violation("Q1_MINUS", (i, j), wx,
-                                 f"depth-7 words above do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
-            return
-        dz = (delta(down, phi, i, j, z1), delta(down, phi, j, i, z1))
-        if dz != (1, 2):
-            out.append(Violation("Q1_MINUS", (i, j), wx, f"lowering deltas at the meet are {dz}, not (1,2)"))
-    elif t == (0, 0):
+        q1.append(x)
+    elif t in ((1, 1), (0, 0)):
+        # the j-child of y' is the i-parent of y, and the lowering delta at
+        # y' is 1 or 2; under (0,0) it is 0 two i-steps under y'
+        tag, want = ("P1_MINUS", 1) if t == (1, 1) else ("R_MINUS", 2)
         fy1 = down[j][y1]
         ey = g.up[i][y]
         if fy1 is None or ey is None or fy1 != ey:
-            out.append(Violation("R_MINUS", (i, j), wx,
+            out.append(Violation(tag, (i, j), wx,
                                  f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
-            return
-        if delta(down, phi, j, i, y1) != 2:
-            out.append(Violation("R_MINUS", (i, j), wx,
-                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not 2"))
-            return
-        w = g.descend(y1, (i, i))
-        d = None if w is None else delta(down, phi, j, i, w)
-        if d != 0:
-            out.append(Violation("R_MINUS", (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
-
-
-def _check_s7(g, eps, x, i, j, out):
-    # at a vertex whose lowering deltas are (1,2)
-    wx = g.ids[x]
-    y = g.descend(x, (j, i, i))
-    if y is None:
-        out.append(Violation("D_PLUS", (i, j), wx, "first branch point below is missing"))
-        return
-    y1 = g.descend(x, (i, j, j, i, i))
-    if y1 is None:
-        out.append(Violation("D_PLUS", (i, j), wx, "second branch point below is missing"))
-        return
-    t = (delta(g.up, eps, i, j, y), delta(g.up, eps, i, j, y1))
-    if t[0] is None or t[1] is None:
-        out.append(Violation("D_PLUS", (i, j), wx, "branch-point raising deltas undefined"))
-        return
-    if t != (0, 1):
-        return
-    z1 = g.descend(x, (i, j, j, i, i, i, j))
-    z2 = g.descend(x, (j, i, i, i, j, j, i))
-    if z1 is None or z2 is None or z1 != z2:
-        out.append(Violation("D_PLUS", (i, j), wx,
-                             f"depth-7 words below do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
+        elif delta(down, phi, j, i, y1) != want:
+            out.append(Violation(tag, (i, j), wx,
+                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not {want}"))
+        elif t == (0, 0):
+            w = g.descend(y1, (i, i))
+            d = None if w is None else delta(down, phi, j, i, w)
+            if d != 0:
+                out.append(Violation(tag, (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
 
 
 def check_s6_s9(g, A, tables=None):
     """The doubly-laced battery, per oriented pair of that type."""
     eps, phi = tables or g.tables()
+    rais, low = raising(g, eps, phi), lowering(g, eps, phi)
     out = []
     for i, j in _b2_oriented_pairs(A):
-        eps_i, eps_j = eps[i], eps[j]
-        for x, (pi, pj) in enumerate(zip(g.up[i], g.up[j])):
-            if pi is None or pj is None:
-                continue
-            if eps_j[pi] - eps_j[x] == 1 and eps_i[pj] - eps_i[x] == 2:
-                _check_s6(g, phi, x, i, j, out)
-        down_i, down_j = g.down[i], g.down[j]
-        phi_i, phi_j = phi[i], phi[j]
-        for x, (ci, cj) in enumerate(zip(down_i, down_j)):
-            if ci is None or cj is None:
-                continue
-            dp = (phi_j[ci] - phi_j[x], phi_i[cj] - phi_i[x])
-            if dp == (1, 2):
-                _check_s7(g, eps, x, i, j, out)
-            elif dp == (1, 1):
-                if phi_i[x] >= 2:
-                    _check_c1_plus(g, x, i, j, "two-child hypothesis", out)
-            elif dp == (0, 2):
-                v = down_i[ci]
-                if v is not None:
-                    w = down_j[v]
-                    if w is not None and phi_i[w] == phi_i[v]:
-                        _check_c1_plus(g, x, i, j, "flat-ledge hypothesis", out)
-    return _sorted(out)
-
-
-# -- variant axioms ----------------------------------------------------------
-
-def check_variants(g, A):
-    """Mirror and long-form variants plus the post-merge delta fact.
-
-    These are consequences of the main battery on true crystals; checking
-    them separately exercises the equivalence claims.
-    """
-    eps, phi = g.tables()
-    ids, up, down, climb = g.ids, g.up, g.down, g.climb
-    out = []
-    for i, j in _b2_oriented_pairs(A):
-        for x, (pi, pj) in enumerate(zip(up[i], up[j])):
-            if pi is None or pj is None:
-                continue
-            d = (delta(up, eps, i, j, x), delta(up, eps, j, i, x))
-            if d == (1, 1) and eps[i][x] >= 2:
-                z1 = climb(x, (i, i, j, j, i))
-                z2 = climb(x, (j, i, i, i, j))
-                if z1 is None or z2 is None or z1 != z2:
-                    out.append(Violation("S8_PRIME", (i, j), ids[x],
-                                         f"pentagon words above do not meet ({_vid(g, z1)} vs {_vid(g, z2)})"))
-            if d != (1, 2):
-                continue
-            y = climb(x, (j, i, i))
-            y1 = climb(x, (i, j, j, i, i))
-            if y is None or y1 is None:
-                continue  # reported by check_s6_s9
-            t = (delta(down, phi, i, j, y), delta(down, phi, i, j, y1))
-            if t == (1, 1):
-                wa = climb(x, (i, j, i, j, i))
-                wb = climb(x, (j, i, i, i, j))
-                if not (wa == wb == y1) or wa is None:
-                    out.append(Violation("P_MINUS", (i, j), ids[x],
-                                         f"alternating words above miss y' ({_vid(g, wa)}, {_vid(g, wb)} vs {_vid(g, y1)})"))
-                elif delta(down, phi, j, i, y1) != 1:
-                    out.append(Violation("P_MINUS", (i, j), ids[x], "lowering delta at y' is not 1"))
-            elif t == (0, 1):
-                words = [
-                    (i, j, i, j, i, i, j),
-                    (i, j, j, i, i, i, j),
-                    (j, i, i, i, j, j, i),
-                    (j, i, i, j, i, j, i),
-                ]
-                ends = [climb(x, w) for w in words]
-                if None in ends or len(set(ends)) != 1:
-                    out.append(Violation("Q_MINUS", (i, j), ids[x],
-                                         f"four depth-7 words disagree ({[_vid(g, e) for e in ends]})"))
-                    continue
-                z = ends[0]
-                if (delta(down, phi, i, j, z), delta(down, phi, j, i, z)) != (1, 2):
-                    out.append(Violation("Q_MINUS", (i, j), ids[x], "lowering deltas at the meet are not (1,2)"))
-                    continue
-                # post-merge raising deltas under the meet
-                u = g.descend(z, (j, i, i))
-                v = g.descend(z, (i, j, j, i, i))
-                du = None if u is None else delta(up, eps, i, j, u)
-                dv = None if v is None else delta(up, eps, i, j, v)
-                if (du, dv) != (0, 1):
-                    out.append(Violation("Q1_MINUS", (i, j), ids[x],
-                                         f"post-merge raising deltas ({du},{dv}) != (0,1)"))
+        q1 = []
+        for _, _, forks, _ in scan(rais, range(len(g)), i, j, [(RAISED_DIAMOND, (i, j))]):
+            for x in forks:
+                _check_s6(g, rais, x, i, j, out, q1)
+        _assert(g, rais, [(RAISED_DIAMOND, (i, j), q1, [])], out)
+        _assert(g, low, scan(low, range(len(g)), i, j, rule_pairs(A, i, j, DOUBLY_LACED)), out)
     return _sorted(out)
 
 

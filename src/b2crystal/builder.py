@@ -3,8 +3,9 @@ and the layered isomorphism between two such graphs.
 
 Synthesis grows the graph one distance layer at a time.  Each vertex of
 the previous layer contributes one child candidate per color with a
-positive lowering statistic; the lowering-side axioms, evaluated entirely
-on sealed layers, force some candidates to coincide, and union-find
+positive lowering statistic; the checker's lowering-side rules
+(axioms.RULES, found by axioms.scan), evaluated entirely on sealed layers,
+force the last steps of their two words to coincide, and union-find
 collects those merges before anything is materialized.  Raising
 statistics of new vertices come from their parents; lowering statistics
 are defined through the weight grading and the top statistics, and a
@@ -12,10 +13,11 @@ final full check certifies the result (a wrong merge or a missed one
 cannot survive it silently).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .axioms import check_all
-from .cartan import B2, classify_all_pairs, pairing_of_root_count
+from .axioms import check_all, lowering, rule_pairs, scan
+from .cartan import classify_all_pairs, pairing_of_root_count
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -24,7 +26,7 @@ from .errors import (
     PrereqFailed,
     SynthesisInconsistency,
 )
-from .graph import ColoredGraph, delta
+from .graph import ColoredGraph
 
 
 class UnionFind:
@@ -62,8 +64,8 @@ class UnionFind:
 
 class _Build:
     """Mutable synthesis state.  Vertex ids are allocated 0, 1, 2, ..., so
-    they are the graph's positions, and the statistics are per-color lists
-    over them."""
+    they are the graph's positions, each layer is a range of them, and the
+    statistics are per-color lists over them."""
 
     def __init__(self, A, phi0):
         self.A = A
@@ -73,87 +75,40 @@ class _Build:
         self.eps = {i: [0] for i in A.colors}
         self.phi = {i: [self.phi0[i]] for i in A.colors}
         self.wt = [{}]
-        self.layers = [[v0]]
+        self.layers = [range(v0, v0 + 1)]
+        self.side = lowering(self.g, self.eps, self.phi)
+        self.plan = defaultdict(list)  # (word length, i, j) -> the entries on {i, j}
+        for n, i in enumerate(A.colors):
+            for j in A.colors[n + 1:]:
+                for rule, pair in rule_pairs(A, i, j):
+                    self.plan[len(rule.words(*pair)[0]), i, j].append((rule, pair))
 
     def layer(self, k):
-        return self.layers[k] if 0 <= k < len(self.layers) else []
+        return self.layers[k] if 0 <= k < len(self.layers) else range(0)
 
 
 def _collect_merges(st, k, uf, candidates):
-    """Fire every lowering-side axiom whose conclusion lands in layer k."""
-    A = st.A
-    types = classify_all_pairs(A)
-    up, down, descend = st.g.up, st.g.down, st.g.descend
-    eps, phi = st.eps, st.phi
-
-    def merge(c1, c2, reason):
-        for c in (c1, c2):
-            if c not in candidates:
-                raise SynthesisInconsistency(
-                    f"layer {k}: {reason} forces child {c} but its statistic is 0"
-                )
-        uf.union(c1, c2)
-
-    # squares: one step of each color commutes when the lowering delta is flat
-    for w in st.layer(k - 2):
-        for i, j in A.pairs():
-            fi, fj = down[i][w], down[j][w]
-            if fi is None or fj is None:
-                continue
-            if delta(down, phi, i, j, w) == 0:
-                merge((fi, j), (fj, i), f"square at {w} ({i},{j})")
-
-    # length-4 confluence for every pair with a (1,1) lowering profile
-    for w in st.layer(k - 4):
-        for ai, i in enumerate(A.colors):
-            for j in A.colors[ai + 1:]:
-                if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 1):
-                    continue
-                p = descend(w, (i, j, j))
-                q = descend(w, (j, i, i))
-                if p is None or q is None:
-                    raise SynthesisInconsistency(
-                        f"layer {k}: length-4 confluence at {w} lost its prefix"
-                    )
-                merge((p, i), (q, j), f"length-4 confluence at {w}")
-
-    b2_pairs = [(i, j) for (i, j), t in types.items() if t == B2]
-
-    # pentagon merges (two hypotheses share one conclusion)
-    for w in st.layer(k - 5):
-        for i, j in b2_pairs:
-            dp = (delta(down, phi, i, j, w), delta(down, phi, j, i, w))
-            fire = False
-            if dp == (1, 1) and phi[i][w] >= 2:
-                fire = True
-            elif dp == (0, 2):
-                v = descend(w, (i, i))
-                if v is not None and delta(down, phi, j, i, v) == 0:
-                    fire = True
-            if not fire:
-                continue
-            p = descend(w, (i, i, j, j))
-            q = descend(w, (j, i, i, i))
-            if p is None or q is None:
-                raise SynthesisInconsistency(f"layer {k}: pentagon at {w} lost its prefix")
-            merge((p, i), (q, j), f"pentagon at {w}")
-
-    # depth-7 diamond
-    for w in st.layer(k - 7):
-        for i, j in b2_pairs:
-            if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 2):
-                continue
-            y = descend(w, (j, i, i))
-            y1 = descend(w, (i, j, j, i, i))
-            if y is None or y1 is None:
-                raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its branch points")
-            if (delta(up, eps, i, j, y), delta(up, eps, i, j, y1)) != (0, 1):
-                continue
-            p = descend(w, (i, j, j, i, i, i))
-            q = descend(w, (j, i, i, i, j, j))
-            if p is None or q is None:
-                raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
-            merge((q, i), (p, j), f"diamond at {w}")
+    """Fire every lowering-side rule whose two words end in layer k: the
+    last steps of the two words from x must reach one child."""
+    for (n, i, j), entries in st.plan.items():
+        for rule, (p, q), fired, defects in scan(st.side, st.layer(k - n), i, j, entries):
+            if defects:
+                x, detail = defects[0]
+                raise SynthesisInconsistency(f"layer {k}: {rule.name} at {x} ({p},{q}): {detail}")
+            words = rule.words(p, q)
+            for x in fired:
+                ends = [(st.g.descend(x, word[:-1]), word[-1]) for word in words]
+                for end in ends:
+                    if end[0] is None:
+                        raise SynthesisInconsistency(
+                            f"layer {k}: {rule.name} at {x} ({p},{q}) lost its prefix"
+                        )
+                    if end not in candidates:
+                        raise SynthesisInconsistency(
+                            f"layer {k}: {rule.name} at {x} ({p},{q}) forces child {end} "
+                            "but its statistic is 0"
+                        )
+                uf.union(*ends)
 
 
 def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
@@ -178,6 +133,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
         if k > budget_layers:
             raise BudgetExceeded(f"layer budget {budget_layers} exceeded")
         prev = st.layer(k - 1)
+        first = len(st.g)
         uf = UnionFind()
         candidates = set()
         for p in prev:
@@ -189,7 +145,6 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
             break
         _collect_merges(st, k, uf, candidates)
 
-        new_layer = []
         for group in uf.classes():
             if len(st.g) >= budget_vertices:
                 raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
@@ -225,8 +180,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
                     )
                 st.eps[c].append(eps_c)
                 st.phi[c].append(phi_c)
-            new_layer.append(v)
-        st.layers.append(new_layer)
+        st.layers.append(range(first, len(st.g)))
 
     g = st.g.freeze()
     if check:

@@ -30,9 +30,21 @@ B3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 C3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 
+def integers(values, name):
+    """values as int() reads them, refusing what int() would truncate: a
+    boolean or a number with a fractional part; name(k) names values[k]."""
+    if set(map(type, values)) <= {int}:
+        return values
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"{name(k)} {v} is not an integer")
+    return list(map(int, values))
+
+
 class GCM:
     """Square integer matrix with 2 on the diagonal and nonpositive
-    off-diagonal entries vanishing symmetrically."""
+    off-diagonal entries vanishing symmetrically.  Entries are read by
+    integers(): a boolean or a fractional entry is refused, not truncated."""
 
     def __init__(self, rows, index_set=None):
         n = len(rows)
@@ -43,10 +55,12 @@ class GCM:
         index_set = tuple(index_set)
         if len(index_set) != n or len(set(index_set)) != n:
             raise ValueError("index set must match matrix size and be distinct")
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
+        if any(len(row) != n for row in rows):
+            raise ValueError("Cartan matrix must be square")
+        rows = tuple(
+            tuple(integers(list(row), lambda q, p=p: f"Cartan entry a[{index_set[p]},{index_set[q]}]"))
+            for p, row in enumerate(rows)
+        )
         for p in range(n):
             if rows[p][p] != 2:
                 raise ValueError(f"diagonal entry at {index_set[p]} is {rows[p][p]}, not 2")

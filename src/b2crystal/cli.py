@@ -18,9 +18,10 @@ Graph document schema (JSON):
 where a/x/wt/eps/phi are optional per vertex and "max" is optional; when
 given, it must be a declared vertex, and `check` rejects a document whose
 "max" is not the maximum element it finds (exit 2).  The integer fields
-(index_set entries, id, from, to, color, max) are read as int() reads
-them, numeric strings and integral floats included, but a boolean or a
-number with a fractional part is an input error (exit 2), not truncated.
+(index_set entries, id, from, to, color, max, and the cartan entries, also
+those of a custom matrix file) are read as int() reads them, numeric
+strings and integral floats included, but a boolean or a number with a
+fractional part is an input error (exit 2), not truncated.
 The loader reads the vertex and edge arrays whole into the graph's
 position lists.  Documents are written as compact one-line JSON.
 """
@@ -35,7 +36,7 @@ from operator import itemgetter
 from . import __version__
 from .axioms import check_all
 from .builder import build_isomorphism, synthesize
-from .cartan import GCM, b2_gcm, b3_gcm
+from .cartan import GCM, b2_gcm, b3_gcm, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
 from .graph import ColoredGraph
 from .oracle import run_verification
@@ -77,17 +78,6 @@ def graph_to_doc(g, stats=None):
     return doc
 
 
-def _integers(values, name):
-    """values as int() reads them, refusing what int() would truncate: a
-    boolean or a number with a fractional part; name(k) names values[k]."""
-    if set(map(type, values)) <= {int}:
-        return values
-    for k, v in enumerate(values):
-        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
-            raise ValueError(f"{name(k)} {v} is not an integer")
-    return list(map(int, values))
-
-
 _EDGE_FIELDS = ("from", "to", "color")
 
 
@@ -101,15 +91,15 @@ def doc_to_graph(doc):
     duplicate ids, undeclared endpoints, colors outside index_set, and an
     undeclared "max".
     """
-    colors = _integers(doc["index_set"], lambda k: "index_set entry")
+    colors = integers(doc["index_set"], lambda k: "index_set entry")
     cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
     g = ColoredGraph(colors, cartan=cartan)
     vertices = doc["vertices"]
-    ids = _integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
+    ids = integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
     g.add_vertices(ids, [PbwElement(tuple(v["a"]), tuple(v["x"])) if "a" in v and "x" in v else None
                          for v in vertices])
     edges = doc["edges"]
-    srcs, dsts, cols = (_integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
+    srcs, dsts, cols = (integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)
     s_pos, d_pos = g.positions(srcs), g.positions(dsts)
     if None in s_pos or None in d_pos:
@@ -124,7 +114,7 @@ def doc_to_graph(doc):
         mask = list(map(i.__eq__, cols))
         g.add_arrows(i, compress(s_pos, mask), compress(d_pos, mask))
     declared = doc.get("max")
-    if declared is not None and g.positions(_integers([declared], lambda k: "max")) == [None]:
+    if declared is not None and g.positions(integers([declared], lambda k: "max")) == [None]:
         raise ValueError(f"max {declared} is not a declared vertex")
     return g.freeze()
 

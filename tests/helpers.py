@@ -1,13 +1,18 @@
 """Hand-built fixture graphs, mutation helpers, and the reference graph
-passes and axiom checker shared by the tests."""
+passes, axiom checker and synthesis merges shared by the tests."""
 
 import random
 from itertools import product
 
 from b2crystal.axioms import CheckReport, Violation
-from b2crystal.cartan import B2, add_counts, classify_pair
-from b2crystal.errors import InconsistentWeight, NonTerminating, UnsupportedPair
-from b2crystal.graph import ColoredGraph, GraphViolation
+from b2crystal.cartan import B2, add_counts, classify_all_pairs, classify_pair
+from b2crystal.errors import (
+    InconsistentWeight,
+    NonTerminating,
+    SynthesisInconsistency,
+    UnsupportedPair,
+)
+from b2crystal.graph import ColoredGraph, GraphViolation, delta
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -564,3 +569,88 @@ def reference_check_all(g, A, expected_phi0=None):
             )
     report.violations = _sorted(report.violations)
     return report
+
+
+# -- reference synthesis merges --------------------------------------------------
+#
+# builder._collect_merges as it was before the synthesizer read the checker's
+# rule table: each lowering-side rule written out again over the synthesis
+# state, with its own delta tests and words.  The pinned-synthesis test
+# requires synthesize to build exactly the documents it builds with this
+# patched in.
+
+def reference_collect_merges(st, k, uf, candidates):
+    """Fire every lowering-side axiom whose conclusion lands in layer k."""
+    A = st.A
+    types = classify_all_pairs(A)
+    up, down, descend = st.g.up, st.g.down, st.g.descend
+    eps, phi = st.eps, st.phi
+
+    def merge(c1, c2, reason):
+        for c in (c1, c2):
+            if c not in candidates:
+                raise SynthesisInconsistency(
+                    f"layer {k}: {reason} forces child {c} but its statistic is 0"
+                )
+        uf.union(c1, c2)
+
+    # squares: one step of each color commutes when the lowering delta is flat
+    for w in st.layer(k - 2):
+        for i, j in A.pairs():
+            fi, fj = down[i][w], down[j][w]
+            if fi is None or fj is None:
+                continue
+            if delta(down, phi, i, j, w) == 0:
+                merge((fi, j), (fj, i), f"square at {w} ({i},{j})")
+
+    # length-4 confluence for every pair with a (1,1) lowering profile
+    for w in st.layer(k - 4):
+        for ai, i in enumerate(A.colors):
+            for j in A.colors[ai + 1:]:
+                if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 1):
+                    continue
+                p = descend(w, (i, j, j))
+                q = descend(w, (j, i, i))
+                if p is None or q is None:
+                    raise SynthesisInconsistency(
+                        f"layer {k}: length-4 confluence at {w} lost its prefix"
+                    )
+                merge((p, i), (q, j), f"length-4 confluence at {w}")
+
+    b2_pairs = [(i, j) for (i, j), t in types.items() if t == B2]
+
+    # pentagon merges (two hypotheses share one conclusion)
+    for w in st.layer(k - 5):
+        for i, j in b2_pairs:
+            dp = (delta(down, phi, i, j, w), delta(down, phi, j, i, w))
+            fire = False
+            if dp == (1, 1) and phi[i][w] >= 2:
+                fire = True
+            elif dp == (0, 2):
+                v = descend(w, (i, i))
+                if v is not None and delta(down, phi, j, i, v) == 0:
+                    fire = True
+            if not fire:
+                continue
+            p = descend(w, (i, i, j, j))
+            q = descend(w, (j, i, i, i))
+            if p is None or q is None:
+                raise SynthesisInconsistency(f"layer {k}: pentagon at {w} lost its prefix")
+            merge((p, i), (q, j), f"pentagon at {w}")
+
+    # depth-7 diamond
+    for w in st.layer(k - 7):
+        for i, j in b2_pairs:
+            if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 2):
+                continue
+            y = descend(w, (j, i, i))
+            y1 = descend(w, (i, j, j, i, i))
+            if y is None or y1 is None:
+                raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its branch points")
+            if (delta(up, eps, i, j, y), delta(up, eps, i, j, y1)) != (0, 1):
+                continue
+            p = descend(w, (i, j, j, i, i, i))
+            q = descend(w, (j, i, i, i, j, j))
+            if p is None or q is None:
+                raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
+            merge((q, i), (p, j), f"diamond at {w}")

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 
 from b2crystal import axioms, builder, pbw
 from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
+from b2crystal.cli import graph_to_doc
 from b2crystal.errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -11,7 +14,7 @@ from b2crystal.errors import (
 )
 from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
-from helpers import copy_mutable, deletion_mutants
+from helpers import copy_mutable, deletion_mutants, reference_collect_merges
 
 A = b2_gcm()
 
@@ -82,6 +85,27 @@ def test_synthesis_deterministic():
     g1 = builder.synthesize(A, (2, 2))
     g2 = builder.synthesize(A, (2, 2))
     assert g1.vertices() == g2.vertices() and g1.edges() == g2.edges()
+
+
+def test_synthesized_documents_pinned(monkeypatch):
+    # merges read from the checker's rule table build exactly the documents
+    # and statistics that the written-out reference merges build
+    A3 = GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    cases = [(A, lam) for lam in product(range(5), repeat=2)]
+    cases += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
+    cases.append((A3, (1, 1, 1)))
+
+    def build():
+        out = []
+        for M, lam in cases:
+            g = builder.synthesize(M, lam)
+            out.append((graph_to_doc(g, stats=g.synthesis_stats), g.synthesis_stats))
+        return out
+
+    shared = build()
+    monkeypatch.setattr(builder, "_collect_merges", reference_collect_merges)
+    for (M, lam), got, want in zip(cases, shared, build()):
+        assert got == want, (M, lam)
 
 
 def test_layer_grading_homogeneous():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,17 @@ def test_gcm_validation():
         GCM([[1, -1], [-1, 2]])  # bad diagonal
     with pytest.raises(ValueError):
         GCM([[2, -1], [-1, 2]], index_set=[1, 1])  # repeated color
+
+
+def test_gcm_refuses_truncated_entries():
+    # a boolean or a fractional entry is refused by name, not truncated;
+    # integral floats and numeric strings read as int() reads them
+    for rows, index_set, entry in (([[2, -2.5], [-1, 2]], None, "a[1,2] -2.5"),
+                                   ([[2, -1], [-1.5, 2]], [3, 7], "a[7,3] -1.5"),
+                                   ([[2, True], [-1, 2]], None, "a[1,2] True")):
+        with pytest.raises(ValueError, match=re.escape(f"Cartan entry {entry} is not an integer")):
+            GCM(rows, index_set=index_set)
+    assert GCM([[2.0, "-2"], [-1, "2"]]) == b2_gcm()
 
 
 def test_pairing_of_root_count_examples():

@@ -180,13 +180,16 @@ def test_check_integer_fields(docs, tmp_path, capsys):
     doc = json.load(open(docs["pbw11"]))
     path = tmp_path / "edited.json"
     for edit, message in (({"vertices": [{"id": 0.5}] + doc["vertices"][1:]}, "id 0.5 is not an integer"),
-                          ({"index_set": [1, 2.5]}, "index_set entry 2.5 is not an integer")):
+                          ({"index_set": [1, 2.5]}, "index_set entry 2.5 is not an integer"),
+                          ({"cartan": [[2, -2.5], [-1, 2]]}, "Cartan entry a[1,2] -2.5 is not an integer"),
+                          ({"cartan": [[2, -2], [True, 2]]}, "Cartan entry a[2,1] True is not an integer")):
         json.dump({**doc, **edit}, open(path, "w"))
         capsys.readouterr()
         assert main(["check", "--in", str(path)]) == 2
         assert message in capsys.readouterr().err
     edges = [{"from": str(e["from"]), "to": float(e["to"]), "color": e["color"]} for e in doc["edges"]]
-    json.dump({**doc, "edges": edges, "index_set": ["1", 2.0], "max": "0"}, open(path, "w"))
+    json.dump({**doc, "edges": edges, "index_set": ["1", 2.0], "cartan": [[2.0, "-2"], [-1, 2]], "max": "0"},
+              open(path, "w"))
     assert main(["check", "--in", str(path)]) == 0
     assert doc_to_graph(json.load(open(path))).edges() == doc_to_graph(doc).edges()
 
@@ -251,6 +254,17 @@ def test_custom_gcm(tmp_path):
     doc = json.load(open(out))
     assert len(doc["vertices"]) == 8
     assert main(["check", "--in", str(out)]) == 0
+
+
+def test_custom_gcm_refuses_fractional_entry(tmp_path, capsys):
+    # -1.5 would otherwise be truncated to the A2 matrix
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"index_set": [1, 2], "cartan": [[2, -1.5], [-1, 2]]}))
+    out = tmp_path / "m_crystal.json"
+    assert main(["gen", "--gcm", f"custom:{spec}", "--hw", "1,1", "--method", "axioms",
+                 "--out", str(out)]) == 2
+    assert "Cartan entry a[1,2] -1.5 is not an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_paper_cli(capsys):
