@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .axioms import check_all, lowering, rule_pairs, scan
-from .cartan import classify_all_pairs, pairing_of_root_count
+from .cartan import b2_gcm, classify_all_pairs, pairing_of_root_count
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -310,13 +310,13 @@ def _match(X, rx, Y, ry):
     return IsoMap(dict(zip(xid, map(yid.__getitem__, h))))
 
 
-def verify_reversal_involution(lam):
+def verify_reversal_involution(lam, g=None):
     """Arrow reversal of a generated crystal is again a certified crystal,
-    isomorphic to the original with raising and lowering swapped."""
-    from .cartan import b2_gcm
-    from .pbw import generate
+    isomorphic to the original with raising and lowering swapped.  g is the
+    frozen crystal generate(lam), generated here when not given."""
+    from .pbw import generate  # read at call time, so a patched pbw.generate is seen
 
-    g = generate(lam)
+    g = generate(lam) if g is None else g
     r = g.reverse()
     A = b2_gcm()
     rep = check_all(r, A)

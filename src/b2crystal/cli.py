@@ -155,7 +155,8 @@ def _load_gcm(name):
         return _GCMS[name]()
     if name.startswith("custom:"):
         spec = load_doc(name[len("custom:"):])
-        return GCM(spec["cartan"], index_set=spec.get("index_set"))
+        colors = spec.get("index_set")  # None takes the default 1..n
+        return GCM(spec["cartan"], index_set=colors and integers(colors, lambda k: "index_set entry"))
     raise ValueError(f"unknown matrix {name!r} (use b2, b3 or custom:<path>)")
 
 

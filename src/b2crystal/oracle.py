@@ -157,7 +157,7 @@ def _dpp(m, lam):
     )
 
 
-def verify_kakunin1(lam):
+def verify_kakunin1(lam, g=None):
     """Forks with raising deltas (1,2): set identity, case split, merges.
 
     The elements split into three parametrized families with lowering
@@ -166,7 +166,7 @@ def verify_kakunin1(lam):
     equalities, checked by navigation.
     """
     rep = VerificationReport(f"fork(1,2) classification at {lam}")
-    g = pbw.generate(lam)
+    g = pbw.generate(lam) if g is None else g
     rep.domain_size = len(g)
     hits = set()
     for v in g.vertices():
@@ -246,11 +246,11 @@ def verify_kakunin1(lam):
     return rep
 
 
-def verify_kakunin2(lam):
+def verify_kakunin2(lam, g=None):
     """Forks with deltas (1,1) and a raising 1-string of length >= 2:
     one parametrized family, closing pentagon with the stated meet."""
     rep = VerificationReport(f"fork(1,1) pentagon at {lam}")
-    g = pbw.generate(lam)
+    g = pbw.generate(lam) if g is None else g
     rep.domain_size = len(g)
     hits = set()
     for v in g.vertices():
@@ -287,11 +287,11 @@ def verify_kakunin2(lam):
     return rep
 
 
-def verify_kakunin3(lam):
+def verify_kakunin3(lam, g=None):
     """Forks with deltas (0,2) and a flat raising ledge two steps up:
     one parametrized family, closing pentagon with the stated meet."""
     rep = VerificationReport(f"fork(0,2) pentagon at {lam}")
-    g = pbw.generate(lam)
+    g = pbw.generate(lam) if g is None else g
     rep.domain_size = len(g)
     hits = set()
     for v in g.vertices():
@@ -337,9 +337,9 @@ def verify_kakunin3(lam):
     return rep
 
 
-def verify_reversal(lam):
+def verify_reversal(lam, g=None):
     rep = VerificationReport(f"arrow-reversal involution at {lam}", domain_size=weyl_dim_b2(*lam))
-    if not verify_reversal_involution(lam):
+    if not verify_reversal_involution(lam, g):
         rep.add(f"{lam}: reversal is not an involutive crystal symmetry")
     return rep
 
@@ -402,20 +402,23 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
 
 
 def run_verification(max_hw=3, max_box=8, extra=((4, 4),)):
-    """The whole desk-scale battery; returns the list of reports."""
+    """The whole desk-scale battery; returns the list of reports.  Each weight's
+    crystal is generated once, shared by its fork, reversal and dimension suites."""
     reports = [verify_lemmas(max_box)]
     grid = [(a, b) for a in range(max_hw + 1) for b in range(max_hw + 1)]
-    for lam in list(grid) + [t for t in extra if t not in grid]:
-        reports.append(verify_kakunin1(lam))
-        reports.append(verify_kakunin2(lam))
-        reports.append(verify_kakunin3(lam))
+    weights = grid + [t for t in extra if t not in grid]
+    crystals = {lam: pbw.generate(lam) for lam in weights}
+    for lam in weights:
+        reports.append(verify_kakunin1(lam, crystals[lam]))
+        reports.append(verify_kakunin2(lam, crystals[lam]))
+        reports.append(verify_kakunin3(lam, crystals[lam]))
     for lam in grid:
-        reports.append(verify_reversal(lam))
+        reports.append(verify_reversal(lam, crystals[lam]))
     dims = VerificationReport(f"vertex counts vs dimension formula [0,{max_hw}]^2",
                               domain_size=len(grid))
     A = b2_gcm()
     for lam in grid:
-        got = len(pbw.generate(lam))
+        got = len(crystals[lam])
         want = weyl_dim_b2(*lam)
         if got != want:
             dims.add(f"{lam}: generated {got}, formula {want}")

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import kernel
 from .cartan import b2_gcm
-from .errors import BudgetExceeded, HypothesisNotMet, MembershipViolation
+from .errors import BudgetExceeded, DuplicateEdge, HypothesisNotMet, MembershipViolation
 from .graph import ColoredGraph
 
 Nat4 = Tuple[int, int, int, int]
@@ -101,12 +101,12 @@ def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement
             return PbwElement(kernel.r_inverse(nx), nx)
     elif direction == "f":
         if i == 1:
-            if lam is not None and elem_stats(m, lam).phi1 <= 0:
+            if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
                 return None
             na = (a[0] + 1, a[1], a[2], a[3])
             return PbwElement(na, kernel.r_transfer(na))
         if i == 2:
-            if lam is not None and elem_stats(m, lam).phi2 <= 0:
+            if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
                 return None
             nx = (x[0] + 1, x[1], x[2], x[3])
             return PbwElement(kernel.r_inverse(nx), nx)
@@ -124,6 +124,12 @@ def elem_walk(m, ops, lam=None):
     return m
 
 
+# the elem_stats fields less their lam terms, which cancel in a difference
+_STATS = {("eps", 1): lambda m: m.a[0], ("eps", 2): lambda m: m.x[0],
+          ("phi", 1): lambda m: m.a[0] + 2 * (m.x[0] - m.x[2] - m.x[3]),
+          ("phi", 2): lambda m: m.x[3] - m.x[0] - m.x[1]}
+
+
 def elem_delta(m, direction, stat, i, j, lam=None):
     """Change of the j-statistic across one i-step, by element navigation.
 
@@ -133,8 +139,8 @@ def elem_delta(m, direction, stat, i, j, lam=None):
     w = kashiwara_step(m, direction, i, lam)
     if w is None:
         raise HypothesisNotMet(f"{direction}_{i} undefined at {m}")
-    field = {("eps", 1): 0, ("eps", 2): 1, ("phi", 1): 2, ("phi", 2): 3}[(stat, j)]
-    return elem_stats(w, lam)[field] - elem_stats(m, lam)[field]
+    f = _STATS[stat, j]
+    return f(w) - f(m)
 
 
 # -- highest-weight membership ---------------------------------------------
@@ -170,22 +176,19 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
 
     BFS order (color 1 before color 2, FIFO) fixes vertex ids.  The
     membership predicate is asserted on every vertex so a wrong cutoff
-    rule surfaces as MembershipViolation instead of a silent drift.
+    rule surfaces as MembershipViolation instead of a silent drift.  The
+    graph is loaded in bulk after the BFS; two i-arrows into one vertex raise DuplicateEdge.
     """
     l1, l2 = lam
     if l1 < 0 or l2 < 0:
         raise ValueError("highest weight pairings must be nonnegative")
-    g = ColoredGraph((1, 2), cartan=b2_gcm())
-    ids = {ZERO: g.add_vertex(label=ZERO)}
-    queue = [ZERO]
-    head = 0
     pred = MEMBERSHIP_RULES[membership]
     if not pred(ZERO, lam):
         raise MembershipViolation(f"zero element rejected by rule {membership!r}")
-    while head < len(queue):
-        m = queue[head]
-        head += 1
-        for i in (1, 2):
+    labels, ids = [ZERO], {ZERO: 0}  # the vertex with id k is labels[k]
+    arrows = {1: ([], []), 2: ([], [])}
+    for k, m in enumerate(labels):  # labels grows as the BFS queue
+        for i, (srcs, dsts) in arrows.items():
             child = kashiwara_step(m, "f", i, lam)
             if child is None:
                 continue
@@ -197,10 +200,17 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
                     raise MembershipViolation(
                         f"{child} reached by lowering but rejected by rule {membership!r}"
                     )
-                cid = g.add_vertex(label=child)
-                ids[child] = cid
-                queue.append(child)
-            g.add_edge(ids[m], cid, i)
+                cid = ids[child] = len(labels)
+                labels.append(child)
+            srcs.append(k)
+            dsts.append(cid)
+    g = ColoredGraph((1, 2), cartan=b2_gcm())
+    g.add_vertices(range(len(labels)), labels)
+    for i, (srcs, dsts) in arrows.items():
+        if len(set(dsts)) < len(dsts):  # sources cannot repeat: each element steps once per color
+            d = next(d for d in dsts if dsts.count(d) > 1)
+            raise DuplicateEdge(f"vertex {d} already has an incoming {i}-arrow")
+        g.add_arrows(i, srcs, dsts)
     return g.freeze()
 
 

@@ -267,6 +267,18 @@ def test_custom_gcm_refuses_fractional_entry(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_custom_gcm_refuses_non_integral_index_set(tmp_path, capsys, entry):
+    # GCM would take these as colors and write a document check refuses
+    spec = tmp_path / "m.json"
+    spec.write_text(json.dumps({"index_set": [entry, 2], "cartan": [[2, -1], [-1, 2]]}))
+    out = tmp_path / "m_crystal.json"
+    assert main(["gen", "--gcm", f"custom:{spec}", "--hw", "1,1", "--method", "axioms",
+                 "--out", str(out)]) == 2
+    assert f"index_set entry {entry} is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_paper_cli(capsys):
     assert main(["verify-paper", "--max-hw", "1", "--max-box", "3"]) == 0
     out = capsys.readouterr().out

@@ -125,3 +125,24 @@ def test_report_serialization_and_rows():
 def test_run_verification_battery():
     reports = oracle.run_verification(max_hw=1, max_box=3, extra=())
     assert reports and all(r.passed for r in reports)
+
+
+def test_battery_generates_each_weight_once(monkeypatch):
+    calls, generate = [], pbw.generate
+
+    def counted(lam, *args, **kwargs):
+        calls.append(lam)
+        return generate(lam, *args, **kwargs)
+
+    monkeypatch.setattr(pbw, "generate", counted)
+    reports = oracle.run_verification(max_hw=2, max_box=3, extra=((3, 1),))
+    grid = [(a, b) for a in range(3) for b in range(3)]
+    assert sorted(calls) == sorted(grid + [(3, 1)])
+    # each suite called alone, on a graph of its own, reports the same
+    alone = [oracle.verify_lemmas(3)]
+    for lam in grid + [(3, 1)]:
+        alone += [oracle.verify_kakunin1(lam), oracle.verify_kakunin2(lam), oracle.verify_kakunin3(lam)]
+    alone += [oracle.verify_reversal(lam) for lam in grid]
+    assert [r.to_dict() for r in reports[:-1]] == [r.to_dict() for r in alone]
+    assert reports[-1].to_dict() == {"claim": "vertex counts vs dimension formula [0,2]^2",
+                                     "domain_size": 9, "pass": True, "counterexamples": []}

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from itertools import chain, product
 
 import pytest
 
 from b2crystal import kernel, pbw
-from b2crystal.errors import BudgetExceeded, HypothesisNotMet, MembershipViolation
+from b2crystal.cli import graph_to_doc
+from b2crystal.errors import BudgetExceeded, DuplicateEdge, HypothesisNotMet, MembershipViolation
 from b2crystal.oracle import weyl_dim_b2
 from helpers import LARGE_BOX
 
@@ -104,6 +107,28 @@ def test_step_statistics_identities():
             assert st2[phi_field] == st[phi_field] - 1
 
 
+def test_steps_and_deltas_match_elem_stats():
+    # kashiwara_step's inline guards and elem_delta's statistic table
+    # against the elem_stats fields (eps1, eps2, phi1, phi2)
+    for a, lam in product(product(range(4), repeat=4), [None, (0, 0), (1, 2), (3, 1)]):
+        m = pbw.PbwElement.from_a(a)
+        st = pbw.elem_stats(m, lam)
+        for direction, i in product("ef", (1, 2)):
+            w = pbw.kashiwara_step(m, direction, i, lam)
+            if direction == "e":
+                assert (w is None) == (st[i - 1] <= 0), (m, direction, i)
+            else:
+                assert (w is None) == (lam is not None and st[i + 1] <= 0), (m, lam, i)
+            for stat, j in product(("eps", "phi"), (1, 2)):
+                field = j - 1 if stat == "eps" else j + 1
+                if w is None:
+                    with pytest.raises(HypothesisNotMet):
+                        pbw.elem_delta(m, direction, stat, i, j, lam)
+                else:
+                    want = pbw.elem_stats(w, lam)[field] - st[field]
+                    assert pbw.elem_delta(m, direction, stat, i, j, lam) == want
+
+
 def test_generate_counts():
     assert len(pbw.generate((0, 0))) == 1
     assert len(pbw.generate((1, 1))) == 16
@@ -140,6 +165,30 @@ def test_generate_deterministic_ids():
     e1 = pbw.generate((2, 1)).edges()
     e2 = pbw.generate((2, 1)).edges()
     assert e1 == e2
+
+
+@pytest.mark.parametrize("lam, digest", [
+    ((0, 0), "1fbc291fb250a465be1bec9c1802db7d5037ee543f7ab2c38ab8da8360761140"),
+    ((2, 1), "05fed32f62ce81442b70811744b981e8fd6bda4a899032660b2a42d676ac99d1"),
+    ((4, 4), "c6ab2a723da004b9977b6e2508b3eb609031b1a6a5b8b529732118723f73f67c"),
+], ids=["0,0", "2,1", "4,4"])
+def test_generate_document_pinned(lam, digest):
+    # ids in BFS order, labels and arrow order, as the compact document pins them
+    text = json.dumps(graph_to_doc(pbw.generate(lam)), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generate_refuses_two_arrows_into_one_vertex(monkeypatch):
+    # a broken step with f1(f2(0)) = f1(0) gives f1(0) two incoming 1-arrows
+    step = pbw.kashiwara_step
+    f2 = step(pbw.ZERO, "f", 2, (1, 1))
+
+    def merged(m, direction, i, lam=None):
+        return step(pbw.ZERO if (m, direction, i) == (f2, "f", 1) else m, direction, i, lam)
+
+    monkeypatch.setattr(pbw, "kashiwara_step", merged)
+    with pytest.raises(DuplicateEdge):
+        pbw.generate((1, 1))
 
 
 def test_generate_budget():
