@@ -410,9 +410,6 @@ class CheckReport:
     max_element: Optional[int] = None
     phi0: Optional[dict] = None
     n_vertices: int = 0
-    # wt_assign of the maximum element, kept for build_isomorphism's layers;
-    # not part of to_dict()
-    grading: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -459,7 +456,7 @@ def check_all(g, A, expected_phi0=None):
     report.max_element = x0
 
     try:
-        report.grading = g.wt_assign(x0)
+        g.wt_assign(x0)
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")

@@ -1,5 +1,5 @@
 """Synthesis of the unique axiom-satisfying graph from a highest weight,
-and the layered isomorphism between two such graphs.
+and the isomorphism between two such graphs.
 
 Synthesis grows the graph one distance layer at a time.  Each vertex of
 the previous layer contributes one child candidate per color with a
@@ -11,13 +11,17 @@ statistics of new vertices come from their parents; lowering statistics
 are defined through the weight grading and the top statistics, and a
 final full check certifies the result (a wrong merge or a missed one
 cannot survive it silently).
+
+The isomorphism is one breadth-first walk over both graphs from their
+maximum elements: the i-child of a mapped vertex goes to the i-child of
+its image, which checks every arrow of both graphs on the way.
 """
 
+from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .axioms import check_all, lowering, rule_pairs, scan
-from .cartan import b2_gcm, classify_all_pairs, pairing_of_root_count
+from .cartan import b2_gcm, pairing_of_root_count
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -124,7 +128,6 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
         raise ValueError("phi0 must assign every color")
     if any(v < 0 for v in phi0.values()):
         raise ValueError("top statistics must be nonnegative")
-    classify_all_pairs(A)  # raises UnsupportedPair early
 
     st = _Build(A, phi0)
     k = 0
@@ -202,39 +205,16 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
     return g
 
 
-@dataclass
-class IsoMap:
-    forward: dict
-
-    def __getitem__(self, v):
-        return self.forward[v]
-
-    def pairs(self):
-        return [[x, y] for x, y in sorted(self.forward.items())]
-
-    def __len__(self):
-        return len(self.forward)
-
-
-def _layers(g, report):
-    """g's positions by distance from the maximum element, each layer in
-    increasing order."""
-    layers = {}
-    grading = report.grading
-    for k, v in enumerate(g.ids):
-        layers.setdefault(grading[v][1], []).append(k)
-    return [layers[d] for d in sorted(layers)]
-
-
 def build_isomorphism(X, Y, gcm=None):
     """The unique color-preserving isomorphism between two certified graphs.
 
     Both inputs must have the matrix's colors and pass check_all for it
     (CertificationFailed otherwise, the first graph tested first), list
     their colors in one order and agree on the top statistics (PrereqFailed
-    otherwise).
-    Constructed layer by layer: the image of a vertex is the i-child of the
-    image of any of its i-parents, and every parent choice must agree.
+    otherwise).  Returns the map as a dict from X's ids to Y's.
+    Found by one walk from the maximum elements: for each mapped vertex and
+    color, both i-children are missing or both present, and the image of
+    the child is the child of the image (NotIsomorphic otherwise).
     """
     A = gcm or X.cartan or Y.cartan
     if A is None:
@@ -262,52 +242,35 @@ def _match(X, rx, Y, ry):
     if rx.phi0 != ry.phi0:
         raise PrereqFailed(f"top statistics differ: {rx.phi0} vs {ry.phi0}")
 
-    lx = _layers(X, rx)
-    ly = _layers(Y, ry)
-    if [len(l) for l in lx] != [len(l) for l in ly]:
-        raise NotIsomorphic(0, f"layer profiles differ: {[len(l) for l in lx]} vs {[len(l) for l in ly]}")
-
-    # h maps X's positions to Y's; ids appear only in the messages
+    # h maps X's positions to Y's and hit marks its image; ids are for messages
     xid, yid = X.ids, Y.ids
-    h = [None] * len(X)
-    h[lx[0][0]] = ly[0][0]
-    for k in range(1, len(lx)):
-        taken = set()
-        for x in lx[k]:
-            images = set()
-            for i in X.colors:
-                p = X.up[i][x]
-                if p is None:
-                    continue
-                q = Y.down[i][h[p]]
-                if q is None:
-                    raise NotIsomorphic(k, f"image of parent of {xid[x]} has no {i}-child")
-                images.add(q)
-            if len(images) != 1:
-                raise NotIsomorphic(k, f"parent images of {xid[x]} disagree: {sorted(yid[q] for q in images)}")
-            (y,) = images
-            if y in taken:
-                raise NotIsomorphic(k, f"two vertices map onto {yid[y]}")
-            taken.add(y)
-            h[x] = y
-        if taken != set(ly[k]):
-            raise NotIsomorphic(k, "layer image is not the whole target layer")
-
-    # edge preservation both ways, and string statistics
-    for i in X.colors:
-        y_down = Y.down[i]
-        for u, v in zip(*X.arrows[i]):
-            if y_down[h[u]] != h[v]:
-                raise NotIsomorphic(-1, f"edge ({xid[u]},{xid[v]},{i}) not preserved")
-    if len(h) != len(Y):
-        raise NotIsomorphic(-1, "map is not onto")
+    h, hit = [None] * len(X), [False] * len(Y)
+    x0, y0 = bisect_left(xid, rx.max_element), bisect_left(yid, ry.max_element)
+    h[x0], hit[y0] = y0, True
+    queue = [x0]
+    for x in queue:
+        for i in X.colors:
+            u, v = X.down[i][x], Y.down[i][h[x]]
+            if (u is None) != (v is None):
+                raise NotIsomorphic(f"{i}-child at only one of {xid[x]} and its image {yid[h[x]]}")
+            if u is None:
+                continue
+            if h[u] is None:
+                if hit[v]:
+                    raise NotIsomorphic(f"two vertices map onto {yid[v]}")
+                h[u], hit[v] = v, True
+                queue.append(u)
+            elif h[u] != v:
+                raise NotIsomorphic(f"edge ({xid[x]},{xid[u]},{i}) not preserved")
+    if len(X) != len(Y):
+        raise NotIsomorphic("map is not onto")
     ex, px = X.tables()
     ey, py = Y.tables()
     for x, y in enumerate(h):
         for i in X.colors:
             if ex[i][x] != ey[i][y] or px[i][x] != py[i][y]:
-                raise NotIsomorphic(-1, f"string statistics differ at {xid[x]}")
-    return IsoMap(dict(zip(xid, map(yid.__getitem__, h))))
+                raise NotIsomorphic(f"string statistics differ at {xid[x]}")
+    return dict(zip(xid, map(yid.__getitem__, h)))
 
 
 def verify_reversal_involution(lam, g=None):

@@ -127,7 +127,10 @@ def dump_doc(doc, path):
 
 def load_doc(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def graph_to_dot(g):
@@ -224,7 +227,7 @@ def cmd_iso(args):
         return EXIT_FAIL
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(iso.pairs(), fh, indent=None)
+            json.dump(sorted(map(list, iso.items())), fh, indent=None)
             fh.write("\n")
     print(f"isomorphic on {len(iso)} vertices")
     return EXIT_PASS

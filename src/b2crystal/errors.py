@@ -50,9 +50,6 @@ class CertificationFailed(PrereqFailed):
 
 
 class NotIsomorphic(ValueError):
-    """The layered isomorphism construction broke down."""
-
-    def __init__(self, layer, detail):
-        self.layer = layer
-        self.detail = detail
-        super().__init__(f"layer {layer}: {detail}")
+    """The walk from the maximum elements found the two graphs differ: an
+    arrow without a counterpart, two vertices with one image, a map that is
+    not onto, or unequal string statistics."""

@@ -109,14 +109,19 @@ def duplicate_mutants(g):
         yield edge, mut.freeze()
 
 
-def relabelled(g, seed):
-    """Copy of g with vertex v renamed 1000 + 7*pi(v), pi a seeded
-    permutation, so that no id equals its position in sorted order."""
+def renaming(g, seed):
+    """Vertex v -> 1000 + 7*pi(v), pi a seeded permutation, so that no new
+    id equals its position in sorted order."""
     ids = g.vertices()
     perm = random.Random(seed).sample(range(len(ids)), len(ids))
-    name = {v: 1000 + 7 * k for v, k in zip(ids, perm)}
+    return {v: 1000 + 7 * k for v, k in zip(ids, perm)}
+
+
+def relabelled(g, seed):
+    """Copy of g with each vertex v renamed renaming(g, seed)[v]."""
+    name = renaming(g, seed)
     out = ColoredGraph(g.colors, cartan=g.cartan)
-    for v in ids:
+    for v in g.vertices():
         out.add_vertex(vid=name[v], label=g.label(v))
     for s, d, c in g.edges():
         out.add_edge_unchecked(name[s], name[d], c)
@@ -546,7 +551,7 @@ def reference_check_all(g, A, expected_phi0=None):
     report.max_element = x0
 
     try:
-        report.grading = reference_wt_assign(g, x0)
+        reference_wt_assign(g, x0)
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from b2crystal.errors import (
 )
 from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
-from helpers import copy_mutable, deletion_mutants, reference_collect_merges
+from helpers import copy_mutable, deletion_mutants, reference_collect_merges, relabelled, renaming
 
 A = b2_gcm()
 
@@ -77,8 +77,70 @@ def test_not_isomorphic_same_profile():
     # two certified graphs with equal top statistics for different matrices
     # cannot arise; instead check that a mangled target is refused loudly
     g = pbw.generate((1, 1))
-    with pytest.raises((PrereqFailed, NotIsomorphic)):
+    with pytest.raises(PrereqFailed, match=r"top statistics differ: \{1: 1, 2: 1\} vs \{1: 1, 2: 2\}"):
         builder.build_isomorphism(g, pbw.generate((1, 2)))
+
+
+def _rebuilt(g, edges, extra=0):
+    """g's vertices plus `extra` new ones, joined by the given arrows."""
+    out = ColoredGraph(g.colors, cartan=g.cartan)
+    for v in range(len(g) + extra):
+        out.add_vertex(vid=v)
+    for edge in edges:
+        out.add_edge_unchecked(*edge)
+    return out.freeze()
+
+
+def _refusals(g, rep, mut):
+    """Why _match refuses mut, passed first and then second, against the
+    certified g with its report rep; mut gets a forged passing report."""
+    forged = axioms.CheckReport(max_element=0, phi0=rep.phi0, n_vertices=len(mut))
+    assert forged.passed
+    out = []
+    for args in ((mut, forged, g, rep), (g, rep, mut, forged)):
+        with pytest.raises(NotIsomorphic) as exc:
+            builder._match(*args)
+        out.append(str(exc.value))
+    return out
+
+
+def test_walk_refuses_mutants_with_forged_reports():
+    # the walk itself, given passing reports, catches a graph that is not
+    # the crystal: a missing arrow, two swapped targets, an extra vertex
+    g = pbw.generate((2, 1))
+    rep = axioms.check_all(g, A)
+    edges = g.edges()
+    intact = _rebuilt(g, edges)
+    forged = axioms.CheckReport(max_element=0, phi0=rep.phi0, n_vertices=len(intact))
+    assert builder._match(intact, forged, g, rep) == {v: v for v in g.vertices()}
+    # the map is the identity down to the source of a deleted arrow
+    for k, (s, _, c) in enumerate(edges):
+        mut = _rebuilt(g, edges[:k] + edges[k + 1:])
+        assert _refusals(g, rep, mut) == [f"{c}-child at only one of {s} and its image {s}"] * 2
+    # swapping the targets of two same-colored arrows out of one distance
+    # layer keeps every arrow going one layer down, so the graph stays acyclic
+    dist = {v: d for v, (_, d) in g.wt_assign(0).items()}
+    seen = []
+    for a, b in combinations(edges, 2):
+        if a[2] == b[2] and dist[a[0]] == dist[b[0]]:
+            rest = [e for e in edges if e not in (a, b)]
+            seen += _refusals(g, rep, _rebuilt(g, rest + [(a[0], b[1], a[2]), (b[0], a[1], a[2])]))
+    for reason in ("-child at only one of", "two vertices map onto", "not preserved"):
+        assert any(reason in m for m in seen), reason
+    assert _refusals(g, rep, _rebuilt(g, edges, extra=1)) == ["map is not onto"] * 2
+    leaf = next(v for v in g.vertices() if g.f_step(2, v) is None)
+    mut = _rebuilt(g, edges + [(leaf, len(g), 2)], extra=1)
+    assert _refusals(g, rep, mut) == [f"2-child at only one of {leaf} and its image {leaf}"] * 2
+
+
+def test_isomorphism_is_the_renaming():
+    # the certified map is unique, so it is exactly the renaming that made
+    # the copy
+    graphs = [pbw.generate(lam) for lam in [(0, 0), (1, 1), (2, 1), (0, 3), (3, 2)]]
+    graphs += [builder.synthesize(b3_gcm(), lam) for lam in [(1, 0, 0), (0, 1, 1)]]
+    for g in graphs:
+        for seed in (1, 2):
+            assert builder.build_isomorphism(g, relabelled(g, seed)) == renaming(g, seed)
 
 
 def test_synthesis_deterministic():
@@ -170,9 +232,13 @@ def test_rank3_bigger_weights():
 
 
 def test_unsupported_matrix_rejected():
-    G2ish = GCM([[2, -3], [-1, 2]])
-    with pytest.raises(UnsupportedPair):
-        builder.synthesize(G2ish, (1, 0))
+    for rows, phi0, message in (
+        ([[2, -3], [-1, 2]], (1, 0), r"pair \(1,2\) has off-diagonal entries \(-3, -1\)"),
+        ([[2, -3, 0], [-1, 2, -1], [0, -1, 2]], (1, 0, 0), r"pair \(1,2\) has off-diagonal entries \(-3, -1\)"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -4, 2]], (0, 0, 1), r"pair \(2,3\) has off-diagonal entries \(-1, -4\)"),
+    ):
+        with pytest.raises(UnsupportedPair, match=f"^{message}$"):
+            builder.synthesize(GCM(rows), phi0)
 
 
 def test_budgets():

@@ -14,7 +14,7 @@ from b2crystal.cli import (
     main,
 )
 from b2crystal.graph import ColoredGraph
-from helpers import reference_check_all
+from helpers import reference_check_all, relabelled, renaming
 
 
 @pytest.fixture
@@ -83,6 +83,23 @@ def test_check_malformed(tmp_path):
     assert main(["check", "--in", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--in", "{doc}"],
+    ["iso", "{doc}", "{doc}"],
+    ["export-dot", "--in", "{doc}", "--out", "{out}"],
+    ["gen", "--gcm", "custom:{doc}", "--hw", "1,1", "--out", "{out}"],
+])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    # nesting past the interpreter's recursion limit is a malformed file
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 200_000)
+    capsys.readouterr()
+    assert main([arg.format(doc=doc, out=tmp_path / "out") for arg in command]) == 2
+    out, err = capsys.readouterr()
+    assert str(doc) in err and "nested too deeply" in err
+    assert "Traceback" not in out + err and "RecursionError" not in out + err
+
+
 def test_iso_cross_construction(docs, tmp_path):
     mapping = tmp_path / "map.json"
     assert main(["iso", docs["pbw11"], docs["syn11"], "--out", str(mapping)]) == 0
@@ -90,6 +107,15 @@ def test_iso_cross_construction(docs, tmp_path):
     assert len(pairs) == 16
     assert sorted(p[0] for p in pairs) == list(range(16))
     assert sorted(p[1] for p in pairs) == list(range(16))
+    # the map is unique: against an id-permuted copy it is the permutation
+    g = doc_to_graph(load_doc(docs["pbw11"]))
+    permuted = tmp_path / "permuted.json"
+    dump_doc(graph_to_doc(relabelled(g, 4)), permuted)
+    name = renaming(g, 4)
+    assert main(["iso", docs["pbw11"], str(permuted), "--out", str(mapping)]) == 0
+    assert json.load(open(mapping)) == sorted([v, w] for v, w in name.items())
+    assert main(["iso", str(permuted), docs["pbw11"], "--out", str(mapping)]) == 0
+    assert json.load(open(mapping)) == sorted([w, v] for v, w in name.items())
 
 
 def test_iso_identity(docs, tmp_path):
