@@ -51,5 +51,5 @@ class CertificationFailed(PrereqFailed):
 
 class NotIsomorphic(ValueError):
     """The walk from the maximum elements found the two graphs differ: an
-    arrow without a counterpart, two vertices with one image, a map that is
-    not onto, or unequal string statistics."""
+    arrow without a counterpart, two vertices with one image, or a map that
+    is not onto."""

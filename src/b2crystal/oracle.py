@@ -6,15 +6,20 @@ the classification of two-parent forks with their merge patterns, the
 arrow-reversal symmetry, and the vertex counts against the Weyl dimension
 product formula.  Reports carry the scanned domain size so "verified"
 always names its finite domain.
+
+The fork classes form one table, FORKS, and verify_forks serves all three
+fork suites with one pass over each crystal.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
+from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
 from .builder import verify_reversal_involution
 from .cartan import b2_gcm
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, HypothesisNotMet
 
 
 @dataclass
@@ -111,6 +116,24 @@ def weyl_dim_general(A, lam):
 
 
 # -- the two-parent fork classification ---------------------------------------
+#
+# A fork is an element with eps1, eps2 >= 1; its raising deltas are the eps2
+# change across e1 and the eps1 change across e2.  The classes (1,2), (1,1) and
+# (0,2) are disjoint, so each fork goes to at most one entry of FORKS.  Raising
+# words are digit strings applied left to right: "211" is e2, then e1 twice.
+
+def _up(m, word, lam):
+    return pbw.elem_walk(m, [("e", int(i)) for i in word], lam)
+
+
+def _down_delta(m, i, j, lam):
+    """Change of phi_j across one lowering i-step; None where the step is
+    undefined, so a broken map is reported rather than raised."""
+    try:
+        return pbw.elem_delta(m, "f", "phi", i, j, lam)
+    except HypothesisNotMet:
+        return None
+
 
 def _match_interlocked(m):
     # coordinates ((a,b,a,b),(b,a,b,a)) with a,b >= 1
@@ -139,202 +162,150 @@ def _match_low_middle(m):
     )
 
 
-FORK_CASES = {"interlocked": _match_interlocked, "low_tail": _match_low_tail,
-              "low_middle": _match_low_middle}
+# the (1,2) families, each with its lowering deltas at the branch points y and y'
+FORK_CASES = {"interlocked": (_match_interlocked, (0, 1)), "low_tail": (_match_low_tail, (1, 1)),
+              "low_middle": (_match_low_middle, (0, 0))}
 
 
-def _delta_pair(m, lam):
-    return (
-        pbw.elem_delta(m, "e", "eps", 1, 2, lam),
-        pbw.elem_delta(m, "e", "eps", 2, 1, lam),
-    )
+def _close_12(m, lam, rep):
+    """A (1,2) fork lies in exactly one family, which its lowering deltas at
+    y (up by "211") and y' (up by "12211") tell apart, so (1,0) never occurs;
+    each family closes with its own stated confluence or ledge equalities."""
+    cases = [name for name, (f, _) in FORK_CASES.items() if f(m)]
+    if len(cases) != 1:
+        rep.add(f"{m}: matches cases {cases}, need exactly one")
+        return
+    case = cases[0]
+    y, y1 = _up(m, "211", lam), _up(m, "12211", lam)
+    if y is None or y1 is None:
+        rep.add(f"{m}: branch points missing ({y}, {y1})")
+        return
+    t, want = (_down_delta(y, 1, 2, lam), _down_delta(y1, 1, 2, lam)), FORK_CASES[case][1]
+    if t != want:
+        rep.add(f"{m}: case {case} has branch deltas {t}, want {want}")
+        return
+    if case == "interlocked":
+        ends = [_up(m, w, lam) for w in ("1212112", "1221112", "2111221", "2112121")]
+        if None in ends or len(set(ends)) != 1:
+            rep.add(f"{m}: four words disagree: {ends}")
+            return
+        a, b = m.a[0], m.a[1]
+        zc = ((a - 1, b - 1, a - 1, b - 1), (b - 1, a - 1, b - 1, a - 1))
+        if ends[0] != zc:
+            rep.add(f"{m}: meet {ends[0]} != closed form {zc}")
+        d = (_down_delta(ends[0], 1, 2, lam), _down_delta(ends[0], 2, 1, lam))
+        if d != (1, 2):
+            rep.add(f"{m}: lowering profile at meet is {d}")
+        return
+    if case == "low_tail":
+        w1, w2 = _up(m, "12121", lam), _up(m, "21112", lam)
+        if not (w1 == w2 == y1):
+            rep.add(f"{m}: alternating words miss y' ({w1}, {w2}, {y1})")
+            return
+    f2y1 = pbw.kashiwara_step(y1, "f", 2, lam)
+    e1y = pbw.kashiwara_step(y, "e", 1, lam)
+    if f2y1 is None or f2y1 != e1y:
+        rep.add(f"{m}: ledge equality fails ({f2y1} vs {e1y})")
+    want = 1 if case == "low_tail" else 2
+    if _down_delta(y1, 2, 1, lam) != want:
+        rep.add(f"{m}: delta at y' is not {want}")
+    if case == "low_middle":
+        w = pbw.elem_walk(y1, [("f", 1), ("f", 1)], lam)
+        if w is None or _down_delta(w, 2, 1, lam) != 0:
+            rep.add(f"{m}: delta two steps under y' is not 0")
 
 
-def _dpp(m, lam):
-    return (
-        pbw.elem_delta(m, "f", "phi", 1, 2, lam),
-        pbw.elem_delta(m, "f", "phi", 2, 1, lam),
-    )
+def _pentagon(words, meet, m, lam, rep):
+    """Closing check of a pentagon class: the three raising words agree and
+    end at meet(*m.a)."""
+    ends = [_up(m, w, lam) for w in words]
+    if None in ends or len(set(ends)) != 1:
+        rep.add(f"{m}: pentagon words disagree: {ends}")
+    elif ends[0] != meet(*m.a):
+        rep.add(f"{m}: meet {ends[0]} != closed form {meet(*m.a)}")
 
 
-def verify_kakunin1(lam, g=None):
-    """Forks with raising deltas (1,2): set identity, case split, merges.
+def _family_11(m):
+    # ((a,b,a+1,c),(b+1,a,c,a+2b-2c+1)) with a >= 2, 0 <= c <= b
+    a1, a2, a3, a4 = m.a
+    return (a1 >= 2 and a3 == a1 + 1 and 0 <= a4 <= a2
+            and m.x == (a2 + 1, a1, a4, a1 + 2 * a2 - 2 * a4 + 1))
 
-    The elements split into three parametrized families with lowering
-    profiles (0,1), (1,1), (0,0) at the two branch points; (1,0) never
-    occurs; each case closes with its own stated confluence or ledge
-    equalities, checked by navigation.
-    """
-    rep = VerificationReport(f"fork(1,2) classification at {lam}")
+
+def _family_02(m):
+    # ((a,b,c,a+b-c-1),(b,a-2,b+1,c)) with a >= 2, b >= 1, 0 <= c <= a-2
+    a1, a2, a3, a4 = m.a
+    return (a1 >= 2 and a2 >= 1 and 0 <= a3 <= a1 - 2 and a4 == a1 + a2 - a3 - 1
+            and m.x == (a2, a1 - 2, a2 + 1, a3))
+
+
+def _flat_ledge(m, lam):
+    # two raising 1-steps up, a raising 2-step exists and leaves eps1 as it is
+    mm = _up(m, "11", lam)
+    return pbw.elem_stats(mm, lam).eps2 >= 1 and pbw.elem_delta(mm, "e", "eps", 2, 1, lam) == 0
+
+
+class Fork(NamedTuple):
+    claim: str  # report title, formatted with lam
+    eps1: int  # least eps1 of a fork in the class
+    guard: Optional[Callable]  # guard(m, lam): a further condition on the fork
+    family: Callable  # family(m): the parametrized family the forks must equal
+    close: Callable  # close(m, lam, rep): adds the fork's counterexamples to rep
+
+
+# raising deltas -> class, in report order
+FORKS = {
+    (1, 2): Fork("fork(1,2) classification at {}", 1, None,
+                 lambda m: any(f(m) for f, _ in FORK_CASES.values()), _close_12),
+    (1, 1): Fork("fork(1,1) pentagon at {}", 2, None, _family_11, partial(_pentagon,
+        ("11221", "12121", "21112"),
+        lambda a, b, _, c: ((a - 2, b + 1, a - 2, c), (b + 1, a - 2, c, a + 2 * b - 2 * c)))),
+    (0, 2): Fork("fork(0,2) pentagon at {}", 2, _flat_ledge, _family_02, partial(_pentagon,
+        ("11221", "12112", "21112"),
+        lambda a, b, c, _: ((a - 1, b - 1, c, a + b - c - 2), (b - 1, a - 1, b - 1, c)))),
+}
+
+
+def verify_forks(lam, g=None):
+    """The three fork suites in one pass over the crystal g (generate(lam)
+    when not given); returns their reports in FORKS order.  Each vertex with
+    eps1, eps2 >= 1 has its raising deltas computed once and goes to the one
+    class with those deltas; each class's forks must equal its family."""
     g = pbw.generate(lam) if g is None else g
-    rep.domain_size = len(g)
-    hits = set()
-    for v in g.vertices():
-        m = g.label(v)
+    reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
+    hits = {d: set() for d in FORKS}
+    members = {d: set() for d in FORKS}
+    for m in g.labels:
+        for d, f in FORKS.items():
+            if f.family(m):
+                members[d].add(m)
         st = pbw.elem_stats(m, lam)
         if st.eps1 < 1 or st.eps2 < 1:
             continue
-        if _delta_pair(m, lam) != (1, 2):
+        d = (pbw.elem_delta(m, "e", "eps", 1, 2, lam), pbw.elem_delta(m, "e", "eps", 2, 1, lam))
+        f = FORKS.get(d)
+        if f is None or st.eps1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
             continue
-        hits.add(m)
-        cases = [name for name, f in FORK_CASES.items() if f(m)]
-        if len(cases) != 1:
-            rep.add(f"{m}: matches cases {cases}, need exactly one")
-            continue
-        case = cases[0]
-        y = pbw.elem_walk(m, [("e", 2), ("e", 1), ("e", 1)], lam)
-        y1 = pbw.elem_walk(m, [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1)], lam)
-        if y is None or y1 is None:
-            rep.add(f"{m}: branch points missing ({y}, {y1})")
-            continue
-        t = (
-            pbw.elem_delta(y, "f", "phi", 1, 2, lam),
-            pbw.elem_delta(y1, "f", "phi", 1, 2, lam),
-        )
-        want = {"interlocked": (0, 1), "low_tail": (1, 1), "low_middle": (0, 0)}[case]
-        if t != want:
-            rep.add(f"{m}: case {case} has branch deltas {t}, want {want}")
-            continue
-        if t == (1, 0):
-            rep.add(f"{m}: forbidden branch deltas (1,0)")
-        if case == "interlocked":
-            a, b = m.a[0], m.a[1]
-            words = [
-                [("e", 1), ("e", 2), ("e", 1), ("e", 2), ("e", 1), ("e", 1), ("e", 2)],
-                [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2)],
-                [("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)],
-                [("e", 2), ("e", 1), ("e", 1), ("e", 2), ("e", 1), ("e", 2), ("e", 1)],
-            ]
-            ends = [pbw.elem_walk(m, w, lam) for w in words]
-            if None in ends or len(set(ends)) != 1:
-                rep.add(f"{m}: four words disagree: {ends}")
-                continue
-            z = ends[0]
-            zc = ((a - 1, b - 1, a - 1, b - 1), (b - 1, a - 1, b - 1, a - 1))
-            if z != zc:
-                rep.add(f"{m}: meet {z} != closed form {zc}")
-            if _dpp(z, lam) != (1, 2):
-                rep.add(f"{m}: lowering profile at meet is {_dpp(z, lam)}")
-        elif case == "low_tail":
-            w1 = pbw.elem_walk(m, [("e", 1), ("e", 2), ("e", 1), ("e", 2), ("e", 1)], lam)
-            w2 = pbw.elem_walk(m, [("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2)], lam)
-            if not (w1 == w2 == y1):
-                rep.add(f"{m}: alternating words miss y' ({w1}, {w2}, {y1})")
-                continue
-            f2y1 = pbw.kashiwara_step(y1, "f", 2, lam)
-            e1y = pbw.kashiwara_step(y, "e", 1, lam)
-            if f2y1 is None or f2y1 != e1y:
-                rep.add(f"{m}: ledge equality fails ({f2y1} vs {e1y})")
-            if pbw.elem_delta(y1, "f", "phi", 2, 1, lam) != 1:
-                rep.add(f"{m}: delta at y' is not 1")
-        else:  # low_middle
-            f2y1 = pbw.kashiwara_step(y1, "f", 2, lam)
-            e1y = pbw.kashiwara_step(y, "e", 1, lam)
-            if f2y1 is None or f2y1 != e1y:
-                rep.add(f"{m}: ledge equality fails ({f2y1} vs {e1y})")
-            if pbw.elem_delta(y1, "f", "phi", 2, 1, lam) != 2:
-                rep.add(f"{m}: delta at y' is not 2")
-            w = pbw.elem_walk(y1, [("f", 1), ("f", 1)], lam)
-            if w is None or pbw.elem_delta(w, "f", "phi", 2, 1, lam) != 0:
-                rep.add(f"{m}: delta two steps under y' is not 0")
-    # the parametrized families, intersected with the crystal, equal the hits
-    members = {m for v in g.vertices() for m in [g.label(v)]
-               if any(f(m) for f in FORK_CASES.values())}
-    if members != hits:
-        rep.add(f"set identity fails: families minus forks {sorted(members - hits)[:3]}, "
-                f"forks minus families {sorted(hits - members)[:3]}")
-    return rep
+        hits[d].add(m)
+        f.close(m, lam, reps[d])
+    for d, rep in reps.items():
+        if members[d] != hits[d]:
+            rep.add(f"set identity fails: families minus forks {sorted(members[d] - hits[d])[:3]}, "
+                    f"forks minus families {sorted(hits[d] - members[d])[:3]}")
+    return list(reps.values())
+
+
+# each suite alone makes the whole pass and keeps its own report
+def verify_kakunin1(lam, g=None):
+    return verify_forks(lam, g)[0]
 
 
 def verify_kakunin2(lam, g=None):
-    """Forks with deltas (1,1) and a raising 1-string of length >= 2:
-    one parametrized family, closing pentagon with the stated meet."""
-    rep = VerificationReport(f"fork(1,1) pentagon at {lam}")
-    g = pbw.generate(lam) if g is None else g
-    rep.domain_size = len(g)
-    hits = set()
-    for v in g.vertices():
-        m = g.label(v)
-        st = pbw.elem_stats(m, lam)
-        if st.eps1 < 2 or st.eps2 < 1:
-            continue
-        if _delta_pair(m, lam) != (1, 1):
-            continue
-        hits.add(m)
-        words = [
-            [("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)],
-            [("e", 1), ("e", 2), ("e", 1), ("e", 2), ("e", 1)],
-            [("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2)],
-        ]
-        ends = [pbw.elem_walk(m, w, lam) for w in words]
-        if None in ends or len(set(ends)) != 1:
-            rep.add(f"{m}: pentagon words disagree: {ends}")
-            continue
-        a, b, c = m.a[0], m.a[1], m.a[3]
-        zc = ((a - 2, b + 1, a - 2, c), (b + 1, a - 2, c, a + 2 * b - 2 * c))
-        if ends[0] != zc:
-            rep.add(f"{m}: meet {ends[0]} != closed form {zc}")
-    members = set()
-    for v in g.vertices():
-        m = g.label(v)
-        a1, a2, a3, a4 = m.a
-        if a1 >= 2 and a3 == a1 + 1 and 0 <= a4 <= a2 and m.x == (
-            a2 + 1, a1, a4, a1 + 2 * a2 - 2 * a4 + 1
-        ):
-            members.add(m)
-    if members != hits:
-        rep.add(f"set identity fails: {sorted(members ^ hits)[:4]}")
-    return rep
+    return verify_forks(lam, g)[1]
 
 
 def verify_kakunin3(lam, g=None):
-    """Forks with deltas (0,2) and a flat raising ledge two steps up:
-    one parametrized family, closing pentagon with the stated meet."""
-    rep = VerificationReport(f"fork(0,2) pentagon at {lam}")
-    g = pbw.generate(lam) if g is None else g
-    rep.domain_size = len(g)
-    hits = set()
-    for v in g.vertices():
-        m = g.label(v)
-        st = pbw.elem_stats(m, lam)
-        if st.eps1 < 2 or st.eps2 < 1:
-            continue
-        if _delta_pair(m, lam) != (0, 2):
-            continue
-        mm = pbw.elem_walk(m, [("e", 1), ("e", 1)], lam)
-        if pbw.elem_stats(mm, lam).eps2 < 1:
-            continue
-        if pbw.elem_delta(mm, "e", "eps", 2, 1, lam) != 0:
-            continue
-        hits.add(m)
-        words = [
-            [("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)],
-            [("e", 1), ("e", 2), ("e", 1), ("e", 1), ("e", 2)],
-            [("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2)],
-        ]
-        ends = [pbw.elem_walk(m, w, lam) for w in words]
-        if None in ends or len(set(ends)) != 1:
-            rep.add(f"{m}: pentagon words disagree: {ends}")
-            continue
-        a, b, c = m.a[0], m.a[1], m.a[2]
-        zc = ((a - 1, b - 1, c, a + b - c - 2), (b - 1, a - 1, b - 1, c))
-        if ends[0] != zc:
-            rep.add(f"{m}: meet {ends[0]} != closed form {zc}")
-    members = set()
-    for v in g.vertices():
-        m = g.label(v)
-        a1, a2, a3, a4 = m.a
-        if (
-            a1 >= 2
-            and a2 >= 1
-            and 0 <= a3 <= a1 - 2
-            and a4 == a1 + a2 - a3 - 1
-            and m.x == (a2, a1 - 2, a2 + 1, a3)
-        ):
-            members.add(m)
-    if members != hits:
-        rep.add(f"set identity fails: {sorted(members ^ hits)[:4]}")
-    return rep
+    return verify_forks(lam, g)[2]
 
 
 def verify_reversal(lam, g=None):
@@ -409,9 +380,7 @@ def run_verification(max_hw=3, max_box=8, extra=((4, 4),)):
     weights = grid + [t for t in extra if t not in grid]
     crystals = {lam: pbw.generate(lam) for lam in weights}
     for lam in weights:
-        reports.append(verify_kakunin1(lam, crystals[lam]))
-        reports.append(verify_kakunin2(lam, crystals[lam]))
-        reports.append(verify_kakunin3(lam, crystals[lam]))
+        reports += verify_forks(lam, crystals[lam])
     for lam in grid:
         reports.append(verify_reversal(lam, crystals[lam]))
     dims = VerificationReport(f"vertex counts vs dimension formula [0,{max_hw}]^2",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -309,6 +310,11 @@ def test_verify_paper_cli(capsys):
     assert main(["verify-paper", "--max-hw", "1", "--max-box", "3"]) == 0
     out = capsys.readouterr().out
     assert "suites pass" in out
+    # the claim texts, domain sizes and row order, pinned byte for byte
+    assert main(["verify-paper", "--max-hw", "2", "--max-box", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e3c22a961155ac741f9c552aed017c698889fd05455ba5ab87472adc90dc3611")
 
 
 def test_json_roundtrip_identity():

@@ -2,9 +2,16 @@ import json
 
 import pytest
 
-from b2crystal import oracle, pbw
+from b2crystal import kernel, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded
+from b2crystal.kernel import r_transfer
+
+
+def broken_transfer(a):
+    x = r_transfer(a)
+    # swap two output slots on part of the domain
+    return (x[0], x[2], x[1], x[3]) if a[1] != a[3] else x
 
 
 def test_weyl_dim_b2_anchors():
@@ -87,19 +94,22 @@ def test_kakunin_suites_small_grid():
             assert rep.passed, (lam, fn.__name__, rep.counterexamples[:3])
 
 
+def test_fork_suites_report_a_broken_map(monkeypatch):
+    # crystals generated with the correct map, then navigated with a broken
+    # one: an undefined lowering step is a counterexample, not an exception
+    crystals = {(a, b): pbw.generate((a, b)) for a in range(4) for b in range(4)}
+    monkeypatch.setattr(kernel, "r_transfer", broken_transfer)
+    for fn in (oracle.verify_kakunin1, oracle.verify_kakunin2, oracle.verify_kakunin3):
+        passed = [fn(lam, g).passed for lam, g in crystals.items()]
+        assert not all(passed), fn.__name__
+
+
 def test_verify_lemmas_passes():
     rep = oracle.verify_lemmas(8)
     assert rep.passed and rep.domain_size == 9**4
 
 
 def test_verify_lemmas_catches_injected_bugs():
-    from b2crystal import kernel
-
-    def broken_transfer(a):
-        x = kernel.r_transfer(a)
-        # swap two output slots on part of the domain
-        return (x[0], x[2], x[1], x[3]) if a[1] != a[3] else x
-
     rep = oracle.verify_lemmas(3, transfer=broken_transfer)
     assert not rep.passed
 
