@@ -5,12 +5,14 @@ and bounds, the square and octagon confluences) together with the extra
 doubly-laced battery: the two depth-7 diamond axioms, the two pentagon
 merge axioms, and their sub-conditions.  Everything is evaluated on the
 literal graph; phi/eps are always string lengths, never trusted labels,
-so the checker is meaningful on arbitrary graphs.  The batteries scan the
-graph's per-color position lists and its string tables, one pass over
-positions per color pair and side, and report witnesses as vertex ids.
+so the checker is meaningful on arbitrary graphs.  The batteries read the
+graph's per-color position lists and its string tables, and report
+witnesses as vertex ids.  Each side (raising, lowering) of each color pair
+is read in one pass over positions, grouping them by their two deltas;
+check_all builds that grouping once and every rule on the pair reads it.
 
 The lowering-side rules (square, octagon, the pentagon's two hypotheses,
-the diamond) are one table, RULES, with one hypothesis scan, scan(); the
+the diamond) are one table, RULES, decided on a grouping by scan(); the
 checker asserts them and the synthesizer (builder) merges by them.  Only
 the raising-side S6 battery is written out by hand.
 
@@ -24,12 +26,10 @@ PHI0 (top statistics mismatch) and CONFLUENCE (bounded search failure).
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
-from .graph import delta
 
 DEFAULT_CONFLUENCE_DEPTH = 7
 
@@ -65,7 +65,7 @@ def _sorted(violations):
 # The batteries scan the graph's lists with its string tables (eps, phi):
 # x, y, z, w are positions, and g.ids / _vid turn them back into vertex ids
 # for the reports.  Each scan tests its hypotheses on the flat lists; the
-# words are walked only where one fires.
+# words are walked only where one fires, one list pass per letter.
 
 def _vid(g, k):
     """The vertex id at position k (None stays None)."""
@@ -129,17 +129,25 @@ class Side(NamedTuple):
     other: str
     steps: dict
     stat: dict
-    walk: object
     back: dict
     back_stat: dict
 
 
 def lowering(g, eps, phi):
-    return Side("PLUS", "below", "raising", g.down, phi, g.descend, g.up, eps)
+    return Side("PLUS", "below", "raising", g.down, phi, g.up, eps)
 
 
 def raising(g, eps, phi):
-    return Side("MINUS", "above", "lowering", g.up, eps, g.climb, g.down, phi)
+    return Side("MINUS", "above", "lowering", g.up, eps, g.down, phi)
+
+
+def walk_all(steps, xs, word):
+    """The end of the walk along word from each position of xs (None where
+    a step is undefined), one list pass per letter."""
+    for c in word:
+        step = steps[c]
+        xs = [None if x is None else step[x] for x in xs]
+    return xs
 
 
 class Rule(NamedTuple):
@@ -173,25 +181,26 @@ def _flat_ledge(side, xs, i, j):
     return [v is not None and step_j[v] is not None and stat_i[step_j[v]] == stat_i[v] for v in ledges]
 
 
-def _branch_points(side, x, i, j):
-    """The diamond's two branch points from x and their deltas (ij), read on
-    the other side; or the detail of what is missing."""
-    walk, back, back_stat = side.walk, side.back, side.back_stat
-    y, y1 = walk(x, (j, i, i)), walk(x, (i, j, j, i, i))
-    if y is None:
-        return f"first branch point {side.where} is missing"
-    if y1 is None:
-        return f"second branch point {side.where} is missing"
-    t = (delta(back, back_stat, i, j, y), delta(back, back_stat, i, j, y1))
-    if None in t:
-        return f"branch-point {side.other} deltas undefined"
-    return y, y1, t
+def _branch_points(side, xs, i, j):
+    """For each x of xs, the diamond's two branch points from x and their
+    deltas (ij), read on the other side; or the detail of what is missing."""
+    back, stat = side.back[i], side.back_stat[j]
+    out = []
+    for y, y1 in zip(walk_all(side.steps, xs, (j, i, i)), walk_all(side.steps, xs, (i, j, j, i, i))):
+        if y is None:
+            out.append(f"first branch point {side.where} is missing")
+        elif y1 is None:
+            out.append(f"second branch point {side.where} is missing")
+        elif back[y] is None or back[y1] is None:
+            out.append(f"branch-point {side.other} deltas undefined")
+        else:
+            out.append((y, y1, (stat[back[y]] - stat[y], stat[back[y1]] - stat[y1])))
+    return out
 
 
 def _diamond_fork(side, xs, i, j):
     # the diamond closes only where the branch-point deltas are (0,1)
-    found = [_branch_points(side, x, i, j) for x in xs]
-    return [b if isinstance(b, str) else b[2] == (0, 1) for b in found]
+    return [b if isinstance(b, str) else b[2] == (0, 1) for b in _branch_points(side, xs, i, j)]
 
 
 SQUARE = Rule("A", "square", ORDERED, (0, None), lambda i, j: ((i, j), (j, i)),
@@ -233,20 +242,33 @@ def rule_pairs(A, i, j, rules=RULES):
     return out
 
 
-def scan(side, xs, i, j, entries):
-    """(rule, pair, fired, defects) for each (rule, oriented pair) of
-    entries on the color pair {i, j}: the positions of the range xs where
-    the hypothesis holds, and (x, detail) where the guard found it
-    malformed instead.
-
-    The deltas (ij, ji) are computed once per x, and each entry is decided
-    once per distinct value.
-    """
+def grouping(side, xs, i, j):
+    """The positions of the range xs with both an i- and a j-step on the
+    side, grouped by their deltas (ij, ji): the change of the j-statistic
+    across the i-step and of the i-statistic across the j-step."""
     steps_i, steps_j, stat_i, stat_j = side.steps[i], side.steps[j], side.stat[i], side.stat[j]
     groups = defaultdict(list)
     for x, si, sj in zip(xs, steps_i[xs.start:xs.stop], steps_j[xs.start:xs.stop]):
         if si is not None and sj is not None:
             groups[stat_j[si] - stat_j[x], stat_i[sj] - stat_i[x]].append(x)
+    return groups
+
+
+def _grouping(g, side, groups, i, j):
+    """(grouping(side) over all of g, p, q) for the pair {i, j} = {p, q} in
+    g's color order, built once per side and pair and kept in groups."""
+    key = side.sign, *sorted((i, j), key=g.colors.index)
+    if key not in groups:
+        groups[key] = grouping(side, range(len(g)), *key[1:])
+    return groups[key], key[1], key[2]
+
+
+def scan(side, groups, i, j, entries):
+    """(rule, pair, fired, defects) for each (rule, oriented pair) of
+    entries on the color pair {i, j}: the positions of the grouping (side,
+    i, j) where the hypothesis holds, decided once per delta pair, and
+    (x, detail) where the guard found it malformed instead.  An entry on
+    (j, i) reads the keys swapped."""
     for rule, pair in entries:
         h_ij, h_ji = rule.hypothesis if pair[0] == i else rule.hypothesis[::-1]
         fired = [x for (d_ij, d_ji), group in groups.items()
@@ -262,36 +284,40 @@ def scan(side, xs, i, j, entries):
 def _assert(g, side, hits, out):
     """Report each guard defect, and each fired entry whose words do not
     meet or whose closing deltas are off."""
-    walk, back, back_stat, ids = side.walk, side.back, side.back_stat, g.ids
+    ids = g.ids
     for rule, (i, j), fired, defects in hits:
         tag = f"{rule.tag}_{side.sign}"
         out.extend(Violation(tag, (i, j), ids[x], detail) for x, detail in defects)
         w1, w2 = rule.words(i, j)
         closing = rule.closing
-        for x, z1, z2 in zip(fired, map(walk, fired, repeat(w1)), map(walk, fired, repeat(w2))):
-            if z1 is None or z2 is None or z1 != z2:
+        # the closing deltas (ij, ji) at the meet z, read on the other side
+        back_i, back_j, stat_i, stat_j = side.back[i], side.back[j], side.back_stat[i], side.back_stat[j]
+        for x, z1, z2 in zip(fired, walk_all(side.steps, fired, w1), walk_all(side.steps, fired, w2)):
+            if z1 is None or z1 != z2:
                 out.append(Violation(tag, (i, j), ids[x],
                                      rule.apart.format(_vid(g, z1), _vid(g, z2), where=side.where)))
             elif closing is not None:
-                d = (None if closing[0] is None else delta(back, back_stat, i, j, z1),
-                     None if closing[1] is None else delta(back, back_stat, j, i, z1))
+                u, v = back_i[z1], back_j[z1]
+                d = (None if closing[0] is None or u is None else stat_j[u] - stat_j[z1],
+                     None if closing[1] is None or v is None else stat_i[v] - stat_i[z1])
                 if d != closing:
                     out.append(Violation(tag, (i, j), ids[x], rule.unclosed.format(*d, other=side.other)))
 
 
 # -- S4 / S5 -----------------------------------------------------------------
 
-def check_s4_s5(g, A, tables=None):
+def check_s4_s5(g, A, tables=None, groups=None):
     """Square and length-4 confluences above and below every two-parent /
-    two-child vertex, for every color pair."""
+    two-child vertex, for every color pair.  groups: see _grouping."""
     eps, phi = tables or g.tables()
+    groups = {} if groups is None else groups
     out = []
     colors = g.colors
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
             entries = rule_pairs(A, i, j, TWO_SIDED)
             for side in (raising(g, eps, phi), lowering(g, eps, phi)):
-                _assert(g, side, scan(side, range(len(g)), i, j, entries), out)
+                _assert(g, side, scan(side, *_grouping(g, side, groups, i, j), entries), out)
     return _sorted(out)
 
 
@@ -303,13 +329,12 @@ def _b2_oriented_pairs(A):
     return [(i, j) for (i, j) in A.pairs() if classify_pair(A, i, j) == B2]
 
 
-def _check_s6(g, rais, x, i, j, out, q1):
+def _check_s6(g, rais, x, found, i, j, out, q1):
     # at a vertex whose raising deltas are (1,2): the lowering deltas t of
-    # the diamond's branch points above x decide what must hold; the Q1
-    # forks are set aside for the rule table
+    # the diamond's branch points above x (found) decide what must hold;
+    # the Q1 forks are set aside for the rule table
     wx = g.ids[x]
     down, phi = rais.back, rais.back_stat
-    found = _branch_points(rais, x, i, j)
     if isinstance(found, str):
         out.append(Violation("D_MINUS", (i, j), wx, found))
         return
@@ -327,28 +352,30 @@ def _check_s6(g, rais, x, i, j, out, q1):
         if fy1 is None or ey is None or fy1 != ey:
             out.append(Violation(tag, (i, j), wx,
                                  f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
-        elif delta(down, phi, j, i, y1) != want:
+        elif phi[i][fy1] - phi[i][y1] != want:
             out.append(Violation(tag, (i, j), wx,
-                                 f"lowering delta at y' is {delta(down, phi, j, i, y1)}, not {want}"))
+                                 f"lowering delta at y' is {phi[i][fy1] - phi[i][y1]}, not {want}"))
         elif t == (0, 0):
-            w = g.descend(y1, (i, i))
-            d = None if w is None else delta(down, phi, j, i, w)
+            (w,) = walk_all(down, [y1], (i, i))
+            d = None if w is None or down[j][w] is None else phi[i][down[j][w]] - phi[i][w]
             if d != 0:
                 out.append(Violation(tag, (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
 
 
-def check_s6_s9(g, A, tables=None):
-    """The doubly-laced battery, per oriented pair of that type."""
+def check_s6_s9(g, A, tables=None, groups=None):
+    """The doubly-laced battery, per oriented pair of that type (groups: see _grouping)."""
     eps, phi = tables or g.tables()
+    groups = {} if groups is None else groups
     rais, low = raising(g, eps, phi), lowering(g, eps, phi)
     out = []
     for i, j in _b2_oriented_pairs(A):
         q1 = []
-        for _, _, forks, _ in scan(rais, range(len(g)), i, j, [(RAISED_DIAMOND, (i, j))]):
-            for x in forks:
-                _check_s6(g, rais, x, i, j, out, q1)
+        for _, _, forks, _ in scan(rais, *_grouping(g, rais, groups, i, j), [(RAISED_DIAMOND, (i, j))]):
+            for x, found in zip(forks, _branch_points(rais, forks, i, j)):
+                _check_s6(g, rais, x, found, i, j, out, q1)
         _assert(g, rais, [(RAISED_DIAMOND, (i, j), q1, [])], out)
-        _assert(g, low, scan(low, range(len(g)), i, j, rule_pairs(A, i, j, DOUBLY_LACED)), out)
+        _assert(g, low, scan(low, *_grouping(g, low, groups, i, j),
+                             rule_pairs(A, i, j, DOUBLY_LACED)), out)
     return _sorted(out)
 
 
@@ -456,17 +483,17 @@ def check_all(g, A, expected_phi0=None):
     report.max_element = x0
 
     try:
-        g.wt_assign(x0)
+        g.weight_codes(x0)
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")
         )
 
-    tables = g.tables()  # one pair for all three batteries, even when unfrozen
+    tables, groups = g.tables(), {}  # shared by the batteries, even when unfrozen
     report.violations.extend(check_s2_s3(g, A, tables=tables))
-    report.violations.extend(check_s4_s5(g, A, tables=tables))
+    report.violations.extend(check_s4_s5(g, A, tables=tables, groups=groups))
     try:
-        report.violations.extend(check_s6_s9(g, A, tables=tables))
+        report.violations.extend(check_s6_s9(g, A, tables=tables, groups=groups))
     except UnsupportedPair as exc:
         report.violations.append(Violation("S1", None, None, f"unsupported pair: {exc}"))
 

@@ -4,9 +4,9 @@ and the isomorphism between two such graphs.
 Synthesis grows the graph one distance layer at a time.  Each vertex of
 the previous layer contributes one child candidate per color with a
 positive lowering statistic; the checker's lowering-side rules
-(axioms.RULES, found by axioms.scan), evaluated entirely on sealed layers,
-force the last steps of their two words to coincide, and union-find
-collects those merges before anything is materialized.  Raising
+(axioms.RULES, found by axioms.scan on a layer's grouping), evaluated on
+sealed layers, force the last steps of their two words to coincide, and
+union-find collects those merges before anything is materialized.  Raising
 statistics of new vertices come from their parents; lowering statistics
 are defined through the weight grading and the top statistics, and a
 final full check certifies the result (a wrong merge or a missed one
@@ -20,7 +20,7 @@ its image, which checks every arrow of both graphs on the way.
 from bisect import bisect_left
 from collections import defaultdict
 
-from .axioms import check_all, lowering, rule_pairs, scan
+from .axioms import check_all, grouping, lowering, rule_pairs, scan, walk_all
 from .cartan import b2_gcm, pairing_of_root_count
 from .errors import (
     BudgetExceeded,
@@ -95,13 +95,14 @@ def _collect_merges(st, k, uf, candidates):
     """Fire every lowering-side rule whose two words end in layer k: the
     last steps of the two words from x must reach one child."""
     for (n, i, j), entries in st.plan.items():
-        for rule, (p, q), fired, defects in scan(st.side, st.layer(k - n), i, j, entries):
+        groups = grouping(st.side, st.layer(k - n), i, j)
+        for rule, (p, q), fired, defects in scan(st.side, groups, i, j, entries):
             if defects:
                 x, detail = defects[0]
                 raise SynthesisInconsistency(f"layer {k}: {rule.name} at {x} ({p},{q}): {detail}")
-            words = rule.words(p, q)
-            for x in fired:
-                ends = [(st.g.descend(x, word[:-1]), word[-1]) for word in words]
+            (*w1, c1), (*w2, c2) = rule.words(p, q)
+            for x, e1, e2 in zip(fired, walk_all(st.g.down, fired, w1), walk_all(st.g.down, fired, w2)):
+                ends = [(e1, c1), (e2, c2)]
                 for end in ends:
                     if end[0] is None:
                         raise SynthesisInconsistency(

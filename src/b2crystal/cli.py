@@ -3,8 +3,9 @@
 Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 2 input error (bad flags, malformed files, failed preconditions),
 3 budget exceeded.  The vertex budget honors the CRYSTAL_BUDGET
-environment variable.  `iso` certifies each input once, inside
-build_isomorphism.
+environment variable: it bounds the crystals `gen` grows, the documents
+`check`, `iso` and `export-dot` read, and `verify-paper`'s lemma box.
+`iso` certifies each input once, inside build_isomorphism.
 
 Graph document schema (JSON):
   {
@@ -167,6 +168,16 @@ def _budget():
     return int(os.environ.get("CRYSTAL_BUDGET", 10**6))
 
 
+def _load_graph(path):
+    """The document at path and its graph; a document with more vertices
+    than the budget is refused before any graph is built."""
+    doc = load_doc(path)
+    vertices = doc.get("vertices") if isinstance(doc, dict) else None
+    if isinstance(vertices, list) and len(vertices) > _budget():
+        raise BudgetExceeded(f"{path} has {len(vertices)} vertices, over the vertex budget {_budget()}")
+    return doc, doc_to_graph(doc)
+
+
 def cmd_gen(args):
     A = _load_gcm(args.gcm)
     hw = [int(t) for t in args.hw.split(",")]
@@ -191,8 +202,7 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    doc = load_doc(args.infile)
-    g = doc_to_graph(doc)
+    doc, g = _load_graph(args.infile)
     if g.cartan is None:
         print("error: document has no cartan matrix", file=sys.stderr)
         return EXIT_INPUT
@@ -211,8 +221,7 @@ def cmd_check(args):
 
 
 def cmd_iso(args):
-    ga = doc_to_graph(load_doc(args.a))
-    gb = doc_to_graph(load_doc(args.b))
+    ga, gb = _load_graph(args.a)[1], _load_graph(args.b)[1]
     A = ga.cartan or gb.cartan
     if A is None:
         print("error: neither document has a cartan matrix", file=sys.stderr)
@@ -234,7 +243,7 @@ def cmd_iso(args):
 
 
 def cmd_export_dot(args):
-    g = doc_to_graph(load_doc(args.infile))
+    _, g = _load_graph(args.infile)
     with open(args.out, "w") as fh:
         fh.write(graph_to_dot(g))
     print(f"wrote {args.out}")
@@ -242,6 +251,12 @@ def cmd_export_dot(args):
 
 
 def cmd_verify_paper(args):
+    for flag, value in (("--max-hw", args.max_hw), ("--max-box", args.max_box)):
+        if value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return EXIT_INPUT
+    if (args.max_box + 1) ** 4 > _budget():
+        raise BudgetExceeded(f"the lemma box [0,{args.max_box}]^4 exceeds the budget {_budget()}")
     reports = run_verification(max_hw=args.max_hw, max_box=args.max_box)
     print(f"{'claim':<44} {'domain':>8}  status")
     for r in reports:

@@ -195,26 +195,6 @@ class ColoredGraph:
         w = None if k is None else self.up[i][k]
         return None if w is None else self.ids[w]
 
-    # navigation over positions; None as soon as a step is undefined
-
-    def climb(self, k, colors):
-        """Apply e_c to position k for each c in turn."""
-        up = self.up
-        for c in colors:
-            k = up[c][k]
-            if k is None:
-                return None
-        return k
-
-    def descend(self, k, colors):
-        """Apply f_c to position k for each c in turn."""
-        down = self.down
-        for c in colors:
-            k = down[c][k]
-            if k is None:
-                return None
-        return k
-
     # -- derived data --------------------------------------------------------
 
     def _keep(self, key, compute):
@@ -268,21 +248,19 @@ class ColoredGraph:
         once the graph is frozen."""
         return list(self._keep("max", _maximum_elements))
 
-    def wt_assign(self, x0):
-        """BFS weight/distance grading from a maximum element.
-
-        Returns {vertex: (color multiset dict, dist)}, in increasing vertex
-        order.  Every arrow must be weight-consistent: WT(dst) = WT(src) +
-        color.  A conflict raises InconsistentWeight, the practical
-        detection of a failed homogeneous local confluence.
-        """
+    def weight_codes(self, x0):
+        """BFS weight/distance grading from a maximum element, one integer
+        per position: with base n + 1, the count of the c-th color is its
+        base**c digit and the distance its base**len(colors) digit.  Every
+        arrow must be weight-consistent, WT(dst) = WT(src) + color; a
+        conflict raises InconsistentWeight, the practical detection of a
+        failed homogeneous local confluence."""
         k0 = self._pos.get(x0)
         if k0 is None:
             raise ValueError(f"no vertex {x0}")
         n, colors = len(self.ids), self.colors
-        # A weight is one integer: the count of color c is its base**c digit
-        # and the distance its base**m digit.  Every count is at most the
-        # distance, which is below n + 1, so no digit carries.
+        # every count is at most the distance, which is below n + 1, so no
+        # digit carries
         base, m = n + 1, len(colors)
         steps = [(i, self.down[i], base**m + base**c) for c, i in enumerate(colors)]
         code = [None] * n
@@ -308,13 +286,14 @@ class ColoredGraph:
         if len(queue) != n:
             missing = min(compress(self.ids, map(is_, code, repeat(None))))
             raise ValueError(f"{x0} is not a maximum element: {missing} unreachable")
-        weights = {}
-        for c in set(code):
-            dist, rest = divmod(c, base**m)
-            counts = {}
-            for i in colors:
-                rest, counts[i] = divmod(rest, base)
-            weights[c] = ({i: t for i, t in counts.items() if t}, dist)
+        return code
+
+    def wt_assign(self, x0):
+        """weight_codes(x0) decoded: {vertex: (color multiset dict, dist)},
+        in increasing vertex order."""
+        code, base, m = self.weight_codes(x0), len(self) + 1, len(self.colors)
+        digits = {c: [c // base**k % base for k in range(m + 1)] for c in set(code)}
+        weights = {c: ({i: t for i, t in zip(self.colors, d) if t}, d[m]) for c, d in digits.items()}
         return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}
 
     def _tree_path(self, parent, k0, k):
@@ -338,13 +317,6 @@ class ColoredGraph:
         if self._frozen:
             rev.freeze()
         return rev
-
-
-def delta(steps, stat, i, j, k):
-    """Change of stat[j] across the step steps[i] from position k, or None
-    where that step is undefined (steps/stat: g.up with eps, g.down with phi)."""
-    w = steps[i][k]
-    return None if w is None else stat[j][w] - stat[j][k]
 
 
 def _maximum_elements(g):

@@ -12,7 +12,7 @@ from b2crystal.errors import (
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, GraphViolation, delta
+from b2crystal.graph import ColoredGraph, GraphViolation
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -584,11 +584,28 @@ def reference_check_all(g, A, expected_phi0=None):
 # requires synthesize to build exactly the documents it builds with this
 # patched in.
 
+def walk(steps, k, colors):
+    """Apply steps[c] to position k for each c in turn (steps: g.up to
+    climb, g.down to descend); None as soon as a step is undefined."""
+    for c in colors:
+        k = steps[c][k]
+        if k is None:
+            return None
+    return k
+
+
+def delta(steps, stat, i, j, k):
+    """Change of stat[j] across the step steps[i] from position k, or None
+    where that step is undefined (steps/stat: g.up with eps, g.down with phi)."""
+    w = steps[i][k]
+    return None if w is None else stat[j][w] - stat[j][k]
+
+
 def reference_collect_merges(st, k, uf, candidates):
     """Fire every lowering-side axiom whose conclusion lands in layer k."""
     A = st.A
     types = classify_all_pairs(A)
-    up, down, descend = st.g.up, st.g.down, st.g.descend
+    up, down = st.g.up, st.g.down
     eps, phi = st.eps, st.phi
 
     def merge(c1, c2, reason):
@@ -614,8 +631,8 @@ def reference_collect_merges(st, k, uf, candidates):
             for j in A.colors[ai + 1:]:
                 if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 1):
                     continue
-                p = descend(w, (i, j, j))
-                q = descend(w, (j, i, i))
+                p = walk(down, w, (i, j, j))
+                q = walk(down, w, (j, i, i))
                 if p is None or q is None:
                     raise SynthesisInconsistency(
                         f"layer {k}: length-4 confluence at {w} lost its prefix"
@@ -632,13 +649,13 @@ def reference_collect_merges(st, k, uf, candidates):
             if dp == (1, 1) and phi[i][w] >= 2:
                 fire = True
             elif dp == (0, 2):
-                v = descend(w, (i, i))
+                v = walk(down, w, (i, i))
                 if v is not None and delta(down, phi, j, i, v) == 0:
                     fire = True
             if not fire:
                 continue
-            p = descend(w, (i, i, j, j))
-            q = descend(w, (j, i, i, i))
+            p = walk(down, w, (i, i, j, j))
+            q = walk(down, w, (j, i, i, i))
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: pentagon at {w} lost its prefix")
             merge((p, i), (q, j), f"pentagon at {w}")
@@ -648,14 +665,14 @@ def reference_collect_merges(st, k, uf, candidates):
         for i, j in b2_pairs:
             if (delta(down, phi, i, j, w), delta(down, phi, j, i, w)) != (1, 2):
                 continue
-            y = descend(w, (j, i, i))
-            y1 = descend(w, (i, j, j, i, i))
+            y = walk(down, w, (j, i, i))
+            y1 = walk(down, w, (i, j, j, i, i))
             if y is None or y1 is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its branch points")
             if (delta(up, eps, i, j, y), delta(up, eps, i, j, y1)) != (0, 1):
                 continue
-            p = descend(w, (i, j, j, i, i, i))
-            q = descend(w, (j, i, i, i, j, j))
+            p = walk(down, w, (i, j, j, i, i, i))
+            q = walk(down, w, (j, i, i, i, j, j))
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
             merge((q, i), (p, j), f"diamond at {w}")

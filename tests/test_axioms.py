@@ -4,7 +4,7 @@ import pytest
 
 from b2crystal import axioms, pbw
 from b2crystal.builder import synthesize
-from b2crystal.cartan import GCM, b2_gcm, b3_gcm
+from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
 from b2crystal.graph import ColoredGraph
 from helpers import (
     a2_crystal_1_1,
@@ -18,6 +18,7 @@ from helpers import (
     reference_check_s4_s5,
     reference_check_s6_s9,
     relabelled,
+    walk,
 )
 
 A = b2_gcm()
@@ -153,12 +154,12 @@ def test_split_pentagon_meet_breaks_c1_plus():
                 continue
             if (df_phi(g, phi, i, j, x), df_phi(g, phi, j, i, x)) != (0, 2):
                 continue
-            v = g.descend(x, [i, i])
+            v = walk(g.down, x, [i, i])
             if v is not None and g.down[j][v] is not None and df_phi(g, phi, j, i, v) == 0:
                 hit = (x, i, j)
     assert hit is not None
     x, i, j = hit
-    q = g.descend(x, [j, i, i, i])
+    q = walk(g.down, x, [j, i, i, i])
     z = g.down[j][q]
     mut = copy_mutable(g, skip_edge=(g.ids[q], g.ids[z], j))
     twin = mut.add_vertex()
@@ -181,8 +182,8 @@ def test_branch_deltas_never_one_zero():
                     continue
                 if (de_eps(g, eps, 1, 2, x), de_eps(g, eps, 2, 1, x)) != (1, 2):
                     continue
-                y = g.climb(x, [2, 1, 1])
-                y1 = g.climb(x, [1, 2, 2, 1, 1])
+                y = walk(g.up, x, [2, 1, 1])
+                y1 = walk(g.up, x, [1, 2, 2, 1, 1])
                 t = (df_phi(g, phi, 1, 2, y), df_phi(g, phi, 1, 2, y1))
                 assert t in seen, (lam, g.ids[x], t)
                 seen[t] += 1
@@ -202,7 +203,9 @@ def test_axiom_hypotheses_all_fire():
             g = pbw.generate((l1, l2))
             eps, phi = g.tables()
             for sign, side, rules in sides:
-                hits = axioms.scan(side(g, eps, phi), range(len(g)), 1, 2, axioms.rule_pairs(A, 1, 2, rules))
+                s = side(g, eps, phi)
+                hits = axioms.scan(s, axioms.grouping(s, range(len(g)), 1, 2), 1, 2,
+                                   axioms.rule_pairs(A, 1, 2, rules))
                 for rule, _, fired, _ in hits:
                     counts[sign, rule.tag, rule.hypothesis] += len(fired)
             for i, j in axioms._b2_oriented_pairs(A):
@@ -226,9 +229,11 @@ def _differential_cases():
             for _, mut in mutants(g):
                 seed += 1
                 yield A, relabelled(mut, seed)
-    B3 = b3_gcm()
-    for _, mut in deletion_mutants(synthesize(B3, (0, 1, 0))):
-        yield B3, mut
+    # B3's B2-oriented pair is (3,2) and C3's is (2,3), so the shared
+    # groupings are read in both orientations
+    for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)):
+        for _, mut in deletion_mutants(synthesize(M, (0, 1, 0))):
+            yield M, mut
 
 
 def test_batteries_match_reference():

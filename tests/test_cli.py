@@ -5,7 +5,7 @@ import random
 import pytest
 
 from b2crystal import axioms, builder, cli, pbw
-from b2crystal.cartan import b2_gcm
+from b2crystal.cartan import B3_MATRIX_ROWS, C3_MATRIX_ROWS, b2_gcm
 from b2crystal.cli import (
     doc_to_graph,
     dump_doc,
@@ -259,6 +259,47 @@ def test_check_reports_match_reference(tmp_path):
         assert code == (0 if want.passed else 1) and (k == 0) == want.passed
 
 
+def _pinned_check_documents(tmp_path):
+    """Deletion, redirect (onto a fresh vertex) and duplicate-arrow mutants
+    of B2 (3,3) for every third arrow, and every deletion mutant of B3 and
+    C3 (0,1,0) generated through custom matrix files."""
+    path = tmp_path / "b2.json"
+    assert main(["gen", "--hw", "3,3", "--out", str(path)]) == 0
+    doc = load_doc(path)
+    edges, fresh = doc["edges"], {"id": len(doc["vertices"])}
+    for k in range(0, len(edges), 3):
+        rest = edges[:k] + edges[k + 1:]
+        yield {**doc, "edges": rest}
+        yield {**doc, "vertices": doc["vertices"] + [fresh], "edges": rest + [{**edges[k], "to": fresh["id"]}]}
+        yield {**doc, "edges": edges + [edges[k]]}
+    for rows in (B3_MATRIX_ROWS, C3_MATRIX_ROWS):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"cartan": rows}))
+        assert main(["gen", "--gcm", f"custom:{spec}", "--hw", "0,1,0", "--method", "axioms",
+                     "--out", str(path)]) == 0
+        doc = load_doc(path)
+        edges = doc["edges"]
+        for k in range(len(edges)):
+            yield {**doc, "edges": edges[:k] + edges[k + 1:]}
+
+
+def test_check_reports_pinned(tmp_path, capsys):
+    # exit codes, summaries and --report bytes of a fixed mutant set,
+    # pinned by sha256 so that a faster checker must report the same bytes
+    path, report = tmp_path / "doc.json", tmp_path / "report.json"
+    digest = hashlib.sha256()
+    documents = list(_pinned_check_documents(tmp_path))
+    capsys.readouterr()
+    for doc in documents:
+        dump_doc(doc, path)
+        report.unlink(missing_ok=True)
+        code = main(["check", "--in", str(path), "--report", str(report)])
+        written = report.read_bytes() if report.exists() else b""
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode() + written)
+    assert digest.hexdigest() == (
+        "545da25ed0e84daada8145818fa9cb65618415f9c5ce5082d085d86ea5501d9b")
+
+
 def test_export_dot(docs, tmp_path):
     out = tmp_path / "g.dot"
     assert main(["export-dot", "--in", docs["pbw11"], "--out", str(out)]) == 0
@@ -315,6 +356,34 @@ def test_verify_paper_cli(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e3c22a961155ac741f9c552aed017c698889fd05455ba5ab87472adc90dc3611")
+
+
+@pytest.mark.parametrize("flag", ["--max-hw", "--max-box"])
+def test_verify_paper_rejects_negative_bounds(capsys, flag):
+    assert main(["verify-paper", flag, "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {flag} must be nonnegative\n" and out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--in", "{doc}"],
+    ["iso", "{doc}", "{doc}"],
+    ["export-dot", "--in", "{doc}", "--out", "{out}"],
+    ["verify-paper", "--max-hw", "0", "--max-box", "1"],
+])
+def test_budget_bounds_every_command(docs, tmp_path, capsys, monkeypatch, command):
+    # a 16-vertex document, or the 2^4-point lemma box, against a budget of
+    # 15 and of 16: refused with exit 3 before any graph is built, then run
+    argv = [arg.format(doc=docs["pbw11"], out=tmp_path / "out.dot") for arg in command]
+    monkeypatch.setattr(cli, "doc_to_graph", lambda doc: pytest.fail("graph built over budget"))
+    monkeypatch.setenv("CRYSTAL_BUDGET", "15")
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+    assert not (tmp_path / "out.dot").exists()
+    monkeypatch.undo()
+    monkeypatch.setenv("CRYSTAL_BUDGET", "16")
+    assert main(argv) == 0
 
 
 def test_json_roundtrip_identity():

@@ -1,7 +1,7 @@
 import pytest
 
 from b2crystal import graph, pbw
-from b2crystal.axioms import check_all
+from b2crystal.axioms import check_all, walk_all
 from b2crystal.builder import build_isomorphism, synthesize
 from b2crystal.cartan import b2_gcm, b3_gcm
 from b2crystal.errors import DuplicateEdge, InconsistentWeight, NonTerminating
@@ -266,8 +266,11 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
             assert vid(r, r.up[i][k]) == r.e_step(i, v)
             assert vid(r, r.down[i][k]) == r.f_step(i, v)
             assert (eps[i][k], phi[i][k]) == (ref_eps[i][v], ref_phi[i][v])
-        assert vid(r, r.descend(k, (1, 2, 2))) == reference_descend(r, v, (1, 2, 2))
-        assert vid(r, r.climb(k, (2, 1))) == reference_climb(r, v, (2, 1))
+    # the bulk walk, from every position at once
+    everywhere = range(len(r))
+    assert [vid(r, k) for k in walk_all(r.down, everywhere, (1, 2, 2))] == [
+        reference_descend(r, v, (1, 2, 2)) for v in r.ids]
+    assert [vid(r, k) for k in walk_all(r.up, everywhere, (2, 1))] == [reference_climb(r, v, (2, 1)) for v in r.ids]
     # a graph built in any id order is renumbered when it is frozen
     shuffled = ColoredGraph(r.colors, cartan=r.cartan)
     for v in reversed(r.ids):
