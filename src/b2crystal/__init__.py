@@ -1,7 +1,7 @@
 """B2 highest-weight crystal graphs and their local axiomatics.
 
 Submodules:
-  cartan   Cartan matrices, rank-2 pair classification, pairing bookkeeping
+  cartan   Cartan matrices and rank-2 pair classification
   graph    colored directed graphs, string statistics, weight grading
   kernel   the two transition maps between the PBW coordinate systems
   pbw      dual PBW coordinates, Kashiwara operators, crystal generation
@@ -13,7 +13,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .cartan import GCM, b2_gcm, b3_gcm, classify_pair, pairing_of_root_count
+from .cartan import GCM, b2_gcm, b3_gcm, classify_pair
 from .graph import ColoredGraph
 from .pbw import PbwElement, generate
 
@@ -22,7 +22,6 @@ __all__ = [
     "b2_gcm",
     "b3_gcm",
     "classify_pair",
-    "pairing_of_root_count",
     "ColoredGraph",
     "PbwElement",
     "generate",

@@ -6,11 +6,14 @@ the previous layer contributes one child candidate per color with a
 positive lowering statistic; the checker's lowering-side rules
 (axioms.RULES, found by axioms.scan on a layer's grouping), evaluated on
 sealed layers, force the last steps of their two words to coincide, and
-union-find collects those merges before anything is materialized.  Raising
-statistics of new vertices come from their parents; lowering statistics
-are defined through the weight grading and the top statistics, and a
-final full check certifies the result (a wrong merge or a missed one
-cannot survive it silently).
+union-find collects those merges before anything is materialized.  Each
+class is one new vertex, and a finished layer goes into the graph with one
+add_vertices call and one add_arrows call per color.  The statistics are
+flat lists over positions: one weight code per vertex (weight_codes'
+digit layout) and per-color eps/phi.  Raising statistics come from the
+parents, lowering ones from the pairing <h_c, wt> = phi_c - eps_c of the
+head parent less the Cartan entry of the step; a final full check
+certifies the result (a wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
 maximum elements: the i-child of a mapped vertex goes to the i-child of
@@ -19,18 +22,18 @@ its image, which checks every arrow of both graphs on the way.
 
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import compress
 
 from .axioms import check_all, grouping, lowering, rule_pairs, scan, walk_all
-from .cartan import b2_gcm, pairing_of_root_count
+from .cartan import b2_gcm
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
-    DuplicateEdge,
     NotIsomorphic,
     PrereqFailed,
     SynthesisInconsistency,
 )
-from .graph import ColoredGraph
+from .graph import ColoredGraph, decode_weights
 
 
 class UnionFind:
@@ -73,12 +76,10 @@ class _Build:
 
     def __init__(self, A, phi0):
         self.A = A
-        self.phi0 = dict(phi0)
         self.g = ColoredGraph(A.colors, cartan=A)
         v0 = self.g.add_vertex()
         self.eps = {i: [0] for i in A.colors}
-        self.phi = {i: [self.phi0[i]] for i in A.colors}
-        self.wt = [{}]
+        self.phi = {i: [phi0[i]] for i in A.colors}
         self.layers = [range(v0, v0 + 1)]
         self.side = lowering(self.g, self.eps, self.phi)
         self.plan = defaultdict(list)  # (word length, i, j) -> the entries on {i, j}
@@ -121,7 +122,8 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
 
     phi0 maps colors to nonnegative integers (a sequence in index order is
     also accepted).  The result is frozen, labeled with nothing, and has
-    passed check_all unless check=False.
+    passed check_all unless check=False.  Its synthesis_stats are the lists
+    the layers grew from, (codes, base, eps, phi), as cli.graph_to_doc reads them.
     """
     if not isinstance(phi0, dict):
         phi0 = dict(zip(A.colors, phi0))
@@ -131,6 +133,12 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
         raise ValueError("top statistics must be nonnegative")
 
     st = _Build(A, phi0)
+    colors, eps, phi = A.colors, st.eps, st.phi
+    # a weight of layer k counts at most k <= budget_layers steps of any
+    # color, so with this base no digit of its code carries
+    base, m = budget_layers + 1, len(colors)
+    inc = {i: base**m + base**c for c, i in enumerate(colors)}
+    codes = [0]
     k = 0
     while True:
         k += 1
@@ -138,53 +146,50 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
             raise BudgetExceeded(f"layer budget {budget_layers} exceeded")
         prev = st.layer(k - 1)
         first = len(st.g)
-        uf = UnionFind()
-        candidates = set()
-        for p in prev:
-            for i in A.colors:
-                if st.phi[i][p] > 0:
-                    uf.add((p, i))
-                    candidates.add((p, i))
-        if not candidates:
+        cands = [(p, i) for i in colors for p in prev if phi[i][p] > 0]
+        if not cands:
             break
-        _collect_merges(st, k, uf, candidates)
+        uf = UnionFind()
+        for c in cands:
+            uf.add(c)
+        _collect_merges(st, k, uf, set(cands))
 
-        for group in uf.classes():
-            if len(st.g) >= budget_vertices:
-                raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
-            v = st.g.add_vertex()
-            wts = []
-            for p, i in group:
-                try:
-                    st.g.add_edge(p, v, i)
-                except DuplicateEdge as exc:
-                    raise SynthesisInconsistency(
-                        f"layer {k}: merged candidates collide on color {i}: {exc}"
-                    ) from None
-                wts.append((p, i))
-            wt0 = None
-            for p, i in wts:
-                wt = dict(st.wt[p])
-                wt[i] = wt.get(i, 0) + 1
-                if wt0 is None:
-                    wt0 = wt
-                elif wt != wt0:
-                    raise SynthesisInconsistency(
-                        f"layer {k}: vertex {v} merged with unequal weights {wt0} vs {wt}"
-                    )
-            st.wt.append(wt0)
-            drop = pairing_of_root_count(A, wt0)
-            for c in A.colors:
-                parent = st.g.up[c][v]
-                eps_c = 0 if parent is None else st.eps[c][parent] + 1
-                phi_c = eps_c + st.phi0[c] - drop[c]
-                if phi_c < 0:
-                    raise SynthesisInconsistency(
-                        f"layer {k}: vertex {v} got negative lowering statistic for {c}"
-                    )
-                st.eps[c].append(eps_c)
-                st.phi[c].append(phi_c)
-        st.layers.append(range(first, len(st.g)))
+        classes = uf.classes()
+        n = len(classes)
+        if first + n > budget_vertices:
+            raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
+        # the class's first member is its vertex's head parent; up[c] lists
+        # each new vertex's parent through color c, None where it has none
+        heads = [group[0] for group in classes]
+        up = {c: [p if i == c else None for p, i in heads] for c in colors}
+        codes.extend([codes[p] + inc[i] for p, i in heads])
+        errors = []  # (vertex, kind, text); the least one is raised
+        for v, group in [(v, group) for v, group in enumerate(classes, first) if len(group) > 1]:
+            t, code, wts = v - first, codes[v], None
+            for q, j in group[1:]:
+                if up[j][t] is not None:
+                    errors.append((v, -1, f"layer {k}: merged candidates collide on color {j}: "
+                                          f"vertex {v} already has an incoming {j}-arrow"))
+                    break
+                up[j][t] = q
+                if wts is None and codes[q] + inc[j] != code:
+                    wts = decode_weights([code, codes[q] + inc[j]], base, colors)
+                    errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
+                                         f"{wts[code][0]} vs {wts[codes[q] + inc[j]][0]}"))
+        st.g.add_vertices(range(first, first + n), [None] * n)
+        for t, c in enumerate(colors, 1):
+            mask = [q is not None for q in up[c]]
+            st.g.add_arrows(c, compress(up[c], mask), compress(range(first, first + n), mask))
+            # phi - eps is the pairing <h_c, wt>: the head parent's, less <h_c, alpha_i>
+            e, f, a = eps[c], phi[c], {i: A.a(c, i) for i in colors}
+            e.extend([0 if q is None else e[q] + 1 for q in up[c]])
+            f.extend([e[v] + f[p] - e[p] - a[i] for v, (p, i) in enumerate(heads, first)])
+            if min(f[first:]) < 0:
+                v = next(v for v in range(first, first + n) if f[v] < 0)
+                errors.append((v, t, f"layer {k}: vertex {v} got negative lowering statistic for {c}"))
+        if errors:
+            raise SynthesisInconsistency(min(errors)[2])
+        st.layers.append(range(first, first + n))
 
     g = st.g.freeze()
     if check:
@@ -195,14 +200,11 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
             )
         # the (K1)-defined statistics must coincide with the literal strings
         eps_t, phi_t = g.tables()
-        if (eps_t, phi_t) != (st.eps, st.phi):
+        if (eps_t, phi_t) != (eps, phi):
             v = next(v for v in range(len(g)) if any(
-                eps_t[c][v] != st.eps[c][v] or phi_t[c][v] != st.phi[c][v] for c in A.colors))
+                eps_t[c][v] != eps[c][v] or phi_t[c][v] != phi[c][v] for c in colors))
             raise SynthesisInconsistency(f"vertex {v}: bookkeeping stats differ from string lengths")
-    g.synthesis_stats = {
-        v: (st.wt[v], {c: st.eps[c][v] for c in A.colors}, {c: st.phi[c][v] for c in A.colors})
-        for v in range(len(g))
-    }
+    g.synthesis_stats = (codes, base, eps, phi)
     return g
 
 

@@ -1,9 +1,6 @@
 """Generalized Cartan matrices and rank-2 pair classification.
 
-Colors are small integers.  A weight never appears as a lattice element,
-only as its vector of pairings against the simple coroots; likewise a
-graded multiset of colors (an element of N[I]) is a plain dict
-color -> multiplicity.
+Colors are small integers; a_ij = <h_i, alpha_j> is read with GCM.a.
 """
 
 from .errors import UnsupportedPair
@@ -125,18 +122,3 @@ def classify_all_pairs(A):
     """Classify every ordered pair; raises UnsupportedPair on the first bad one."""
     return {(i, j): classify_pair(A, i, j) for i, j in A.pairs()}
 
-
-def pairing_of_root_count(A, count):
-    """Pairings of a sum of simple roots: component j is sum_i a_ji * count[i]."""
-    for c in count:
-        if c not in A._pos:
-            raise ValueError(f"color {c} not in index set")
-    return {j: sum(A.a(j, i) * m for i, m in count.items()) for j in A.colors}
-
-
-def add_counts(c1, c2):
-    """Componentwise sum of two color multisets."""
-    out = dict(c1)
-    for k, v in c2.items():
-        out[k] = out.get(k, 0) + v
-    return out

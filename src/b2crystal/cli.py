@@ -39,7 +39,7 @@ from .axioms import check_all
 from .builder import build_isomorphism, synthesize
 from .cartan import GCM, b2_gcm, b3_gcm, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
-from .graph import ColoredGraph
+from .graph import ColoredGraph, decode_weights
 from .oracle import run_verification
 from .pbw import PbwElement, generate
 
@@ -52,27 +52,29 @@ EXIT_BUDGET = 3
 # -- document format ----------------------------------------------------------
 
 def graph_to_doc(g, stats=None):
-    """Serialize a graph; stats may map vertex -> (wt, eps, phi) dicts."""
+    """Serialize a graph.  stats may be the synthesis_stats of a synthesized
+    graph, (codes, base, eps, phi): per-position weight codes in weight_codes'
+    layout with that base and per-color eps/phi lists over positions, from
+    which each vertex's wt/eps/phi entries are written."""
+    ids = g.vertices()
+    vertices = [{"id": v} for v in ids]
+    for entry, label in zip(vertices, map(g.label, ids)):
+        if isinstance(label, PbwElement):
+            entry["a"], entry["x"] = list(label.a), list(label.x)
+    if stats:
+        codes, base, eps, phi = stats
+        order = sorted(g.colors)
+        keys = list(map(str, order))
+        wts = {c: {str(i): wt[i] for i in order if i in wt}
+               for c, (wt, _) in decode_weights(codes, base, g.colors).items()}
+        for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
+            entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
     doc = {
         "index_set": list(g.colors),
         "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None,
-        "vertices": [],
-        "edges": [],
+        "vertices": vertices,
+        "edges": [{"from": s, "to": d, "color": c} for s, d, c in g.edges()],
     }
-    for v in g.vertices():
-        entry = {"id": v}
-        label = g.label(v)
-        if isinstance(label, PbwElement):
-            entry["a"] = list(label.a)
-            entry["x"] = list(label.x)
-        if stats and v in stats:
-            wt, eps, phi = stats[v]
-            entry["wt"] = {str(c): n for c, n in sorted(wt.items())}
-            entry["eps"] = {str(c): n for c, n in sorted(eps.items())}
-            entry["phi"] = {str(c): n for c, n in sorted(phi.items())}
-        doc["vertices"].append(entry)
-    for s, d, c in g.edges():
-        doc["edges"].append({"from": s, "to": d, "color": c})
     maxes = g.maximum_elements()
     if len(maxes) == 1:
         doc["max"] = maxes[0]
@@ -121,8 +123,11 @@ def doc_to_graph(doc):
 
 
 def dump_doc(doc, path):
+    """Write doc as one compact JSON line.  Documents are trees of dicts and
+    lists built fresh by graph_to_doc, with no reference cycle, so the
+    encoder's circular-reference scan is skipped; the bytes are the same."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")))
+        fh.write(json.dumps(doc, separators=(",", ":"), check_circular=False))
         fh.write("\n")
 
 

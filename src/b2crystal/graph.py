@@ -291,9 +291,8 @@ class ColoredGraph:
     def wt_assign(self, x0):
         """weight_codes(x0) decoded: {vertex: (color multiset dict, dist)},
         in increasing vertex order."""
-        code, base, m = self.weight_codes(x0), len(self) + 1, len(self.colors)
-        digits = {c: [c // base**k % base for k in range(m + 1)] for c in set(code)}
-        weights = {c: ({i: t for i, t in zip(self.colors, d) if t}, d[m]) for c, d in digits.items()}
+        code = self.weight_codes(x0)
+        weights = decode_weights(code, len(self) + 1, self.colors)
         return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}
 
     def _tree_path(self, parent, k0, k):
@@ -317,6 +316,15 @@ class ColoredGraph:
         if self._frozen:
             rev.freeze()
         return rev
+
+
+def decode_weights(codes, base, colors):
+    """Each distinct weight code, in weight_codes' digit layout with the
+    given base, decoded: {code: (color multiset dict, dist)}, the multiset
+    keyed in color order without its zero counts."""
+    m = len(colors)
+    digits = {c: [c // base**k % base for k in range(m + 1)] for c in set(codes)}
+    return {c: ({i: t for i, t in zip(colors, d) if t}, d[m]) for c, d in digits.items()}
 
 
 def _maximum_elements(g):

@@ -324,22 +324,40 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
     transfer = transfer or kernel.r_transfer
     transfer_inv = transfer_inv or kernel.r_inverse
     rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=(n + 1) ** 4)
+    corollaries = []  # reported after the inverse scan's notes
     for a in product(range(n + 1), repeat=4):
         x = transfer(a)
         if any(v < 0 for v in x):
             rep.add(f"{a}: image {x} leaves N^4")
-            continue
-        if transfer_inv(x) != a:
-            rep.add(f"{a}: inverse roundtrip gives {transfer_inv(x)}")
-        if a[2] >= a[0] and pbw.closed_r_a3_ge_a1(a) != x:
-            rep.add(f"{a}: high closed form {pbw.closed_r_a3_ge_a1(a)} != {x}")
-        if a[2] <= a[0] and pbw.closed_r_a3_le_a1(a) != x:
-            rep.add(f"{a}: low closed form {pbw.closed_r_a3_le_a1(a)} != {x}")
-        if (
-            a[0] + 2 * a[1] + a[2] != x[1] + 2 * x[2] + x[3]
-            or a[1] + a[2] + a[3] != x[0] + x[1] + x[2]
-        ):
-            rep.add(f"{a}: weight identities fail for {x}")
+        else:
+            if transfer_inv(x) != a:
+                rep.add(f"{a}: inverse roundtrip gives {transfer_inv(x)}")
+            if a[2] >= a[0] and pbw.closed_r_a3_ge_a1(a) != x:
+                rep.add(f"{a}: high closed form {pbw.closed_r_a3_ge_a1(a)} != {x}")
+            if a[2] <= a[0] and pbw.closed_r_a3_le_a1(a) != x:
+                rep.add(f"{a}: low closed form {pbw.closed_r_a3_le_a1(a)} != {x}")
+            if (
+                a[0] + 2 * a[1] + a[2] != x[1] + 2 * x[2] + x[3]
+                or a[1] + a[2] + a[3] != x[0] + x[1] + x[2]
+            ):
+                rep.add(f"{a}: weight identities fail for {x}")
+        # delta corollaries and the product-zero fact, by navigation, at every point
+        m = pbw.PbwElement(a, x)
+        a1, a2, a3, a4 = a
+        x1, x2, x3, x4 = x
+        if a3 >= a1 >= 1 and x1 >= 1:
+            nav = pbw.elem_delta(m, "e", "eps", 2, 1)
+            if pbw.corollary_delta_2_1(m) != nav:
+                corollaries.append(f"{m}: delta(2,1) formula {pbw.corollary_delta_2_1(m)} != {nav}")
+        if x3 >= x1 >= 1 and a1 >= 1:
+            nav = pbw.elem_delta(m, "e", "eps", 1, 2)
+            if pbw.corollary_delta_1_2(m) != nav:
+                corollaries.append(f"{m}: delta(1,2) formula != {nav}")
+        if a1 > a3 and x1 > x3:
+            d1 = pbw.elem_delta(m, "e", "eps", 1, 2)
+            d2 = pbw.elem_delta(m, "e", "eps", 2, 1)
+            if d1 * d2 != 0:
+                corollaries.append(f"{m}: delta product {d1}*{d2} != 0")
     for x in product(range(n + 1), repeat=4):
         a = transfer_inv(x)
         if any(v < 0 for v in a):
@@ -351,24 +369,8 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
             rep.add(f"{x}: high closed form != {a}")
         if x[2] <= x[0] and pbw.closed_rinv_x3_le_x1(x) != a:
             rep.add(f"{x}: low closed form != {a}")
-    # delta corollaries and the product-zero fact, by navigation
-    for t in product(range(n + 1), repeat=4):
-        m = pbw.PbwElement(t, transfer(t))
-        a1, a2, a3, a4 = m.a
-        x1, x2, x3, x4 = m.x
-        if a3 >= a1 >= 1 and x1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 2, 1)
-            if pbw.corollary_delta_2_1(m) != nav:
-                rep.add(f"{m}: delta(2,1) formula {pbw.corollary_delta_2_1(m)} != {nav}")
-        if x3 >= x1 >= 1 and a1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 1, 2)
-            if pbw.corollary_delta_1_2(m) != nav:
-                rep.add(f"{m}: delta(1,2) formula != {nav}")
-        if a1 > a3 and x1 > x3:
-            d1 = pbw.elem_delta(m, "e", "eps", 1, 2)
-            d2 = pbw.elem_delta(m, "e", "eps", 2, 1)
-            if d1 * d2 != 0:
-                rep.add(f"{m}: delta product {d1}*{d2} != 0")
+    for note in corollaries:
+        rep.add(note)
     return rep
 
 

@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 from b2crystal.axioms import CheckReport, Violation
-from b2crystal.cartan import B2, add_counts, classify_all_pairs, classify_pair
+from b2crystal.cartan import B2, classify_all_pairs, classify_pair
 from b2crystal.errors import (
     InconsistentWeight,
     NonTerminating,
@@ -192,6 +192,22 @@ def reference_maximum_elements(g):
                 seen.add(w)
                 queue.append(w)
     return [v] if len(seen) == len(g) else []
+
+
+def pairing_of_root_count(A, count):
+    """Pairings of a sum of simple roots: component j is sum_i a_ji * count[i]."""
+    for c in count:
+        if c not in A.colors:
+            raise ValueError(f"color {c} not in index set")
+    return {j: sum(A.a(j, i) * m for i, m in count.items()) for j in A.colors}
+
+
+def add_counts(c1, c2):
+    """Componentwise sum of two color multisets."""
+    out = dict(c1)
+    for k, v in c2.items():
+        out[k] = out.get(k, 0) + v
+    return out
 
 
 def reference_wt_assign(g, x0):

@@ -10,9 +10,10 @@ from b2crystal.errors import (
     CertificationFailed,
     NotIsomorphic,
     PrereqFailed,
+    SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, string_tables
+from b2crystal.graph import ColoredGraph, decode_weights, string_tables
 from b2crystal.oracle import weyl_dim_general
 from helpers import copy_mutable, deletion_mutants, reference_collect_merges, relabelled, renaming
 
@@ -180,9 +181,69 @@ def test_layer_grading_homogeneous():
 def test_synthesized_stats_match_strings():
     g = builder.synthesize(A, (2, 1))
     eps, phi = string_tables(g)
-    for v, (wt, e, p) in g.synthesis_stats.items():
+    codes, base, e, p = g.synthesis_stats
+    # the weight codes decode to the BFS grading from the top
+    weights = decode_weights(codes, base, g.colors)
+    grading = g.wt_assign(g.maximum_elements()[0])
+    for v in g.vertices():
         for i in g.colors:
-            assert eps[i][v] == e[i] and phi[i][v] == p[i]
+            assert eps[i][v] == e[i][v] and phi[i][v] == p[i][v]
+        assert weights[codes[v]] == grading[v]
+
+
+@pytest.mark.parametrize("M, lam", [(A, (3, 3)), (b3_gcm(), (1, 1, 1))])
+def test_vertex_budget_at_the_dimension(M, lam):
+    # one test per layer refuses the layer that would pass the budget
+    dim = weyl_dim_general(M, lam)
+    with pytest.raises(BudgetExceeded, match=f"^vertex budget {dim - 1} exceeded$"):
+        builder.synthesize(M, lam, budget_vertices=dim - 1)
+    assert len(builder.synthesize(M, lam, budget_vertices=dim)) == dim
+
+
+def _forced_unions(monkeypatch, layer, pairs):
+    """Let the rules merge as usual, then also union each pair of candidates at the given layer."""
+    collect = builder._collect_merges
+
+    def merging(st, k, uf, candidates):
+        collect(st, k, uf, candidates)
+        if k == layer:
+            for a, b in pairs:
+                uf.union(a, b)
+
+    monkeypatch.setattr(builder, "_collect_merges", merging)
+
+
+@pytest.mark.parametrize("layer, pairs, message", [
+    # two members with one color, also past the first two members of a class
+    (2, [((1, 2), (2, 2))], "layer 2: merged candidates collide on color 2: vertex 4 already has an incoming 2-arrow"),
+    (5, [((12, 1), (14, 1))], "layer 5: merged candidates collide on color 1: vertex 19 already has an incoming 1-arrow"),
+    # weights are written in color order
+    (2, [((2, 1), (2, 2))], "layer 2: vertex 5 merged with unequal weights {1: 1, 2: 1} vs {2: 2}"),
+    (2, [((1, 1), (1, 2))], "layer 2: vertex 3 merged with unequal weights {1: 2} vs {1: 1, 2: 1}"),
+    # with several wrong classes in one layer, the first vertex's defect is reported
+    (5, [((16, 1), (17, 1)), ((12, 2), (14, 1))],
+     "layer 5: vertex 20 merged with unequal weights {1: 2, 2: 3} vs {1: 3, 2: 2}"),
+    (5, [((16, 1), (17, 1)), ((17, 2), (18, 1))],
+     "layer 5: merged candidates collide on color 1: vertex 23 already has an incoming 1-arrow"),
+])
+def test_wrong_merges_refused(monkeypatch, layer, pairs, message):
+    _forced_unions(monkeypatch, layer, pairs)
+    with pytest.raises(SynthesisInconsistency) as exc:
+        builder.synthesize(A, (2, 2))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("M, lam, message", [
+    (A, (1, 1), "layer 4: vertex 9 got negative lowering statistic for 2"),
+    (b3_gcm(), (0, 1, 1), "layer 3: vertex 6 got negative lowering statistic for 1"),
+])
+def test_missing_merges_refused(monkeypatch, M, lam, message):
+    # without merges the graph grows as a tree, and some lowering statistic
+    # defined through the weight goes negative
+    monkeypatch.setattr(builder, "_collect_merges", lambda st, k, uf, candidates: None)
+    with pytest.raises(SynthesisInconsistency) as exc:
+        builder.synthesize(M, lam)
+    assert str(exc.value) == message
 
 
 def test_reversal_involution():

@@ -10,14 +10,13 @@ from b2crystal.cartan import (
     GCM,
     ORTHOGONAL,
     SIMPLY_LACED,
-    add_counts,
     b2_gcm,
     b3_gcm,
     classify_all_pairs,
     classify_pair,
-    pairing_of_root_count,
 )
 from b2crystal.errors import UnsupportedPair
+from helpers import add_counts, pairing_of_root_count
 
 
 def test_classify_pair_examples():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -60,6 +61,17 @@ def test_gen_budget_exit(tmp_path, monkeypatch):
     monkeypatch.setenv("CRYSTAL_BUDGET", "5")
     out = tmp_path / "big.json"
     assert main(["gen", "--gcm", "b2", "--hw", "3,3", "--method", "pbw", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("gcm, hw, dim", [("b2", "3,3", 256), ("b3", "1,1,1", 512)])
+def test_gen_axioms_budget_at_the_dimension(tmp_path, monkeypatch, gcm, hw, dim):
+    # the synthesizer's one budget test per layer: exit 3 one vertex short
+    out = tmp_path / "g.json"
+    argv = ["gen", "--gcm", gcm, "--hw", hw, "--method", "axioms", "--out", str(out)]
+    monkeypatch.setenv("CRYSTAL_BUDGET", str(dim - 1))
+    assert main(argv) == 3 and not out.exists()
+    monkeypatch.setenv("CRYSTAL_BUDGET", str(dim))
+    assert main(argv) == 0 and len(load_doc(out)["vertices"]) == dim
 
 
 def test_check_pass_and_fail(docs, tmp_path):
@@ -298,6 +310,28 @@ def test_check_reports_pinned(tmp_path, capsys):
         digest.update(f"{code}\n{capsys.readouterr().out}".encode() + written)
     assert digest.hexdigest() == (
         "545da25ed0e84daada8145818fa9cb65618415f9c5ce5082d085d86ea5501d9b")
+
+
+def test_synthesized_documents_bytes_pinned(tmp_path):
+    # every byte `gen --method axioms` writes for B2 in [0,4]^2, B3 and C3 at
+    # (1,0,0), (0,0,1) and (1,1,1), and A3 at (1,1,1), pinned by one sha256
+    # so that a change to the synthesizer's layer loop must write the same
+    # documents
+    cases = [("b2", lam) for lam in product(range(5), repeat=2)]
+    cases += [(rows, lam) for rows in (B3_MATRIX_ROWS, C3_MATRIX_ROWS)
+              for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
+    cases.append(([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (1, 1, 1)))
+    spec, out = tmp_path / "m.json", tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    for rows, lam in cases:
+        if rows != "b2":
+            spec.write_text(json.dumps({"cartan": rows}))
+        gcm = rows if rows == "b2" else f"custom:{spec}"
+        hw = ",".join(map(str, lam))
+        assert main(["gen", "--gcm", gcm, "--hw", hw, "--method", "axioms", "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == (
+        "5e6beafb31c835d1df321ccd5cf201d2cdd60bd40053fb785c1ba65611e40a9f")
 
 
 def test_export_dot(docs, tmp_path):

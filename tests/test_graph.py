@@ -13,6 +13,7 @@ from helpers import (
     copy_mutable,
     deletion_mutants,
     duplicate_mutants,
+    pairing_of_root_count,
     redirect_mutants,
     reference_is_good,
     reference_maximum_elements,
@@ -368,8 +369,6 @@ def test_reverse():
 
 def test_k1_identity_on_generated():
     # lowering minus raising statistic equals the residual pairing
-    from b2crystal.cartan import b2_gcm, pairing_of_root_count
-
     A = b2_gcm()
     for lam in [(1, 1), (3, 2)]:
         g = pbw.generate(lam)

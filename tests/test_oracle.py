@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,27 @@ def test_verify_lemmas_catches_injected_bugs():
 
     rep = oracle.verify_lemmas(3, transfer_inv=broken_inverse)
     assert not rep.passed
+
+
+def test_verify_lemmas_counterexamples_pinned():
+    # the counterexample lists of three broken maps, in order, pinned by
+    # sha256; the second map sends the points with a1 = a2 = 1 out of N^4,
+    # and their delta corollaries are still checked
+    def leaving(a):
+        x = r_transfer(a)
+        return (x[0], x[1], x[2] - 2, x[3]) if a[0] == a[1] == 1 else x
+
+    def broken_inverse(x):
+        a = kernel.r_inverse(x)
+        return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
+
+    notes = [oracle.verify_lemmas(1, transfer=broken_transfer).counterexamples,
+             oracle.verify_lemmas(2, transfer=leaving).counterexamples,
+             oracle.verify_lemmas(1, transfer_inv=broken_inverse).counterexamples]
+    assert [len(n) for n in notes] == [20, 19, 17]  # under the cap of 50
+    assert any(n.startswith("PbwElement(a=(1, 1, 1, 0), x=(1, 1, -2, 3))") for n in notes[1])
+    assert hashlib.sha256(json.dumps(notes).encode()).hexdigest() == (
+        "d25fb920d6677d42feb94af27bcc12160d8411932711fd4c23ba3dc17329e9b4")
 
 
 def test_reversal_report():
