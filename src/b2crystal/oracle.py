@@ -1,18 +1,18 @@
 """Brute-force verification suites and independent counting oracles.
 
 Everything here re-checks, on an explicit finite domain, facts that the
-rest of the package relies on: the closed forms of the transition maps,
-the classification of two-parent forks with their merge patterns, the
-arrow-reversal symmetry, and the vertex counts against the Weyl dimension
-product formula.  Reports carry the scanned domain size so "verified"
-always names its finite domain.
+rest of the package relies on: the transition maps against their closed
+forms (kept here, a second implementation of kernel), the fork
+classification with its merge patterns, the arrow-reversal symmetry, and
+the vertex counts against the Weyl dimension product formula.  Reports
+carry the scanned domain size so "verified" always names its domain.
 
 The fork classes form one table, FORKS, and verify_forks serves all three
 fork suites with one pass over each crystal.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
@@ -122,8 +122,13 @@ def weyl_dim_general(A, lam):
 # (0,2) are disjoint, so each fork goes to at most one entry of FORKS.  Raising
 # words are digit strings applied left to right: "211" is e2, then e1 twice.
 
+@cache
+def _raising(word):
+    return tuple(("e", int(i)) for i in word)
+
+
 def _up(m, word, lam):
-    return pbw.elem_walk(m, [("e", int(i)) for i in word], lam)
+    return pbw.elem_walk(m, _raising(word), lam)
 
 
 def _down_delta(m, i, j, lam):
@@ -256,7 +261,8 @@ class Fork(NamedTuple):
 # raising deltas -> class, in report order
 FORKS = {
     (1, 2): Fork("fork(1,2) classification at {}", 1, None,
-                 lambda m: any(f(m) for f, _ in FORK_CASES.values()), _close_12),
+                 lambda m: _match_interlocked(m) or _match_low_tail(m) or _match_low_middle(m),
+                 _close_12),
     (1, 1): Fork("fork(1,1) pentagon at {}", 2, None, _family_11, partial(_pentagon,
         ("11221", "12121", "21112"),
         lambda a, b, _, c: ((a - 2, b + 1, a - 2, c), (b + 1, a - 2, c, a + 2 * b - 2 * c)))),
@@ -268,9 +274,9 @@ FORKS = {
 
 def verify_forks(lam, g=None):
     """The three fork suites in one pass over the crystal g (generate(lam)
-    when not given); returns their reports in FORKS order.  Each vertex with
-    eps1, eps2 >= 1 has its raising deltas computed once and goes to the one
-    class with those deltas; each class's forks must equal its family."""
+    when not given); returns their reports in FORKS order.  A vertex with
+    eps1 = a1 >= 1 and eps2 = x1 >= 1 goes to the one class with its raising
+    deltas, one kernel call each; each class's forks must equal its family."""
     g = pbw.generate(lam) if g is None else g
     reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
     hits = {d: set() for d in FORKS}
@@ -279,12 +285,13 @@ def verify_forks(lam, g=None):
         for d, f in FORKS.items():
             if f.family(m):
                 members[d].add(m)
-        st = pbw.elem_stats(m, lam)
-        if st.eps1 < 1 or st.eps2 < 1:
+        (a1, a2, a3, a4), (x1, x2, x3, x4) = m
+        if a1 < 1 or x1 < 1:
             continue
-        d = (pbw.elem_delta(m, "e", "eps", 1, 2, lam), pbw.elem_delta(m, "e", "eps", 2, 1, lam))
+        d = (kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1,
+             kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1)
         f = FORKS.get(d)
-        if f is None or st.eps1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
+        if f is None or a1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
             continue
         hits[d].add(m)
         f.close(m, lam, reps[d])
@@ -315,59 +322,147 @@ def verify_reversal(lam, g=None):
     return rep
 
 
+# -- closed forms of the transition maps ------------------------------------
+
+def closed_r_a3_ge_a1(a):
+    """Transition map on the half-space a3 >= a1, in closed form."""
+    a1, a2, a3, a4 = a
+    if a3 < a1:
+        raise HypothesisNotMet("needs a3 >= a1")
+    lo = min(a2, a4)
+    return (max(a2, a4) + a3 - a1, a1, lo, a3 + 2 * a2 - 2 * lo)
+
+
+def closed_r_a3_le_a1(a):
+    """Transition map on the half-space a3 <= a1 (three-case form).
+
+    The middle bound a4 + (a3 - a1)/2 may be half-integral; comparisons
+    are done doubled so they stay exact.
+    """
+    a1, a2, a3, a4 = a
+    if a3 > a1:
+        raise HypothesisNotMet("needs a3 <= a1")
+    if 2 * a2 >= 2 * a4 + (a3 - a1):
+        return (a2, a3, a4, a1 + 2 * a2 - 2 * a4)
+    if a2 >= a4 + a3 - a1:
+        return (a2, 2 * a3 + 2 * a4 - a1 - 2 * a2, a1 + 2 * a2 - (a3 + a4), a3)
+    return (a4 + a3 - a1, a1, a2, a3)
+
+
+def closed_form_r(a):
+    """Closed-form transition map, total on N^4 (agrees with r_transfer)."""
+    return closed_r_a3_ge_a1(a) if a[2] >= a[0] else closed_r_a3_le_a1(a)
+
+
+def closed_rinv_x3_ge_x1(x):
+    """Inverse transition map on x3 >= x1, in closed form."""
+    x1, x2, x3, x4 = x
+    if x3 < x1:
+        raise HypothesisNotMet("needs x3 >= x1")
+    lo = min(x2, x4)
+    return (max(x2, x4) + 2 * (x3 - x1), x1, lo, x3 + x2 - lo)
+
+
+def closed_rinv_x3_le_x1(x):
+    """Inverse transition map on x3 <= x1 (three-case form)."""
+    x1, x2, x3, x4 = x
+    if x3 > x1:
+        raise HypothesisNotMet("needs x3 <= x1")
+    if x2 >= x4 + x3 - x1:
+        return (x2, x3, x4, x1 + x2 - x4)
+    if x2 >= x4 + 2 * (x3 - x1):
+        return (x2, 2 * x3 + x4 - x1 - x2, 2 * x1 + 2 * x2 - 2 * x3 - x4, x3)
+    return (x4 + 2 * (x3 - x1), x1, x2, x3)
+
+
+def closed_form_rinv(x):
+    """Closed-form inverse transition map, total on N^4."""
+    return closed_rinv_x3_ge_x1(x) if x[2] >= x[0] else closed_rinv_x3_le_x1(x)
+
+
+# -- closed forms of two raising deltas --------------------------------------
+
+def corollary_delta_2_1(m: pbw.PbwElement):
+    """Closed form of the eps1 change across one raising 2-step.
+
+    Valid for a3 >= a1 >= 1 and x1 >= 1.
+    """
+    a1, a2, a3, a4 = m.a
+    if not (a3 >= a1 >= 1 and m.x[0] >= 1):
+        raise HypothesisNotMet("needs a3 >= a1 >= 1 and x1 >= 1")
+    return max(0, 2 + a1 - a3 + 2 * a2 - 2 * max(a2, a4))
+
+
+def corollary_delta_1_2(m: pbw.PbwElement):
+    """Closed form of the eps2 change across one raising 1-step.
+
+    Valid for x3 >= x1 >= 1 and a1 >= 1.
+    """
+    x1, x2, x3, x4 = m.x
+    if not (x3 >= x1 >= 1 and m.a[0] >= 1):
+        raise HypothesisNotMet("needs x3 >= x1 >= 1 and a1 >= 1")
+    return max(0, 1 + x1 - x3 + x2 - max(x2, x4))
+
+
 def verify_lemmas(n, transfer=None, transfer_inv=None):
     """Scan [0,n]^4: closed forms, inverses, weight identities, delta formulas.
 
-    The transfer arguments exist so a deliberately broken implementation
-    can be injected to prove the harness detects it.
+    Each map is evaluated once per box point.  The transfer arguments let a
+    deliberately broken map be injected to prove the harness detects it;
+    the delta corollaries still navigate through ``kernel``, as
+    ``pbw.elem_delta`` does.
     """
+    if n < 0:
+        raise ValueError("the box bound must be nonnegative")
     transfer = transfer or kernel.r_transfer
     transfer_inv = transfer_inv or kernel.r_inverse
-    rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=(n + 1) ** 4)
+    box = list(product(range(n + 1), repeat=4))
+    image = {a: transfer(a) for a in box}
+    preimage = {x: transfer_inv(x) for x in box}
+    rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=len(box))
     corollaries = []  # reported after the inverse scan's notes
-    for a in product(range(n + 1), repeat=4):
-        x = transfer(a)
-        if any(v < 0 for v in x):
-            rep.add(f"{a}: image {x} leaves N^4")
-        else:
-            if transfer_inv(x) != a:
-                rep.add(f"{a}: inverse roundtrip gives {transfer_inv(x)}")
-            if a[2] >= a[0] and pbw.closed_r_a3_ge_a1(a) != x:
-                rep.add(f"{a}: high closed form {pbw.closed_r_a3_ge_a1(a)} != {x}")
-            if a[2] <= a[0] and pbw.closed_r_a3_le_a1(a) != x:
-                rep.add(f"{a}: low closed form {pbw.closed_r_a3_le_a1(a)} != {x}")
-            if (
-                a[0] + 2 * a[1] + a[2] != x[1] + 2 * x[2] + x[3]
-                or a[1] + a[2] + a[3] != x[0] + x[1] + x[2]
-            ):
-                rep.add(f"{a}: weight identities fail for {x}")
-        # delta corollaries and the product-zero fact, by navigation, at every point
-        m = pbw.PbwElement(a, x)
+    for a, x in image.items():
         a1, a2, a3, a4 = a
         x1, x2, x3, x4 = x
+        if min(x) < 0:
+            rep.add(f"{a}: image {x} leaves N^4")
+        else:
+            back = preimage[x] if max(x) <= n else transfer_inv(x)
+            if back != a:
+                rep.add(f"{a}: inverse roundtrip gives {back}")
+            if a3 >= a1 and closed_r_a3_ge_a1(a) != x:
+                rep.add(f"{a}: high closed form {closed_r_a3_ge_a1(a)} != {x}")
+            if a3 <= a1 and closed_r_a3_le_a1(a) != x:
+                rep.add(f"{a}: low closed form {closed_r_a3_le_a1(a)} != {x}")
+            if a1 + 2 * a2 + a3 != x2 + 2 * x3 + x4 or a2 + a3 + a4 != x1 + x2 + x3:
+                rep.add(f"{a}: weight identities fail for {x}")
+        # delta corollaries and the product-zero fact, by navigation, at every point
         if a3 >= a1 >= 1 and x1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 2, 1)
-            if pbw.corollary_delta_2_1(m) != nav:
-                corollaries.append(f"{m}: delta(2,1) formula {pbw.corollary_delta_2_1(m)} != {nav}")
+            nav = kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1
+            got = corollary_delta_2_1(pbw.PbwElement(a, x))
+            if got != nav:
+                corollaries.append(f"{pbw.PbwElement(a, x)}: delta(2,1) formula {got} != {nav}")
         if x3 >= x1 >= 1 and a1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 1, 2)
-            if pbw.corollary_delta_1_2(m) != nav:
-                corollaries.append(f"{m}: delta(1,2) formula != {nav}")
+            nav = kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1
+            if corollary_delta_1_2(pbw.PbwElement(a, x)) != nav:
+                corollaries.append(f"{pbw.PbwElement(a, x)}: delta(1,2) formula != {nav}")
         if a1 > a3 and x1 > x3:
-            d1 = pbw.elem_delta(m, "e", "eps", 1, 2)
-            d2 = pbw.elem_delta(m, "e", "eps", 2, 1)
+            d1 = kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1
+            if x1 == 0:
+                raise HypothesisNotMet(f"e_2 undefined at {pbw.PbwElement(a, x)}")
+            d2 = kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1
             if d1 * d2 != 0:
-                corollaries.append(f"{m}: delta product {d1}*{d2} != 0")
-    for x in product(range(n + 1), repeat=4):
-        a = transfer_inv(x)
-        if any(v < 0 for v in a):
+                corollaries.append(f"{pbw.PbwElement(a, x)}: delta product {d1}*{d2} != 0")
+    for x, a in preimage.items():
+        if min(a) < 0:
             rep.add(f"{x}: preimage {a} leaves N^4")
             continue
-        if transfer(a) != x:
-            rep.add(f"{x}: forward roundtrip gives {transfer(a)}")
-        if x[2] >= x[0] and pbw.closed_rinv_x3_ge_x1(x) != a:
+        forth = image[a] if max(a) <= n else transfer(a)
+        if forth != x:
+            rep.add(f"{x}: forward roundtrip gives {forth}")
+        if x[2] >= x[0] and closed_rinv_x3_ge_x1(x) != a:
             rep.add(f"{x}: high closed form != {a}")
-        if x[2] <= x[0] and pbw.closed_rinv_x3_le_x1(x) != a:
+        if x[2] <= x[0] and closed_rinv_x3_le_x1(x) != a:
             rep.add(f"{x}: low closed form != {a}")
     for note in corollaries:
         rep.add(note)
@@ -377,6 +472,8 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
 def run_verification(max_hw=3, max_box=8, extra=((4, 4),)):
     """The whole desk-scale battery; returns the list of reports.  Each weight's
     crystal is generated once, shared by its fork, reversal and dimension suites."""
+    if max_hw < 0:
+        raise ValueError("the weight bound must be nonnegative")
     reports = [verify_lemmas(max_box)]
     grid = [(a, b) for a in range(max_hw + 1) for b in range(max_hw + 1)]
     weights = grid + [t for t in extra if t not in grid]

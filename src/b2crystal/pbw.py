@@ -59,12 +59,6 @@ class ElemStats(NamedTuple):
     wt: Tuple[int, int]  # pairings (<h1,wt>, <h2,wt>)
 
 
-def root_count(m):
-    """Multiset of simple roots subtracted from the highest weight."""
-    x1, x2, x3, x4 = m.x
-    return {1: x2 + 2 * x3 + x4, 2: x1 + x2 + x3}
-
-
 def elem_stats(m: PbwElement, lam=None) -> ElemStats:
     """String statistics and weight pairings; lam=None behaves as (0, 0)."""
     l1, l2 = lam if lam is not None else (0, 0)
@@ -74,11 +68,6 @@ def elem_stats(m: PbwElement, lam=None) -> ElemStats:
     eps1 = m.a[0]
     eps2 = x1
     return ElemStats(eps1, eps2, eps1 + h1, eps2 + h2, (h1, h2))
-
-
-def epsilon_star(m: PbwElement):
-    """The two starred string statistics (tail coordinates x4, a4)."""
-    return (m.x[3], m.a[3])
 
 
 def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement]:
@@ -164,11 +153,6 @@ MEMBERSHIP_RULES = {"x4": _member_tail, "x3": _member_third}
 DEFAULT_MEMBERSHIP = "x4"
 
 
-def in_highest_weight(m, lam, rule=DEFAULT_MEMBERSHIP):
-    """Membership of an unbounded-crystal element in B with pairings lam."""
-    return MEMBERSHIP_RULES[rule](m, lam)
-
-
 # -- full generation ---------------------------------------------------------
 
 def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
@@ -212,85 +196,3 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
             raise DuplicateEdge(f"vertex {d} already has an incoming {i}-arrow")
         g.add_arrows(i, srcs, dsts)
     return g.freeze()
-
-
-# -- closed forms of the transition maps ------------------------------------
-
-def closed_r_a3_ge_a1(a):
-    """Transition map on the half-space a3 >= a1, in closed form."""
-    a1, a2, a3, a4 = a
-    if a3 < a1:
-        raise HypothesisNotMet("needs a3 >= a1")
-    lo = min(a2, a4)
-    return (max(a2, a4) + a3 - a1, a1, lo, a3 + 2 * a2 - 2 * lo)
-
-
-def closed_r_a3_le_a1(a):
-    """Transition map on the half-space a3 <= a1 (three-case form).
-
-    The middle bound a4 + (a3 - a1)/2 may be half-integral; comparisons
-    are done doubled so they stay exact.
-    """
-    a1, a2, a3, a4 = a
-    if a3 > a1:
-        raise HypothesisNotMet("needs a3 <= a1")
-    if 2 * a2 >= 2 * a4 + (a3 - a1):
-        return (a2, a3, a4, a1 + 2 * a2 - 2 * a4)
-    if a2 >= a4 + a3 - a1:
-        return (a2, 2 * a3 + 2 * a4 - a1 - 2 * a2, a1 + 2 * a2 - (a3 + a4), a3)
-    return (a4 + a3 - a1, a1, a2, a3)
-
-
-def closed_form_r(a):
-    """Closed-form transition map, total on N^4 (agrees with r_transfer)."""
-    return closed_r_a3_ge_a1(a) if a[2] >= a[0] else closed_r_a3_le_a1(a)
-
-
-def closed_rinv_x3_ge_x1(x):
-    """Inverse transition map on x3 >= x1, in closed form."""
-    x1, x2, x3, x4 = x
-    if x3 < x1:
-        raise HypothesisNotMet("needs x3 >= x1")
-    lo = min(x2, x4)
-    return (max(x2, x4) + 2 * (x3 - x1), x1, lo, x3 + x2 - lo)
-
-
-def closed_rinv_x3_le_x1(x):
-    """Inverse transition map on x3 <= x1 (three-case form)."""
-    x1, x2, x3, x4 = x
-    if x3 > x1:
-        raise HypothesisNotMet("needs x3 <= x1")
-    if x2 >= x4 + x3 - x1:
-        return (x2, x3, x4, x1 + x2 - x4)
-    if x2 >= x4 + 2 * (x3 - x1):
-        return (x2, 2 * x3 + x4 - x1 - x2, 2 * x1 + 2 * x2 - 2 * x3 - x4, x3)
-    return (x4 + 2 * (x3 - x1), x1, x2, x3)
-
-
-def closed_form_rinv(x):
-    """Closed-form inverse transition map, total on N^4."""
-    return closed_rinv_x3_ge_x1(x) if x[2] >= x[0] else closed_rinv_x3_le_x1(x)
-
-
-# -- closed forms of two raising deltas --------------------------------------
-
-def corollary_delta_2_1(m: PbwElement):
-    """Closed form of the eps1 change across one raising 2-step.
-
-    Valid for a3 >= a1 >= 1 and x1 >= 1.
-    """
-    a1, a2, a3, a4 = m.a
-    if not (a3 >= a1 >= 1 and m.x[0] >= 1):
-        raise HypothesisNotMet("needs a3 >= a1 >= 1 and x1 >= 1")
-    return max(0, 2 + a1 - a3 + 2 * a2 - 2 * max(a2, a4))
-
-
-def corollary_delta_1_2(m: PbwElement):
-    """Closed form of the eps2 change across one raising 1-step.
-
-    Valid for x3 >= x1 >= 1 and a1 >= 1.
-    """
-    x1, x2, x3, x4 = m.x
-    if not (x3 >= x1 >= 1 and m.a[0] >= 1):
-        raise HypothesisNotMet("needs x3 >= x1 >= 1 and a1 >= 1")
-    return max(0, 1 + x1 - x3 + x2 - max(x2, x4))

@@ -1,9 +1,21 @@
 """Hand-built fixture graphs, mutation helpers, and the reference graph
-passes, axiom checker and synthesis merges shared by the tests."""
+passes, axiom checker, synthesis merges and verification scans shared by
+the tests."""
 
 import random
 from itertools import product
 
+from b2crystal import kernel, pbw
+from b2crystal.oracle import (
+    FORKS,
+    VerificationReport,
+    closed_r_a3_ge_a1,
+    closed_r_a3_le_a1,
+    closed_rinv_x3_ge_x1,
+    closed_rinv_x3_le_x1,
+    corollary_delta_1_2,
+    corollary_delta_2_1,
+)
 from b2crystal.axioms import CheckReport, Violation
 from b2crystal.cartan import B2, classify_all_pairs, classify_pair
 from b2crystal.errors import (
@@ -13,6 +25,7 @@ from b2crystal.errors import (
     UnsupportedPair,
 )
 from b2crystal.graph import ColoredGraph, GraphViolation
+from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -692,3 +705,111 @@ def reference_collect_merges(st, k, uf, candidates):
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
             merge((q, i), (p, j), f"diamond at {w}")
+
+
+# -- PBW statistics read only by the tests -----------------------------------------
+
+def root_count(m):
+    """Multiset of simple roots subtracted from the highest weight."""
+    x1, x2, x3, x4 = m.x
+    return {1: x2 + 2 * x3 + x4, 2: x1 + x2 + x3}
+
+
+def epsilon_star(m):
+    """The two starred string statistics (tail coordinates x4, a4)."""
+    return (m.x[3], m.a[3])
+
+
+def in_highest_weight(m, lam, rule=DEFAULT_MEMBERSHIP):
+    """Membership of an unbounded-crystal element in B with pairings lam."""
+    return MEMBERSHIP_RULES[rule](m, lam)
+
+
+# -- reference verification scans ------------------------------------------------
+#
+# oracle.verify_lemmas and oracle.verify_forks as they were before they read
+# the maps from one evaluation per box point and the fork deltas from the
+# coordinates: every map value is recomputed where it is used, and every delta
+# goes through pbw.elem_delta.  The differential tests require the oracle's
+# reports to equal these.
+
+def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
+    """Scan [0,n]^4: closed forms, inverses, weight identities, delta formulas."""
+    transfer = transfer or kernel.r_transfer
+    transfer_inv = transfer_inv or kernel.r_inverse
+    rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=(n + 1) ** 4)
+    corollaries = []  # reported after the inverse scan's notes
+    for a in product(range(n + 1), repeat=4):
+        x = transfer(a)
+        if any(v < 0 for v in x):
+            rep.add(f"{a}: image {x} leaves N^4")
+        else:
+            if transfer_inv(x) != a:
+                rep.add(f"{a}: inverse roundtrip gives {transfer_inv(x)}")
+            if a[2] >= a[0] and closed_r_a3_ge_a1(a) != x:
+                rep.add(f"{a}: high closed form {closed_r_a3_ge_a1(a)} != {x}")
+            if a[2] <= a[0] and closed_r_a3_le_a1(a) != x:
+                rep.add(f"{a}: low closed form {closed_r_a3_le_a1(a)} != {x}")
+            if (
+                a[0] + 2 * a[1] + a[2] != x[1] + 2 * x[2] + x[3]
+                or a[1] + a[2] + a[3] != x[0] + x[1] + x[2]
+            ):
+                rep.add(f"{a}: weight identities fail for {x}")
+        # delta corollaries and the product-zero fact, by navigation, at every point
+        m = pbw.PbwElement(a, x)
+        a1, a2, a3, a4 = a
+        x1, x2, x3, x4 = x
+        if a3 >= a1 >= 1 and x1 >= 1:
+            nav = pbw.elem_delta(m, "e", "eps", 2, 1)
+            if corollary_delta_2_1(m) != nav:
+                corollaries.append(f"{m}: delta(2,1) formula {corollary_delta_2_1(m)} != {nav}")
+        if x3 >= x1 >= 1 and a1 >= 1:
+            nav = pbw.elem_delta(m, "e", "eps", 1, 2)
+            if corollary_delta_1_2(m) != nav:
+                corollaries.append(f"{m}: delta(1,2) formula != {nav}")
+        if a1 > a3 and x1 > x3:
+            d1 = pbw.elem_delta(m, "e", "eps", 1, 2)
+            d2 = pbw.elem_delta(m, "e", "eps", 2, 1)
+            if d1 * d2 != 0:
+                corollaries.append(f"{m}: delta product {d1}*{d2} != 0")
+    for x in product(range(n + 1), repeat=4):
+        a = transfer_inv(x)
+        if any(v < 0 for v in a):
+            rep.add(f"{x}: preimage {a} leaves N^4")
+            continue
+        if transfer(a) != x:
+            rep.add(f"{x}: forward roundtrip gives {transfer(a)}")
+        if x[2] >= x[0] and closed_rinv_x3_ge_x1(x) != a:
+            rep.add(f"{x}: high closed form != {a}")
+        if x[2] <= x[0] and closed_rinv_x3_le_x1(x) != a:
+            rep.add(f"{x}: low closed form != {a}")
+    for note in corollaries:
+        rep.add(note)
+    return rep
+
+
+def reference_verify_forks(lam, g=None):
+    """The three fork suites in one pass over the crystal g; each vertex's
+    statistics come from pbw.elem_stats and its deltas from pbw.elem_delta."""
+    g = pbw.generate(lam) if g is None else g
+    reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
+    hits = {d: set() for d in FORKS}
+    members = {d: set() for d in FORKS}
+    for m in g.labels:
+        for d, f in FORKS.items():
+            if f.family(m):
+                members[d].add(m)
+        st = pbw.elem_stats(m, lam)
+        if st.eps1 < 1 or st.eps2 < 1:
+            continue
+        d = (pbw.elem_delta(m, "e", "eps", 1, 2, lam), pbw.elem_delta(m, "e", "eps", 2, 1, lam))
+        f = FORKS.get(d)
+        if f is None or st.eps1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
+            continue
+        hits[d].add(m)
+        f.close(m, lam, reps[d])
+    for d, rep in reps.items():
+        if members[d] != hits[d]:
+            rep.add(f"set identity fails: families minus forks {sorted(members[d] - hits[d])[:3]}, "
+                    f"forks minus families {sorted(hits[d] - members[d])[:3]}")
+    return list(reps.values())

@@ -20,6 +20,7 @@ from helpers import (
     reference_string_tables,
     reference_wt_assign,
     relabelled,
+    root_count,
 )
 
 
@@ -332,7 +333,7 @@ def test_wt_assign_on_crystal():
     assert grading[0] == ({}, 0)
     for v in g.vertices():
         wt, dist = grading[v]
-        counts = pbw.root_count(g.label(v))
+        counts = root_count(g.label(v))
         assert {c: n for c, n in wt.items() if n} == {c: n for c, n in counts.items() if n}
         assert dist == sum(wt.values())
 

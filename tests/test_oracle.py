@@ -5,14 +5,26 @@ import pytest
 
 from b2crystal import kernel, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
-from b2crystal.errors import BudgetExceeded
+from b2crystal.errors import BudgetExceeded, HypothesisNotMet
 from b2crystal.kernel import r_transfer
+from helpers import in_highest_weight, reference_verify_forks, reference_verify_lemmas
 
 
 def broken_transfer(a):
     x = r_transfer(a)
     # swap two output slots on part of the domain
     return (x[0], x[2], x[1], x[3]) if a[1] != a[3] else x
+
+
+def leaving(a):
+    # sends the points with a1 = a2 = 1 out of N^4
+    x = r_transfer(a)
+    return (x[0], x[1], x[2] - 2, x[3]) if a[0] == a[1] == 1 else x
+
+
+def broken_inverse(x):
+    a = kernel.r_inverse(x)
+    return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
 
 
 def test_weyl_dim_b2_anchors():
@@ -69,7 +81,7 @@ def test_fork11_membership_example():
     m = pbw.PbwElement.from_a((2, 1, 3, 0))
     assert m.x == (2, 2, 0, 5)
     lam = (5, 1)
-    assert pbw.in_highest_weight(m, lam)
+    assert in_highest_weight(m, lam)
     st = pbw.elem_stats(m, lam)
     assert st.eps1 >= 2 and st.eps2 >= 1
     assert (
@@ -113,11 +125,6 @@ def test_verify_lemmas_passes():
 def test_verify_lemmas_catches_injected_bugs():
     rep = oracle.verify_lemmas(3, transfer=broken_transfer)
     assert not rep.passed
-
-    def broken_inverse(x):
-        a = kernel.r_inverse(x)
-        return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
-
     rep = oracle.verify_lemmas(3, transfer_inv=broken_inverse)
     assert not rep.passed
 
@@ -126,14 +133,6 @@ def test_verify_lemmas_counterexamples_pinned():
     # the counterexample lists of three broken maps, in order, pinned by
     # sha256; the second map sends the points with a1 = a2 = 1 out of N^4,
     # and their delta corollaries are still checked
-    def leaving(a):
-        x = r_transfer(a)
-        return (x[0], x[1], x[2] - 2, x[3]) if a[0] == a[1] == 1 else x
-
-    def broken_inverse(x):
-        a = kernel.r_inverse(x)
-        return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
-
     notes = [oracle.verify_lemmas(1, transfer=broken_transfer).counterexamples,
              oracle.verify_lemmas(2, transfer=leaving).counterexamples,
              oracle.verify_lemmas(1, transfer_inv=broken_inverse).counterexamples]
@@ -141,6 +140,57 @@ def test_verify_lemmas_counterexamples_pinned():
     assert any(n.startswith("PbwElement(a=(1, 1, 1, 0), x=(1, 1, -2, 3))") for n in notes[1])
     assert hashlib.sha256(json.dumps(notes).encode()).hexdigest() == (
         "d25fb920d6677d42feb94af27bcc12160d8411932711fd4c23ba3dc17329e9b4")
+
+
+@pytest.mark.parametrize("maps", [{}, {"transfer": broken_transfer}, {"transfer": leaving},
+                                  {"transfer_inv": broken_inverse}],
+                         ids=["kernel", "broken_transfer", "leaving", "broken_inverse"])
+def test_verify_lemmas_matches_reference(maps):
+    for n in range(6):
+        assert oracle.verify_lemmas(n, **maps).to_dict() == reference_verify_lemmas(n, **maps).to_dict()
+
+
+def test_verify_lemmas_undefined_step_raises():
+    # a broken image with x1 = 0 > x3 at a point with a1 > a3 asks the
+    # product-zero check for an undefined raising 2-step
+    def undefined(a):
+        return (0, 0, -1, 0) if a == (1, 0, 0, 0) else r_transfer(a)
+
+    for scan in (oracle.verify_lemmas, reference_verify_lemmas):
+        with pytest.raises(HypothesisNotMet, match=r"^e_2 undefined at PbwElement\(a=\(1, 0, 0, 0\), x=\(0, 0, -1, 0\)\)$"):
+            scan(1, transfer=undefined)
+
+
+def test_verify_forks_matches_reference(monkeypatch):
+    # as generated, then navigated with a broken map after generation
+    weights = [(a, b) for a in range(5) for b in range(5)] + [(7, 2), (5, 3), (6, 6)]
+    crystals = {lam: pbw.generate(lam) for lam in weights}
+    for broken in (False, True):
+        if broken:
+            monkeypatch.setattr(kernel, "r_transfer", broken_transfer)
+        for lam, g in crystals.items():
+            got = [r.to_dict() for r in oracle.verify_forks(lam, g)]
+            assert got == [r.to_dict() for r in reference_verify_forks(lam, g)], (lam, broken)
+
+
+def test_negative_bounds_raise():
+    # an empty scan would report a vacuous pass
+    for call in (lambda: oracle.verify_lemmas(-3), lambda: oracle.run_verification(max_box=-3),
+                 lambda: oracle.run_verification(max_hw=-1)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            call()
+    assert oracle.verify_lemmas(0).to_dict()["domain_size"] == 1
+
+
+@pytest.mark.parametrize("lam, digest", [
+    ((7, 2), "5c297efeabdb0845bba7b79782789f5f583d4a02ea416675d71a241901911687"),
+    ((5, 3), "149ce5c4e0229da103282267e56528919f993ed8af91e2b1da3b2ed5a3e223ad"),
+])
+def test_battery_reports_pinned(lam, digest):
+    # the two ops of the verify_battery benchmark workload
+    reports = oracle.run_verification(max_hw=2, max_box=6, extra=(lam,))
+    text = json.dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_reversal_report():
