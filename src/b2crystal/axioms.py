@@ -74,19 +74,17 @@ def _vid(g, k):
 
 # -- S2 / S3 -----------------------------------------------------------------
 
-def check_s2_s3(g, A, include_diagonal=False, tables=None):
-    """String-difference equality and sign bounds across every raising step.
-
-    With include_diagonal the equality is also checked at j = i, where the
-    differences are the constants -1 and +1 and the equality reads 2 = a_ii.
-    """
+def check_s2_s3(g, A, tables=None):
+    """String-difference equality and sign bounds across every raising
+    step, for j != i (at j = i the equality reads 2 = a_ii, which GCM
+    already requires)."""
     eps, phi = tables or g.tables()
     ids = g.ids
     out = []
     for i in g.colors:
         up_i = g.up[i]
         for j in g.colors:
-            if j == i and not include_diagonal:
+            if j == i:
                 continue
             a = A.a(j, i)
             eps_j, phi_j = eps[j], phi[j]
@@ -102,7 +100,7 @@ def check_s2_s3(g, A, include_diagonal=False, tables=None):
                             f"phi/eps difference {dphi}-{deps} != a[{j},{i}]={a}",
                         )
                     )
-                if j != i and not (dphi <= 0 <= deps):
+                if not (dphi <= 0 <= deps):
                     out.append(
                         Violation("S3", (i, j), ids[x], f"need {dphi} <= 0 <= {deps}")
                     )

@@ -77,10 +77,10 @@ class _Build:
     def __init__(self, A, phi0):
         self.A = A
         self.g = ColoredGraph(A.colors, cartan=A)
-        v0 = self.g.add_vertex()
+        self.g.add_vertices([0])
         self.eps = {i: [0] for i in A.colors}
         self.phi = {i: [phi0[i]] for i in A.colors}
-        self.layers = [range(v0, v0 + 1)]
+        self.layers = [range(1)]
         self.side = lowering(self.g, self.eps, self.phi)
         self.plan = defaultdict(list)  # (word length, i, j) -> the entries on {i, j}
         for n, i in enumerate(A.colors):
@@ -176,7 +176,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
                     wts = decode_weights([code, codes[q] + inc[j]], base, colors)
                     errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
                                          f"{wts[code][0]} vs {wts[codes[q] + inc[j]][0]}"))
-        st.g.add_vertices(range(first, first + n), [None] * n)
+        st.g.add_vertices(range(first, first + n))
         for t, c in enumerate(colors, 1):
             mask = [q is not None for q in up[c]]
             st.g.add_arrows(c, compress(up[c], mask), compress(range(first, first + n), mask))

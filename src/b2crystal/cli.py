@@ -16,15 +16,17 @@ Graph document schema (JSON):
     "edges":     [{"from": 0, "to": 1, "color": 1}, ...],
     "max":       0
   }
-where a/x/wt/eps/phi are optional per vertex and "max" is optional; when
-given, it must be a declared vertex, and `check` rejects a document whose
-"max" is not the maximum element it finds (exit 2).  The integer fields
+where a/x/wt/eps/phi are optional per vertex: `gen` writes them, and no
+command reads them.  "max" is optional; when given, it must be a declared
+vertex, and `check` rejects a document whose "max" is not the maximum
+element it finds (exit 2).  The integer fields
 (index_set entries, id, from, to, color, max, and the cartan entries, also
 those of a custom matrix file) are read as int() reads them, numeric
 strings and integral floats included, but a boolean or a number with a
 fractional part is an input error (exit 2), not truncated.
 The loader reads the vertex and edge arrays whole into the graph's
-position lists.  Documents are written as compact one-line JSON.
+position lists, the vertices sorted by id.  Documents are written as
+compact one-line JSON.
 """
 
 import argparse
@@ -56,9 +58,8 @@ def graph_to_doc(g, stats=None):
     graph, (codes, base, eps, phi): per-position weight codes in weight_codes'
     layout with that base and per-color eps/phi lists over positions, from
     which each vertex's wt/eps/phi entries are written."""
-    ids = g.vertices()
-    vertices = [{"id": v} for v in ids]
-    for entry, label in zip(vertices, map(g.label, ids)):
+    vertices = [{"id": v} for v in g.ids]
+    for entry, label in zip(vertices, g.labels):
         if isinstance(label, PbwElement):
             entry["a"], entry["x"] = list(label.a), list(label.x)
     if stats:
@@ -85,22 +86,26 @@ _EDGE_FIELDS = ("from", "to", "color")
 
 
 def doc_to_graph(doc):
-    """Rebuild a frozen graph from a document, preserving ids and labels.
+    """Rebuild a frozen graph from a document, preserving ids.
 
-    Arrows are loaded without the degree guard so that deliberately broken
-    documents can still be checked.  Input errors (ValueError, or the
-    KeyError/TypeError of a missing or malformed field) are looked for one
-    kind at a time, each naming its first vertex or edge: integer fields,
-    duplicate ids, undeclared endpoints, colors outside index_set, and an
-    undeclared "max".
+    The vertices are loaded in increasing id order, whatever their order in
+    the document, and without labels.  Arrows are loaded without the degree
+    guard so that deliberately broken documents can still be checked.
+    Input errors (ValueError, or the KeyError/TypeError of a missing or
+    malformed field) are looked for one kind at a time, each naming its
+    first vertex or edge in document order: integer fields, duplicate ids,
+    undeclared endpoints, colors outside index_set, and an undeclared "max".
     """
     colors = integers(doc["index_set"], lambda k: "index_set entry")
     cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
     g = ColoredGraph(colors, cartan=cartan)
     vertices = doc["vertices"]
     ids = integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
-    g.add_vertices(ids, [PbwElement(tuple(v["a"]), tuple(v["x"])) if "a" in v and "x" in v else None
-                         for v in vertices])
+    if len(set(ids)) < len(ids):
+        seen = set()
+        vid = next(v for v in ids if v in seen or seen.add(v))
+        raise ValueError(f"vertex {vid} already present")
+    g.add_vertices(sorted(ids))
     edges = doc["edges"]
     srcs, dsts, cols = (integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)

@@ -5,12 +5,11 @@ vertex ids[k] and its label labels[k]; for each color i, up[i][k] and
 down[i][k] are the positions of the e_i-parent and the f_i-child of k, or
 None where the step is undefined (the first recorded arrow wins).  Beside
 them, arrows[i] keeps every recorded i-arrow, duplicates included, as two
-position lists (sources, targets); the goodness check reads those.  Ids are
-read only where they enter or leave: add_vertex(vid=...), e_step/f_step,
-label, vertices/edges, and the reports built from the passes below.  A
-frozen graph's positions are its ids in increasing order (an unfrozen one
-is renumbered so before the passes whose output depends on the order), so
-a scan over positions visits vertices in id order.
+position lists (sources, targets); the goodness check reads those.
+Vertices arrive in bulk with increasing ids (add_vertices), so positions
+follow the ids and a scan over positions visits vertices in id order; ids
+are read only where they enter or leave: add_vertices, positions,
+vertices/edges, and the reports built from the passes below.
 
 The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import is_, lt
 
-from .errors import DuplicateEdge, InconsistentWeight, NonTerminating
+from .errors import InconsistentWeight, NonTerminating
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,8 @@ class ColoredGraph:
         self.down = {i: [] for i in self.colors}
         self.arrows = {i: ([], []) for i in self.colors}
         self._pos = {}  # id -> position
-        self._sorted = True  # positions follow increasing ids
         self._frozen = False
         self._kept = {}
-        self._next_id = 0
 
     # -- construction ------------------------------------------------------
 
@@ -57,40 +54,19 @@ class ColoredGraph:
         if self._frozen:
             raise RuntimeError("graph is frozen")
 
-    def add_vertex(self, vid=None, label=None):
-        self._check_mutable()
-        pos, ids = self._pos, self.ids
-        if vid is None:
-            while self._next_id in pos:
-                self._next_id += 1
-            vid = self._next_id
-            self._next_id += 1
-        if vid in pos:
-            raise ValueError(f"vertex {vid} already present")
-        if ids and vid < ids[-1]:
-            self._sorted = False
-        pos[vid] = len(ids)
-        ids.append(vid)
-        self.labels.append(label)
-        for i in self.colors:
-            self.up[i].append(None)
-            self.down[i].append(None)
-        return vid
-
-    def add_vertices(self, ids, labels):
-        """add_vertex for each id in turn, labels[k] labelling ids[k]."""
+    def add_vertices(self, ids, labels=None):
+        """Append vertices, labels[k] labelling ids[k]; the ids must increase,
+        past the last id already present."""
         self._check_mutable()
         ids = list(ids)
         n0, n = len(self.ids), len(ids)
-        first = dict(zip(reversed(ids), range(n0 + n - 1, n0 - 1, -1)))  # id -> first position
-        if len(first) != n or not self._pos.keys().isdisjoint(first):
-            vid = next(v for k, v in enumerate(ids, n0) if v in self._pos or first[v] != k)
-            raise ValueError(f"vertex {vid} already present")
-        if n and not (all(map(lt, ids, islice(ids, 1, None))) and (not n0 or self.ids[-1] < ids[0])):
-            self._sorted = False
-        self._pos.update(first)
+        last = self.ids[-1:] + ids
+        if not all(map(lt, last, islice(last, 1, None))):
+            k = next(k for k in range(1, len(last)) if last[k] <= last[k - 1])
+            raise ValueError(f"vertex ids must increase: {last[k]} after {last[k - 1]}")
+        self._pos.update(zip(ids, range(n0, n0 + n)))
         self.ids.extend(ids)
-        self.labels.extend(labels)
+        self.labels.extend([None] * n if labels is None else labels)
         for i in self.colors:
             self.up[i].extend([None] * n)
             self.down[i].extend([None] * n)
@@ -99,36 +75,10 @@ class ColoredGraph:
         """The position of each id, None for an id that is not a vertex."""
         return list(map(self._pos.get, ids))
 
-    def add_edge(self, src, dst, color):
-        """Add the i-colored arrow src -> dst, refusing G1/G2 violations."""
-        self._check_mutable()
-        pos = self._pos
-        s, d = pos.get(src), pos.get(dst)
-        if s is None or d is None:
-            raise ValueError("edge endpoints must be existing vertices")
-        if color not in self.down:
-            raise ValueError(f"unknown color {color}")
-        up, down = self.up[color], self.down[color]
-        if down[s] is not None:
-            raise DuplicateEdge(f"vertex {src} already has an outgoing {color}-arrow")
-        if up[d] is not None:
-            raise DuplicateEdge(f"vertex {dst} already has an incoming {color}-arrow")
-        srcs, dsts = self.arrows[color]
-        srcs.append(s)
-        dsts.append(d)
-        down[s] = d
-        up[d] = s
-
-    def add_edge_unchecked(self, src, dst, color):
-        """Record an arrow without the G1/G2 guard (for crafting bad graphs).
-
-        Navigation keeps the first arrow per (vertex, color); is_good still
-        sees every recorded arrow.
-        """
-        self.add_arrows(color, [self._pos[src]], [self._pos[dst]])
-
     def add_arrows(self, color, sources, targets):
-        """add_edge_unchecked for each pair of positions (sources[k], targets[k])."""
+        """Record the arrows sources[k] -> targets[k] of one color, given as
+        positions, without a degree guard: navigation keeps the first arrow
+        per (vertex, color), and is_good sees every recorded arrow."""
         self._check_mutable()
         if color not in self.arrows:
             raise ValueError(f"unknown color {color}")
@@ -144,35 +94,16 @@ class ColoredGraph:
                 up[d] = s
 
     def freeze(self):
-        self._settle()
         self._frozen = True
         return self
-
-    def _settle(self):
-        """Renumber the positions so that they follow the ids in increasing order."""
-        if self._sorted:
-            return
-        # replay the vertices in id order and the arrows in recorded order
-        fresh = ColoredGraph(self.colors)
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        fresh.add_vertices(map(self.ids.__getitem__, order), list(map(self.labels.__getitem__, order)))
-        new = fresh.positions(self.ids).__getitem__
-        for i, (srcs, dsts) in self.arrows.items():
-            fresh.add_arrows(i, map(new, srcs), map(new, dsts))
-        self.ids, self.labels, self.up, self.down = fresh.ids, fresh.labels, fresh.up, fresh.down
-        self.arrows, self._pos, self._sorted = fresh.arrows, fresh._pos, True
 
     # -- basic queries -----------------------------------------------------
 
     def vertices(self):
-        return sorted(self.ids)
+        return list(self.ids)
 
     def __len__(self):
         return len(self.ids)
-
-    def label(self, v):
-        k = self._pos.get(v)
-        return None if k is None else self.labels[k]
 
     def edges(self):
         """All arrows as (src, dst, color), sorted."""
@@ -182,18 +113,6 @@ class ColoredGraph:
             out.extend(zip(map(vid, srcs), map(vid, dsts), repeat(i)))
         out.sort()
         return out
-
-    def f_step(self, i, v):
-        """Id of the target of the i-arrow out of vertex v, or None."""
-        k = self._pos.get(v)
-        w = None if k is None else self.down[i][k]
-        return None if w is None else self.ids[w]
-
-    def e_step(self, i, v):
-        """Id of the source of the i-arrow into vertex v, or None."""
-        k = self._pos.get(v)
-        w = None if k is None else self.up[i][k]
-        return None if w is None else self.ids[w]
 
     # -- derived data --------------------------------------------------------
 
@@ -214,7 +133,6 @@ class ColoredGraph:
 
     def is_good(self):
         """All G1/G2/G3 violations (empty list means the graph is good)."""
-        self._settle()
         n = len(self.ids)
         ids = self.ids
         violations = []
@@ -308,7 +226,7 @@ class ColoredGraph:
         """New graph with every arrow reversed; colors and labels kept."""
         rev = ColoredGraph(self.colors, cartan=self.cartan)
         rev.ids, rev.labels = list(self.ids), list(self.labels)
-        rev._pos, rev._sorted, rev._next_id = dict(self._pos), self._sorted, self._next_id
+        rev._pos = dict(self._pos)
         for i in self.colors:
             rev.up[i], rev.down[i] = list(self.down[i]), list(self.up[i])
             srcs, dsts = self.arrows[i]
@@ -354,7 +272,6 @@ def string_tables(g):
     Returns (eps, phi), each mapping a color to a list over positions.
     Requires a good graph (strings decompose into disjoint chains).
     """
-    g._settle()
     n = len(g.ids)
     eps, phi = {}, {}
     for i in g.colors:

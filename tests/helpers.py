@@ -3,6 +3,7 @@ passes, axiom checker, synthesis merges and verification scans shared by
 the tests."""
 
 import random
+from functools import partial
 from itertools import product
 
 from b2crystal import kernel, pbw
@@ -32,39 +33,56 @@ from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES
 LARGE_BOX = list(product((0, 1, 2**62, 2**62 + 1, 2**63), repeat=4))
 
 
+def build_graph(colors, ids, edges=(), labels=None, cartan=None):
+    """Unfrozen graph on the vertex ids (an int n meaning 0..n-1, or ids in
+    any order, labels[k] labelling ids[k]) with the (src, dst, color)
+    arrows, loaded through add_vertices in increasing id order and one
+    add_arrows call per color, arrows in the given order."""
+    ids = list(range(ids)) if isinstance(ids, int) else list(ids)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    g = ColoredGraph(colors, cartan=cartan)
+    g.add_vertices([ids[k] for k in order], None if labels is None else [labels[k] for k in order])
+    edges = list(edges)
+    for i in dict.fromkeys(c for _, _, c in edges):
+        mine = [(s, d) for s, d, c in edges if c == i]
+        g.add_arrows(i, g.positions(s for s, _ in mine), g.positions(d for _, d in mine))
+    return g
+
+
+def f_step(g, i, v):
+    """Id of the target of the i-arrow out of vertex v, or None."""
+    (k,) = g.positions([v])
+    w = None if k is None else g.down[i][k]
+    return None if w is None else g.ids[w]
+
+
+def e_step(g, i, v):
+    """Id of the source of the i-arrow into vertex v, or None."""
+    (k,) = g.positions([v])
+    w = None if k is None else g.up[i][k]
+    return None if w is None else g.ids[w]
+
+
+def recorded_edges(g):
+    """Every recorded arrow as (src, dst, color), duplicates included, in
+    the order recorded per color."""
+    return [(g.ids[s], g.ids[d], i) for i, (srcs, dsts) in g.arrows.items() for s, d in zip(srcs, dsts)]
+
+
 def a2_crystal_2_0():
     """Six-element simply-laced crystal with top statistics (2,0).
 
     Shape: a 1-string of length two into a square that closes, then a
     trailing 2-arrow; exercises the commuting-square axiom.
     """
-    g = ColoredGraph((1, 2))
-    for _ in range(6):
-        g.add_vertex()
-    g.add_edge(0, 1, 1)
-    g.add_edge(1, 2, 2)
-    g.add_edge(1, 3, 1)
-    g.add_edge(2, 4, 1)
-    g.add_edge(3, 4, 2)
-    g.add_edge(4, 5, 2)
-    return g.freeze()
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 2), (1, 3, 1), (2, 4, 1), (3, 4, 2), (4, 5, 2)]).freeze()
 
 
 def a2_crystal_1_1():
     """Eight-element simply-laced crystal with top statistics (1,1);
     its bottom vertex exercises the length-4 confluence."""
-    g = ColoredGraph((1, 2))
-    for _ in range(8):
-        g.add_vertex()
-    g.add_edge(0, 1, 1)
-    g.add_edge(0, 2, 2)
-    g.add_edge(1, 3, 2)
-    g.add_edge(2, 4, 1)
-    g.add_edge(3, 5, 2)
-    g.add_edge(4, 6, 1)
-    g.add_edge(5, 7, 1)
-    g.add_edge(6, 7, 2)
-    return g.freeze()
+    return build_graph((1, 2), 8, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
+                                   (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2)]).freeze()
 
 
 def bad_confluence_graph():
@@ -73,29 +91,22 @@ def bad_confluence_graph():
     Good, has a maximum element, but the weight grading is inconsistent
     and no equal-multiset meet exists above the sink.
     """
-    g = ColoredGraph((1, 2))
-    for _ in range(5):
-        g.add_vertex()
-    g.add_edge(0, 1, 1)  # x0 -> a
-    g.add_edge(1, 2, 2)  # a  -> z
-    g.add_edge(0, 3, 2)  # x0 -> b
-    g.add_edge(3, 4, 2)  # b  -> c
-    g.add_edge(4, 2, 1)  # c  -> z
-    return g.freeze()
+    return build_graph((1, 2), 5, [
+        (0, 1, 1),  # x0 -> a
+        (1, 2, 2),  # a  -> z
+        (0, 3, 2),  # x0 -> b
+        (3, 4, 2),  # b  -> c
+        (4, 2, 1),  # c  -> z
+    ]).freeze()
 
 
-def copy_mutable(g, skip_edge=None):
-    """Unfrozen copy of g, optionally leaving out one (src, dst, color) arrow."""
-    cp = ColoredGraph(g.colors, cartan=g.cartan)
-    for v in g.vertices():
-        cp.add_vertex(vid=v, label=g.label(v))
-    for i in g.colors:
-        for s, d in zip(*g.arrows[i]):
-            s, d = g.ids[s], g.ids[d]
-            if skip_edge == (s, d, i):
-                continue
-            cp.add_edge_unchecked(s, d, i)
-    return cp
+def copy_mutable(g, skip_edge=None, extra_edges=()):
+    """Unfrozen copy of g, optionally leaving out every copy of one
+    (src, dst, color) arrow and recording extra_edges after the rest; an
+    endpoint of extra_edges that g lacks becomes a new unlabelled vertex."""
+    edges = [e for e in recorded_edges(g) if e != skip_edge] + list(extra_edges)
+    new = sorted({v for s, d, _ in extra_edges for v in (s, d)} - set(g.ids))
+    return build_graph(g.colors, g.ids + new, edges, labels=g.labels + [None] * len(new), cartan=g.cartan)
 
 
 def deletion_mutants(g):
@@ -108,18 +119,13 @@ def redirect_mutants(g):
     """Every graph obtained by rerouting one arrow to a fresh vertex."""
     for edge in g.edges():
         s, d, c = edge
-        mut = copy_mutable(g, skip_edge=edge)
-        t = mut.add_vertex()
-        mut.add_edge_unchecked(s, t, c)
-        yield edge, mut.freeze()
+        yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, g.ids[-1] + 1, c)]).freeze()
 
 
 def duplicate_mutants(g):
     """Every graph obtained by recording one arrow twice (G1 and G2)."""
     for edge in g.edges():
-        mut = copy_mutable(g)
-        mut.add_edge_unchecked(*edge)
-        yield edge, mut.freeze()
+        yield edge, copy_mutable(g, extra_edges=[edge]).freeze()
 
 
 def renaming(g, seed):
@@ -133,20 +139,27 @@ def renaming(g, seed):
 def relabelled(g, seed):
     """Copy of g with each vertex v renamed renaming(g, seed)[v]."""
     name = renaming(g, seed)
-    out = ColoredGraph(g.colors, cartan=g.cartan)
-    for v in g.vertices():
-        out.add_vertex(vid=name[v], label=g.label(v))
-    for s, d, c in g.edges():
-        out.add_edge_unchecked(name[s], name[d], c)
-    return out.freeze()
+    return build_graph(g.colors, map(name.get, g.ids), [(name[s], name[d], c) for s, d, c in g.edges()],
+                       labels=g.labels, cartan=g.cartan).freeze()
+
+
+def reference_load(doc, cartan=None):
+    """A document's graph built without cli.doc_to_graph: its vertices
+    sorted by id, then each arrow recorded on its own, in document order."""
+    g = build_graph(doc["index_set"], [v["id"] for v in doc["vertices"]], cartan=cartan)
+    for e in doc["edges"]:
+        s, d = g.positions([e["from"], e["to"]])
+        g.add_arrows(e["color"], [s], [d])
+    return g.freeze()
 
 
 # -- reference graph passes ------------------------------------------------------
 #
 # The goodness, maximum-element, weight-grading and string-table passes as
 # they were before the graph stored positions: every map is keyed by vertex
-# id and every step goes through e_step / f_step.  The differential tests
-# require graph.py's list passes to return exactly what these do.
+# id and every step goes through the id-level e_step / f_step above.  The
+# differential tests require graph.py's list passes to return exactly what
+# these do.
 
 def reference_is_good(g):
     """All G1/G2/G3 violations (empty list means the graph is good)."""
@@ -179,7 +192,7 @@ def reference_is_good(g):
             while u is not None and u not in state:
                 state[u] = 0
                 path.append(u)
-                u = g.f_step(i, u)
+                u = f_step(g, i, u)
             if u is not None and state.get(u) == 0:
                 violations.append(
                     GraphViolation("G3", u, f"monochromatic {i}-cycle")
@@ -191,7 +204,7 @@ def reference_is_good(g):
 
 def reference_maximum_elements(g):
     """No vertex reaches another source, so only a sole source can qualify."""
-    sources = [v for v in g.vertices() if all(g.e_step(i, v) is None for i in g.colors)]
+    sources = [v for v in g.vertices() if all(e_step(g, i, v) is None for i in g.colors)]
     if len(sources) != 1:
         return []
     (v,) = sources
@@ -200,7 +213,7 @@ def reference_maximum_elements(g):
     while queue:
         u = queue.pop()
         for i in g.colors:
-            w = g.f_step(i, u)
+            w = f_step(g, i, u)
             if w is not None and w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -235,7 +248,7 @@ def reference_wt_assign(g, x0):
         nxt = []
         for u in frontier:
             for i in g.colors:
-                v = g.f_step(i, u)
+                v = f_step(g, i, u)
                 if v is None:
                     continue
                 cand = add_counts(wt[u], {i: 1})
@@ -262,11 +275,11 @@ def reference_string_tables(g):
     phi = {i: {} for i in g.colors}
     for i in g.colors:
         for v in g.vertices():
-            if g.e_step(i, v) is not None:
+            if e_step(g, i, v) is not None:
                 continue
             chain = [v]
             while True:
-                nxt = g.f_step(i, chain[-1])
+                nxt = f_step(g, i, chain[-1])
                 if nxt is None:
                     break
                 chain.append(nxt)
@@ -294,7 +307,7 @@ class _Ctx:
 
     def __init__(self, g):
         self.g = g
-        self.e, self.f = g.e_step, g.f_step
+        self.e, self.f = partial(e_step, g), partial(f_step, g)
         self._eps, self._phi = reference_string_tables(g)
 
     def climb(self, v, colors):
@@ -338,12 +351,8 @@ def _sorted(violations):
 
 # -- S2 / S3 -----------------------------------------------------------------
 
-def reference_check_s2_s3(g, A, include_diagonal=False):
-    """String-difference equality and sign bounds across every raising step.
-
-    With include_diagonal the equality is also checked at j = i, where the
-    differences are the constants -1 and +1 and the equality reads 2 = a_ii.
-    """
+def reference_check_s2_s3(g, A):
+    """String-difference equality and sign bounds across every raising step."""
     ctx = _Ctx(g)
     out = []
     for x in g.vertices():
@@ -351,7 +360,7 @@ def reference_check_s2_s3(g, A, include_diagonal=False):
             if ctx.e(i, x) is None:
                 continue
             for j in g.colors:
-                if j == i and not include_diagonal:
+                if j == i:
                     continue
                 dphi = ctx.de_phi(i, j, x)
                 deps = ctx.de_eps(i, j, x)
@@ -362,7 +371,7 @@ def reference_check_s2_s3(g, A, include_diagonal=False):
                             f"phi/eps difference {dphi}-{deps} != a[{j},{i}]={A.a(j, i)}",
                         )
                     )
-                if j != i and not (dphi <= 0 <= deps):
+                if not (dphi <= 0 <= deps):
                     out.append(
                         Violation("S3", (i, j), x, f"need {dphi} <= 0 <= {deps}")
                     )

@@ -15,7 +15,15 @@ from b2crystal.errors import (
 )
 from b2crystal.graph import ColoredGraph, decode_weights, string_tables
 from b2crystal.oracle import weyl_dim_general
-from helpers import copy_mutable, deletion_mutants, reference_collect_merges, relabelled, renaming
+from helpers import (
+    build_graph,
+    copy_mutable,
+    deletion_mutants,
+    f_step,
+    reference_collect_merges,
+    relabelled,
+    renaming,
+)
 
 A = b2_gcm()
 
@@ -84,12 +92,7 @@ def test_not_isomorphic_same_profile():
 
 def _rebuilt(g, edges, extra=0):
     """g's vertices plus `extra` new ones, joined by the given arrows."""
-    out = ColoredGraph(g.colors, cartan=g.cartan)
-    for v in range(len(g) + extra):
-        out.add_vertex(vid=v)
-    for edge in edges:
-        out.add_edge_unchecked(*edge)
-    return out.freeze()
+    return build_graph(g.colors, len(g) + extra, edges, cartan=g.cartan).freeze()
 
 
 def _refusals(g, rep, mut):
@@ -129,7 +132,7 @@ def test_walk_refuses_mutants_with_forged_reports():
     for reason in ("-child at only one of", "two vertices map onto", "not preserved"):
         assert any(reason in m for m in seen), reason
     assert _refusals(g, rep, _rebuilt(g, edges, extra=1)) == ["map is not onto"] * 2
-    leaf = next(v for v in g.vertices() if g.f_step(2, v) is None)
+    leaf = next(v for v in g.vertices() if f_step(g, 2, v) is None)
     mut = _rebuilt(g, edges + [(leaf, len(g), 2)], extra=1)
     assert _refusals(g, rep, mut) == [f"2-child at only one of {leaf} and its image {leaf}"] * 2
 

@@ -15,8 +15,7 @@ from b2crystal.cli import (
     load_doc,
     main,
 )
-from b2crystal.graph import ColoredGraph
-from helpers import reference_check_all, relabelled, renaming
+from helpers import reference_check_all, reference_load, relabelled, renaming
 
 
 @pytest.fixture
@@ -38,7 +37,8 @@ def test_gen_writes_documents(docs):
     assert len(doc["vertices"]) == 16
     assert doc["cartan"] == [[2, -2], [-1, 2]]
     assert doc["max"] == 0
-    assert all("a" in v and "x" in v for v in doc["vertices"])
+    labels = pbw.generate((1, 1)).labels
+    assert [(v["a"], v["x"]) for v in doc["vertices"]] == [(list(m.a), list(m.x)) for m in labels]
     syn = json.load(open(docs["syn11"]))
     assert all("wt" in v and "eps" in v and "phi" in v for v in syn["vertices"])
 
@@ -261,12 +261,7 @@ def test_check_reports_match_reference(tmp_path):
     for k, mutant in enumerate(_permuted_mutants(doc, rng)):
         json.dump(mutant, open(path, "w"))
         code = main(["check", "--in", str(path), "--report", str(report)])
-        g = ColoredGraph(mutant["index_set"], cartan=b2_gcm())
-        for v in mutant["vertices"]:
-            g.add_vertex(vid=v["id"])
-        for e in mutant["edges"]:
-            g.add_edge_unchecked(e["from"], e["to"], e["color"])
-        want = reference_check_all(g.freeze(), b2_gcm())
+        want = reference_check_all(reference_load(mutant, b2_gcm()), b2_gcm())
         assert json.load(open(report)) == json.loads(json.dumps(want.to_dict())), k
         assert code == (0 if want.passed else 1) and (k == 0) == want.passed
 
@@ -426,8 +421,57 @@ def test_json_roundtrip_identity():
     g2 = doc_to_graph(doc)
     assert g2.vertices() == g.vertices()
     assert g2.edges() == g.edges()
-    assert graph_to_doc(g2) == doc
+    assert graph_to_doc(g2) == {**doc, "vertices": [{"id": v} for v in g.ids]}  # labels are not loaded
     assert graph_to_dot(g2) == graph_to_dot(g)
+
+
+def test_loader_ignores_labels(docs, tmp_path, capsys):
+    # a/x are written by gen and read by no command: the loaded graph has no
+    # labels, and a malformed a/x changes no output
+    doc = load_doc(docs["pbw11"])
+    assert doc_to_graph(doc).labels == [None] * 16
+    vertices = [{**v} for v in doc["vertices"]]
+    vertices[3]["x"], vertices[5]["a"], vertices[7]["a"] = "zz", 5, [9, 9, 9, 9]
+    edited = tmp_path / "edited.json"
+    dump_doc({**doc, "vertices": vertices}, edited)
+    outputs = []
+    for path in (docs["pbw11"], str(edited)):
+        assert main(["check", "--in", path]) == 0
+        assert main(["iso", path, docs["syn11"]]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_vertex_order_does_not_matter(docs, tmp_path):
+    # the loader sorts the ids, so a document whose vertex list is reversed
+    # or shuffled writes the same report, DOT text and mapping as the sorted one
+    doc = load_doc(docs["pbw11"])
+    rest = {**doc, "edges": doc["edges"][1:]}  # one violation at least
+    shuffled = random.Random(3).sample(doc["vertices"], len(doc["vertices"]))
+    assert shuffled != doc["vertices"]
+    outputs = []
+    for vertices in (doc["vertices"], doc["vertices"][::-1], shuffled):
+        given, out = tmp_path / "given.json", tmp_path / "out"
+        dump_doc({**doc, "vertices": vertices}, given)
+        written = []
+        for argv in (["check", "--in", given, "--report", out], ["export-dot", "--in", given, "--out", out],
+                     ["iso", given, docs["syn11"], "--out", out]):
+            assert main(list(map(str, argv))) == 0
+            written.append(out.read_bytes())
+        dump_doc({**rest, "vertices": vertices}, given)
+        assert main(["check", "--in", str(given), "--report", str(out)]) == 1
+        outputs.append(written + [out.read_bytes()])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_duplicate_ids_name_the_first_repeat(docs, tmp_path, capsys):
+    # the first id seen twice in document order, whatever the sorted order
+    doc = load_doc(docs["pbw11"])
+    path = tmp_path / "dup.json"
+    dump_doc({**doc, "vertices": [{"id": v} for v in (3, 1, 3, 1)], "edges": []}, path)
+    capsys.readouterr()
+    assert main(["check", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: ValueError('vertex 3 already present')\n"
 
 
 def test_dump_load_roundtrip(tmp_path):

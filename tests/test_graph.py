@@ -1,10 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from b2crystal import graph, pbw
 from b2crystal.axioms import check_all, walk_all
 from b2crystal.builder import build_isomorphism, synthesize
 from b2crystal.cartan import b2_gcm, b3_gcm
-from b2crystal.errors import DuplicateEdge, InconsistentWeight, NonTerminating
+from b2crystal.errors import InconsistentWeight, NonTerminating
 from b2crystal.graph import ColoredGraph, string_tables
 from helpers import (
     a2_crystal_1_1,
@@ -13,6 +16,9 @@ from helpers import (
     copy_mutable,
     deletion_mutants,
     duplicate_mutants,
+    e_step,
+    f_step,
+    build_graph,
     pairing_of_root_count,
     redirect_mutants,
     reference_is_good,
@@ -24,35 +30,28 @@ from helpers import (
 )
 
 
-def two_vertex():
+def test_add_vertices_requires_increasing_ids():
     g = ColoredGraph((1, 2))
-    g.add_vertex()
-    g.add_vertex()
-    return g
-
-
-def test_add_edge_and_duplicates():
-    g = two_vertex()
-    g.add_edge(0, 1, 1)
-    assert g.f_step(1, 0) == 1 and g.e_step(1, 1) == 0
-    g.add_edge(0, 1, 2)  # a different color is fine
-    with pytest.raises(DuplicateEdge):
-        g.add_edge(0, 1, 1)
-    g2 = two_vertex()
-    v = g2.add_vertex()
-    g2.add_edge(0, 1, 1)
-    with pytest.raises(DuplicateEdge):
-        g2.add_edge(v, 1, 1)  # second incoming 1-arrow
-    with pytest.raises(ValueError):
-        g2.add_edge(0, 99, 1)
+    g.add_vertices([2, 5])
+    for ids, message in (([7, 7], "7 after 7"), ([9, 8], "8 after 9"), ([5], "5 after 5"), ([3], "3 after 5")):
+        with pytest.raises(ValueError, match=f"vertex ids must increase: {message}"):
+            g.add_vertices(ids)
+    assert g.ids == [2, 5] and g.labels == [None, None] and g.up[1] == [None, None]
+    g.add_vertices([6, 8], labels=["p", "q"])
+    assert (g.ids, g.labels, g.positions([8, 7])) == ([2, 5, 6, 8], [None, None, "p", "q"], [3, None])
+    g.add_arrows(1, [0], [3])
+    with pytest.raises(ValueError, match="unknown color 3"):
+        g.add_arrows(3, [0], [1])
+    assert (f_step(g, 1, 2), e_step(g, 1, 8), f_step(g, 2, 2)) == (8, 2, None)
 
 
 def test_frozen_graph_rejects_mutation():
-    g = two_vertex().freeze()
+    g = build_graph((1, 2), 2).freeze()
     with pytest.raises(RuntimeError):
-        g.add_vertex()
+        g.add_vertices([2])
     with pytest.raises(RuntimeError):
-        g.add_edge(0, 1, 1)
+        g.add_arrows(1, [0], [1])
+    assert (len(g), g.edges()) == (2, [])
 
 
 def string_stats(g, v):
@@ -64,30 +63,27 @@ def string_stats(g, v):
 
 def delta(g, direction, stat, i, j, v):
     """Change of the j-statistic across the i-step from v, read from the tables."""
-    w = g.e_step(i, v) if direction == "e" else g.f_step(i, v)
+    w = e_step(g, i, v) if direction == "e" else f_step(g, i, v)
     assert w is not None
     k = 0 if stat == "eps" else 1
     return string_stats(g, w)[k][j] - string_stats(g, v)[k][j]
 
 
 def test_string_stats_isolated_and_chain():
-    g = ColoredGraph((1, 2))
-    g.add_vertex()
+    g = build_graph((1, 2), 1)
     eps, phi = string_stats(g, 0)
     assert eps == {1: 0, 2: 0} and phi == {1: 0, 2: 0}
 
     crystal = pbw.generate((1, 0))  # a 4-chain 1,2,1
     eps, phi = string_stats(crystal, 0)
     assert eps == {1: 0, 2: 0} and phi[1] == 1
-    child = crystal.f_step(1, 0)
+    child = f_step(crystal, 1, 0)
     eps, phi = string_stats(crystal, child)
     assert eps[1] == 1 and phi[1] == 0
 
 
 def test_string_stats_cycle_detection():
-    g = ColoredGraph((1,))
-    g.add_vertex()
-    g.add_edge_unchecked(0, 0, 1)
+    g = build_graph((1,), 1, [(0, 0, 1)])
     assert any(v.rule == "G3" for v in g.is_good())
     with pytest.raises(NonTerminating):
         string_tables(g)
@@ -98,16 +94,16 @@ def test_delta_basics():
     # along any raising step the same-color raising statistic drops by one
     for v in g.vertices():
         for i in g.colors:
-            if g.e_step(i, v) is not None:
+            if e_step(g, i, v) is not None:
                 assert delta(g, "e", "eps", i, i, v) == -1
                 assert delta(g, "e", "phi", i, i, v) == 1
-    assert all(g.e_step(i, 0) is None for i in g.colors)  # no raising steps at the top
+    assert all(e_step(g, i, 0) is None for i in g.colors)  # no raising steps at the top
 
 
 def test_delta_pair_at_interlocked_element():
     lam = (1, 1)
     g = pbw.generate(lam)
-    pick = [v for v in g.vertices() if g.label(v) == pbw.PbwElement((1, 1, 1, 1), (1, 1, 1, 1))]
+    pick = [v for v, m in zip(g.ids, g.labels) if m == pbw.PbwElement((1, 1, 1, 1), (1, 1, 1, 1))]
     assert len(pick) == 1
     x = pick[0]
     assert (delta(g, "e", "eps", 1, 2, x), delta(g, "e", "eps", 2, 1, x)) == (1, 2)
@@ -118,7 +114,7 @@ def test_lowering_raising_delta_mirror():
     g = pbw.generate((2, 2))
     for v in g.vertices():
         for i in g.colors:
-            w = g.f_step(i, v)
+            w = f_step(g, i, v)
             if w is None:
                 continue
             for j in g.colors:
@@ -131,7 +127,7 @@ def test_string_step_identities():
     g = pbw.generate((2, 1))
     for v in g.vertices():
         for i in g.colors:
-            w = g.f_step(i, v)
+            w = f_step(g, i, v)
             if w is None:
                 continue
             (eps_v, phi_v), (eps_w, phi_w) = string_stats(g, v), string_stats(g, w)
@@ -140,46 +136,33 @@ def test_string_step_identities():
 
 
 def test_is_good_reports_all():
-    g = ColoredGraph((1,))
-    for _ in range(4):
-        g.add_vertex()
-    g.add_edge_unchecked(0, 2, 1)
-    g.add_edge_unchecked(1, 2, 1)  # G2 at 2
-    g.add_edge_unchecked(3, 3, 1)  # G3 self-loop
-    g.add_edge_unchecked(0, 1, 1)  # G1 at 0 (two outgoing)
+    edges = [(0, 2, 1),
+             (1, 2, 1),  # G2 at 2
+             (3, 3, 1),  # G3 self-loop
+             (0, 1, 1)]  # G1 at 0 (two outgoing)
+    g = build_graph((1,), 4, edges)
     rules = {v.rule for v in g.is_good()}
     assert rules == {"G1", "G2", "G3"}
     # navigation keeps the first recorded arrow, also in a graph whose
-    # vertices came out of id order and were renumbered by freeze()
-    assert (g.f_step(1, 0), g.e_step(1, 2)) == (2, 0)
-    h = ColoredGraph((1,))
-    for v in (3, 2, 1, 0):
-        h.add_vertex(vid=v)
-    for s, d in ((0, 2), (1, 2), (3, 3), (0, 1)):
-        h.add_edge_unchecked(s, d, 1)
-    h.freeze()
-    assert (h.f_step(1, 0), h.e_step(1, 2), h.is_good()) == (2, 0, g.is_good())
+    # vertices were given out of id order
+    assert (f_step(g, 1, 0), e_step(g, 1, 2)) == (2, 0)
+    h = build_graph((1,), (3, 2, 1, 0), edges).freeze()
+    assert (f_step(h, 1, 0), e_step(h, 1, 2), h.is_good()) == (2, 0, g.is_good())
     assert pbw.generate((2, 2)).is_good() == []
 
 
 def test_maximum_elements():
     g = pbw.generate((1, 1))
     assert g.maximum_elements() == [0]
-    assert g.label(0) == pbw.PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
+    assert g.labels[0] == pbw.PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
 
-    single = ColoredGraph((1,))
-    single.add_vertex()
+    single = build_graph((1,), 1)
     assert single.maximum_elements() == [0]
 
     # disjoint union of two crystals: each source fails reachability
     a = pbw.generate((1, 0))
-    union = ColoredGraph((1, 2))
-    for v in a.vertices():
-        union.add_vertex(vid=v)
-        union.add_vertex(vid=100 + v)
-    for s, d, c in a.edges():
-        union.add_edge(s, d, c)
-        union.add_edge(100 + s, 100 + d, c)
+    union = build_graph((1, 2), a.ids + [100 + v for v in a.ids],
+                  a.edges() + [(100 + s, 100 + d, c) for s, d, c in a.edges()])
     assert union.maximum_elements() == []
 
 
@@ -187,14 +170,14 @@ def _maximum_elements_per_source(g):
     """The definition maximum_elements replaced: one BFS from every source."""
     out = []
     for v in g.vertices():
-        if any(g.e_step(i, v) is not None for i in g.colors):
+        if any(e_step(g, i, v) is not None for i in g.colors):
             continue
         seen = {v}
         queue = [v]
         while queue:
             u = queue.pop()
             for i in g.colors:
-                w = g.f_step(i, u)
+                w = f_step(g, i, u)
                 if w is not None and w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -216,19 +199,10 @@ def test_maximum_elements_matches_per_source_definition(monkeypatch):
                 pbw.generate((1, 1)), pbw.generate((2, 1)).reverse()]
     fixtures += [mut for _, mut in deletion_mutants(pbw.generate((1, 1)))]
     # many sources feeding one long chain: no maximum element
-    fan = ColoredGraph((1, 2))
-    chain = [fan.add_vertex() for _ in range(40)]
-    for s, d in zip(chain, chain[1:]):
-        fan.add_edge(s, d, 1)
-    for k in range(1, 30):
-        fan.add_edge(fan.add_vertex(), chain[k], 2)
+    fan = build_graph((1, 2), 69, [(k, k + 1, 1) for k in range(39)] + [(39 + k, k, 2) for k in range(1, 30)])
     fixtures.append(fan.freeze())
     # a 40-chain with a single source: its head is the maximum
-    lone = ColoredGraph((1,))
-    for v in range(40):
-        lone.add_vertex()
-    for v in range(39):
-        lone.add_edge(v, v + 1, 1)
+    lone = build_graph((1,), 40, [(v, v + 1, 1) for v in range(39)])
     fixtures.append(lone.freeze())
     for g in fixtures:
         assert g.maximum_elements() == _maximum_elements_per_source(g)
@@ -247,12 +221,10 @@ def test_frozen_graph_keeps_string_tables():
     assert g.tables() == string_tables(g)
     assert g.tables() is g.tables()
 
-    m = ColoredGraph((1,))
-    m.add_vertex()
-    m.add_vertex()
+    m = build_graph((1,), 2)
     first = m.tables()
     assert first == string_tables(m) and m.tables() is not first
-    m.add_edge(0, 1, 1)  # an unfrozen graph's tables follow its edits
+    m.add_arrows(1, [0], [1])  # an unfrozen graph's tables follow its edits
     assert m.tables() == string_tables(m) == ({1: [0, 1]}, {1: [1, 0]})
 
 
@@ -265,23 +237,14 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     assert r.positions(r.ids) == list(range(len(r))) and r.positions([0]) == [None]
     for k, v in enumerate(r.ids):
         for i in r.colors:
-            assert vid(r, r.up[i][k]) == r.e_step(i, v)
-            assert vid(r, r.down[i][k]) == r.f_step(i, v)
+            assert vid(r, r.up[i][k]) == e_step(r, i, v)
+            assert vid(r, r.down[i][k]) == f_step(r, i, v)
             assert (eps[i][k], phi[i][k]) == (ref_eps[i][v], ref_phi[i][v])
     # the bulk walk, from every position at once
     everywhere = range(len(r))
     assert [vid(r, k) for k in walk_all(r.down, everywhere, (1, 2, 2))] == [
         reference_descend(r, v, (1, 2, 2)) for v in r.ids]
     assert [vid(r, k) for k in walk_all(r.up, everywhere, (2, 1))] == [reference_climb(r, v, (2, 1)) for v in r.ids]
-    # a graph built in any id order is renumbered when it is frozen
-    shuffled = ColoredGraph(r.colors, cartan=r.cartan)
-    for v in reversed(r.ids):
-        shuffled.add_vertex(vid=v, label=r.label(v))
-    for s, d, c in r.edges():
-        shuffled.add_edge(s, d, c)
-    shuffled.freeze()
-    assert (shuffled.ids, shuffled.labels, shuffled.up, shuffled.down) == (r.ids, r.labels, r.up, r.down)
-    assert shuffled.edges() == r.edges()
 
     computed = []
     tables = graph.string_tables
@@ -312,7 +275,7 @@ def vid(g, k):
 
 def reference_descend(g, v, colors):
     for c in colors:
-        v = g.f_step(c, v)
+        v = f_step(g, c, v)
         if v is None:
             return None
     return v
@@ -320,7 +283,7 @@ def reference_descend(g, v, colors):
 
 def reference_climb(g, v, colors):
     for c in colors:
-        v = g.e_step(c, v)
+        v = e_step(g, c, v)
         if v is None:
             return None
     return v
@@ -331,9 +294,9 @@ def test_wt_assign_on_crystal():
     g = pbw.generate(lam)
     grading = g.wt_assign(0)
     assert grading[0] == ({}, 0)
-    for v in g.vertices():
+    for v, m in zip(g.ids, g.labels):
         wt, dist = grading[v]
-        counts = root_count(g.label(v))
+        counts = root_count(m)
         assert {c: n for c, n in wt.items() if n} == {c: n for c, n in counts.items() if n}
         assert dist == sum(wt.values())
 
@@ -349,9 +312,7 @@ def test_wt_assign_inconsistent():
 
 
 def test_wt_assign_requires_reaching_everything():
-    g = ColoredGraph((1,))
-    g.add_vertex()
-    g.add_vertex()
+    g = build_graph((1,), 2)
     with pytest.raises(ValueError):
         g.wt_assign(0)
 
@@ -365,7 +326,7 @@ def test_reverse():
     chain = pbw.generate((1, 0))
     rc = chain.reverse()
     assert rc.maximum_elements() == [3]
-    assert rc.f_step(1, 3) == 2
+    assert f_step(rc, 1, 3) == 2
 
 
 def test_k1_identity_on_generated():
@@ -384,31 +345,19 @@ def test_k1_identity_on_generated():
 def chain_into_cycle():
     """A 1-chain 0 -> 1 entering the 1-cycle 1 -> 2 -> 3 -> 1, a 2-cycle
     4 <-> 5 that nothing enters, and a 2-arrow from the chain to it."""
-    g = ColoredGraph((1, 2))
-    for _ in range(6):
-        g.add_vertex()
-    for s, d, c in ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 4, 2), (0, 4, 2)):
-        g.add_edge_unchecked(s, d, c)
-    return g.freeze()
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 4, 2), (0, 4, 2)]).freeze()
 
 
 def recolored(g):
     """g with its two colors exchanged, so that paths use color 2 first."""
-    out = ColoredGraph(g.colors)
-    for v in g.vertices():
-        out.add_vertex(vid=v)
-    for s, d, c in g.edges():
-        out.add_edge_unchecked(s, d, 3 - c)
-    return out.freeze()
+    return build_graph(g.colors, g.ids, [(s, d, 3 - c) for s, d, c in g.edges()]).freeze()
 
 
 def with_loose_loop(g):
     """g plus a vertex whose only arrow is a 2-loop: it is no source, and
     nothing reaches it."""
-    out = copy_mutable(g)
-    v = out.add_vertex()
-    out.add_edge_unchecked(v, v, 2)
-    return out.freeze()
+    v = g.ids[-1] + 1
+    return copy_mutable(g, extra_edges=[(v, v, 2)]).freeze()
 
 
 def fork_mutants(g):
@@ -416,9 +365,7 @@ def fork_mutants(g):
     to the vertex after its target."""
     ids = g.vertices()
     for s, d, c in g.edges():
-        mut = copy_mutable(g)
-        mut.add_edge_unchecked(s, ids[(ids.index(d) + 1) % len(ids)], c)
-        yield mut.freeze()
+        yield copy_mutable(g, extra_edges=[(s, ids[(ids.index(d) + 1) % len(ids)], c)]).freeze()
 
 
 def _list_pass_cases():
@@ -477,3 +424,12 @@ def test_list_passes_match_reference():
         seen.add(tables[0] if isinstance(tables[0], str) else "tables")
     assert seen == {"G1", "G2", "G3", "InconsistentWeight", "ValueError", "NonTerminating",
                     "graded", "tables"}, seen
+
+
+def test_every_public_method_has_a_program_caller():
+    # src/ and perfbench/ read as text: a ColoredGraph method that only the
+    # tests call belongs in tests/helpers.py, not on the class
+    root = Path(__file__).resolve().parent.parent
+    text = "\n".join(p.read_text() for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py")))
+    public = [n for n, v in vars(ColoredGraph).items() if callable(v) and not n.startswith("_")]
+    assert len(public) > 10 and [n for n in public if not re.search(rf"\.{n}\b", text)] == []

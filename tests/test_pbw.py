@@ -156,8 +156,8 @@ def test_string_lengths_match_element_stats():
         g = pbw.generate(lam)
         eps, phi = g.tables()
         assert g.ids == list(range(len(g)))  # generated ids are positions
-        for v in g.vertices():
-            st = pbw.elem_stats(g.label(v), lam)
+        for v, m in enumerate(g.labels):
+            st = pbw.elem_stats(m, lam)
             assert (eps[1][v], eps[2][v], phi[1][v], phi[2][v]) == (st.eps1, st.eps2, st.phi1, st.phi2)
 
 
@@ -217,7 +217,7 @@ def test_membership_set_equals_generated_set():
     # compare against the BFS closure, for a couple of weights
     for lam in [(1, 0), (1, 1), (2, 1)]:
         g = pbw.generate(lam)
-        reached = {g.label(v) for v in g.vertices()}
+        reached = set(g.labels)
         bound = 2 * (lam[0] + lam[1]) + 1
         members = set()
         for a in product(range(bound + 1), repeat=4):
@@ -252,8 +252,7 @@ def test_delta_product_zero_on_generated():
         for l2 in range(6):
             lam = (l1, l2)
             g = pbw.generate(lam)
-            for v in g.vertices():
-                m = g.label(v)
+            for m in g.labels:
                 if m.a[0] > m.a[2] and m.x[0] > m.x[2]:
                     st = pbw.elem_stats(m, lam)
                     if st.eps1 >= 1 and st.eps2 >= 1:
