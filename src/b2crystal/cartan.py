@@ -27,6 +27,15 @@ B3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 C3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 
+def array(value, field):
+    """value, refused unless it is a list or a tuple: a string or a dict
+    would iterate as characters or keys, so a document field that must be an
+    array is not read from one."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} is not an array")
+    return value
+
+
 def integers(values, name):
     """values as int() reads them, refusing what int() would truncate: a
     boolean or a number with a fractional part; name(k) names values[k]."""
@@ -41,10 +50,11 @@ def integers(values, name):
 class GCM:
     """Square integer matrix with 2 on the diagonal and nonpositive
     off-diagonal entries vanishing symmetrically.  Entries are read by
-    integers(): a boolean or a fractional entry is refused, not truncated."""
+    integers(): a boolean or a fractional entry is refused, not truncated.
+    The matrix and each of its rows must be a list or a tuple (array())."""
 
     def __init__(self, rows, index_set=None):
-        n = len(rows)
+        n = len(array(rows, "cartan"))
         if n == 0:
             raise ValueError("empty Cartan matrix")
         if index_set is None:
@@ -52,10 +62,10 @@ class GCM:
         index_set = tuple(index_set)
         if len(index_set) != n or len(set(index_set)) != n:
             raise ValueError("index set must match matrix size and be distinct")
-        if any(len(row) != n for row in rows):
+        if any(len(array(row, f"cartan row {c}")) != n for c, row in zip(index_set, rows)):
             raise ValueError("Cartan matrix must be square")
         rows = tuple(
-            tuple(integers(list(row), lambda q, p=p: f"Cartan entry a[{index_set[p]},{index_set[q]}]"))
+            tuple(integers(row, lambda q, p=p: f"Cartan entry a[{index_set[p]},{index_set[q]}]"))
             for p, row in enumerate(rows)
         )
         for p in range(n):

@@ -7,6 +7,11 @@ environment variable: it bounds the crystals `gen` grows, the documents
 `check`, `iso` and `export-dot` read, and `verify-paper`'s lemma box.
 `iso` certifies each input once, inside build_isomorphism.
 
+`main` may be called repeatedly in one process.  It builds its parser on
+the first call and keeps it; the parser names each subcommand's handler,
+and `main` looks that name up in this module on every call, so a wrapper
+installed on `cli.cmd_*` after the first call still sees every call.
+
 Graph document schema (JSON):
   {
     "index_set": [1, 2],
@@ -23,13 +28,17 @@ element it finds (exit 2).  The integer fields
 (index_set entries, id, from, to, color, max, and the cartan entries, also
 those of a custom matrix file) are read as int() reads them, numeric
 strings and integral floats included, but a boolean or a number with a
-fractional part is an input error (exit 2), not truncated.
+fractional part is an input error (exit 2), not truncated.  A file that
+does not hold a JSON object, and an index_set, cartan, cartan row, vertices
+or edges field that is not an array, are input errors too (exit 2), named
+by file or field; a null or empty cartan means the document has none.
 The loader reads the vertex and edge arrays whole into the graph's
 position lists, the vertices sorted by id.  Documents are written as
 compact one-line JSON.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,7 +48,7 @@ from operator import itemgetter
 from . import __version__
 from .axioms import check_all
 from .builder import build_isomorphism, synthesize
-from .cartan import GCM, b2_gcm, b3_gcm, integers
+from .cartan import GCM, array, b2_gcm, b3_gcm, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
 from .graph import ColoredGraph, decode_weights
 from .oracle import run_verification
@@ -96,17 +105,17 @@ def doc_to_graph(doc):
     first vertex or edge in document order: integer fields, duplicate ids,
     undeclared endpoints, colors outside index_set, and an undeclared "max".
     """
-    colors = integers(doc["index_set"], lambda k: "index_set entry")
-    cartan = GCM(doc["cartan"], index_set=colors) if doc.get("cartan") else None
-    g = ColoredGraph(colors, cartan=cartan)
-    vertices = doc["vertices"]
+    colors = integers(array(doc["index_set"], "index_set"), lambda k: "index_set entry")
+    rows = doc.get("cartan")
+    g = ColoredGraph(colors, cartan=GCM(rows, index_set=colors) if rows not in (None, []) else None)
+    vertices = array(doc["vertices"], "vertices")
     ids = integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
     if len(set(ids)) < len(ids):
         seen = set()
         vid = next(v for v in ids if v in seen or seen.add(v))
         raise ValueError(f"vertex {vid} already present")
     g.add_vertices(sorted(ids))
-    edges = doc["edges"]
+    edges = array(doc["edges"], "edges")
     srcs, dsts, cols = (integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)
     s_pos, d_pos = g.positions(srcs), g.positions(dsts)
@@ -137,11 +146,15 @@ def dump_doc(doc, path):
 
 
 def load_doc(path):
+    """The JSON object in the file at path; any other JSON value is refused."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return doc
 
 
 def graph_to_dot(g):
@@ -170,7 +183,9 @@ def _load_gcm(name):
     if name.startswith("custom:"):
         spec = load_doc(name[len("custom:"):])
         colors = spec.get("index_set")  # None takes the default 1..n
-        return GCM(spec["cartan"], index_set=colors and integers(colors, lambda k: "index_set entry"))
+        if colors is not None:
+            colors = integers(array(colors, "index_set"), lambda k: "index_set entry")
+        return GCM(spec["cartan"], index_set=colors)
     raise ValueError(f"unknown matrix {name!r} (use b2, b3 or custom:<path>)")
 
 
@@ -182,7 +197,7 @@ def _load_graph(path):
     """The document at path and its graph; a document with more vertices
     than the budget is refused before any graph is built."""
     doc = load_doc(path)
-    vertices = doc.get("vertices") if isinstance(doc, dict) else None
+    vertices = doc.get("vertices")
     if isinstance(vertices, list) and len(vertices) > _budget():
         raise BudgetExceeded(f"{path} has {len(vertices)} vertices, over the vertex budget {_budget()}")
     return doc, doc_to_graph(doc)
@@ -278,7 +293,10 @@ def cmd_verify_paper(args):
     return EXIT_PASS if not failed else EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on first use; each subcommand
+    sets `handler` to the name of its cmd_* function."""
     p = argparse.ArgumentParser(prog="b2crystal",
                                 description="rank-2 crystal graphs: generate, check, compare")
     p.add_argument("--version", action="version", version=__version__)
@@ -289,35 +307,35 @@ def build_parser():
     g.add_argument("--hw", required=True, help="comma-separated top statistics")
     g.add_argument("--method", choices=["pbw", "axioms"], default="pbw")
     g.add_argument("--out", required=True)
-    g.set_defaults(fn=cmd_gen)
+    g.set_defaults(handler="cmd_gen")
 
     c = sub.add_parser("check", help="run the axiom checker on a document")
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--report", help="write the JSON report here")
-    c.set_defaults(fn=cmd_check)
+    c.set_defaults(handler="cmd_check")
 
     i = sub.add_parser("iso", help="construct the unique isomorphism between two documents")
     i.add_argument("a")
     i.add_argument("b")
     i.add_argument("--out", help="write the vertex mapping here")
-    i.set_defaults(fn=cmd_iso)
+    i.set_defaults(handler="cmd_iso")
 
     d = sub.add_parser("export-dot", help="render a document as DOT")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
-    d.set_defaults(fn=cmd_export_dot)
+    d.set_defaults(handler="cmd_export_dot")
 
     v = sub.add_parser("verify-paper", help="run the brute-force verification battery")
     v.add_argument("--max-hw", type=int, default=3)
     v.add_argument("--max-box", type=int, default=8)
-    v.set_defaults(fn=cmd_verify_paper)
+    v.set_defaults(handler="cmd_verify_paper")
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -485,3 +485,85 @@ def test_dump_load_roundtrip(tmp_path):
         dump_doc(doc, str(path))
         assert load_doc(str(path)) == doc
         assert path.read_text().count("\n") == 1  # one compact line
+
+
+_NOT_OBJECTS = ([1, 2], "doc", 7, None)
+_NOT_ARRAYS = ("12", {"1": 0, "2": 0}, 12)
+
+
+def _malformed_inputs(doc):
+    """(file contents, the commands that read the file, text the error must
+    hold): every non-object file, and every field that must be an array
+    replaced by a string, an object and a number, in a document and in a
+    custom matrix file."""
+    commands = (["check", "--in", "{f}"], ["iso", "{f}", "{f}"],
+                ["export-dot", "--in", "{f}", "--out", "{out}"],
+                ["gen", "--gcm", "custom:{f}", "--hw", "1,1", "--method", "axioms", "--out", "{out}"])
+    for value in _NOT_OBJECTS:
+        yield value, commands, "{f} must hold a JSON object"
+    spec = {"index_set": [1, 2], "cartan": [[2, -1], [-1, 2]]}
+    for value in _NOT_ARRAYS:
+        for field in ("index_set", "cartan", "vertices", "edges"):
+            yield {**doc, field: value}, commands[:3], f"{field} is not an array"
+        yield {**doc, "cartan": [value, [-1, 2]]}, commands[:3], "cartan row 1 is not an array"
+        for field in ("index_set", "cartan"):
+            yield {**spec, field: value}, commands[3:], f"{field} is not an array"
+        yield {**spec, "cartan": [[2, -1], value]}, commands[3:], "cartan row 2 is not an array"
+
+
+def test_malformed_field_types_are_input_errors(tmp_path, capsys):
+    # a string or an object iterates as characters or keys, so each of these
+    # was read as an array (or crashed) before it was refused by name; main
+    # must return 2, not raise
+    path, out = tmp_path / "malformed.json", tmp_path / "out"
+    for contents, commands, message in _malformed_inputs(graph_to_doc(pbw.generate((1, 1)))):
+        path.write_text(json.dumps(contents))
+        for command in commands:
+            capsys.readouterr()
+            assert main([arg.format(f=path, out=out) for arg in command]) == 2, (contents, command)
+            out_text, err = capsys.readouterr()
+            assert message.format(f=path) in err and out_text == "", (contents, command, err)
+            assert not out.exists()
+
+
+def test_handlers_are_looked_up_on_each_call(docs, monkeypatch):
+    # main keeps its parser between calls but resolves cmd_* by name, so a
+    # wrapper installed after the parser was built still runs
+    assert main(["check", "--in", docs["pbw11"]]) == 0
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert main(["check", "--in", docs["pbw11"]]) == 7
+    monkeypatch.undo()
+    assert main(["check", "--in", docs["pbw11"]]) == 0
+
+
+def test_repeated_calls_give_the_first_results(docs, tmp_path, capsys):
+    # gen, check and iso run twice in one process, with a parse error,
+    # --version and non-default flags in between, write the same bytes
+    doc = load_doc(docs["pbw11"])
+    broken = tmp_path / "broken.json"
+    dump_doc({**doc, "edges": doc["edges"][1:]}, broken)
+    out = tmp_path / "out"
+    argvs = [["gen", "--hw", "2,1", "--out", out], ["gen", "--hw", "2,1", "--method", "axioms", "--out", out],
+             ["check", "--in", docs["pbw11"], "--report", out], ["check", "--in", broken, "--report", out],
+             ["iso", docs["pbw11"], docs["syn11"], "--out", out], ["iso", docs["pbw11"], docs["pbw30"]]]
+
+    def results():
+        runs = []
+        for argv in argvs:
+            out.unlink(missing_ok=True)
+            code = main(list(map(str, argv)))
+            runs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        return runs
+
+    capsys.readouterr()
+    first = results()
+    assert [run[0] for run in first] == [0, 0, 0, 1, 0, 1]
+    for argv, code in ((["check"], 2), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert main(["verify-paper", "--max-hw", "0", "--max-box", "0"]) == 0
+    args = cli.build_parser().parse_args(["verify-paper"])
+    assert (args.max_hw, args.max_box) == (3, 8)
+    capsys.readouterr()
+    assert results() == first
