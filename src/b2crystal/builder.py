@@ -25,7 +25,6 @@ from collections import defaultdict
 from itertools import compress
 
 from .axioms import check_all, grouping, lowering, rule_pairs, scan, walk_all
-from .cartan import b2_gcm
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -268,28 +267,3 @@ def _match(X, rx, Y, ry):
     if len(X) != len(Y):
         raise NotIsomorphic("map is not onto")
     return dict(zip(xid, map(yid.__getitem__, h)))
-
-
-def verify_reversal_involution(lam, g=None):
-    """Arrow reversal of a generated crystal is again a certified crystal,
-    isomorphic to the original with raising and lowering swapped.  g is the
-    frozen crystal generate(lam), generated here when not given."""
-    from .pbw import generate  # read at call time, so a patched pbw.generate is seen
-
-    g = generate(lam) if g is None else g
-    r = g.reverse()
-    A = b2_gcm()
-    rep = check_all(r, A)
-    if not rep.passed or rep.phi0 != {1: lam[0], 2: lam[1]}:
-        return False
-    # build_isomorphism(g, r), with r's report reused instead of re-certified
-    iso = _match(g, _certify("first", g, A), r, rep)
-    eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
-    for v in g.vertices():
-        if iso[iso[v]] != v:  # the identification must be an involution
-            return False
-        for i in g.colors:
-            # raising/lowering statistics swap across the identification
-            if eg[i][v] != pg[i][iso[v]] or pg[i][v] != eg[i][iso[v]]:
-                return False
-    return True

@@ -37,14 +37,20 @@ def array(value, field):
 
 
 def integers(values, name):
-    """values as int() reads them, refusing what int() would truncate: a
-    boolean or a number with a fractional part; name(k) names values[k]."""
+    """values as int() reads them, refusing what int() would truncate (a
+    boolean or a number with a fractional part) and what it cannot read (an
+    array, an object or a non-numeric string); name(k) names values[k]."""
     if set(map(type, values)) <= {int}:
         return values
+    out = []
     for k, v in enumerate(values):
-        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
-            raise ValueError(f"{name(k)} {v} is not an integer")
-    return list(map(int, values))
+        try:
+            if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+                raise ValueError
+            out.append(int(v))
+        except (TypeError, ValueError):
+            raise ValueError(f"{name(k)} {v} is not an integer") from None
+    return out
 
 
 class GCM:

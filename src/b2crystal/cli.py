@@ -94,6 +94,16 @@ def graph_to_doc(g, stats=None):
 _EDGE_FIELDS = ("from", "to", "color")
 
 
+def _fields(entries, key, kind):
+    """entry[key] for each entry; an entry that is not an object is refused
+    by name, not with the TypeError of indexing it."""
+    try:
+        return list(map(itemgetter(key), entries))
+    except TypeError:
+        bad = next(e for e in entries if not isinstance(e, dict))
+        raise ValueError(f"{kind} entry {bad!r} is not an object") from None
+
+
 def doc_to_graph(doc):
     """Rebuild a frozen graph from a document, preserving ids.
 
@@ -109,14 +119,14 @@ def doc_to_graph(doc):
     rows = doc.get("cartan")
     g = ColoredGraph(colors, cartan=GCM(rows, index_set=colors) if rows not in (None, []) else None)
     vertices = array(doc["vertices"], "vertices")
-    ids = integers(list(map(itemgetter("id"), vertices)), lambda k: f"vertex {vertices[k]}: id")
+    ids = integers(_fields(vertices, "id", "vertex"), lambda k: f"vertex {vertices[k]}: id")
     if len(set(ids)) < len(ids):
         seen = set()
         vid = next(v for v in ids if v in seen or seen.add(v))
         raise ValueError(f"vertex {vid} already present")
     g.add_vertices(sorted(ids))
     edges = array(doc["edges"], "edges")
-    srcs, dsts, cols = (integers(list(map(itemgetter(f), edges)), lambda k, f=f: f"edge {edges[k]}: {f}")
+    srcs, dsts, cols = (integers(_fields(edges, f, "edge"), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)
     s_pos, d_pos = g.positions(srcs), g.positions(dsts)
     if None in s_pos or None in d_pos:
@@ -205,7 +215,11 @@ def _load_graph(path):
 
 def cmd_gen(args):
     A = _load_gcm(args.gcm)
-    hw = [int(t) for t in args.hw.split(",")]
+    try:
+        hw = [int(t) for t in args.hw.split(",")]
+    except ValueError:
+        print("error: --hw entries must be integers", file=sys.stderr)
+        return EXIT_INPUT
     if len(hw) != len(A.colors):
         print(f"error: --hw needs {len(A.colors)} entries", file=sys.stderr)
         return EXIT_INPUT

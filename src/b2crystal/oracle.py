@@ -17,7 +17,8 @@ from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
-from .builder import verify_reversal_involution
+from .axioms import check_all
+from .builder import _certify, _match
 from .cartan import b2_gcm
 from .errors import BudgetExceeded, HypothesisNotMet
 
@@ -167,6 +168,14 @@ def _match_low_middle(m):
     )
 
 
+def _family_12(m):
+    # interlocked and low_tail have a3 == a1, low_middle a4 == a1 + a2 - a3;
+    # that test is cheap and fails on most vertices, so it goes first
+    a1, a2, a3, a4 = m.a
+    return ((a3 == a1 or a4 == a1 + a2 - a3)
+            and (_match_interlocked(m) or _match_low_tail(m) or _match_low_middle(m)))
+
+
 # the (1,2) families, each with its lowering deltas at the branch points y and y'
 FORK_CASES = {"interlocked": (_match_interlocked, (0, 1)), "low_tail": (_match_low_tail, (1, 1)),
               "low_middle": (_match_low_middle, (0, 0))}
@@ -260,9 +269,7 @@ class Fork(NamedTuple):
 
 # raising deltas -> class, in report order
 FORKS = {
-    (1, 2): Fork("fork(1,2) classification at {}", 1, None,
-                 lambda m: _match_interlocked(m) or _match_low_tail(m) or _match_low_middle(m),
-                 _close_12),
+    (1, 2): Fork("fork(1,2) classification at {}", 1, None, _family_12, _close_12),
     (1, 1): Fork("fork(1,1) pentagon at {}", 2, None, _family_11, partial(_pentagon,
         ("11221", "12121", "21112"),
         lambda a, b, _, c: ((a - 2, b + 1, a - 2, c), (b + 1, a - 2, c, a + 2 * b - 2 * c)))),
@@ -315,6 +322,29 @@ def verify_kakunin3(lam, g=None):
     return verify_forks(lam, g)[2]
 
 
+def verify_reversal_involution(lam, g=None):
+    """Arrow reversal of a generated crystal is again a certified crystal,
+    isomorphic to the original with raising and lowering swapped.  g is the
+    frozen crystal generate(lam), generated here when not given."""
+    g = pbw.generate(lam) if g is None else g
+    r = g.reverse()
+    A = b2_gcm()
+    rep = check_all(r, A)
+    if not rep.passed or rep.phi0 != {1: lam[0], 2: lam[1]}:
+        return False
+    # build_isomorphism(g, r), with r's report reused instead of re-certified
+    iso = _match(g, _certify("first", g, A), r, rep)
+    eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
+    for v in g.vertices():
+        if iso[iso[v]] != v:  # the identification must be an involution
+            return False
+        for i in g.colors:
+            # raising/lowering statistics swap across the identification
+            if eg[i][v] != pg[i][iso[v]] or pg[i][v] != eg[i][iso[v]]:
+                return False
+    return True
+
+
 def verify_reversal(lam, g=None):
     rep = VerificationReport(f"arrow-reversal involution at {lam}", domain_size=weyl_dim_b2(*lam))
     if not verify_reversal_involution(lam, g):
@@ -329,8 +359,8 @@ def closed_r_a3_ge_a1(a):
     a1, a2, a3, a4 = a
     if a3 < a1:
         raise HypothesisNotMet("needs a3 >= a1")
-    lo = min(a2, a4)
-    return (max(a2, a4) + a3 - a1, a1, lo, a3 + 2 * a2 - 2 * lo)
+    lo, hi = (a2, a4) if a2 <= a4 else (a4, a2)
+    return (hi + a3 - a1, a1, lo, a3 + 2 * a2 - 2 * lo)
 
 
 def closed_r_a3_le_a1(a):
@@ -349,18 +379,13 @@ def closed_r_a3_le_a1(a):
     return (a4 + a3 - a1, a1, a2, a3)
 
 
-def closed_form_r(a):
-    """Closed-form transition map, total on N^4 (agrees with r_transfer)."""
-    return closed_r_a3_ge_a1(a) if a[2] >= a[0] else closed_r_a3_le_a1(a)
-
-
 def closed_rinv_x3_ge_x1(x):
     """Inverse transition map on x3 >= x1, in closed form."""
     x1, x2, x3, x4 = x
     if x3 < x1:
         raise HypothesisNotMet("needs x3 >= x1")
-    lo = min(x2, x4)
-    return (max(x2, x4) + 2 * (x3 - x1), x1, lo, x3 + x2 - lo)
+    lo, hi = (x2, x4) if x2 <= x4 else (x4, x2)
+    return (hi + 2 * (x3 - x1), x1, lo, x3 + x2 - lo)
 
 
 def closed_rinv_x3_le_x1(x):
@@ -375,11 +400,6 @@ def closed_rinv_x3_le_x1(x):
     return (x4 + 2 * (x3 - x1), x1, x2, x3)
 
 
-def closed_form_rinv(x):
-    """Closed-form inverse transition map, total on N^4."""
-    return closed_rinv_x3_ge_x1(x) if x[2] >= x[0] else closed_rinv_x3_le_x1(x)
-
-
 # -- closed forms of two raising deltas --------------------------------------
 
 def corollary_delta_2_1(m: pbw.PbwElement):
@@ -390,7 +410,8 @@ def corollary_delta_2_1(m: pbw.PbwElement):
     a1, a2, a3, a4 = m.a
     if not (a3 >= a1 >= 1 and m.x[0] >= 1):
         raise HypothesisNotMet("needs a3 >= a1 >= 1 and x1 >= 1")
-    return max(0, 2 + a1 - a3 + 2 * a2 - 2 * max(a2, a4))
+    d = 2 + a1 - a3 + 2 * a2 - 2 * (a2 if a2 >= a4 else a4)
+    return d if d > 0 else 0
 
 
 def corollary_delta_1_2(m: pbw.PbwElement):
@@ -401,7 +422,8 @@ def corollary_delta_1_2(m: pbw.PbwElement):
     x1, x2, x3, x4 = m.x
     if not (x3 >= x1 >= 1 and m.a[0] >= 1):
         raise HypothesisNotMet("needs x3 >= x1 >= 1 and a1 >= 1")
-    return max(0, 1 + x1 - x3 + x2 - max(x2, x4))
+    d = 1 + x1 - x3 + x2 - (x2 if x2 >= x4 else x4)
+    return d if d > 0 else 0
 
 
 def verify_lemmas(n, transfer=None, transfer_inv=None):
@@ -417,17 +439,17 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
     transfer = transfer or kernel.r_transfer
     transfer_inv = transfer_inv or kernel.r_inverse
     box = list(product(range(n + 1), repeat=4))
-    image = {a: transfer(a) for a in box}
-    preimage = {x: transfer_inv(x) for x in box}
+    image = dict(zip(box, map(transfer, box)))
+    preimage = dict(zip(box, map(transfer_inv, box)))
     rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=len(box))
     corollaries = []  # reported after the inverse scan's notes
     for a, x in image.items():
         a1, a2, a3, a4 = a
         x1, x2, x3, x4 = x
-        if min(x) < 0:
+        if x1 < 0 or x2 < 0 or x3 < 0 or x4 < 0:
             rep.add(f"{a}: image {x} leaves N^4")
         else:
-            back = preimage[x] if max(x) <= n else transfer_inv(x)
+            back = preimage.get(x) or transfer_inv(x)  # the map itself off the box
             if back != a:
                 rep.add(f"{a}: inverse roundtrip gives {back}")
             if a3 >= a1 and closed_r_a3_ge_a1(a) != x:
@@ -437,16 +459,20 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
             if a1 + 2 * a2 + a3 != x2 + 2 * x3 + x4 or a2 + a3 + a4 != x1 + x2 + x3:
                 rep.add(f"{a}: weight identities fail for {x}")
         # delta corollaries and the product-zero fact, by navigation, at every point
-        if a3 >= a1 >= 1 and x1 >= 1:
-            nav = kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1
-            got = corollary_delta_2_1(pbw.PbwElement(a, x))
-            if got != nav:
-                corollaries.append(f"{pbw.PbwElement(a, x)}: delta(2,1) formula {got} != {nav}")
-        if x3 >= x1 >= 1 and a1 >= 1:
-            nav = kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1
-            if corollary_delta_1_2(pbw.PbwElement(a, x)) != nav:
-                corollaries.append(f"{pbw.PbwElement(a, x)}: delta(1,2) formula != {nav}")
-        if a1 > a3 and x1 > x3:
+        h21 = a3 >= a1 >= 1 and x1 >= 1
+        h12 = x3 >= x1 >= 1 and a1 >= 1
+        if h21 or h12:
+            m = pbw.PbwElement(a, x)
+            if h21:
+                nav = kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1
+                got = corollary_delta_2_1(m)
+                if got != nav:
+                    corollaries.append(f"{m}: delta(2,1) formula {got} != {nav}")
+            if h12:
+                nav = kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1
+                if corollary_delta_1_2(m) != nav:
+                    corollaries.append(f"{m}: delta(1,2) formula != {nav}")
+        elif a1 > a3 and x1 > x3:
             d1 = kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1
             if x1 == 0:
                 raise HypothesisNotMet(f"e_2 undefined at {pbw.PbwElement(a, x)}")
@@ -454,15 +480,17 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
             if d1 * d2 != 0:
                 corollaries.append(f"{pbw.PbwElement(a, x)}: delta product {d1}*{d2} != 0")
     for x, a in preimage.items():
-        if min(a) < 0:
+        x1, _, x3, _ = x
+        a1, a2, a3, a4 = a
+        if a1 < 0 or a2 < 0 or a3 < 0 or a4 < 0:
             rep.add(f"{x}: preimage {a} leaves N^4")
             continue
-        forth = image[a] if max(a) <= n else transfer(a)
+        forth = image.get(a) or transfer(a)  # the map itself off the box
         if forth != x:
             rep.add(f"{x}: forward roundtrip gives {forth}")
-        if x[2] >= x[0] and closed_rinv_x3_ge_x1(x) != a:
+        if x3 >= x1 and closed_rinv_x3_ge_x1(x) != a:
             rep.add(f"{x}: high closed form != {a}")
-        if x[2] <= x[0] and closed_rinv_x3_le_x1(x) != a:
+        if x3 <= x1 and closed_rinv_x3_le_x1(x) != a:
             rep.add(f"{x}: low closed form != {a}")
     for note in corollaries:
         rep.add(note)

@@ -76,29 +76,31 @@ def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement
     Raising is guarded by eps_i > 0.  Lowering is guarded by phi_i > 0
     when lam is a highest weight and unguarded when lam is None.
     """
+    # Elements are built with tuple.__new__ rather than PbwElement(...), whose
+    # generated __new__ is one more Python call per step on the hot path.
     a, x = m
     if direction == "e":
         if i == 1:
             if a[0] == 0:
                 return None
             na = (a[0] - 1, a[1], a[2], a[3])
-            return PbwElement(na, kernel.r_transfer(na))
+            return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
         if i == 2:
             if x[0] == 0:
                 return None
             nx = (x[0] - 1, x[1], x[2], x[3])
-            return PbwElement(kernel.r_inverse(nx), nx)
+            return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
     elif direction == "f":
         if i == 1:
             if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
                 return None
             na = (a[0] + 1, a[1], a[2], a[3])
-            return PbwElement(na, kernel.r_transfer(na))
+            return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
         if i == 2:
             if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
                 return None
             nx = (x[0] + 1, x[1], x[2], x[3])
-            return PbwElement(kernel.r_inverse(nx), nx)
+            return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
     else:
         raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
     raise ValueError(f"color must be 1 or 2, not {i!r}")

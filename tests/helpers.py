@@ -734,6 +734,16 @@ def in_highest_weight(m, lam, rule=DEFAULT_MEMBERSHIP):
     return MEMBERSHIP_RULES[rule](m, lam)
 
 
+def closed_form_r(a):
+    """Closed-form transition map, total on N^4 (agrees with r_transfer)."""
+    return closed_r_a3_ge_a1(a) if a[2] >= a[0] else closed_r_a3_le_a1(a)
+
+
+def closed_form_rinv(x):
+    """Closed-form inverse transition map, total on N^4."""
+    return closed_rinv_x3_ge_x1(x) if x[2] >= x[0] else closed_rinv_x3_le_x1(x)
+
+
 # -- reference verification scans ------------------------------------------------
 #
 # oracle.verify_lemmas and oracle.verify_forks as they were before they read

@@ -493,9 +493,10 @@ _NOT_ARRAYS = ("12", {"1": 0, "2": 0}, 12)
 
 def _malformed_inputs(doc):
     """(file contents, the commands that read the file, text the error must
-    hold): every non-object file, and every field that must be an array
-    replaced by a string, an object and a number, in a document and in a
-    custom matrix file."""
+    hold): every non-object file; every field that must be an array replaced
+    by a string, an object and a number, in a document and in a custom matrix
+    file; entries that are not objects, integer fields that hold an array or
+    an object, and --hw entries that are not integers."""
     commands = (["check", "--in", "{f}"], ["iso", "{f}", "{f}"],
                 ["export-dot", "--in", "{f}", "--out", "{out}"],
                 ["gen", "--gcm", "custom:{f}", "--hw", "1,1", "--method", "axioms", "--out", "{out}"])
@@ -509,6 +510,17 @@ def _malformed_inputs(doc):
         for field in ("index_set", "cartan"):
             yield {**spec, field: value}, commands[3:], f"{field} is not an array"
         yield {**spec, "cartan": [[2, -1], value]}, commands[3:], "cartan row 2 is not an array"
+    edge = {**doc["edges"][0], "from": {}}
+    for edit, message in ((("vertices", [1, 2]), "vertex entry 1 is not an object"),
+                          (("vertices", ["ab"]), "vertex entry 'ab' is not an object"),
+                          (("edges", [3]), "edge entry 3 is not an object"),
+                          (("edges", [edge] + doc["edges"][1:]), f"edge {edge}: from {{}} is not an integer"),
+                          (("max", [0]), "max [0] is not an integer"),
+                          (("index_set", [[1], 2]), "index_set entry [1] is not an integer")):
+        yield dict([*doc.items(), edit]), commands[:3], message
+    yield {**spec, "index_set": [[1], 2]}, commands[3:], "index_set entry [1] is not an integer"
+    for hw in ("1,x", "1,"):
+        yield spec, [commands[3][:4] + [hw] + commands[3][5:]], "error: --hw entries must be integers"
 
 
 def test_malformed_field_types_are_input_errors(tmp_path, capsys):
@@ -522,7 +534,7 @@ def test_malformed_field_types_are_input_errors(tmp_path, capsys):
             capsys.readouterr()
             assert main([arg.format(f=path, out=out) for arg in command]) == 2, (contents, command)
             out_text, err = capsys.readouterr()
-            assert message.format(f=path) in err and out_text == "", (contents, command, err)
+            assert message.replace("{f}", str(path)) in err and out_text == "", (contents, command, err)
             assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,12 @@ def leaving(a):
     # sends the points with a1 = a2 = 1 out of N^4
     x = r_transfer(a)
     return (x[0], x[1], x[2] - 2, x[3]) if a[0] == a[1] == 1 else x
+
+
+def leaving_first(a):
+    # sends the points with a1 > a3 and a2 = 1 out of N^4 through x1
+    x = r_transfer(a)
+    return (-1,) + x[1:] if a[0] > a[2] and a[1] == 1 else x
 
 
 def broken_inverse(x):
@@ -143,8 +150,10 @@ def test_verify_lemmas_counterexamples_pinned():
 
 
 @pytest.mark.parametrize("maps", [{}, {"transfer": broken_transfer}, {"transfer": leaving},
-                                  {"transfer_inv": broken_inverse}],
-                         ids=["kernel", "broken_transfer", "leaving", "broken_inverse"])
+                                  {"transfer": leaving_first}, {"transfer_inv": broken_inverse},
+                                  {"transfer": broken_transfer, "transfer_inv": broken_inverse}],
+                         ids=["kernel", "broken_transfer", "leaving", "leaving_first", "broken_inverse",
+                              "both_broken"])
 def test_verify_lemmas_matches_reference(maps):
     for n in range(6):
         assert oracle.verify_lemmas(n, **maps).to_dict() == reference_verify_lemmas(n, **maps).to_dict()
@@ -159,6 +168,17 @@ def test_verify_lemmas_undefined_step_raises():
     for scan in (oracle.verify_lemmas, reference_verify_lemmas):
         with pytest.raises(HypothesisNotMet, match=r"^e_2 undefined at PbwElement\(a=\(1, 0, 0, 0\), x=\(0, 0, -1, 0\)\)$"):
             scan(1, transfer=undefined)
+
+
+def test_family_12_is_the_three_matchers():
+    # the pre-test on a3 and a4 drops no member of any (1,2) family
+    members = 0
+    for a in product(range(7), repeat=4):
+        m = pbw.PbwElement(a, r_transfer(a))
+        want = oracle._match_interlocked(m) or oracle._match_low_tail(m) or oracle._match_low_middle(m)
+        assert oracle._family_12(m) == want, m
+        members += want
+    assert members == 232
 
 
 def test_verify_forks_matches_reference(monkeypatch):

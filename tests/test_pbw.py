@@ -8,7 +8,7 @@ from b2crystal import kernel, oracle, pbw
 from b2crystal.cli import graph_to_doc
 from b2crystal.errors import BudgetExceeded, DuplicateEdge, HypothesisNotMet, MembershipViolation
 from b2crystal.oracle import weyl_dim_b2
-from helpers import LARGE_BOX, epsilon_star, in_highest_weight
+from helpers import LARGE_BOX, closed_form_r, closed_form_rinv, epsilon_star, in_highest_weight
 
 BOX = list(product(range(9), repeat=4))
 
@@ -30,19 +30,19 @@ def test_weight_consistency_box():
 
 
 def test_closed_forms_spec_values():
-    assert oracle.closed_form_r((1, 1, 1, 1)) == (1, 1, 1, 1)
-    assert oracle.closed_form_r((2, 0, 1, 0)) == (0, 1, 0, 2)
-    assert oracle.closed_form_r((1, 0, 0, 0)) == (0, 0, 0, 1)
-    assert oracle.closed_form_rinv((1, 1, 1, 1)) == (1, 1, 1, 1)
-    assert oracle.closed_form_rinv((0, 0, 0, 1)) == (1, 0, 0, 0)
-    assert oracle.closed_form_rinv((2, 0, 3, 0)) == (2, 2, 0, 3)
+    assert closed_form_r((1, 1, 1, 1)) == (1, 1, 1, 1)
+    assert closed_form_r((2, 0, 1, 0)) == (0, 1, 0, 2)
+    assert closed_form_r((1, 0, 0, 0)) == (0, 0, 0, 1)
+    assert closed_form_rinv((1, 1, 1, 1)) == (1, 1, 1, 1)
+    assert closed_form_rinv((0, 0, 0, 1)) == (1, 0, 0, 0)
+    assert closed_form_rinv((2, 0, 3, 0)) == (2, 2, 0, 3)
 
 
 def test_closed_forms_match_kernel_on_box():
     for a in chain(BOX, LARGE_BOX):
-        assert oracle.closed_form_r(a) == kernel.r_transfer(a)
+        assert closed_form_r(a) == kernel.r_transfer(a)
     for x in chain(BOX, LARGE_BOX):
-        assert oracle.closed_form_rinv(x) == kernel.r_inverse(x)
+        assert closed_form_rinv(x) == kernel.r_inverse(x)
 
 
 def test_closed_form_branches_agree_on_overlap():
@@ -85,15 +85,16 @@ def test_kashiwara_step_examples():
 
 
 def test_step_inverse_property():
-    # raising then lowering (and vice versa) is the identity where defined
+    # raising then lowering (and vice versa) is the identity where defined;
+    # every branch returns a PbwElement, not a bare tuple that compares equal
     for a in product(range(4), repeat=4):
         m = pbw.PbwElement.from_a(a)
         for i in (1, 2):
             up = pbw.kashiwara_step(m, "e", i)
             if up is not None:
-                assert pbw.kashiwara_step(up, "f", i) == m
+                assert type(up) is pbw.PbwElement and pbw.kashiwara_step(up, "f", i) == m
             down = pbw.kashiwara_step(m, "f", i)  # unbounded crystal
-            assert pbw.kashiwara_step(down, "e", i) == m
+            assert type(down) is pbw.PbwElement and pbw.kashiwara_step(down, "e", i) == m
 
 
 def test_step_statistics_identities():
