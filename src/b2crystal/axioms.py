@@ -321,12 +321,6 @@ def check_s4_s5(g, A, tables=None, groups=None):
 
 # -- S6 .. S9 ----------------------------------------------------------------
 
-def _b2_oriented_pairs(A):
-    """Ordered color pairs whose 2x2 restriction is doubly laced with the
-    long arrow from the first color (the orientation the axioms assume)."""
-    return [(i, j) for (i, j) in A.pairs() if classify_pair(A, i, j) == B2]
-
-
 def _check_s6(g, rais, x, found, i, j, out, q1):
     # at a vertex whose raising deltas are (1,2): the lowering deltas t of
     # the diamond's branch points above x (found) decide what must hold;
@@ -366,14 +360,19 @@ def check_s6_s9(g, A, tables=None, groups=None):
     groups = {} if groups is None else groups
     rais, low = raising(g, eps, phi), lowering(g, eps, phi)
     out = []
-    for i, j in _b2_oriented_pairs(A):
-        q1 = []
-        for _, _, forks, _ in scan(rais, *_grouping(g, rais, groups, i, j), [(RAISED_DIAMOND, (i, j))]):
-            for x, found in zip(forks, _branch_points(rais, forks, i, j)):
-                _check_s6(g, rais, x, found, i, j, out, q1)
-        _assert(g, rais, [(RAISED_DIAMOND, (i, j), q1, [])], out)
-        _assert(g, low, scan(low, *_grouping(g, low, groups, i, j),
-                             rule_pairs(A, i, j, DOUBLY_LACED)), out)
+    colors = g.colors
+    for ai, i in enumerate(colors):
+        for j in colors[ai + 1:]:
+            entries = rule_pairs(A, i, j, (RAISED_DIAMOND,) + DOUBLY_LACED)
+            if not entries:
+                continue
+            p, q = entries[0][1]  # the B2 orientation, shared by every entry
+            q1 = []
+            for _, _, forks, _ in scan(rais, *_grouping(g, rais, groups, i, j), entries[:1]):
+                for x, found in zip(forks, _branch_points(rais, forks, p, q)):
+                    _check_s6(g, rais, x, found, p, q, out, q1)
+            _assert(g, rais, [(RAISED_DIAMOND, (p, q), q1, [])], out)
+            _assert(g, low, scan(low, *_grouping(g, low, groups, i, j), entries[1:]), out)
     return _sorted(out)
 
 

@@ -131,6 +131,8 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
     if any(v < 0 for v in phi0.values()):
         raise ValueError("top statistics must be nonnegative")
 
+    if budget_vertices < 1:  # the top vertex counts
+        raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
     st = _Build(A, phi0)
     colors, eps, phi = A.colors, st.eps, st.phi
     # a weight of layer k counts at most k <= budget_layers steps of any

@@ -21,10 +21,8 @@ _PAIR_TYPES = {
 B2_MATRIX_ROWS = [[2, -2], [-1, 2]]
 # Rank-3 odd-orthogonal matrix: its doubly-laced pair comes out transposed
 # relative to the rank-2 convention above, so (1,0,0) is the 7-dimensional
-# vector representation.  The other orientation (swap -1/-2 in the lower
-# right block) is the rank-3 symplectic matrix, where (1,0,0) gives 6.
+# vector representation.
 B3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-C3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 
 def array(value, field):

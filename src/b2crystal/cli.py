@@ -200,7 +200,15 @@ def _load_gcm(name):
 
 
 def _budget():
-    return int(os.environ.get("CRYSTAL_BUDGET", 10**6))
+    """The vertex budget: CRYSTAL_BUDGET, 10**6 when unset.  A value that is
+    not a nonnegative integer is an input error, not a budget."""
+    value = os.environ.get("CRYSTAL_BUDGET", "1000000")
+    try:
+        if int(value) >= 0:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"CRYSTAL_BUDGET must be a nonnegative integer, not {value!r}")
 
 
 def _load_graph(path):

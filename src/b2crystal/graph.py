@@ -208,7 +208,9 @@ class ColoredGraph:
 
     def wt_assign(self, x0):
         """weight_codes(x0) decoded: {vertex: (color multiset dict, dist)},
-        in increasing vertex order."""
+        in increasing vertex order.  It stays only because the benchmark
+        reaches it (perfbench/tracing.py spans it, perfbench/stages.py times
+        it); it leaves when they time weight_codes instead (ROADMAP item 7)."""
         code = self.weight_codes(x0)
         weights = decode_weights(code, len(self) + 1, self.colors)
         return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}

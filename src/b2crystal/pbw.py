@@ -24,50 +24,8 @@ class PbwElement(NamedTuple):
     a: Nat4
     x: Nat4
 
-    @classmethod
-    def from_a(cls, a):
-        a = tuple(int(v) for v in a)
-        return cls(a, kernel.r_transfer(a))
-
-    @classmethod
-    def from_x(cls, x):
-        x = tuple(int(v) for v in x)
-        return cls(kernel.r_inverse(x), x)
-
-    def validate(self):
-        if len(self.a) != 4 or len(self.x) != 4:
-            raise ValueError("coordinates must be 4-tuples")
-        if any(v < 0 for v in self.a) or any(v < 0 for v in self.x):
-            raise ValueError(f"negative coordinate in {self}")
-        if kernel.r_transfer(self.a) != self.x:
-            raise ValueError(f"transition inconsistency in {self}")
-        a1, a2, a3, a4 = self.a
-        x1, x2, x3, x4 = self.x
-        if x2 + 2 * x3 + x4 != a1 + 2 * a2 + a3 or x1 + x2 + x3 != a2 + a3 + a4:
-            raise ValueError(f"weight inconsistency in {self}")
-        return self
-
 
 ZERO = PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
-
-
-class ElemStats(NamedTuple):
-    eps1: int
-    eps2: int
-    phi1: int
-    phi2: int
-    wt: Tuple[int, int]  # pairings (<h1,wt>, <h2,wt>)
-
-
-def elem_stats(m: PbwElement, lam=None) -> ElemStats:
-    """String statistics and weight pairings; lam=None behaves as (0, 0)."""
-    l1, l2 = lam if lam is not None else (0, 0)
-    x1, x2, x3, x4 = m.x
-    h1 = l1 + 2 * x1 - 2 * x3 - 2 * x4
-    h2 = l2 - 2 * x1 - x2 + x4
-    eps1 = m.a[0]
-    eps2 = x1
-    return ElemStats(eps1, eps2, eps1 + h1, eps2 + h2, (h1, h2))
 
 
 def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement]:
@@ -115,7 +73,7 @@ def elem_walk(m, ops, lam=None):
     return m
 
 
-# the elem_stats fields less their lam terms, which cancel in a difference
+# eps_j and phi_j of an element, phi_j less its lam term, which cancels in a difference
 _STATS = {("eps", 1): lambda m: m.a[0], ("eps", 2): lambda m: m.x[0],
           ("phi", 1): lambda m: m.a[0] + 2 * (m.x[0] - m.x[2] - m.x[3]),
           ("phi", 2): lambda m: m.x[3] - m.x[0] - m.x[1]}
@@ -168,6 +126,8 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
     l1, l2 = lam
     if l1 < 0 or l2 < 0:
         raise ValueError("highest weight pairings must be nonnegative")
+    if budget < 1:  # the top vertex counts
+        raise BudgetExceeded(f"vertex budget {budget} exceeded")
     pred = MEMBERSHIP_RULES[membership]
     if not pred(ZERO, lam):
         raise MembershipViolation(f"zero element rejected by rule {membership!r}")

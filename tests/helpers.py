@@ -5,6 +5,7 @@ the tests."""
 import random
 from functools import partial
 from itertools import product
+from typing import NamedTuple, Tuple
 
 from b2crystal import kernel, pbw
 from b2crystal.oracle import (
@@ -27,6 +28,10 @@ from b2crystal.errors import (
 )
 from b2crystal.graph import ColoredGraph, GraphViolation
 from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES
+
+# The rank-3 symplectic matrix: the other orientation of cartan.B3_MATRIX_ROWS
+# (swap -1/-2 in the lower right block), where (1,0,0) gives 6 vertices.
+C3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -718,6 +723,32 @@ def reference_collect_merges(st, k, uf, candidates):
 
 # -- PBW statistics read only by the tests -----------------------------------------
 
+def from_a(a):
+    """The element with a-coordinates a."""
+    return pbw.PbwElement(a, kernel.r_transfer(a))
+
+
+class ElemStats(NamedTuple):
+    eps1: int
+    eps2: int
+    phi1: int
+    phi2: int
+    wt: Tuple[int, int]  # pairings (<h1,wt>, <h2,wt>)
+
+
+def elem_stats(m, lam=None):
+    """String statistics and weight pairings of an element, from its
+    coordinates; lam=None behaves as (0, 0).  The reference that
+    pbw.kashiwara_step's guards and pbw.elem_delta are tested against."""
+    l1, l2 = lam if lam is not None else (0, 0)
+    x1, x2, x3, x4 = m.x
+    h1 = l1 + 2 * x1 - 2 * x3 - 2 * x4
+    h2 = l2 - 2 * x1 - x2 + x4
+    eps1 = m.a[0]
+    eps2 = x1
+    return ElemStats(eps1, eps2, eps1 + h1, eps2 + h2, (h1, h2))
+
+
 def root_count(m):
     """Multiset of simple roots subtracted from the highest weight."""
     x1, x2, x3, x4 = m.x
@@ -742,6 +773,16 @@ def closed_form_r(a):
 def closed_form_rinv(x):
     """Closed-form inverse transition map, total on N^4."""
     return closed_rinv_x3_ge_x1(x) if x[2] >= x[0] else closed_rinv_x3_le_x1(x)
+
+
+def verification_dict(rep):
+    """An oracle.VerificationReport as a JSON-ready dict."""
+    return {
+        "claim": rep.claim,
+        "domain_size": rep.domain_size,
+        "pass": rep.passed,
+        "counterexamples": list(rep.counterexamples),
+    }
 
 
 # -- reference verification scans ------------------------------------------------
@@ -809,7 +850,7 @@ def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
 
 def reference_verify_forks(lam, g=None):
     """The three fork suites in one pass over the crystal g; each vertex's
-    statistics come from pbw.elem_stats and its deltas from pbw.elem_delta."""
+    statistics come from elem_stats and its deltas from pbw.elem_delta."""
     g = pbw.generate(lam) if g is None else g
     reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
     hits = {d: set() for d in FORKS}
@@ -818,7 +859,7 @@ def reference_verify_forks(lam, g=None):
         for d, f in FORKS.items():
             if f.family(m):
                 members[d].add(m)
-        st = pbw.elem_stats(m, lam)
+        st = elem_stats(m, lam)
         if st.eps1 < 1 or st.eps2 < 1:
             continue
         d = (pbw.elem_delta(m, "e", "eps", 1, 2, lam), pbw.elem_delta(m, "e", "eps", 2, 1, lam))

@@ -4,8 +4,10 @@ import pytest
 
 from b2crystal import axioms, pbw
 from b2crystal.builder import synthesize
-from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
+from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from helpers import (
+    C3_MATRIX_ROWS,
+    _b2_oriented_pairs,
     a2_crystal_1_1,
     a2_crystal_2_0,
     bad_confluence_graph,
@@ -130,7 +132,7 @@ def test_split_pentagon_meet_breaks_c1_plus():
     _, phi = g.tables()
     hit = None
     for x in range(len(g)):
-        for i, j in axioms._b2_oriented_pairs(A):
+        for i, j in _b2_oriented_pairs(A):
             if g.down[i][x] is None or g.down[j][x] is None:
                 continue
             if (df_phi(g, phi, i, j, x), df_phi(g, phi, j, i, x)) != (0, 2):
@@ -188,7 +190,7 @@ def test_axiom_hypotheses_all_fire():
                                    axioms.rule_pairs(A, 1, 2, rules))
                 for rule, _, fired, _ in hits:
                     counts[sign, rule.tag, rule.hypothesis] += len(fired)
-            for i, j in axioms._b2_oriented_pairs(A):
+            for i, j in _b2_oriented_pairs(A):
                 for x in range(len(g)):
                     if g.up[i][x] is not None and g.up[j][x] is not None:
                         d = (de_eps(g, eps, i, j, x), de_eps(g, eps, j, i, x))

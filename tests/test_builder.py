@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from b2crystal import axioms, builder, oracle, pbw
-from b2crystal.cartan import C3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
+from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.cli import graph_to_doc
 from b2crystal.errors import (
     BudgetExceeded,
@@ -16,6 +16,7 @@ from b2crystal.errors import (
 from b2crystal.graph import ColoredGraph, decode_weights, string_tables
 from b2crystal.oracle import weyl_dim_general
 from helpers import (
+    C3_MATRIX_ROWS,
     build_graph,
     copy_mutable,
     deletion_mutants,
@@ -251,7 +252,7 @@ def test_missing_merges_refused(monkeypatch, M, lam, message):
 
 def test_reversal_involution():
     for lam in [(0, 0), (1, 1), (3, 2)]:
-        assert oracle.verify_reversal_involution(lam)
+        assert oracle.verify_reversal(lam).passed
 
 
 def test_reversal_certifies_each_graph_once(monkeypatch):
@@ -264,15 +265,16 @@ def test_reversal_certifies_each_graph_once(monkeypatch):
     # the reversed graph is checked by the oracle, the original by builder._certify
     monkeypatch.setattr(oracle, "check_all", counted)
     monkeypatch.setattr(builder, "check_all", counted)
-    assert oracle.verify_reversal_involution((2, 1))
+    assert oracle.verify_reversal((2, 1)).passed
     assert len(calls) == 2
     # a reversal that fails certification, or passes it with the wrong top
-    # statistics, is a False, not an exception
+    # statistics, is the report's one failure note, not an exception
     reverse = ColoredGraph.reverse
     for fake in (lambda g: next(deletion_mutants(reverse(g)))[1],
                  lambda g: pbw.generate((1, 2))):
         monkeypatch.setattr(ColoredGraph, "reverse", fake)
-        assert oracle.verify_reversal_involution((2, 1)) is False
+        rep = oracle.verify_reversal((2, 1))
+        assert rep.counterexamples == ["(2, 1): reversal is not an involutive crystal symmetry"]
 
 
 def test_rank3_smoke():

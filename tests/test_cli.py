@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from b2crystal import axioms, builder, cli, pbw
-from b2crystal.cartan import B3_MATRIX_ROWS, C3_MATRIX_ROWS, b2_gcm
+from b2crystal.cartan import B3_MATRIX_ROWS, b2_gcm
 from b2crystal.cli import (
     doc_to_graph,
     dump_doc,
@@ -15,7 +15,7 @@ from b2crystal.cli import (
     load_doc,
     main,
 )
-from helpers import reference_check_all, reference_load, relabelled, renaming
+from helpers import C3_MATRIX_ROWS, reference_check_all, reference_load, relabelled, renaming
 
 
 @pytest.fixture
@@ -63,15 +63,44 @@ def test_gen_budget_exit(tmp_path, monkeypatch):
     assert main(["gen", "--gcm", "b2", "--hw", "3,3", "--method", "pbw", "--out", str(out)]) == 3
 
 
-@pytest.mark.parametrize("gcm, hw, dim", [("b2", "3,3", 256), ("b3", "1,1,1", 512)])
+@pytest.mark.parametrize("gcm, hw, dim", [("b2", "3,3", 256), ("b3", "1,1,1", 512), ("b2", "0,0", 1)])
 def test_gen_axioms_budget_at_the_dimension(tmp_path, monkeypatch, gcm, hw, dim):
-    # the synthesizer's one budget test per layer: exit 3 one vertex short
+    # the synthesizer's one budget test per layer: exit 3 one vertex short;
+    # the top vertex counts, so a budget of 0 refuses even one vertex
     out = tmp_path / "g.json"
     argv = ["gen", "--gcm", gcm, "--hw", hw, "--method", "axioms", "--out", str(out)]
     monkeypatch.setenv("CRYSTAL_BUDGET", str(dim - 1))
     assert main(argv) == 3 and not out.exists()
     monkeypatch.setenv("CRYSTAL_BUDGET", str(dim))
     assert main(argv) == 0 and len(load_doc(out)["vertices"]) == dim
+
+
+@pytest.mark.parametrize("hw, dim", [("3,3", 256), ("0,0", 1)])
+def test_gen_pbw_budget_at_the_dimension(tmp_path, monkeypatch, hw, dim):
+    out = tmp_path / "g.json"
+    argv = ["gen", "--hw", hw, "--method", "pbw", "--out", str(out)]
+    monkeypatch.setenv("CRYSTAL_BUDGET", str(dim - 1))
+    assert main(argv) == 3 and not out.exists()
+    monkeypatch.setenv("CRYSTAL_BUDGET", str(dim))
+    assert main(argv) == 0 and len(load_doc(out)["vertices"]) == dim
+
+
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_budget_must_be_a_nonnegative_integer(docs, tmp_path, capsys, monkeypatch, value):
+    # a budget that is not a count is an input error of every command, named
+    # by its variable, not an int() error or an empty crystal
+    out = tmp_path / "out"
+    monkeypatch.setenv("CRYSTAL_BUDGET", value)
+    for argv in (["gen", "--hw", "0,0", "--method", "pbw", "--out", str(out)],
+                 ["gen", "--hw", "0,0", "--method", "axioms", "--out", str(out)],
+                 ["check", "--in", docs["pbw11"]], ["iso", docs["pbw11"], docs["pbw11"]],
+                 ["export-dot", "--in", docs["pbw11"], "--out", str(out)],
+                 ["verify-paper", "--max-hw", "0", "--max-box", "0"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        out_text, err = capsys.readouterr()
+        assert f"CRYSTAL_BUDGET must be a nonnegative integer, not '{value}'" in err and out_text == "", argv
+        assert not out.exists()
 
 
 def test_check_pass_and_fail(docs, tmp_path):

