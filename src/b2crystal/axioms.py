@@ -9,7 +9,7 @@ so the checker is meaningful on arbitrary graphs.  The batteries read the
 graph's per-color position lists and its string tables, and report
 witnesses as vertex ids.  Each side (raising, lowering) of each color pair
 is read in one pass over positions, grouping them by their two deltas;
-check_all builds that grouping once and every rule on the pair reads it.
+a frozen graph keeps that grouping, and every rule on the pair reads it.
 
 The lowering-side rules (square, octagon, the pentagon's two hypotheses,
 the diamond) are one table, RULES, decided on a grouping by scan(); the
@@ -74,11 +74,11 @@ def _vid(g, k):
 
 # -- S2 / S3 -----------------------------------------------------------------
 
-def check_s2_s3(g, A, tables=None):
+def check_s2_s3(g, A):
     """String-difference equality and sign bounds across every raising
     step, for j != i (at j = i the equality reads 2 = a_ii, which GCM
     already requires)."""
-    eps, phi = tables or g.tables()
+    eps, phi = g.tables()
     ids = g.ids
     out = []
     for i in g.colors:
@@ -252,13 +252,11 @@ def grouping(side, xs, i, j):
     return groups
 
 
-def _grouping(g, side, groups, i, j):
+def _grouping(g, side, i, j):
     """(grouping(side) over all of g, p, q) for the pair {i, j} = {p, q} in
-    g's color order, built once per side and pair and kept in groups."""
-    key = side.sign, *sorted((i, j), key=g.colors.index)
-    if key not in groups:
-        groups[key] = grouping(side, range(len(g)), *key[1:])
-    return groups[key], key[1], key[2]
+    g's color order, kept by a frozen g once per side and pair."""
+    p, q = sorted((i, j), key=g.colors.index)
+    return g.keep(("grouping", side.sign, p, q), lambda g: grouping(side, range(len(g)), p, q)), p, q
 
 
 def scan(side, groups, i, j, entries):
@@ -304,18 +302,17 @@ def _assert(g, side, hits, out):
 
 # -- S4 / S5 -----------------------------------------------------------------
 
-def check_s4_s5(g, A, tables=None, groups=None):
+def check_s4_s5(g, A):
     """Square and length-4 confluences above and below every two-parent /
-    two-child vertex, for every color pair.  groups: see _grouping."""
-    eps, phi = tables or g.tables()
-    groups = {} if groups is None else groups
+    two-child vertex, for every color pair."""
+    eps, phi = g.tables()
     out = []
     colors = g.colors
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
             entries = rule_pairs(A, i, j, TWO_SIDED)
             for side in (raising(g, eps, phi), lowering(g, eps, phi)):
-                _assert(g, side, scan(side, *_grouping(g, side, groups, i, j), entries), out)
+                _assert(g, side, scan(side, *_grouping(g, side, i, j), entries), out)
     return _sorted(out)
 
 
@@ -354,10 +351,9 @@ def _check_s6(g, rais, x, found, i, j, out, q1):
                 out.append(Violation(tag, (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
 
 
-def check_s6_s9(g, A, tables=None, groups=None):
-    """The doubly-laced battery, per oriented pair of that type (groups: see _grouping)."""
-    eps, phi = tables or g.tables()
-    groups = {} if groups is None else groups
+def check_s6_s9(g, A):
+    """The doubly-laced battery, per oriented pair of that type."""
+    eps, phi = g.tables()
     rais, low = raising(g, eps, phi), lowering(g, eps, phi)
     out = []
     colors = g.colors
@@ -368,11 +364,11 @@ def check_s6_s9(g, A, tables=None, groups=None):
                 continue
             p, q = entries[0][1]  # the B2 orientation, shared by every entry
             q1 = []
-            for _, _, forks, _ in scan(rais, *_grouping(g, rais, groups, i, j), entries[:1]):
+            for _, _, forks, _ in scan(rais, *_grouping(g, rais, i, j), entries[:1]):
                 for x, found in zip(forks, _branch_points(rais, forks, p, q)):
                     _check_s6(g, rais, x, found, p, q, out, q1)
             _assert(g, rais, [(RAISED_DIAMOND, (p, q), q1, [])], out)
-            _assert(g, low, scan(low, *_grouping(g, low, groups, i, j), entries[1:]), out)
+            _assert(g, low, scan(low, *_grouping(g, low, i, j), entries[1:]), out)
     return _sorted(out)
 
 
@@ -468,15 +464,11 @@ def check_all(g, A, expected_phi0=None):
         report.violations = _sorted(report.violations)
         return report
 
-    maxes = g.maximum_elements()
-    if len(maxes) != 1:
-        report.violations.append(
-            Violation("MAX", None, maxes[0] if maxes else None,
-                      f"found {len(maxes)} maximum elements, need exactly 1")
-        )
-        report.violations = _sorted(report.violations)
+    maxes = g.maximum_elements()  # at most one: see graph._maximum_elements
+    if not maxes:
+        report.violations.append(Violation("MAX", None, None, "found 0 maximum elements, need exactly 1"))
         return report
-    x0 = maxes[0]
+    (x0,) = maxes
     report.max_element = x0
 
     try:
@@ -486,16 +478,15 @@ def check_all(g, A, expected_phi0=None):
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")
         )
 
-    tables, groups = g.tables(), {}  # shared by the batteries, even when unfrozen
-    report.violations.extend(check_s2_s3(g, A, tables=tables))
-    report.violations.extend(check_s4_s5(g, A, tables=tables, groups=groups))
+    report.violations.extend(check_s2_s3(g, A))
+    report.violations.extend(check_s4_s5(g, A))
     try:
-        report.violations.extend(check_s6_s9(g, A, tables=tables, groups=groups))
+        report.violations.extend(check_s6_s9(g, A))
     except UnsupportedPair as exc:
         report.violations.append(Violation("S1", None, None, f"unsupported pair: {exc}"))
 
     k0 = bisect_left(g.ids, x0)
-    report.phi0 = {i: tables[1][i][k0] for i in g.colors}
+    report.phi0 = {i: phi[k0] for i, phi in g.tables()[1].items()}
     if expected_phi0 is not None:
         expected = dict(expected_phi0)
         if report.phi0 != expected:

@@ -121,8 +121,7 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
 
     phi0 maps colors to nonnegative integers (a sequence in index order is
     also accepted).  The result is frozen, labeled with nothing, and has
-    passed check_all unless check=False.  Its synthesis_stats are the lists
-    the layers grew from, (codes, base, eps, phi), as cli.graph_to_doc reads them.
+    passed check_all unless check=False.
     """
     if not isinstance(phi0, dict):
         phi0 = dict(zip(A.colors, phi0))
@@ -205,7 +204,6 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
             v = next(v for v in range(len(g)) if any(
                 eps_t[c][v] != eps[c][v] or phi_t[c][v] != phi[c][v] for c in colors))
             raise SynthesisInconsistency(f"vertex {v}: bookkeeping stats differ from string lengths")
-    g.synthesis_stats = (codes, base, eps, phi)
     return g
 
 

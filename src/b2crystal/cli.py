@@ -2,9 +2,9 @@
 
 Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 2 input error (bad flags, malformed files, failed preconditions),
-3 budget exceeded.  The vertex budget honors the CRYSTAL_BUDGET
-environment variable: it bounds the crystals `gen` grows, the documents
-`check`, `iso` and `export-dot` read, and `verify-paper`'s lemma box.
+3 budget exceeded.  The vertex budget, the CRYSTAL_BUDGET environment
+variable, bounds the crystals `gen` and `verify-paper` build, the lemma
+box of `verify-paper`, and the documents `check`, `iso` and `export-dot` read.
 `iso` certifies each input once, inside build_isomorphism.
 
 `main` may be called repeatedly in one process.  It builds its parser on
@@ -62,21 +62,20 @@ EXIT_BUDGET = 3
 
 # -- document format ----------------------------------------------------------
 
-def graph_to_doc(g, stats=None):
-    """Serialize a graph.  stats may be the synthesis_stats of a synthesized
-    graph, (codes, base, eps, phi): per-position weight codes in weight_codes'
-    layout with that base and per-color eps/phi lists over positions, from
-    which each vertex's wt/eps/phi entries are written."""
+def graph_to_doc(g, stats=False):
+    """Serialize a graph.  With stats, also each vertex's wt/eps/phi, read from
+    the graph's weight_codes from its maximum element and its string tables."""
     vertices = [{"id": v} for v in g.ids]
     for entry, label in zip(vertices, g.labels):
         if isinstance(label, PbwElement):
             entry["a"], entry["x"] = list(label.a), list(label.x)
+    maxes = g.maximum_elements()
     if stats:
-        codes, base, eps, phi = stats
+        codes, (eps, phi) = g.weight_codes(*maxes), g.tables()
         order = sorted(g.colors)
         keys = list(map(str, order))
         wts = {c: {str(i): wt[i] for i in order if i in wt}
-               for c, (wt, _) in decode_weights(codes, base, g.colors).items()}
+               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
         for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
             entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
     doc = {
@@ -85,8 +84,7 @@ def graph_to_doc(g, stats=None):
         "vertices": vertices,
         "edges": [{"from": s, "to": d, "color": c} for s, d, c in g.edges()],
     }
-    maxes = g.maximum_elements()
-    if len(maxes) == 1:
+    if maxes:
         doc["max"] = maxes[0]
     return doc
 
@@ -242,7 +240,7 @@ def cmd_gen(args):
         doc = graph_to_doc(g)
     else:
         g = synthesize(A, hw, budget_vertices=_budget())
-        doc = graph_to_doc(g, stats=g.synthesis_stats)
+        doc = graph_to_doc(g, stats=True)
     dump_doc(doc, args.out)
     print(f"wrote {args.out}: {len(g)} vertices, {len(doc['edges'])} edges")
     return EXIT_PASS
@@ -302,9 +300,7 @@ def cmd_verify_paper(args):
         if value < 0:
             print(f"error: {flag} must be nonnegative", file=sys.stderr)
             return EXIT_INPUT
-    if (args.max_box + 1) ** 4 > _budget():
-        raise BudgetExceeded(f"the lemma box [0,{args.max_box}]^4 exceeds the budget {_budget()}")
-    reports = run_verification(max_hw=args.max_hw, max_box=args.max_box)
+    reports = run_verification(max_hw=args.max_hw, max_box=args.max_box, budget=_budget())
     print(f"{'claim':<44} {'domain':>8}  status")
     for r in reports:
         print(r.row())

@@ -15,7 +15,7 @@ The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions.
 Graphs are built mutably, then frozen; a frozen graph keeps its string
-tables and its maximum elements once computed.
+tables, maximum elements and the checker's groupings once computed.
 """
 
 from collections import Counter
@@ -116,9 +116,9 @@ class ColoredGraph:
 
     # -- derived data --------------------------------------------------------
 
-    def _keep(self, key, compute):
-        """compute(self); a frozen graph computes it once and keeps it, so
-        callers share one read-only copy."""
+    def keep(self, key, compute):
+        """compute(self); a frozen graph computes it once and keeps it under
+        key, so callers share one read-only copy."""
         if not self._frozen:
             return compute(self)
         if key not in self._kept:
@@ -127,7 +127,7 @@ class ColoredGraph:
 
     def tables(self):
         """string_tables(self), kept once the graph is frozen."""
-        return self._keep("tables", string_tables)
+        return self.keep("tables", string_tables)
 
     # -- structure checks --------------------------------------------------
 
@@ -164,7 +164,7 @@ class ColoredGraph:
     def maximum_elements(self):
         """Vertices with no incoming arrows that f-reach every vertex, kept
         once the graph is frozen."""
-        return list(self._keep("max", _maximum_elements))
+        return list(self.keep("max", _maximum_elements))
 
     def weight_codes(self, x0):
         """BFS weight/distance grading from a maximum element, one integer

@@ -486,15 +486,20 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
     return rep
 
 
-def run_verification(max_hw=3, max_box=8, extra=((4, 4),)):
+def run_verification(max_hw=3, max_box=8, extra=((4, 4),), budget=10**6):
     """The whole desk-scale battery; returns the list of reports.  Each weight's
     crystal is generated once, shared by its fork, reversal and dimension suites."""
     if max_hw < 0:
         raise ValueError("the weight bound must be nonnegative")
+    if max_box >= 0 and (max_box + 1) ** 4 > budget:
+        raise BudgetExceeded(f"the lemma box [0,{max_box}]^4 exceeds the budget {budget}")
+    for lam in [(max_hw, max_hw), *extra]:  # the grid's largest crystal is at (max_hw, max_hw)
+        if (n := weyl_dim_b2(*lam)) > budget:
+            raise BudgetExceeded(f"the crystal at {lam} has {n} vertices, over the budget {budget}")
     reports = [verify_lemmas(max_box)]
     grid = [(a, b) for a in range(max_hw + 1) for b in range(max_hw + 1)]
     weights = grid + [t for t in extra if t not in grid]
-    crystals = {lam: pbw.generate(lam) for lam in weights}
+    crystals = {lam: pbw.generate(lam, budget=budget) for lam in weights}
     for lam in weights:
         reports += verify_forks(lam, crystals[lam])
     for lam in grid:

@@ -13,7 +13,7 @@ from b2crystal.errors import (
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, decode_weights, string_tables
+from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
 from helpers import (
     C3_MATRIX_ROWS,
@@ -155,8 +155,8 @@ def test_synthesis_deterministic():
 
 
 def test_synthesized_documents_pinned(monkeypatch):
-    # merges read from the checker's rule table build exactly the documents
-    # and statistics that the written-out reference merges build
+    # merges read from the checker's rule table build exactly the documents,
+    # string tables and weight codes that the written-out reference merges build
     A3 = GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     cases = [(A, lam) for lam in product(range(5), repeat=2)]
     cases += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
@@ -166,7 +166,8 @@ def test_synthesized_documents_pinned(monkeypatch):
         out = []
         for M, lam in cases:
             g = builder.synthesize(M, lam)
-            out.append((graph_to_doc(g, stats=g.synthesis_stats), g.synthesis_stats))
+            (x0,) = g.maximum_elements()
+            out.append((graph_to_doc(g, stats=True), g.tables(), g.weight_codes(x0)))
         return out
 
     shared = build()
@@ -183,16 +184,18 @@ def test_layer_grading_homogeneous():
 
 
 def test_synthesized_stats_match_strings():
-    g = builder.synthesize(A, (2, 1))
-    eps, phi = string_tables(g)
-    codes, base, e, p = g.synthesis_stats
-    # the weight codes decode to the BFS grading from the top
-    weights = decode_weights(codes, base, g.colors)
-    grading = g.wt_assign(g.maximum_elements()[0])
-    for v in g.vertices():
-        for i in g.colors:
-            assert eps[i][v] == e[i][v] and phi[i][v] == p[i][v]
-        assert weights[codes[v]] == grading[v]
+    # each vertex's written wt is its grading from the top, and its eps/phi
+    # are its string lengths
+    for M, lam in ((A, (2, 1)), (b3_gcm(), (1, 1, 1))):
+        g = builder.synthesize(M, lam)
+        eps, phi = string_tables(g)
+        grading = g.wt_assign(g.maximum_elements()[0])
+        doc = graph_to_doc(g, stats=True)
+        assert [entry["id"] for entry in doc["vertices"]] == g.ids == list(range(len(g)))
+        for v, entry in enumerate(doc["vertices"]):
+            assert entry["wt"] == {str(i): t for i, t in grading[v][0].items()}
+            assert entry["eps"] == {str(i): eps[i][v] for i in g.colors}
+            assert entry["phi"] == {str(i): phi[i][v] for i in g.colors}
 
 
 @pytest.mark.parametrize("M, lam", [(A, (3, 3)), (b3_gcm(), (1, 1, 1))])

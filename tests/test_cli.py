@@ -427,11 +427,10 @@ def test_verify_paper_rejects_negative_bounds(capsys, flag):
     ["check", "--in", "{doc}"],
     ["iso", "{doc}", "{doc}"],
     ["export-dot", "--in", "{doc}", "--out", "{out}"],
-    ["verify-paper", "--max-hw", "0", "--max-box", "1"],
 ])
 def test_budget_bounds_every_command(docs, tmp_path, capsys, monkeypatch, command):
-    # a 16-vertex document, or the 2^4-point lemma box, against a budget of
-    # 15 and of 16: refused with exit 3 before any graph is built, then run
+    # a 16-vertex document against a budget of 15 and of 16: refused with
+    # exit 3 before any graph is built, then run
     argv = [arg.format(doc=docs["pbw11"], out=tmp_path / "out.dot") for arg in command]
     monkeypatch.setattr(cli, "doc_to_graph", lambda doc: pytest.fail("graph built over budget"))
     monkeypatch.setenv("CRYSTAL_BUDGET", "15")
@@ -442,6 +441,28 @@ def test_budget_bounds_every_command(docs, tmp_path, capsys, monkeypatch, comman
     monkeypatch.undo()
     monkeypatch.setenv("CRYSTAL_BUDGET", "16")
     assert main(argv) == 0
+
+
+def test_verify_paper_budget_bounds_box_and_crystals(capsys, monkeypatch):
+    # --max-hw 0 --max-box 1 scans the 2^4-point lemma box and builds the
+    # 1-vertex crystal (0,0) and the 625-vertex default extra crystal (4,4)
+    argv = ["verify-paper", "--max-hw", "0", "--max-box", "1"]
+    for budget, code, err in (
+        (15, 3, "budget exceeded: the lemma box [0,1]^4 exceeds the budget 15\n"),
+        (624, 3, "budget exceeded: the crystal at (4, 4) has 625 vertices, over the budget 624\n"),
+        (625, 0, ""),
+    ):
+        monkeypatch.setenv("CRYSTAL_BUDGET", str(budget))
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert out.err == err and (out.out == "") == (code == 3)
+    # the grid's largest crystal, (6,6) with 2,401 vertices, is refused
+    # before any crystal is generated
+    monkeypatch.setenv("CRYSTAL_BUDGET", "100")
+    monkeypatch.setattr(pbw, "generate", lambda *args, **kwargs: pytest.fail("crystal generated over budget"))
+    assert main(["verify-paper", "--max-hw", "6", "--max-box", "2"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "(6, 6) has 2401 vertices" in out.err
 
 
 def test_json_roundtrip_identity():
@@ -507,7 +528,7 @@ def test_dump_load_roundtrip(tmp_path):
     syn = builder.synthesize(b2_gcm(), (2, 1))
     cases = {
         "pbw": graph_to_doc(pbw.generate((2, 1))),
-        "axioms": graph_to_doc(syn, stats=syn.synthesis_stats),
+        "axioms": graph_to_doc(syn, stats=True),
     }
     for name, doc in cases.items():
         path = tmp_path / f"{name}.json"

@@ -1,9 +1,10 @@
 import pytest
 
-from b2crystal import graph, pbw
+from b2crystal import axioms, graph, pbw
 from b2crystal.axioms import check_all, walk_all
 from b2crystal.builder import build_isomorphism, synthesize
 from b2crystal.cartan import b2_gcm, b3_gcm
+from b2crystal.cli import doc_to_graph, graph_to_doc
 from b2crystal.errors import InconsistentWeight, NonTerminating
 from b2crystal.graph import ColoredGraph, string_tables
 from helpers import (
@@ -259,10 +260,29 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     assert sorted(map(id, computed)) == sorted([id(g), id(s)])
     assert g.tables() is g.tables() and len(computed) == 2
 
+    # the first check of a frozen graph builds one grouping per side and
+    # color pair, shared by S4-S5 and S6-S9, and one pair of tables; a second
+    # check builds neither.  The B3 graph is loaded, since synthesize has
+    # already checked its own result.
+    groupings, grouping = [], axioms.grouping
+
+    def counted_grouping(side, xs, i, j):
+        groupings.append((side.sign, i, j))
+        return grouping(side, xs, i, j)
+
+    fresh = [pbw.generate((2, 1)), doc_to_graph(graph_to_doc(synthesize(b3_gcm(), (1, 0, 0))))]
+    monkeypatch.setattr(axioms, "grouping", counted_grouping)
+    for f, calls in zip(fresh, (2, 6)):
+        computed.clear()
+        assert check_all(f, f.cartan).passed
+        assert len(groupings) == len(set(groupings)) == calls and computed == [f]
+        groupings.clear()
+        computed.clear()
+        assert check_all(f, f.cartan).passed
+        assert groupings == [] and computed == []
+    # an unfrozen graph keeps nothing, and checks the same
     m = copy_mutable(g)
-    computed.clear()
-    assert check_all(m, A).passed  # one pair of tables shared by the three batteries
-    assert computed == [m]
+    assert check_all(m, A).passed
     assert m.tables() is not m.tables()
 
 
