@@ -11,10 +11,10 @@ witnesses as vertex ids.  Each side (raising, lowering) of each color pair
 is read in one pass over positions, grouping them by their two deltas;
 a frozen graph keeps that grouping, and every rule on the pair reads it.
 
-The lowering-side rules (square, octagon, the pentagon's two hypotheses,
-the diamond) are one table, RULES, decided on a grouping by scan(); the
-checker asserts them and the synthesizer (builder) merges by them.  Only
-the raising-side S6 battery is written out by hand.
+Every rule is a row of one table, decided on a grouping by scan(): the
+lowering-side rules (square, octagon, the pentagon's two hypotheses, the
+diamond) are RULES, which the synthesizer (builder) merges by, and S6 is
+the diamond read through the raising side.  The checker asserts them all.
 
 Violation tags: S1 (goodness, with the G-rule in the detail), S2, S3,
 A_MINUS/B_MINUS (under S4), A_PLUS/B_PLUS (under S5), S6..S9 reported via
@@ -63,13 +63,13 @@ def _sorted(violations):
 
 
 # The batteries scan the graph's lists with its string tables (eps, phi):
-# x, y, z, w are positions, and g.ids / _vid turn them back into vertex ids
-# for the reports.  Each scan tests its hypotheses on the flat lists; the
+# x, y, z, w are positions, and side.ids / _vid turn them back into vertex
+# ids for the reports.  Each scan tests its hypotheses on the flat lists; the
 # words are walked only where one fires, one list pass per letter.
 
-def _vid(g, k):
+def _vid(side, k):
     """The vertex id at position k (None stays None)."""
-    return None if k is None else g.ids[k]
+    return None if k is None else side.ids[k]
 
 
 # -- S2 / S3 -----------------------------------------------------------------
@@ -112,16 +112,17 @@ def check_s2_s3(g, A):
 # Each rule: at a vertex x whose deltas (ij, ji) across its i- and j-steps
 # match the hypothesis, the two words over i and j applied from x meet, and
 # the deltas (ij, ji) at the meet, read on the other side, match the closing
-# values.  The checker asserts the rules (S5, S7, S8/S9, and S4 for the
-# square and octagon read through the raising side); the synthesizer merges
-# the last-step candidates of the two words.
+# values.  The checker asserts the rules (S5, S7, S8/S9, and S4 and S6 for
+# the square, octagon and diamond read through the raising side); the
+# synthesizer merges the last-step candidates of the two words.
 
 ORDERED, UNORDERED, ORIENTED = "ordered", "unordered", "B2-oriented"
 
 
 class Side(NamedTuple):
     """A direction through the graph, named for reports, with the opposite
-    steps and statistic that closing deltas read."""
+    steps and statistic that closing deltas read, and the vertex ids that
+    witnesses are reported by."""
     sign: str
     where: str
     other: str
@@ -129,14 +130,15 @@ class Side(NamedTuple):
     stat: dict
     back: dict
     back_stat: dict
+    ids: list
 
 
 def lowering(g, eps, phi):
-    return Side("PLUS", "below", "raising", g.down, phi, g.up, eps)
+    return Side("PLUS", "below", "raising", g.down, phi, g.up, eps, g.ids)
 
 
 def raising(g, eps, phi):
-    return Side("MINUS", "above", "lowering", g.up, eps, g.down, phi)
+    return Side("MINUS", "above", "lowering", g.up, eps, g.down, phi, g.ids)
 
 
 def walk_all(steps, xs, word):
@@ -153,8 +155,10 @@ class Rule(NamedTuple):
     pairs: the color pairs it runs on; hypothesis / closing: the deltas
     (ij, ji) at x / at the meet, None where free (a closing of None tests
     nothing); words(i, j): the two words; guard(side, xs, i, j): a further
-    test at each x, True, False or a defect detail; apart / unclosed: the
-    details when the words do not meet / the closing deltas are off."""
+    test with a verdict for each x, True (assert the words), False (nothing
+    to assert) or a defect (tag, detail) reported under its own tag; apart /
+    unclosed: the details when the words do not meet / the closing deltas
+    are off."""
     tag: str
     name: str
     pairs: str
@@ -198,7 +202,39 @@ def _branch_points(side, xs, i, j):
 
 def _diamond_fork(side, xs, i, j):
     # the diamond closes only where the branch-point deltas are (0,1)
-    return [b if isinstance(b, str) else b[2] == (0, 1) for b in _branch_points(side, xs, i, j)]
+    return [("D", b) if isinstance(b, str) else b[2] == (0, 1) for b in _branch_points(side, xs, i, j)]
+
+
+def _raised_fork(side, xs, i, j):
+    # the S6 guard: at x, the lowering deltas t of the diamond's branch
+    # points y, y' above decide what must hold
+    return [_raised_verdict(side, b, i, j) for b in _branch_points(side, xs, i, j)]
+
+
+def _raised_verdict(side, found, i, j):
+    # under (0,1) (Q1) the words meet and close; under (1,1) (P1) or (0,0)
+    # (R) the j-child of y' is the i-parent of y, and the lowering delta at
+    # y' is 1 or 2; under (0,0) it is 0 two i-steps under y'
+    if isinstance(found, str):
+        return "D", found
+    y, y1, t = found
+    if t == (1, 0):
+        return "D", "branch deltas (1,0) are forbidden"
+    if t not in ((1, 1), (0, 0)):
+        return t == (0, 1)
+    down, phi = side.back, side.back_stat
+    tag, want = ("P1", 1) if t == (1, 1) else ("R", 2)
+    fy1, ey = down[j][y1], side.steps[i][y]
+    if fy1 is None or ey is None or fy1 != ey:
+        return tag, f"expected j-child of y' = i-parent of y ({_vid(side, fy1)} vs {_vid(side, ey)})"
+    if phi[i][fy1] - phi[i][y1] != want:
+        return tag, f"lowering delta at y' is {phi[i][fy1] - phi[i][y1]}, not {want}"
+    if t == (0, 0):
+        (w,) = walk_all(down, [y1], (i, i))
+        d = None if w is None or down[j][w] is None else phi[i][down[j][w]] - phi[i][w]
+        if d != 0:
+            return tag, f"delta two i-steps under y' is {d}, not 0"
+    return False
 
 
 SQUARE = Rule("A", "square", ORDERED, (0, None), lambda i, j: ((i, j), (j, i)),
@@ -218,7 +254,7 @@ DIAMOND = Rule("D", "diamond", ORIENTED, (1, 2), lambda i, j: ((i, j, j, i, i, i
 # S6 reads the diamond through the raising side: where its hypothesis holds
 # the branch-point deltas decide what must hold, and under (0,1) (Q1) the
 # words meet and close on the lowering deltas (1,2)
-RAISED_DIAMOND = DIAMOND._replace(tag="Q1", guard=None, closing=(1, 2),
+RAISED_DIAMOND = DIAMOND._replace(tag="Q1", guard=_raised_fork, closing=(1, 2),
                                   unclosed="{other} deltas at the meet are ({0}, {1}), not (1,2)")
 TWO_SIDED = (SQUARE, OCTAGON)  # the checker reads these through both sides
 DOUBLY_LACED = (PENTAGON, LEDGE_PENTAGON, DIAMOND)
@@ -252,18 +288,11 @@ def grouping(side, xs, i, j):
     return groups
 
 
-def _grouping(g, side, i, j):
-    """(grouping(side) over all of g, p, q) for the pair {i, j} = {p, q} in
-    g's color order, kept by a frozen g once per side and pair."""
-    p, q = sorted((i, j), key=g.colors.index)
-    return g.keep(("grouping", side.sign, p, q), lambda g: grouping(side, range(len(g)), p, q)), p, q
-
-
 def scan(side, groups, i, j, entries):
     """(rule, pair, fired, defects) for each (rule, oriented pair) of
     entries on the color pair {i, j}: the positions of the grouping (side,
     i, j) where the hypothesis holds, decided once per delta pair, and
-    (x, detail) where the guard found it malformed instead.  An entry on
+    (x, (tag, detail)) where the guard found a defect instead.  An entry on
     (j, i) reads the keys swapped."""
     for rule, pair in entries:
         h_ij, h_ji = rule.hypothesis if pair[0] == i else rule.hypothesis[::-1]
@@ -272,18 +301,18 @@ def scan(side, groups, i, j, entries):
         defects = []
         if rule.guard is not None:
             verdicts = rule.guard(side, fired, *pair)
-            defects = [(x, v) for x, v in zip(fired, verdicts) if isinstance(v, str)]
+            defects = [(x, v) for x, v in zip(fired, verdicts) if isinstance(v, tuple)]
             fired = [x for x, v in zip(fired, verdicts) if v is True]
         yield rule, pair, fired, defects
 
 
-def _assert(g, side, hits, out):
-    """Report each guard defect, and each fired entry whose words do not
-    meet or whose closing deltas are off."""
-    ids = g.ids
+def _assert(side, hits, out):
+    """Report each guard defect under its tag, and each fired entry whose
+    words do not meet or whose closing deltas are off."""
+    ids = side.ids
     for rule, (i, j), fired, defects in hits:
         tag = f"{rule.tag}_{side.sign}"
-        out.extend(Violation(tag, (i, j), ids[x], detail) for x, detail in defects)
+        out.extend(Violation(f"{t}_{side.sign}", (i, j), ids[x], detail) for x, (t, detail) in defects)
         w1, w2 = rule.words(i, j)
         closing = rule.closing
         # the closing deltas (ij, ji) at the meet z, read on the other side
@@ -291,7 +320,7 @@ def _assert(g, side, hits, out):
         for x, z1, z2 in zip(fired, walk_all(side.steps, fired, w1), walk_all(side.steps, fired, w2)):
             if z1 is None or z1 != z2:
                 out.append(Violation(tag, (i, j), ids[x],
-                                     rule.apart.format(_vid(g, z1), _vid(g, z2), where=side.where)))
+                                     rule.apart.format(_vid(side, z1), _vid(side, z2), where=side.where)))
             elif closing is not None:
                 u, v = back_i[z1], back_j[z1]
                 d = (None if closing[0] is None or u is None else stat_j[u] - stat_j[z1],
@@ -300,76 +329,33 @@ def _assert(g, side, hits, out):
                     out.append(Violation(tag, (i, j), ids[x], rule.unclosed.format(*d, other=side.other)))
 
 
-# -- S4 / S5 -----------------------------------------------------------------
+# -- S4 .. S9 ----------------------------------------------------------------
 
-def check_s4_s5(g, A):
-    """Square and length-4 confluences above and below every two-parent /
-    two-child vertex, for every color pair."""
+def _battery(g, A, raised, lowered):
+    """Assert the rules of raised through the raising side and those of
+    lowered through the lowering side, on every color pair {i, j} (i first
+    in g's color order) by its grouping, which a frozen g keeps per side."""
     eps, phi = g.tables()
+    sides = ((raising(g, eps, phi), raised), (lowering(g, eps, phi), lowered))
     out = []
     colors = g.colors
     for ai, i in enumerate(colors):
         for j in colors[ai + 1:]:
-            entries = rule_pairs(A, i, j, TWO_SIDED)
-            for side in (raising(g, eps, phi), lowering(g, eps, phi)):
-                _assert(g, side, scan(side, *_grouping(g, side, i, j), entries), out)
+            for side, rules in sides:
+                groups = g.keep(("grouping", side.sign, i, j), lambda g: grouping(side, range(len(g)), i, j))
+                _assert(side, scan(side, groups, i, j, rule_pairs(A, i, j, rules)), out)
     return _sorted(out)
 
 
-# -- S6 .. S9 ----------------------------------------------------------------
-
-def _check_s6(g, rais, x, found, i, j, out, q1):
-    # at a vertex whose raising deltas are (1,2): the lowering deltas t of
-    # the diamond's branch points above x (found) decide what must hold;
-    # the Q1 forks are set aside for the rule table
-    wx = g.ids[x]
-    down, phi = rais.back, rais.back_stat
-    if isinstance(found, str):
-        out.append(Violation("D_MINUS", (i, j), wx, found))
-        return
-    y, y1, t = found
-    if t == (1, 0):
-        out.append(Violation("D_MINUS", (i, j), wx, "branch deltas (1,0) are forbidden"))
-    elif t == (0, 1):
-        q1.append(x)
-    elif t in ((1, 1), (0, 0)):
-        # the j-child of y' is the i-parent of y, and the lowering delta at
-        # y' is 1 or 2; under (0,0) it is 0 two i-steps under y'
-        tag, want = ("P1_MINUS", 1) if t == (1, 1) else ("R_MINUS", 2)
-        fy1 = down[j][y1]
-        ey = g.up[i][y]
-        if fy1 is None or ey is None or fy1 != ey:
-            out.append(Violation(tag, (i, j), wx,
-                                 f"expected j-child of y' = i-parent of y ({_vid(g, fy1)} vs {_vid(g, ey)})"))
-        elif phi[i][fy1] - phi[i][y1] != want:
-            out.append(Violation(tag, (i, j), wx,
-                                 f"lowering delta at y' is {phi[i][fy1] - phi[i][y1]}, not {want}"))
-        elif t == (0, 0):
-            (w,) = walk_all(down, [y1], (i, i))
-            d = None if w is None or down[j][w] is None else phi[i][down[j][w]] - phi[i][w]
-            if d != 0:
-                out.append(Violation(tag, (i, j), wx, f"delta two i-steps under y' is {d}, not 0"))
+def check_s4_s5(g, A):
+    """S4 / S5: square and length-4 confluences above and below every
+    two-parent / two-child vertex, for every color pair."""
+    return _battery(g, A, TWO_SIDED, TWO_SIDED)
 
 
 def check_s6_s9(g, A):
-    """The doubly-laced battery, per oriented pair of that type."""
-    eps, phi = g.tables()
-    rais, low = raising(g, eps, phi), lowering(g, eps, phi)
-    out = []
-    colors = g.colors
-    for ai, i in enumerate(colors):
-        for j in colors[ai + 1:]:
-            entries = rule_pairs(A, i, j, (RAISED_DIAMOND,) + DOUBLY_LACED)
-            if not entries:
-                continue
-            p, q = entries[0][1]  # the B2 orientation, shared by every entry
-            q1 = []
-            for _, _, forks, _ in scan(rais, *_grouping(g, rais, i, j), entries[:1]):
-                for x, found in zip(forks, _branch_points(rais, forks, p, q)):
-                    _check_s6(g, rais, x, found, p, q, out, q1)
-            _assert(g, rais, [(RAISED_DIAMOND, (p, q), q1, [])], out)
-            _assert(g, low, scan(low, *_grouping(g, low, i, j), entries[1:]), out)
-    return _sorted(out)
+    """S6 .. S9: the doubly-laced battery, per oriented pair of that type."""
+    return _battery(g, A, (RAISED_DIAMOND,), DOUBLY_LACED)
 
 
 # -- bounded homogeneous local confluence ------------------------------------

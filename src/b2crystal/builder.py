@@ -98,7 +98,7 @@ def _collect_merges(st, k, uf, candidates):
         groups = grouping(st.side, st.layer(k - n), i, j)
         for rule, (p, q), fired, defects in scan(st.side, groups, i, j, entries):
             if defects:
-                x, detail = defects[0]
+                x, (_, detail) = defects[0]
                 raise SynthesisInconsistency(f"layer {k}: {rule.name} at {x} ({p},{q}): {detail}")
             (*w1, c1), (*w2, c2) = rule.words(p, q)
             for x, e1, e2 in zip(fired, walk_all(st.g.down, fired, w1), walk_all(st.g.down, fired, w2)):
@@ -116,7 +116,7 @@ def _collect_merges(st, k, uf, candidates):
                 uf.union(*ends)
 
 
-def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
+def synthesize(A, phi0, budget_vertices=10**6, check=True):
     """Build the unique axiom-satisfying graph with the given top statistics.
 
     phi0 maps colors to nonnegative integers (a sequence in index order is
@@ -134,16 +134,14 @@ def synthesize(A, phi0, budget_vertices=10**6, budget_layers=10**4, check=True):
         raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
     st = _Build(A, phi0)
     colors, eps, phi = A.colors, st.eps, st.phi
-    # a weight of layer k counts at most k <= budget_layers steps of any
-    # color, so with this base no digit of its code carries
-    base, m = budget_layers + 1, len(colors)
+    # a weight of layer k counts at most k steps of any color, and k is
+    # below the vertex count, so with this base no digit of its code carries
+    base, m = budget_vertices + 1, len(colors)
     inc = {i: base**m + base**c for c, i in enumerate(colors)}
     codes = [0]
     k = 0
     while True:
         k += 1
-        if k > budget_layers:
-            raise BudgetExceeded(f"layer budget {budget_layers} exceeded")
         prev = st.layer(k - 1)
         first = len(st.g)
         cands = [(p, i) for i in colors for p in prev if phi[i][p] > 0]

@@ -26,7 +26,7 @@ class InconsistentWeight(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Generation or synthesis outgrew its configured vertex/layer budget."""
+    """Generation or synthesis outgrew its configured vertex budget."""
 
 
 class HypothesisNotMet(ValueError):

@@ -14,8 +14,8 @@ vertices/edges, and the reports built from the passes below.
 The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions.
-Graphs are built mutably, then frozen; a frozen graph keeps its string
-tables, maximum elements and the checker's groupings once computed.
+Graphs are built mutably, then frozen; a frozen graph keeps what it derives
+once computed: string tables, maximum elements, weight codes, groupings.
 """
 
 from collections import Counter
@@ -172,7 +172,11 @@ class ColoredGraph:
         base**c digit and the distance its base**len(colors) digit.  Every
         arrow must be weight-consistent, WT(dst) = WT(src) + color; a
         conflict raises InconsistentWeight, the practical detection of a
-        failed homogeneous local confluence."""
+        failed homogeneous local confluence.  Kept once the graph is frozen
+        (a raise is not kept)."""
+        return self.keep(("codes", x0), lambda g: g._weight_codes(x0))
+
+    def _weight_codes(self, x0):
         k0 = self._pos.get(x0)
         if k0 is None:
             raise ValueError(f"no vertex {x0}")

@@ -53,13 +53,13 @@ def weyl_dim_b2(a, b):
     return n // 6
 
 
-def positive_roots(A, budget=4096):
+def positive_roots(A):
     """Positive roots of a finite-type matrix with their coroot vectors.
 
     Each root is a coefficient tuple over the simple roots; its coroot is
     tracked as a coefficient tuple over the simple coroots, transforming
     contragradiently under the simple reflections.  Closure growing past
-    the budget means the matrix is not finite type.
+    4096 roots means the matrix is not finite type.
     """
     n = len(A.colors)
     simple = []
@@ -87,7 +87,7 @@ def positive_roots(A, budget=4096):
                 nd = tuple(nd)
                 seen[nc] = nd
                 nxt.append((nc, nd))
-                if len(seen) > budget:
+                if len(seen) > 4096:
                     raise BudgetExceeded("positive-root closure outgrew its budget (not finite type?)")
         frontier = nxt
     return sorted(seen.items())
@@ -304,16 +304,16 @@ def verify_forks(lam, g=None):
 # verify_forks serves the three suites in one pass; these three stay only
 # because perfbench/tracing.py spans them, and they leave when it spans
 # verify_forks instead (ROADMAP item 7)
-def verify_kakunin1(lam, g=None):
-    return verify_forks(lam, g)[0]
+def verify_kakunin1(lam):
+    return verify_forks(lam)[0]
 
 
-def verify_kakunin2(lam, g=None):
-    return verify_forks(lam, g)[1]
+def verify_kakunin2(lam):
+    return verify_forks(lam)[1]
 
 
-def verify_kakunin3(lam, g=None):
-    return verify_forks(lam, g)[2]
+def verify_kakunin3(lam):
+    return verify_forks(lam)[2]
 
 
 def verify_reversal(lam, g=None):

@@ -315,8 +315,6 @@ def test_unsupported_matrix_rejected():
 def test_budgets():
     with pytest.raises(BudgetExceeded):
         builder.synthesize(A, (3, 3), budget_vertices=10)
-    with pytest.raises(BudgetExceeded):
-        builder.synthesize(A, (3, 3), budget_layers=2)
 
 
 def test_bad_phi0_rejected():

@@ -1,6 +1,6 @@
 import pytest
 
-from b2crystal import axioms, graph, pbw
+from b2crystal import axioms, cli, graph, pbw
 from b2crystal.axioms import check_all, walk_all
 from b2crystal.builder import build_isomorphism, synthesize
 from b2crystal.cartan import b2_gcm, b3_gcm
@@ -284,6 +284,28 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     m = copy_mutable(g)
     assert check_all(m, A).passed
     assert m.tables() is not m.tables()
+
+
+def test_frozen_graph_keeps_weight_codes(monkeypatch, tmp_path):
+    # a frozen graph grades once per maximum element, so gen --method axioms
+    # runs one weight BFS for both its certification and the document's wt;
+    # a conflict is not kept but raised on every call, and an unfrozen graph
+    # keeps nothing
+    g = pbw.generate((2, 1))
+    (x0,) = g.maximum_elements()
+    assert g.weight_codes(x0) is g.weight_codes(x0)
+    m = copy_mutable(g)
+    assert m.weight_codes(x0) == g.weight_codes(x0) and m.weight_codes(x0) is not m.weight_codes(x0)
+    bad = bad_confluence_graph()
+    (b0,) = bad.maximum_elements()
+    for _ in range(2):
+        with pytest.raises(InconsistentWeight):
+            bad.weight_codes(b0)
+
+    grades, grade = [], ColoredGraph._weight_codes
+    monkeypatch.setattr(ColoredGraph, "_weight_codes", lambda g, x0: grades.append(x0) or grade(g, x0))
+    assert cli.main(["gen", "--hw", "4,4", "--method", "axioms", "--out", str(tmp_path / "g.json")]) == 0
+    assert grades == [0]
 
 
 def vid(g, k):
