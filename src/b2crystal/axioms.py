@@ -311,8 +311,10 @@ def _assert(side, hits, out):
     words do not meet or whose closing deltas are off."""
     ids = side.ids
     for rule, (i, j), fired, defects in hits:
-        tag = f"{rule.tag}_{side.sign}"
         out.extend(Violation(f"{t}_{side.sign}", (i, j), ids[x], detail) for x, (t, detail) in defects)
+        if not fired:
+            continue
+        tag = f"{rule.tag}_{side.sign}"
         w1, w2 = rule.words(i, j)
         closing = rule.closing
         # the closing deltas (ij, ji) at the meet z, read on the other side
@@ -437,6 +439,18 @@ class CheckReport:
         return f"FAIL: {len(self.violations)} violation(s) [{worst}]"
 
 
+def summit(g):
+    """(x0, phi0) for a good graph g: its maximum element and the string
+    lengths phi_i there, its top statistics; None unless g has exactly one
+    maximum element."""
+    maxes = g.maximum_elements()  # at most one: see graph._maximum_elements
+    if not maxes:
+        return None
+    (x0,) = maxes
+    k0 = bisect_left(g.ids, x0)
+    return x0, {i: phi[k0] for i, phi in g.tables()[1].items()}
+
+
 def check_all(g, A, expected_phi0=None):
     """Goodness, unique maximum, weight grading, then the axiom batteries.
 
@@ -450,12 +464,12 @@ def check_all(g, A, expected_phi0=None):
         report.violations = _sorted(report.violations)
         return report
 
-    maxes = g.maximum_elements()  # at most one: see graph._maximum_elements
-    if not maxes:
+    top = summit(g)
+    if top is None:
         report.violations.append(Violation("MAX", None, None, "found 0 maximum elements, need exactly 1"))
         return report
-    (x0,) = maxes
-    report.max_element = x0
+    report.max_element, report.phi0 = top
+    x0 = report.max_element
 
     try:
         g.weight_codes(x0)
@@ -471,8 +485,6 @@ def check_all(g, A, expected_phi0=None):
     except UnsupportedPair as exc:
         report.violations.append(Violation("S1", None, None, f"unsupported pair: {exc}"))
 
-    k0 = bisect_left(g.ids, x0)
-    report.phi0 = {i: phi[k0] for i, phi in g.tables()[1].items()}
     if expected_phi0 is not None:
         expected = dict(expected_phi0)
         if report.phi0 != expected:

@@ -17,14 +17,18 @@ certifies the result (a wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
 maximum elements: the i-child of a mapped vertex goes to the i-child of
-its image, which checks every arrow of both graphs on the way.
+its image, which checks every arrow of both graphs on the way.  A graph
+that passes check_all is the crystal of its top statistics, so a good graph
+that the walk maps onto it arrow for arrow is that crystal too: only the
+first graph runs check_all, and the second runs it only where the walk
+fails, for the verdict that certifying both first would give.
 """
 
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress
 
-from .axioms import check_all, grouping, lowering, rule_pairs, scan, walk_all
+from .axioms import CheckReport, check_all, grouping, lowering, rule_pairs, scan, summit, walk_all
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -86,20 +90,32 @@ class _Build:
             for j in A.colors[n + 1:]:
                 for rule, pair in rule_pairs(A, i, j):
                     self.plan[len(rule.words(*pair)[0]), i, j].append((rule, pair))
+        self.reach = max((n for n, _, _ in self.plan), default=0)  # the longest word
+        self.groupings = {}  # layer -> (i, j) -> the layer's grouping on {i, j}
 
     def layer(self, k):
         return self.layers[k] if 0 <= k < len(self.layers) else range(0)
+
+    def grouping(self, k, i, j):
+        """Layer k's grouping on {i, j}, final once its children exist;
+        kept until no word reaches back to it."""
+        kept = self.groupings.setdefault(k, {})
+        if (i, j) not in kept:
+            kept[i, j] = grouping(self.side, self.layer(k), i, j)
+        return kept[i, j]
 
 
 def _collect_merges(st, k, uf, candidates):
     """Fire every lowering-side rule whose two words end in layer k: the
     last steps of the two words from x must reach one child."""
+    st.groupings.pop(k - st.reach - 1, None)
     for (n, i, j), entries in st.plan.items():
-        groups = grouping(st.side, st.layer(k - n), i, j)
-        for rule, (p, q), fired, defects in scan(st.side, groups, i, j, entries):
+        for rule, (p, q), fired, defects in scan(st.side, st.grouping(k - n, i, j), i, j, entries):
             if defects:
                 x, (_, detail) = defects[0]
                 raise SynthesisInconsistency(f"layer {k}: {rule.name} at {x} ({p},{q}): {detail}")
+            if not fired:
+                continue
             (*w1, c1), (*w2, c2) = rule.words(p, q)
             for x, e1, e2 in zip(fired, walk_all(st.g.down, fired, w1), walk_all(st.g.down, fired, w2)):
                 ends = [(e1, c1), (e2, c2)]
@@ -215,13 +231,13 @@ def build_isomorphism(X, Y, gcm=None):
     Found by one walk from the maximum elements: for each mapped vertex and
     color, both i-children are missing or both present, and the image of
     the child is the child of the image (NotIsomorphic otherwise).
+    X runs check_all; the walk certifies Y (see _walk_certified), with the
+    outcome of certifying both graphs first.
     """
     A = gcm or X.cartan or Y.cartan
     if A is None:
         raise PrereqFailed("no Cartan matrix available")
-    rx = _certify("first", X, A)
-    ry = _certify("second", Y, A)
-    return _match(X, rx, Y, ry)
+    return _walk_certified(X, _certify("first", X, A), Y, A)
 
 
 def _certify(name, g, A):
@@ -235,8 +251,27 @@ def _certify(name, g, A):
     return rep
 
 
+def _walk_certified(X, rx, Y, A):
+    """_match(X, rx, Y, _certify("second", Y, A)), where Y runs check_all
+    only if the walk fails.  Y is first pre-checked: the matrix's colors, a
+    good graph (so its navigation lists hold every recorded arrow) and one
+    maximum element.  A walk that then succeeds maps the certified X onto
+    Y arrow for arrow, so Y is X's isomorphic copy and passes check_all as
+    X does; where the pre-check or the walk fails, check_all decides between
+    CertificationFailed and the walk's own error."""
+    top = set(Y.colors) == set(A.colors) and not Y.is_good() and summit(Y)
+    if not top:
+        return _match(X, rx, Y, _certify("second", Y, A))
+    try:
+        return _match(X, rx, Y, CheckReport(max_element=top[0], phi0=top[1]))
+    except (PrereqFailed, NotIsomorphic):
+        _certify("second", Y, A)
+        raise
+
+
 def _match(X, rx, Y, ry):
-    """build_isomorphism on graphs whose passing reports are rx and ry."""
+    """The walk of build_isomorphism, from the maximum elements and with the
+    top statistics that the reports rx and ry carry."""
     if X.colors != Y.colors:
         raise PrereqFailed("color sets differ")
     if rx.phi0 != ry.phi0:

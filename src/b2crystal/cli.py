@@ -5,7 +5,10 @@ Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 3 budget exceeded.  The vertex budget, the CRYSTAL_BUDGET environment
 variable, bounds the crystals `gen` and `verify-paper` build, the lemma
 box of `verify-paper`, and the documents `check`, `iso` and `export-dot` read.
-`iso` certifies each input once, inside build_isomorphism.
+`iso` certifies its inputs inside build_isomorphism: the first with
+check_all, the second by the isomorphism walk from the first, and with
+check_all too only where the walk fails, so the exit code and message are
+those of certifying both documents first.
 
 `main` may be called repeatedly in one process.  It builds its parser on
 the first call and keeps it; the parser names each subcommand's handler,

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
 from .axioms import check_all
-from .builder import _certify, _match
+from .builder import _walk_certified
 from .cartan import b2_gcm
 from .errors import BudgetExceeded, HypothesisNotMet
 
@@ -327,8 +327,9 @@ def verify_reversal(lam, g=None):
     cert = check_all(r, A)
     holds = cert.passed and cert.phi0 == {1: lam[0], 2: lam[1]}
     if holds:
-        # build_isomorphism(g, r), with r's report reused instead of re-certified
-        iso = _match(g, _certify("first", g, A), r, cert)
+        # build_isomorphism(r, g) with r's report reused: the walk certifies
+        # g, which runs check_all only if the walk fails; the map runs r -> g
+        iso = _walk_certified(r, cert, g, A)
         eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
         vs = g.vertices()
         # the identification is an involution, and the raising and lowering

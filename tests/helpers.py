@@ -7,7 +7,7 @@ from functools import partial
 from itertools import product
 from typing import NamedTuple, Tuple
 
-from b2crystal import kernel, pbw
+from b2crystal import builder, kernel, pbw
 from b2crystal.oracle import (
     FORKS,
     VerificationReport,
@@ -23,6 +23,7 @@ from b2crystal.cartan import B2, classify_all_pairs, classify_pair
 from b2crystal.errors import (
     InconsistentWeight,
     NonTerminating,
+    PrereqFailed,
     SynthesisInconsistency,
     UnsupportedPair,
 )
@@ -131,6 +132,15 @@ def duplicate_mutants(g):
     """Every graph obtained by recording one arrow twice (G1 and G2)."""
     for edge in g.edges():
         yield edge, copy_mutable(g, extra_edges=[edge]).freeze()
+
+
+def recolor_mutants(g):
+    """Every graph obtained by giving one arrow another of g's colors."""
+    for edge in g.edges():
+        s, d, c = edge
+        for other in g.colors:
+            if other != c:
+                yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, d, other)]).freeze()
 
 
 def renaming(g, seed):
@@ -719,6 +729,17 @@ def reference_collect_merges(st, k, uf, candidates):
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
             merge((q, i), (p, j), f"diamond at {w}")
+
+
+def reference_build_isomorphism(X, Y, gcm=None):
+    """build_isomorphism by certifying both graphs with check_all, the
+    first one first, and then walking."""
+    A = gcm or X.cartan or Y.cartan
+    if A is None:
+        raise PrereqFailed("no Cartan matrix available")
+    rx = builder._certify("first", X, A)
+    ry = builder._certify("second", Y, A)
+    return builder._match(X, rx, Y, ry)
 
 
 # -- PBW statistics read only by the tests -----------------------------------------

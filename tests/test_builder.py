@@ -20,7 +20,11 @@ from helpers import (
     build_graph,
     copy_mutable,
     deletion_mutants,
+    duplicate_mutants,
     f_step,
+    recolor_mutants,
+    redirect_mutants,
+    reference_build_isomorphism,
     reference_collect_merges,
     relabelled,
     renaming,
@@ -89,6 +93,33 @@ def test_not_isomorphic_same_profile():
     g = pbw.generate((1, 1))
     with pytest.raises(PrereqFailed, match=r"top statistics differ: \{1: 1, 2: 1\} vs \{1: 1, 2: 2\}"):
         builder.build_isomorphism(g, pbw.generate((1, 2)))
+
+
+def _outcome(build, X, Y):
+    """The map build(X, Y) returns, or the type and message it raises."""
+    try:
+        return build(X, Y)
+    except (CertificationFailed, PrereqFailed, NotIsomorphic) as exc:
+        return type(exc), str(exc)
+
+
+def test_walk_certification_matches_certifying_both():
+    # the walk certifies the second graph: every pair of a crystal, its
+    # mutants and the crystals of the other weights, in both orders, gets
+    # the map or the error that certifying both graphs first gives
+    weights = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]
+    crystals = {lam: pbw.generate(lam) for lam in weights}
+    pairs = [(g, relabelled(h, 3)) for g in crystals.values() for h in crystals.values()]
+    for g in crystals.values():
+        for mutants in (deletion_mutants, redirect_mutants, duplicate_mutants, recolor_mutants):
+            for _, mut in mutants(g):
+                pairs.extend(pair for h in crystals.values() for pair in ((h, mut), (mut, h)))
+    kinds = set()
+    for X, Y in pairs:
+        want = _outcome(reference_build_isomorphism, X, Y)
+        assert _outcome(builder.build_isomorphism, X, Y) == want
+        kinds.add(want[0] if isinstance(want, tuple) else dict)
+    assert kinds == {dict, CertificationFailed, PrereqFailed}
 
 
 def _rebuilt(g, edges, extra=0):
@@ -265,11 +296,12 @@ def test_reversal_certifies_each_graph_once(monkeypatch):
         calls.append(args[0])
         return axioms.check_all(*args, **kwargs)
 
-    # the reversed graph is checked by the oracle, the original by builder._certify
+    # the oracle checks the reversed graph, and the walk from it certifies
+    # the original, which runs check_all (through builder) only if it fails
     monkeypatch.setattr(oracle, "check_all", counted)
     monkeypatch.setattr(builder, "check_all", counted)
     assert oracle.verify_reversal((2, 1)).passed
-    assert len(calls) == 2
+    assert [g.edges() for g in calls] == [pbw.generate((2, 1)).reverse().edges()]
     # a reversal that fails certification, or passes it with the wrong top
     # statistics, is the report's one failure note, not an exception
     reverse = ColoredGraph.reverse

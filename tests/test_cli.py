@@ -216,8 +216,25 @@ def test_each_graph_certified_once(docs, tmp_path, monkeypatch):
 
     for mod in (cli, builder):
         monkeypatch.setattr(mod, "check_all", counted)
-    assert main(["iso", docs["pbw11"], docs["syn11"]]) == 0
-    assert len(calls) == 2
+    # a passing iso runs check_all on the first document only: the walk
+    # certifies the second, here an id-permuted copy
+    g = doc_to_graph(load_doc(docs["pbw11"]))
+    permuted = tmp_path / "permuted.json"
+    dump_doc(graph_to_doc(relabelled(g, 4)), permuted)
+    assert main(["iso", docs["pbw11"], str(permuted)]) == 0
+    assert [h.edges() for h in calls] == [g.edges()]
+    # a failing one runs it on the second document too, so no outcome costs
+    # more than certifying both: a broken first document stops after one
+    # call, a broken second one and two certified mismatched ones take two
+    doc = json.load(open(docs["pbw11"]))
+    del doc["edges"][0]
+    broken = tmp_path / "broken.json"
+    json.dump(doc, open(broken, "w"))
+    for pair, code, n in (((str(broken), docs["pbw11"]), 2, 1), ((docs["pbw11"], str(broken)), 2, 2),
+                          ((docs["pbw11"], docs["pbw30"]), 1, 2)):
+        calls.clear()
+        assert main(["iso", *pair]) == code
+        assert len(calls) == n, pair
     calls.clear()
     out = tmp_path / "syn.json"
     assert main(["gen", "--gcm", "b2", "--hw", "2,1", "--method", "axioms", "--out", str(out)]) == 0
