@@ -443,7 +443,7 @@ def summit(g):
     """(x0, phi0) for a good graph g: its maximum element and the string
     lengths phi_i there, its top statistics; None unless g has exactly one
     maximum element."""
-    maxes = g.maximum_elements()  # at most one: see graph._maximum_elements
+    maxes = g.maximum_elements()  # at most one: see graph._top_walk
     if not maxes:
         return None
     (x0,) = maxes
@@ -472,7 +472,7 @@ def check_all(g, A, expected_phi0=None):
     x0 = report.max_element
 
     try:
-        g.weight_codes(x0)
+        g.weight_codes()
     except InconsistentWeight as exc:
         report.violations.append(
             Violation("WT", None, exc.vertex, f"conflicting multisets {exc.first} vs {exc.second}")

@@ -16,19 +16,20 @@ head parent less the Cartan entry of the step; a final full check
 certifies the result (a wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
-maximum elements: the i-child of a mapped vertex goes to the i-child of
-its image, which checks every arrow of both graphs on the way.  A graph
-that passes check_all is the crystal of its top statistics, so a good graph
-that the walk maps onto it arrow for arrow is that crystal too: only the
-first graph runs check_all, and the second runs it only where the walk
-fails, for the verdict that certifying both first would give.
+tops, each a maximum element with its top statistics: the i-child of a
+mapped vertex goes to the i-child of its image, which checks every arrow of
+both graphs on the way.  A graph that passes check_all is the crystal of
+its top statistics, so a good graph that the walk maps onto it arrow for
+arrow is that crystal too: only the first graph runs check_all, and the
+second runs it only where the walk fails, for the verdict that certifying
+both first would give.
 """
 
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress
 
-from .axioms import CheckReport, check_all, grouping, lowering, rule_pairs, scan, summit, walk_all
+from .axioms import check_all, grouping, lowering, rule_pairs, scan, summit, walk_all
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -231,16 +232,26 @@ def build_isomorphism(X, Y, gcm=None):
     Found by one walk from the maximum elements: for each mapped vertex and
     color, both i-children are missing or both present, and the image of
     the child is the child of the image (NotIsomorphic otherwise).
-    X runs check_all; the walk certifies Y (see _walk_certified), with the
+    X runs check_all; Y runs it only where its pre-check (the matrix's
+    colors, a good graph, one maximum element) or the walk fails, for the
     outcome of certifying both graphs first.
     """
     A = gcm or X.cartan or Y.cartan
     if A is None:
         raise PrereqFailed("no Cartan matrix available")
-    return _walk_certified(X, _certify("first", X, A), Y, A)
+    tx = _certify("first", X, A)
+    ty = set(Y.colors) == set(A.colors) and not Y.is_good() and summit(Y)
+    if not ty:
+        return _match(X, tx, Y, _certify("second", Y, A))
+    try:
+        return _match(X, tx, Y, ty)
+    except (PrereqFailed, NotIsomorphic):
+        _certify("second", Y, A)
+        raise
 
 
 def _certify(name, g, A):
+    """The top (x0, phi0) of g, which must pass check_all for A."""
     if set(g.colors) != set(A.colors):
         raise CertificationFailed(
             f"{name} graph has colors {tuple(g.colors)} but the Cartan matrix has {tuple(A.colors)}"
@@ -248,39 +259,22 @@ def _certify(name, g, A):
     rep = check_all(g, A)
     if not rep.passed:
         raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")
-    return rep
+    return rep.max_element, rep.phi0
 
 
-def _walk_certified(X, rx, Y, A):
-    """_match(X, rx, Y, _certify("second", Y, A)), where Y runs check_all
-    only if the walk fails.  Y is first pre-checked: the matrix's colors, a
-    good graph (so its navigation lists hold every recorded arrow) and one
-    maximum element.  A walk that then succeeds maps the certified X onto
-    Y arrow for arrow, so Y is X's isomorphic copy and passes check_all as
-    X does; where the pre-check or the walk fails, check_all decides between
-    CertificationFailed and the walk's own error."""
-    top = set(Y.colors) == set(A.colors) and not Y.is_good() and summit(Y)
-    if not top:
-        return _match(X, rx, Y, _certify("second", Y, A))
-    try:
-        return _match(X, rx, Y, CheckReport(max_element=top[0], phi0=top[1]))
-    except (PrereqFailed, NotIsomorphic):
-        _certify("second", Y, A)
-        raise
-
-
-def _match(X, rx, Y, ry):
-    """The walk of build_isomorphism, from the maximum elements and with the
-    top statistics that the reports rx and ry carry."""
+def _match(X, tx, Y, ty):
+    """The walk of build_isomorphism from the tops tx and ty of X and Y,
+    each a maximum element and its top statistics."""
+    (x_top, x_phi), (y_top, y_phi) = tx, ty
     if X.colors != Y.colors:
         raise PrereqFailed("color sets differ")
-    if rx.phi0 != ry.phi0:
-        raise PrereqFailed(f"top statistics differ: {rx.phi0} vs {ry.phi0}")
+    if x_phi != y_phi:
+        raise PrereqFailed(f"top statistics differ: {x_phi} vs {y_phi}")
 
     # h maps X's positions to Y's and hit marks its image; ids are for messages
     xid, yid = X.ids, Y.ids
     h, hit = [None] * len(X), [False] * len(Y)
-    x0, y0 = bisect_left(xid, rx.max_element), bisect_left(yid, ry.max_element)
+    x0, y0 = bisect_left(xid, x_top), bisect_left(yid, y_top)
     h[x0], hit[y0] = y0, True
     queue = [x0]
     for x in queue:

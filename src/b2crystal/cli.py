@@ -5,10 +5,10 @@ Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 3 budget exceeded.  The vertex budget, the CRYSTAL_BUDGET environment
 variable, bounds the crystals `gen` and `verify-paper` build, the lemma
 box of `verify-paper`, and the documents `check`, `iso` and `export-dot` read.
-`iso` certifies its inputs inside build_isomorphism: the first with
-check_all, the second by the isomorphism walk from the first, and with
-check_all too only where the walk fails, so the exit code and message are
-those of certifying both documents first.
+`iso` certifies both documents under one matrix (two that declare different
+ones over one index set are an input error): the first with check_all, the
+second by the isomorphism walk, and with check_all too only where the walk
+fails, so the exit code and message are those of certifying both first.
 
 `main` may be called repeatedly in one process.  It builds its parser on
 the first call and keeps it; the parser names each subcommand's handler,
@@ -67,14 +67,14 @@ EXIT_BUDGET = 3
 
 def graph_to_doc(g, stats=False):
     """Serialize a graph.  With stats, also each vertex's wt/eps/phi, read from
-    the graph's weight_codes from its maximum element and its string tables."""
+    the graph's weight_codes and its string tables."""
     vertices = [{"id": v} for v in g.ids]
     for entry, label in zip(vertices, g.labels):
         if isinstance(label, PbwElement):
             entry["a"], entry["x"] = list(label.a), list(label.x)
     maxes = g.maximum_elements()
     if stats:
-        codes, (eps, phi) = g.weight_codes(*maxes), g.tables()
+        codes, (eps, phi) = g.weight_codes(), g.tables()
         order = sorted(g.colors)
         keys = list(map(str, order))
         wts = {c: {str(i): wt[i] for i in order if i in wt}
@@ -270,9 +270,12 @@ def cmd_check(args):
 
 def cmd_iso(args):
     ga, gb = _load_graph(args.a)[1], _load_graph(args.b)[1]
-    A = ga.cartan or gb.cartan
+    A, B = ga.cartan or gb.cartan, gb.cartan or ga.cartan
     if A is None:
         print("error: neither document has a cartan matrix", file=sys.stderr)
+        return EXIT_INPUT
+    if set(A.colors) == set(B.colors) and any(A.a(i, j) != B.a(i, j) for i, j in A.pairs()):
+        print(f"error: {args.a} and {args.b} declare different matrices: {A!r} vs {B!r}", file=sys.stderr)
         return EXIT_INPUT
     try:
         iso = build_isomorphism(ga, gb, gcm=A)

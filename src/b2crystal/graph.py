@@ -15,7 +15,8 @@ The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions.
 Graphs are built mutably, then frozen; a frozen graph keeps what it derives
-once computed: string tables, maximum elements, weight codes, groupings.
+once computed: string tables, the top walk (maximum element and weight
+codes), groupings.
 """
 
 from collections import Counter
@@ -162,71 +163,34 @@ class ColoredGraph:
         return violations
 
     def maximum_elements(self):
-        """Vertices with no incoming arrows that f-reach every vertex, kept
-        once the graph is frozen."""
-        return list(self.keep("max", _maximum_elements))
+        """The vertices with no incoming arrows that f-reach every vertex."""
+        top = self.keep("top", _top_walk)
+        return [] if top is None else [self.ids[top[0]]]
 
-    def weight_codes(self, x0):
-        """BFS weight/distance grading from a maximum element, one integer
-        per position: with base n + 1, the count of the c-th color is its
-        base**c digit and the distance its base**len(colors) digit.  Every
-        arrow must be weight-consistent, WT(dst) = WT(src) + color; a
-        conflict raises InconsistentWeight, the practical detection of a
-        failed homogeneous local confluence.  Kept once the graph is frozen
-        (a raise is not kept)."""
-        return self.keep(("codes", x0), lambda g: g._weight_codes(x0))
-
-    def _weight_codes(self, x0):
-        k0 = self._pos.get(x0)
-        if k0 is None:
-            raise ValueError(f"no vertex {x0}")
-        n, colors = len(self.ids), self.colors
-        # every count is at most the distance, which is below n + 1, so no
-        # digit carries
-        base, m = n + 1, len(colors)
-        steps = [(i, self.down[i], base**m + base**c) for c, i in enumerate(colors)]
-        code = [None] * n
-        code[k0] = 0
-        parent = [None] * n
-        queue = [k0]
-        for u in queue:
-            cu = code[u]
-            for i, down, inc in steps:
-                v = down[u]
-                if v is None:
-                    continue
-                cv = code[v]
-                if cv is None:
-                    code[v] = cu + inc
-                    parent[v] = u
-                    queue.append(v)
-                elif cv != cu + inc:
-                    # multisets keyed in order of first use along the paths
-                    path = self._tree_path
-                    raise InconsistentWeight(self.ids[v], Counter(path(parent, k0, v)),
-                                             Counter(path(parent, k0, u) + [i]))
-        if len(queue) != n:
-            missing = min(compress(self.ids, map(is_, code, repeat(None))))
-            raise ValueError(f"{x0} is not a maximum element: {missing} unreachable")
-        return code
+    def weight_codes(self):
+        """The BFS weight/distance grading from the maximum element, one
+        integer per position: with base n + 1, the count of the c-th color
+        is its base**c digit and the distance its base**len(colors) digit.
+        The top walk's conflict, an arrow with WT(dst) != WT(src) + color
+        (the practical detection of a failed homogeneous local confluence),
+        is InconsistentWeight on every call; ValueError without a maximum."""
+        top = self.keep("top", _top_walk)
+        if top is None:
+            raise ValueError("no maximum element")
+        if top[2] is not None:
+            raise InconsistentWeight(*top[2])
+        return top[1]
 
     def wt_assign(self, x0):
-        """weight_codes(x0) decoded: {vertex: (color multiset dict, dist)},
-        in increasing vertex order.  It stays only because the benchmark
-        reaches it (perfbench/tracing.py spans it, perfbench/stages.py times
-        it); it leaves when they time weight_codes instead (ROADMAP item 7)."""
-        code = self.weight_codes(x0)
+        """weight_codes() decoded from the maximum element x0: {vertex: (color
+        multiset dict, dist)}.  It stays only because the benchmark reaches it
+        (perfbench/tracing.py spans it, perfbench/stages.py times it); it
+        leaves when they time weight_codes instead (ROADMAP item 7)."""
+        if self.maximum_elements() != [x0]:
+            raise ValueError(f"{x0} is not the maximum element")
+        code = self.weight_codes()
         weights = decode_weights(code, len(self) + 1, self.colors)
         return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}
-
-    def _tree_path(self, parent, k0, k):
-        """Colors along the BFS-tree path from k0 to k, in order."""
-        path = []
-        while k != k0:
-            u = parent[k]
-            path.append(next(i for i in self.colors if self.down[i][u] == k))
-            k = u
-        return path[::-1]
 
     def reverse(self):
         """New graph with every arrow reversed; colors and labels kept."""
@@ -251,25 +215,51 @@ def decode_weights(codes, base, colors):
     return {c: ({i: t for i, t in zip(colors, d) if t}, d[m]) for c, d in digits.items()}
 
 
-def _maximum_elements(g):
-    """No vertex reaches another source, so only a sole source can qualify."""
-    n = len(g.ids)
-    ups = [g.up[i] for i in g.colors]
+def _top_walk(g):
+    """(k0, codes, conflict) if the sole source k0 f-reaches every vertex (no
+    vertex reaches another source), else None.  Breadth first from k0, colors
+    in g.colors order; conflict is None, or the InconsistentWeight arguments
+    at the first arrow that breaks the grading, past which the walk goes on."""
+    n, colors = len(g.ids), g.colors
+    ups = [g.up[i] for i in colors]
     sources = list(compress(range(n), map(((None,) * len(ups)).__eq__, zip(*ups))))
     if len(sources) != 1:
-        return []
-    (v,) = sources
-    downs = [g.down[i] for i in g.colors]
-    seen = [False] * n
-    seen[v] = True
-    queue = [v]
+        return None
+    (k0,) = sources
+    # every count is at most the distance, which is below n + 1, so no
+    # digit carries
+    base, m = n + 1, len(colors)
+    steps = [(i, g.down[i], base**m + base**c) for c, i in enumerate(colors)]
+    code = [None] * n
+    code[k0] = 0
+    parent = [None] * n
+    conflict = None
+    queue = [k0]
     for u in queue:
-        for down in downs:
-            w = down[u]
-            if w is not None and not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return [g.ids[v]] if len(queue) == n else []
+        cu = code[u]
+        for i, down, inc in steps:
+            v = down[u]
+            if v is None:
+                continue
+            cv = code[v]
+            if cv is None:
+                code[v] = cu + inc
+                parent[v] = u, i
+                queue.append(v)
+            elif cv != cu + inc and conflict is None:
+                # multisets keyed in order of first use along the paths
+                path = _tree_path
+                conflict = g.ids[v], Counter(path(parent, k0, v)), Counter(path(parent, k0, u) + [i])
+    return (k0, code, conflict) if len(queue) == n else None
+
+
+def _tree_path(parent, k0, k):
+    """Colors along the BFS-tree path from k0 to k; parent[v] = (u, color)."""
+    path = []
+    while k != k0:
+        k, i = parent[k]
+        path.append(i)
+    return path[::-1]
 
 
 def string_tables(g):

@@ -17,10 +17,10 @@ from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
-from .axioms import check_all
-from .builder import _walk_certified
+from .axioms import summit
+from .builder import build_isomorphism
 from .cartan import b2_gcm
-from .errors import BudgetExceeded, HypothesisNotMet
+from .errors import BudgetExceeded, HypothesisNotMet, NotIsomorphic, PrereqFailed
 
 
 @dataclass
@@ -316,20 +316,18 @@ def verify_kakunin3(lam):
     return verify_forks(lam)[2]
 
 
-def verify_reversal(lam, g=None):
-    """Arrow reversal of a generated crystal is again a certified crystal,
-    isomorphic to the original with raising and lowering swapped.  g is the
-    frozen crystal generate(lam), generated here when not given."""
+def verify_reversal(lam, g):
+    """Arrow reversal of the frozen crystal g = generate(lam) is again a
+    certified crystal, isomorphic to g with raising and lowering swapped."""
     rep = VerificationReport(f"arrow-reversal involution at {lam}", domain_size=weyl_dim_b2(*lam))
-    g = pbw.generate(lam) if g is None else g
-    r = g.reverse()
-    A = b2_gcm()
-    cert = check_all(r, A)
-    holds = cert.passed and cert.phi0 == {1: lam[0], 2: lam[1]}
+    try:
+        # the reversal runs check_all, and the walk from it certifies g
+        iso = build_isomorphism(g.reverse(), g, b2_gcm())
+    except (PrereqFailed, NotIsomorphic):
+        iso = None
+    # the map carries the reversal's top statistics to g's, which must be lam's
+    holds = iso is not None and summit(g)[1] == {1: lam[0], 2: lam[1]}
     if holds:
-        # build_isomorphism(r, g) with r's report reused: the walk certifies
-        # g, which runs check_all only if the walk fails; the map runs r -> g
-        iso = _walk_certified(r, cert, g, A)
         eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
         vs = g.vertices()
         # the identification is an involution, and the raising and lowering

@@ -127,13 +127,13 @@ def _rebuilt(g, edges, extra=0):
     return build_graph(g.colors, len(g) + extra, edges, cartan=g.cartan).freeze()
 
 
-def _refusals(g, rep, mut):
+def _refusals(g, top, mut):
     """Why _match refuses mut, passed first and then second, against the
-    certified g with its report rep; mut gets a forged passing report."""
-    forged = axioms.CheckReport(max_element=0, phi0=rep.phi0, n_vertices=len(mut))
-    assert forged.passed
+    certified g with its top; mut gets a forged top, vertex 0 with g's top
+    statistics."""
+    forged = (0, top[1])
     out = []
-    for args in ((mut, forged, g, rep), (g, rep, mut, forged)):
+    for args in ((mut, forged, g, top), (g, top, mut, forged)):
         with pytest.raises(NotIsomorphic) as exc:
             builder._match(*args)
         out.append(str(exc.value))
@@ -141,18 +141,18 @@ def _refusals(g, rep, mut):
 
 
 def test_walk_refuses_mutants_with_forged_reports():
-    # the walk itself, given passing reports, catches a graph that is not
-    # the crystal: a missing arrow, two swapped targets, an extra vertex
+    # the walk itself, given the tops of certified graphs, catches a graph
+    # that is not the crystal: a missing arrow, two swapped targets, an
+    # extra vertex
     g = pbw.generate((2, 1))
-    rep = axioms.check_all(g, A)
+    top = builder._certify("first", g, A)
     edges = g.edges()
     intact = _rebuilt(g, edges)
-    forged = axioms.CheckReport(max_element=0, phi0=rep.phi0, n_vertices=len(intact))
-    assert builder._match(intact, forged, g, rep) == {v: v for v in g.vertices()}
+    assert builder._match(intact, (0, top[1]), g, top) == {v: v for v in g.vertices()}
     # the map is the identity down to the source of a deleted arrow
     for k, (s, _, c) in enumerate(edges):
         mut = _rebuilt(g, edges[:k] + edges[k + 1:])
-        assert _refusals(g, rep, mut) == [f"{c}-child at only one of {s} and its image {s}"] * 2
+        assert _refusals(g, top, mut) == [f"{c}-child at only one of {s} and its image {s}"] * 2
     # swapping the targets of two same-colored arrows out of one distance
     # layer keeps every arrow going one layer down, so the graph stays acyclic
     dist = {v: d for v, (_, d) in g.wt_assign(0).items()}
@@ -160,13 +160,13 @@ def test_walk_refuses_mutants_with_forged_reports():
     for a, b in combinations(edges, 2):
         if a[2] == b[2] and dist[a[0]] == dist[b[0]]:
             rest = [e for e in edges if e not in (a, b)]
-            seen += _refusals(g, rep, _rebuilt(g, rest + [(a[0], b[1], a[2]), (b[0], a[1], a[2])]))
+            seen += _refusals(g, top, _rebuilt(g, rest + [(a[0], b[1], a[2]), (b[0], a[1], a[2])]))
     for reason in ("-child at only one of", "two vertices map onto", "not preserved"):
         assert any(reason in m for m in seen), reason
-    assert _refusals(g, rep, _rebuilt(g, edges, extra=1)) == ["map is not onto"] * 2
+    assert _refusals(g, top, _rebuilt(g, edges, extra=1)) == ["map is not onto"] * 2
     leaf = next(v for v in g.vertices() if f_step(g, 2, v) is None)
     mut = _rebuilt(g, edges + [(leaf, len(g), 2)], extra=1)
-    assert _refusals(g, rep, mut) == [f"2-child at only one of {leaf} and its image {leaf}"] * 2
+    assert _refusals(g, top, mut) == [f"2-child at only one of {leaf} and its image {leaf}"] * 2
 
 
 def test_isomorphism_is_the_renaming():
@@ -197,8 +197,7 @@ def test_synthesized_documents_pinned(monkeypatch):
         out = []
         for M, lam in cases:
             g = builder.synthesize(M, lam)
-            (x0,) = g.maximum_elements()
-            out.append((graph_to_doc(g, stats=True), g.tables(), g.weight_codes(x0)))
+            out.append((graph_to_doc(g, stats=True), g.tables(), g.weight_codes()))
         return out
 
     shared = build()
@@ -286,7 +285,7 @@ def test_missing_merges_refused(monkeypatch, M, lam, message):
 
 def test_reversal_involution():
     for lam in [(0, 0), (1, 1), (3, 2)]:
-        assert oracle.verify_reversal(lam).passed
+        assert oracle.verify_reversal(lam, pbw.generate(lam)).passed
 
 
 def test_reversal_certifies_each_graph_once(monkeypatch):
@@ -296,11 +295,10 @@ def test_reversal_certifies_each_graph_once(monkeypatch):
         calls.append(args[0])
         return axioms.check_all(*args, **kwargs)
 
-    # the oracle checks the reversed graph, and the walk from it certifies
-    # the original, which runs check_all (through builder) only if it fails
-    monkeypatch.setattr(oracle, "check_all", counted)
+    # build_isomorphism checks the reversed graph, and the walk from it
+    # certifies the original, which runs check_all only if the walk fails
     monkeypatch.setattr(builder, "check_all", counted)
-    assert oracle.verify_reversal((2, 1)).passed
+    assert oracle.verify_reversal((2, 1), pbw.generate((2, 1))).passed
     assert [g.edges() for g in calls] == [pbw.generate((2, 1)).reverse().edges()]
     # a reversal that fails certification, or passes it with the wrong top
     # statistics, is the report's one failure note, not an exception
@@ -308,7 +306,7 @@ def test_reversal_certifies_each_graph_once(monkeypatch):
     for fake in (lambda g: next(deletion_mutants(reverse(g)))[1],
                  lambda g: pbw.generate((1, 2))):
         monkeypatch.setattr(ColoredGraph, "reverse", fake)
-        rep = oracle.verify_reversal((2, 1))
+        rep = oracle.verify_reversal((2, 1), pbw.generate((2, 1)))
         assert rep.counterexamples == ["(2, 1): reversal is not an involutive crystal symmetry"]
 
 

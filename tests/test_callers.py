@@ -8,6 +8,7 @@ call passes is a setting nothing sets, and goes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +25,25 @@ ALLOWED_PARAMETERS = {
                            "candidate membership rule to pin the one in use",
     "verify_lemmas.transfer": "the test seam that injects a broken transfer map",
     "verify_lemmas.transfer_inv": "the test seam that injects a broken inverse map",
+}
+
+
+# A read of a bare name cannot tell which definition of that name it
+# reaches.  So each public definition whose name another public definition,
+# a field or a method of a builtin type shares names a program function that
+# calls it (module.function or module.Class.method).
+SHARED = {
+    "GCM.a": "cartan.classify_pair",
+    "GCM.pairs": "cartan.classify_all_pairs",
+    "UnionFind.add": "builder.synthesize",
+    "UnionFind.find": "builder.UnionFind.union",
+    "UnionFind.union": "builder._collect_merges",
+    "VerificationReport.add": "oracle.verify_reversal",
+    "VerificationReport.passed": "cli.cmd_verify_paper",
+    "CheckReport.passed": "cli.cmd_check",
+    "CheckReport.to_dict": "cli.cmd_check",
+    "Violation.to_dict": "axioms.CheckReport.to_dict",
+    "ColoredGraph.reverse": "oracle.verify_reversal",
 }
 
 
@@ -75,6 +95,49 @@ def test_every_public_name_has_a_program_caller():
     assert sorted(qual for qual, name in public if name not in used and name not in ALLOWED) == []
     # each allowed name is public and still without a caller
     assert {name for _, name in public if name in ALLOWED and name not in used} == set(ALLOWED)
+
+
+def _shared(trees):
+    """The qualified names of the public definitions whose name another
+    public definition, a field (an annotated class attribute or an attribute
+    set on self) or a method of a builtin type also names."""
+    public = [found for tree in trees for found in _public(tree)]
+    fields = set()
+    for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                fields.add(node.target.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and getattr(node.value, "id", None) == "self":
+                fields.add(node.attr)
+    builtin = {name for t in (bool, bytes, dict, float, frozenset, int, list, set, str, tuple) for name in dir(t)}
+    count = Counter(name for _, name in public)
+    return {qual for qual, name in public if count[name] > 1 or name in fields or name in builtin}
+
+
+def _functions(path):
+    """module.function and module.Class.method -> node, for each function
+    and method that the file at path defines, module being its stem."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            out[f"{path.stem}.{node.name}"] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update((f"{path.stem}.{node.name}.{item.name}", item)
+                       for item in node.body if isinstance(item, ast.FunctionDef))
+    return out
+
+
+def test_every_shared_name_lists_a_caller_of_each_definition():
+    assert _shared(_trees("src/b2crystal")) == set(SHARED)
+    functions = {}
+    for path in (p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))):
+        functions.update(_functions(path))
+    for qual, caller in SHARED.items():
+        name = qual.rsplit(".", 1)[1]
+        reads = {node.attr for node in ast.walk(functions[caller])
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        assert name in reads, (qual, caller)
 
 
 def _defaulted(tree):

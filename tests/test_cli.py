@@ -192,6 +192,30 @@ def test_iso_color_sets_differ(docs, tmp_path, capsys):
         assert err == f"error: second graph has colors {colors} but the Cartan matrix has {matrix}\n"
 
 
+def test_iso_refuses_mismatched_matrices(docs, tmp_path, capsys):
+    # two documents that declare different matrices are an input error in
+    # either order, not a certification under the first one's matrix; a
+    # document without a matrix takes the other's
+    doc = json.load(open(docs["pbw11"]))
+    doc["cartan"] = [[2, -1], [-2, 2]]
+    other = tmp_path / "transposed.json"
+    json.dump(doc, open(other, "w"))
+    capsys.readouterr()
+    assert main(["check", "--in", str(other)]) == 1
+    mine, theirs = "GCM([[2, -2], [-1, 2]], index_set=[1, 2])", "GCM([[2, -1], [-2, 2]], index_set=[1, 2])"
+    for a, b, ma, mb in ((docs["pbw11"], str(other), mine, theirs), (str(other), docs["pbw11"], theirs, mine)):
+        capsys.readouterr()
+        assert main(["iso", a, b]) == 2
+        assert capsys.readouterr().err == f"error: {a} and {b} declare different matrices: {ma} vs {mb}\n"
+    doc["cartan"] = None
+    bare = tmp_path / "bare.json"
+    json.dump(doc, open(bare, "w"))
+    assert main(["iso", str(bare), docs["pbw11"]]) == main(["iso", docs["pbw11"], str(bare)]) == 0
+    capsys.readouterr()
+    assert main(["iso", str(bare), str(other)]) == 2
+    assert capsys.readouterr().err.startswith("error: first graph fails certification: FAIL:")
+
+
 @pytest.mark.parametrize("declared, message", [
     (9999, "max 9999 is not a declared vertex"),
     (3, "error: document declares max 3, but the maximum element is 0"),

@@ -18,6 +18,7 @@ from helpers import (
     f_step,
     build_graph,
     pairing_of_root_count,
+    recolor_mutants,
     redirect_mutants,
     reference_is_good,
     reference_maximum_elements,
@@ -186,13 +187,13 @@ def _maximum_elements_per_source(g):
 
 def test_maximum_elements_matches_per_source_definition(monkeypatch):
     computed = []
-    find = graph._maximum_elements
+    find = graph._top_walk
 
     def counted(g):
         computed.append(g)
         return find(g)
 
-    monkeypatch.setattr(graph, "_maximum_elements", counted)
+    monkeypatch.setattr(graph, "_top_walk", counted)
     fixtures = [a2_crystal_2_0(), a2_crystal_1_1(), bad_confluence_graph(),
                 pbw.generate((1, 1)), pbw.generate((2, 1)).reverse()]
     fixtures += [mut for _, mut in deletion_mutants(pbw.generate((1, 1)))]
@@ -287,25 +288,23 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
 
 
 def test_frozen_graph_keeps_weight_codes(monkeypatch, tmp_path):
-    # a frozen graph grades once per maximum element, so gen --method axioms
-    # runs one weight BFS for both its certification and the document's wt;
-    # a conflict is not kept but raised on every call, and an unfrozen graph
-    # keeps nothing
+    # a frozen graph walks from its top once, so gen --method axioms runs
+    # one weight BFS for both its certification and the document's wt; the
+    # kept conflict is raised on every call, and an unfrozen graph keeps
+    # nothing
     g = pbw.generate((2, 1))
-    (x0,) = g.maximum_elements()
-    assert g.weight_codes(x0) is g.weight_codes(x0)
+    assert g.weight_codes() is g.weight_codes()
     m = copy_mutable(g)
-    assert m.weight_codes(x0) == g.weight_codes(x0) and m.weight_codes(x0) is not m.weight_codes(x0)
+    assert m.weight_codes() == g.weight_codes() and m.weight_codes() is not m.weight_codes()
     bad = bad_confluence_graph()
-    (b0,) = bad.maximum_elements()
     for _ in range(2):
         with pytest.raises(InconsistentWeight):
-            bad.weight_codes(b0)
+            bad.weight_codes()
 
-    grades, grade = [], ColoredGraph._weight_codes
-    monkeypatch.setattr(ColoredGraph, "_weight_codes", lambda g, x0: grades.append(x0) or grade(g, x0))
+    walks, walk = [], graph._top_walk
+    monkeypatch.setattr(graph, "_top_walk", lambda g: walks.append(g) or walk(g))
     assert cli.main(["gen", "--hw", "4,4", "--method", "axioms", "--out", str(tmp_path / "g.json")]) == 0
-    assert grades == [0]
+    assert len(walks) == 1
 
 
 def vid(g, k):
@@ -451,10 +450,14 @@ def test_list_passes_match_reference():
         seen.update(v.rule for v in good)
         maxes = g.maximum_elements()
         assert maxes == reference_maximum_elements(g)
-        for x0 in maxes + [g.vertices()[-1]]:
+        for x0 in maxes:
             got = _outcome(g.wt_assign, x0)
             assert got == _outcome(reference_wt_assign, g, x0), (g.vertices()[:3], x0)
             seen.add(got[0] if isinstance(got, tuple) else "graded")
+        # grading from any other vertex is refused
+        for x0 in {g.vertices()[-1]} - set(maxes):
+            assert _outcome(g.wt_assign, x0) == ("ValueError", f"{x0} is not the maximum element")
+            seen.add("ValueError")
         tables = _outcome(string_tables, g)
         if isinstance(tables, tuple) and tables[0] == "NonTerminating":
             assert tables == _outcome(reference_string_tables, g)
@@ -463,3 +466,57 @@ def test_list_passes_match_reference():
         seen.add(tables[0] if isinstance(tables[0], str) else "tables")
     assert seen == {"G1", "G2", "G3", "InconsistentWeight", "ValueError", "NonTerminating",
                     "graded", "tables"}, seen
+
+
+def conflict_before_tail():
+    """Two paths to vertex 3 with multisets {1: 2} and {2: 2}, and a 1-chain
+    3 -> 4 -> 5 below it: a walk from 0 meets the conflict before it has
+    reached 4 and 5."""
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2), (3, 4, 1), (4, 5, 1)]).freeze()
+
+
+def test_top_walk_matches_reference():
+    # one walk from the top gives the maximum elements, and the grading at
+    # the maximum element, of the separate reference passes: the same codes,
+    # or the same conflict, also where the walk goes on past the conflict
+    early = conflict_before_tail()
+    cases = list(_list_pass_cases()) + [early]
+    for g in (pbw.generate((1, 1)), pbw.generate((2, 1)), synthesize(b3_gcm(), (1, 0, 0))):
+        for mutants in (deletion_mutants, redirect_mutants, duplicate_mutants, recolor_mutants):
+            cases += [mut for _, mut in mutants(g)]
+    seen = set()
+    for g in cases:
+        maxes = g.maximum_elements()
+        assert maxes == reference_maximum_elements(g), g.vertices()[:3]
+        if not maxes:
+            assert _outcome(g.weight_codes) == ("ValueError", "no maximum element")
+            seen.add("no maximum")
+            continue
+        (x0,) = maxes
+        want = _outcome(reference_wt_assign, g, x0)
+        assert _outcome(g.wt_assign, x0) == want, g.vertices()[:3]
+        if isinstance(want, tuple):
+            assert _outcome(g.weight_codes) == want
+        seen.add(want[0] if isinstance(want, tuple) else "graded")
+    assert seen == {"graded", "InconsistentWeight", "no maximum"}
+    assert early.maximum_elements() == [0]
+    with pytest.raises(InconsistentWeight) as exc:
+        early.weight_codes()
+    assert (exc.value.vertex, exc.value.first, exc.value.second) == (3, {1: 2}, {2: 2})
+
+
+def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):
+    # the maximum element and the weight grading come from one kept walk: a
+    # first check_all on a fresh frozen graph runs it once, and iso once per
+    # document
+    g = pbw.generate((2, 1))
+    walks, walk = [], graph._top_walk
+    monkeypatch.setattr(graph, "_top_walk", lambda g: walks.append(g) or walk(g))
+    assert check_all(g, b2_gcm()).passed
+    assert walks == [g]
+    paths = [str(tmp_path / f"{name}.json") for name in "ab"]
+    for path, h in zip(paths, (g, relabelled(g, 1))):
+        cli.dump_doc(graph_to_doc(h), path)
+    walks.clear()
+    assert cli.main(["iso", *paths]) == 0
+    assert len(walks) == 2 and walks[0] is not walks[1]

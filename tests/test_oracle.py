@@ -222,7 +222,7 @@ def test_battery_reports_pinned(lam, digest):
 
 
 def test_reversal_report():
-    assert oracle.verify_reversal((2, 1)).passed
+    assert oracle.verify_reversal((2, 1), pbw.generate((2, 1))).passed
 
 
 def test_report_serialization_and_rows():
@@ -252,7 +252,7 @@ def test_battery_generates_each_weight_once(monkeypatch):
     alone = [oracle.verify_lemmas(3)]
     for lam in grid + [(3, 1)]:
         alone += [oracle.verify_kakunin1(lam), oracle.verify_kakunin2(lam), oracle.verify_kakunin3(lam)]
-    alone += [oracle.verify_reversal(lam) for lam in grid]
+    alone += [oracle.verify_reversal(lam, generate(lam)) for lam in grid]
     assert [verification_dict(r) for r in reports[:-1]] == [verification_dict(r) for r in alone]
     assert verification_dict(reports[-1]) == {"claim": "vertex counts vs dimension formula [0,2]^2",
                                               "domain_size": 9, "pass": True, "counterexamples": []}
