@@ -6,8 +6,9 @@ the previous layer contributes one child candidate per color with a
 positive lowering statistic; the checker's lowering-side rules
 (axioms.RULES, found by axioms.scan on a layer's grouping), evaluated on
 sealed layers, force the last steps of their two words to coincide, and
-union-find collects those merges before anything is materialized.  Each
-class is one new vertex, and a finished layer goes into the graph with one
+the layer's classes are the connected components of those merge pairs
+over its candidates, found before anything is materialized.  Each class
+is one new vertex, and a finished layer goes into the graph with one
 add_vertices call and one add_arrows call per color.  The statistics are
 flat lists over positions: one weight code per vertex (weight_codes'
 digit layout) and per-color eps/phi.  Raising statistics come from the
@@ -38,39 +39,6 @@ from .errors import (
     SynthesisInconsistency,
 )
 from .graph import ColoredGraph, decode_weights
-
-
-class UnionFind:
-    """Minimal union-find over hashable keys; min key becomes the root so
-    runs are reproducible."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, k):
-        self.parent.setdefault(k, k)
-
-    def find(self, k):
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-        self.parent[hi] = lo
-        return lo
-
-    def classes(self):
-        groups = {}
-        for k in self.parent:
-            groups.setdefault(self.find(k), []).append(k)
-        return [sorted(groups[r]) for r in sorted(groups)]
 
 
 class _Build:
@@ -106,10 +74,12 @@ class _Build:
         return kept[i, j]
 
 
-def _collect_merges(st, k, uf, candidates):
-    """Fire every lowering-side rule whose two words end in layer k: the
-    last steps of the two words from x must reach one child."""
+def _collect_merges(st, k, candidates):
+    """The candidate pairs forced together by every lowering-side rule whose
+    two words end in layer k: the last steps of the two words from x must
+    reach one child."""
     st.groupings.pop(k - st.reach - 1, None)
+    pairs = []
     for (n, i, j), entries in st.plan.items():
         for rule, (p, q), fired, defects in scan(st.side, st.grouping(k - n, i, j), i, j, entries):
             if defects:
@@ -119,7 +89,7 @@ def _collect_merges(st, k, uf, candidates):
                 continue
             (*w1, c1), (*w2, c2) = rule.words(p, q)
             for x, e1, e2 in zip(fired, walk_all(st.g.down, fired, w1), walk_all(st.g.down, fired, w2)):
-                ends = [(e1, c1), (e2, c2)]
+                ends = (e1, c1), (e2, c2)
                 for end in ends:
                     if end[0] is None:
                         raise SynthesisInconsistency(
@@ -130,7 +100,29 @@ def _collect_merges(st, k, uf, candidates):
                             f"layer {k}: {rule.name} at {x} ({p},{q}) forces child {end} "
                             "but its statistic is 0"
                         )
-                uf.union(*ends)
+                pairs.append(ends)
+    return pairs
+
+
+def _merge_classes(candidates, pairs):
+    """The classes that the pairs join among the candidates: the connected
+    components, each sorted, in the order of their least members."""
+    linked = defaultdict(list)
+    for a, b in pairs:
+        linked[a].append(b)
+        linked[b].append(a)
+    seen, classes = set(), []
+    for c in sorted(candidates):
+        if c not in seen:
+            seen.add(c)
+            group = [c]
+            for x in group:
+                for y in linked[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        group.append(y)
+            classes.append(sorted(group))
+    return classes
 
 
 def synthesize(A, phi0, budget_vertices=10**6, check=True):
@@ -164,12 +156,7 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
         cands = [(p, i) for i in colors for p in prev if phi[i][p] > 0]
         if not cands:
             break
-        uf = UnionFind()
-        for c in cands:
-            uf.add(c)
-        _collect_merges(st, k, uf, set(cands))
-
-        classes = uf.classes()
+        classes = _merge_classes(cands, _collect_merges(st, k, set(cands)))
         n = len(classes)
         if first + n > budget_vertices:
             raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
@@ -222,13 +209,13 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
     return g
 
 
-def build_isomorphism(X, Y, gcm=None):
+def build_isomorphism(X, Y, gcm):
     """The unique color-preserving isomorphism between two certified graphs.
 
     Both inputs must have the matrix's colors and pass check_all for it
-    (CertificationFailed otherwise, the first graph tested first), list
-    their colors in one order and agree on the top statistics (PrereqFailed
-    otherwise).  Returns the map as a dict from X's ids to Y's.
+    (CertificationFailed otherwise, the first graph tested first), and
+    agree on the top statistics (PrereqFailed otherwise), in whatever order
+    each lists its colors.  Returns the map as a dict from X's ids to Y's.
     Found by one walk from the maximum elements: for each mapped vertex and
     color, both i-children are missing or both present, and the image of
     the child is the child of the image (NotIsomorphic otherwise).
@@ -236,17 +223,14 @@ def build_isomorphism(X, Y, gcm=None):
     colors, a good graph, one maximum element) or the walk fails, for the
     outcome of certifying both graphs first.
     """
-    A = gcm or X.cartan or Y.cartan
-    if A is None:
-        raise PrereqFailed("no Cartan matrix available")
-    tx = _certify("first", X, A)
-    ty = set(Y.colors) == set(A.colors) and not Y.is_good() and summit(Y)
+    tx = _certify("first", X, gcm)
+    ty = set(Y.colors) == set(gcm.colors) and not Y.is_good() and summit(Y)
     if not ty:
-        return _match(X, tx, Y, _certify("second", Y, A))
+        return _match(X, tx, Y, _certify("second", Y, gcm))
     try:
         return _match(X, tx, Y, ty)
     except (PrereqFailed, NotIsomorphic):
-        _certify("second", Y, A)
+        _certify("second", Y, gcm)
         raise
 
 
@@ -264,10 +248,9 @@ def _certify(name, g, A):
 
 def _match(X, tx, Y, ty):
     """The walk of build_isomorphism from the tops tx and ty of X and Y,
-    each a maximum element and its top statistics."""
+    each a maximum element and its top statistics; both graphs have the
+    matrix's colors, and Y is read in X's color order."""
     (x_top, x_phi), (y_top, y_phi) = tx, ty
-    if X.colors != Y.colors:
-        raise PrereqFailed("color sets differ")
     if x_phi != y_phi:
         raise PrereqFailed(f"top statistics differ: {x_phi} vs {y_phi}")
 

@@ -485,7 +485,7 @@ def verify_lemmas(n, transfer=None, transfer_inv=None):
     return rep
 
 
-def run_verification(max_hw=3, max_box=8, extra=((4, 4),), budget=10**6):
+def run_verification(*, max_hw, max_box, extra=((4, 4),), budget=10**6):
     """The whole desk-scale battery; returns the list of reports.  Each weight's
     crystal is generated once, shared by its fork, reversal and dimension suites."""
     if max_hw < 0:

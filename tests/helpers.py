@@ -23,7 +23,6 @@ from b2crystal.cartan import B2, classify_all_pairs, classify_pair
 from b2crystal.errors import (
     InconsistentWeight,
     NonTerminating,
-    PrereqFailed,
     SynthesisInconsistency,
     UnsupportedPair,
 )
@@ -654,12 +653,14 @@ def delta(steps, stat, i, j, k):
     return None if w is None else stat[j][w] - stat[j][k]
 
 
-def reference_collect_merges(st, k, uf, candidates):
-    """Fire every lowering-side axiom whose conclusion lands in layer k."""
+def reference_collect_merges(st, k, candidates):
+    """The candidate pairs forced together by every lowering-side axiom
+    whose conclusion lands in layer k."""
     A = st.A
     types = classify_all_pairs(A)
     up, down = st.g.up, st.g.down
     eps, phi = st.eps, st.phi
+    pairs = []
 
     def merge(c1, c2, reason):
         for c in (c1, c2):
@@ -667,7 +668,7 @@ def reference_collect_merges(st, k, uf, candidates):
                 raise SynthesisInconsistency(
                     f"layer {k}: {reason} forces child {c} but its statistic is 0"
                 )
-        uf.union(c1, c2)
+        pairs.append((c1, c2))
 
     # squares: one step of each color commutes when the lowering delta is flat
     for w in st.layer(k - 2):
@@ -729,16 +730,26 @@ def reference_collect_merges(st, k, uf, candidates):
             if p is None or q is None:
                 raise SynthesisInconsistency(f"layer {k}: diamond at {w} lost its prefix")
             merge((q, i), (p, j), f"diamond at {w}")
+    return pairs
 
 
-def reference_build_isomorphism(X, Y, gcm=None):
+def reference_merge_classes(candidates, pairs):
+    """builder._merge_classes by brute force: start from one class per
+    candidate and join the two classes of each pair in turn."""
+    classes = [{c} for c in candidates]
+    for a, b in pairs:
+        ca, cb = (next(s for s in classes if c in s) for c in (a, b))
+        if ca is not cb:
+            ca |= cb
+            classes.remove(cb)
+    return sorted(sorted(s) for s in classes)
+
+
+def reference_build_isomorphism(X, Y, gcm):
     """build_isomorphism by certifying both graphs with check_all, the
     first one first, and then walking."""
-    A = gcm or X.cartan or Y.cartan
-    if A is None:
-        raise PrereqFailed("no Cartan matrix available")
-    rx = builder._certify("first", X, A)
-    ry = builder._certify("second", Y, A)
+    rx = builder._certify("first", X, gcm)
+    ry = builder._certify("second", Y, gcm)
     return builder._match(X, rx, Y, ry)
 
 

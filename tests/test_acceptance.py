@@ -73,7 +73,7 @@ def test_criterion_5_synthesis_equivalence():
     for lam in product(range(5), repeat=2):
         gp = pbw.generate(lam)
         gs = builder.synthesize(A, lam)
-        iso = builder.build_isomorphism(gp, gs)
+        iso = builder.build_isomorphism(gp, gs, A)
         ep, pp = string_tables(gp)
         es, ps = string_tables(gs)
         wp = gp.wt_assign(0)

@@ -1,6 +1,8 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from b2crystal import axioms, builder, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
@@ -26,11 +28,18 @@ from helpers import (
     redirect_mutants,
     reference_build_isomorphism,
     reference_collect_merges,
+    reference_merge_classes,
     relabelled,
     renaming,
 )
 
 A = b2_gcm()
+
+# B2 [0,4]^2, B3 and C3 at three weights, and A3 (1,1,1): some of their
+# layers have merge classes of three members
+SYNTHESIS_CASES = [(A, lam) for lam in product(range(5), repeat=2)]
+SYNTHESIS_CASES += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
+SYNTHESIS_CASES.append((GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), (1, 1, 1)))
 
 
 def test_synthesize_anchors():
@@ -40,22 +49,12 @@ def test_synthesize_anchors():
     assert len(builder.synthesize(A, (0, 2))) == 14
 
 
-def test_union_find():
-    uf = builder.UnionFind()
-    for k in "abcde":
-        uf.add(k)
-    uf.union("b", "a")
-    uf.union("c", "b")
-    assert uf.find("c") == "a"
-    assert ["a", "b", "c"] in uf.classes()
-
-
 def test_synthesis_equals_generation():
     for l1 in range(4):
         for l2 in range(4):
             gp = pbw.generate((l1, l2))
             gs = builder.synthesize(A, (l1, l2))
-            iso = builder.build_isomorphism(gp, gs)
+            iso = builder.build_isomorphism(gp, gs, A)
             assert len(iso) == len(gp) == len(gs)
             # string statistics and the weight grading carry over vertexwise
             ep, pp = string_tables(gp)
@@ -71,16 +70,16 @@ def test_synthesis_equals_generation():
 
 def test_identity_isomorphism():
     g = pbw.generate((2, 1))
-    iso = builder.build_isomorphism(g, g)
+    iso = builder.build_isomorphism(g, g, A)
     assert all(iso[v] == v for v in g.vertices())
 
 
 def test_prereq_failures():
     with pytest.raises(PrereqFailed):
-        builder.build_isomorphism(pbw.generate((1, 1)), pbw.generate((3, 0)))
+        builder.build_isomorphism(pbw.generate((1, 1)), pbw.generate((3, 0)), A)
     bad = copy_mutable(pbw.generate((1, 1)), skip_edge=pbw.generate((1, 1)).edges()[4]).freeze()
     with pytest.raises(PrereqFailed):
-        builder.build_isomorphism(bad, pbw.generate((1, 1)))
+        builder.build_isomorphism(bad, pbw.generate((1, 1)), A)
     # colors other than the matrix's are refused before check_all runs
     b3 = builder.synthesize(b3_gcm(), (1, 0, 0))
     with pytest.raises(CertificationFailed, match=r"first graph has colors \(1, 2\) but the Cartan matrix has \(1, 2, 3\)"):
@@ -92,13 +91,13 @@ def test_not_isomorphic_same_profile():
     # cannot arise; instead check that a mangled target is refused loudly
     g = pbw.generate((1, 1))
     with pytest.raises(PrereqFailed, match=r"top statistics differ: \{1: 1, 2: 1\} vs \{1: 1, 2: 2\}"):
-        builder.build_isomorphism(g, pbw.generate((1, 2)))
+        builder.build_isomorphism(g, pbw.generate((1, 2)), A)
 
 
 def _outcome(build, X, Y):
-    """The map build(X, Y) returns, or the type and message it raises."""
+    """The map build(X, Y, A) returns, or the type and message it raises."""
     try:
-        return build(X, Y)
+        return build(X, Y, A)
     except (CertificationFailed, PrereqFailed, NotIsomorphic) as exc:
         return type(exc), str(exc)
 
@@ -176,7 +175,7 @@ def test_isomorphism_is_the_renaming():
     graphs += [builder.synthesize(b3_gcm(), lam) for lam in [(1, 0, 0), (0, 1, 1)]]
     for g in graphs:
         for seed in (1, 2):
-            assert builder.build_isomorphism(g, relabelled(g, seed)) == renaming(g, seed)
+            assert builder.build_isomorphism(g, relabelled(g, seed), g.cartan) == renaming(g, seed)
 
 
 def test_synthesis_deterministic():
@@ -188,22 +187,47 @@ def test_synthesis_deterministic():
 def test_synthesized_documents_pinned(monkeypatch):
     # merges read from the checker's rule table build exactly the documents,
     # string tables and weight codes that the written-out reference merges build
-    A3 = GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    cases = [(A, lam) for lam in product(range(5), repeat=2)]
-    cases += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
-    cases.append((A3, (1, 1, 1)))
-
     def build():
         out = []
-        for M, lam in cases:
+        for M, lam in SYNTHESIS_CASES:
             g = builder.synthesize(M, lam)
             out.append((graph_to_doc(g, stats=True), g.tables(), g.weight_codes()))
         return out
 
     shared = build()
     monkeypatch.setattr(builder, "_collect_merges", reference_collect_merges)
-    for (M, lam), got, want in zip(cases, shared, build()):
+    for (M, lam), got, want in zip(SYNTHESIS_CASES, shared, build()):
         assert got == want, (M, lam)
+
+
+def test_merge_classes_match_reference_on_synthesis_layers(monkeypatch):
+    layers = []
+    merge_classes = builder._merge_classes
+
+    def recorded(candidates, pairs):
+        classes = merge_classes(candidates, pairs)
+        layers.append((candidates, pairs, classes))
+        return classes
+
+    monkeypatch.setattr(builder, "_merge_classes", recorded)
+    for M, lam in SYNTHESIS_CASES:
+        builder.synthesize(M, lam, check=False)
+    assert max(len(group) for _, _, classes in layers for group in classes) == 3
+    for candidates, pairs, classes in layers:
+        assert classes == reference_merge_classes(candidates, pairs)
+
+
+_CANDIDATES = st.lists(st.tuples(st.integers(0, 20), st.integers(1, 3)), min_size=1, max_size=30, unique=True)
+
+
+@given(_CANDIDATES.flatmap(lambda cands: st.tuples(
+    st.permutations(cands), st.lists(st.tuples(st.sampled_from(cands), st.sampled_from(cands)), max_size=40))))
+@example(([(3, 1), (0, 2), (1, 1), (2, 2), (5, 1)], [((2, 2), (3, 1)), ((0, 2), (1, 1)), ((1, 1), (2, 2))]))
+@example(([(0, 1), (0, 2), (1, 1)], [((1, 1), (0, 2)), ((0, 2), (1, 1)), ((1, 1), (0, 2))]))
+def test_merge_classes_match_reference(case):
+    # chains given out of order, repeated pairs and candidates that no pair names
+    candidates, pairs = case
+    assert builder._merge_classes(candidates, pairs) == reference_merge_classes(candidates, pairs)
 
 
 def test_layer_grading_homogeneous():
@@ -238,14 +262,11 @@ def test_vertex_budget_at_the_dimension(M, lam):
 
 
 def _forced_unions(monkeypatch, layer, pairs):
-    """Let the rules merge as usual, then also union each pair of candidates at the given layer."""
+    """Let the rules merge as usual, then also merge each pair of candidates at the given layer."""
     collect = builder._collect_merges
 
-    def merging(st, k, uf, candidates):
-        collect(st, k, uf, candidates)
-        if k == layer:
-            for a, b in pairs:
-                uf.union(a, b)
+    def merging(st, k, candidates):
+        return collect(st, k, candidates) + (pairs if k == layer else [])
 
     monkeypatch.setattr(builder, "_collect_merges", merging)
 
@@ -277,7 +298,7 @@ def test_wrong_merges_refused(monkeypatch, layer, pairs, message):
 def test_missing_merges_refused(monkeypatch, M, lam, message):
     # without merges the graph grows as a tree, and some lowering statistic
     # defined through the weight goes negative
-    monkeypatch.setattr(builder, "_collect_merges", lambda st, k, uf, candidates: None)
+    monkeypatch.setattr(builder, "_collect_merges", lambda st, k, candidates: [])
     with pytest.raises(SynthesisInconsistency) as exc:
         builder.synthesize(M, lam)
     assert str(exc.value) == message

@@ -1,10 +1,11 @@
-"""Every public name in the package has a caller in the program, and so
-has every defaulted parameter.
+"""Every public name in the package has a caller in the program, and every
+defaulted parameter has a program call that passes it and one that omits it.
 
 The program is src/ and perfbench/.  A public module-level function, class
 or constant, or a public method, that only the tests reach belongs in
 tests/helpers.py, not in the package; a defaulted parameter that no program
-call passes is a setting nothing sets, and goes.
+call passes is a setting nothing sets, and goes; one that every program
+call passes has a default nothing reaches, and is required.
 """
 
 import ast
@@ -27,6 +28,15 @@ ALLOWED_PARAMETERS = {
     "verify_lemmas.transfer_inv": "the test seam that injects a broken inverse map",
 }
 
+# function.parameter -> why its default stays though every program call passes it
+ALLOWED_DEFAULTS = {
+    "GCM.__init__.index_set": "_load_gcm passes a document's index set through, None where it has none",
+    "ColoredGraph.__init__.cartan": "doc_to_graph and reverse pass a graph's matrix through, None where it has none",
+    "kashiwara_step.lam": "None is the unbounded crystal, which only the tests navigate",
+    "elem_walk.lam": "None is the unbounded crystal, which only the tests navigate",
+    "elem_delta.lam": "None is the unbounded crystal, which only the tests navigate",
+}
+
 
 # A read of a bare name cannot tell which definition of that name it
 # reaches.  So each public definition whose name another public definition,
@@ -35,9 +45,6 @@ ALLOWED_PARAMETERS = {
 SHARED = {
     "GCM.a": "cartan.classify_pair",
     "GCM.pairs": "cartan.classify_all_pairs",
-    "UnionFind.add": "builder.synthesize",
-    "UnionFind.find": "builder.UnionFind.union",
-    "UnionFind.union": "builder._collect_merges",
     "VerificationReport.add": "oracle.verify_reversal",
     "VerificationReport.passed": "cli.cmd_verify_paper",
     "CheckReport.passed": "cli.cmd_check",
@@ -164,30 +171,41 @@ def _defaulted(tree):
                     yield callee, f"{qual}.{arg.arg}", None
 
 
-def _passed(tree):
-    """(callee name, position or keyword) of each argument a call in tree
-    passes, the callee matched by its bare name; a *args or **kwargs
-    argument passes every position or every keyword ("*" / "**")."""
+def _calls(tree):
+    """(callee name, the positions and keywords it passes) of each call in
+    tree, the callee matched by its bare name; a *args or **kwargs argument
+    passes every position or every keyword ("*" / "**")."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-        for k, arg in enumerate(node.args):
-            yield callee, "*" if isinstance(arg, ast.Starred) else k
-        for kw in node.keywords:
-            yield callee, kw.arg or "**"
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ways = {"*" if isinstance(arg, ast.Starred) else k for k, arg in enumerate(node.args)}
+            yield callee, ways | {kw.arg or "**" for kw in node.keywords}
+
+
+def _program_calls():
+    """qualified parameter name -> (whether some program call passes it,
+    whether some program call omits it), for each defaulted parameter."""
+    calls = [found for tree in _trees("src", "perfbench") for found in _calls(tree)]
+    defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
+    assert len(defaulted) >= 20
+    out = {}
+    for callee, qual, k in defaulted:
+        if callee not in ALLOWED:
+            ways = {qual.rsplit(".", 1)[1], "**"} | ({k, "*"} if k is not None else set())
+            hits = [bool(ways & passed) for name, passed in calls if name == callee]
+            out[qual] = any(hits), not all(hits)
+    return out
 
 
 def test_every_defaulted_parameter_has_a_program_caller():
-    passed = {found for tree in _trees("src", "perfbench") for found in _passed(tree)}
-    defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
-    assert len(defaulted) > 20
-
-    def used(callee, qual, k):
-        ways = {qual.rsplit(".", 1)[1], "**"} | ({k, "*"} if k is not None else set())
-        return any((callee, way) in passed for way in ways)
-
-    missing = {qual for callee, qual, k in defaulted if callee not in ALLOWED and not used(callee, qual, k)}
+    missing = {qual for qual, (passed, _) in _program_calls().items() if not passed}
     assert sorted(missing - set(ALLOWED_PARAMETERS)) == []
     # each allowed parameter is still defaulted and still without a caller
     assert missing & set(ALLOWED_PARAMETERS) == set(ALLOWED_PARAMETERS)
+
+
+def test_every_default_is_reached_by_a_program_call():
+    unreached = {qual for qual, (_, omitted) in _program_calls().items() if not omitted}
+    assert sorted(unreached - set(ALLOWED_DEFAULTS)) == []
+    # each allowed default is still there and still unreached
+    assert unreached & set(ALLOWED_DEFAULTS) == set(ALLOWED_DEFAULTS)

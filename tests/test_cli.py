@@ -216,6 +216,21 @@ def test_iso_refuses_mismatched_matrices(docs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: first graph fails certification: FAIL:")
 
 
+def test_iso_accepts_a_reordered_index_set(docs, tmp_path, capsys):
+    # the same matrix over the index set listed as [2, 1] is the same
+    # crystal: iso maps it by the identity in either order
+    doc = json.load(open(docs["pbw11"]))
+    doc["index_set"], doc["cartan"] = [2, 1], [[2, -1], [-2, 2]]
+    reordered, mapping = tmp_path / "reordered.json", tmp_path / "map.json"
+    json.dump(doc, open(reordered, "w"))
+    assert main(["check", "--in", str(reordered)]) == 0
+    for pair in ((docs["pbw11"], str(reordered)), (str(reordered), docs["pbw11"])):
+        capsys.readouterr()
+        assert main(["iso", *pair, "--out", str(mapping)]) == 0
+        assert capsys.readouterr().out == "isomorphic on 16 vertices\n"
+        assert json.load(open(mapping)) == [[v, v] for v in range(16)]
+
+
 @pytest.mark.parametrize("declared, message", [
     (9999, "max 9999 is not a declared vertex"),
     (3, "error: document declares max 3, but the maximum element is 0"),

@@ -257,7 +257,7 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     g = pbw.generate((2, 1))
     s = synthesize(A, (2, 1))  # certified, so its tables are computed
     assert check_all(g, A).passed
-    build_isomorphism(g, s)
+    build_isomorphism(g, s, A)
     assert sorted(map(id, computed)) == sorted([id(g), id(s)])
     assert g.tables() is g.tables() and len(computed) == 2
 

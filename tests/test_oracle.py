@@ -203,8 +203,8 @@ def test_verify_forks_matches_reference(monkeypatch):
 
 def test_negative_bounds_raise():
     # an empty scan would report a vacuous pass
-    for call in (lambda: oracle.verify_lemmas(-3), lambda: oracle.run_verification(max_box=-3),
-                 lambda: oracle.run_verification(max_hw=-1)):
+    for call in (lambda: oracle.verify_lemmas(-3), lambda: oracle.run_verification(max_hw=3, max_box=-3),
+                 lambda: oracle.run_verification(max_hw=-1, max_box=8)):
         with pytest.raises(ValueError, match="must be nonnegative"):
             call()
     assert oracle.verify_lemmas(0).domain_size == 1
