@@ -34,10 +34,14 @@ strings and integral floats included, but a boolean or a number with a
 fractional part is an input error (exit 2), not truncated.  A file that
 does not hold a JSON object, and an index_set, cartan, cartan row, vertices
 or edges field that is not an array, are input errors too (exit 2), named
-by file or field; a null or empty cartan means the document has none.
+by file or field, and so is a missing index_set, vertices or edges field,
+a vertex or edge entry without one of its integer fields, and a custom
+matrix file without cartan; a null, empty or missing cartan means the
+document has none.
 The loader reads the vertex and edge arrays whole into the graph's
 position lists, the vertices sorted by id.  Documents are written as
-compact one-line JSON.
+compact one-line JSON; `gen` formats that text itself (graph_to_json),
+building no dict tree and running no generic encoder.
 """
 
 import argparse
@@ -45,7 +49,7 @@ import functools
 import json
 import os
 import sys
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 
 from . import __version__
@@ -65,22 +69,16 @@ EXIT_BUDGET = 3
 
 # -- document format ----------------------------------------------------------
 
-def graph_to_doc(g, stats=False):
-    """Serialize a graph.  With stats, also each vertex's wt/eps/phi, read from
-    the graph's weight_codes and its string tables."""
+def graph_to_doc(g):
+    """Serialize a graph as a dict tree: ids, PBW labels, edges and the
+    maximum element.  It serves the benchmark's set-up, which permutes and
+    writes such trees, and the tests, which edit them into mutant and
+    malformed documents; `gen` writes graph_to_json's text instead."""
     vertices = [{"id": v} for v in g.ids]
     for entry, label in zip(vertices, g.labels):
         if isinstance(label, PbwElement):
             entry["a"], entry["x"] = list(label.a), list(label.x)
     maxes = g.maximum_elements()
-    if stats:
-        codes, (eps, phi) = g.weight_codes(), g.tables()
-        order = sorted(g.colors)
-        keys = list(map(str, order))
-        wts = {c: {str(i): wt[i] for i in order if i in wt}
-               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
-        for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
-            entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
     doc = {
         "index_set": list(g.colors),
         "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None,
@@ -92,17 +90,59 @@ def graph_to_doc(g, stats=False):
     return doc
 
 
+def graph_to_json(g, stats=False):
+    """The graph's document as compact one-line JSON text, without its
+    final newline.  With stats, each vertex also carries its wt/eps/phi,
+    read from the graph's weight_codes and its string tables; their keys
+    follow the sorted colors, while index_set keeps the graph's order.
+
+    The text is formatted directly, one %-format per vertex and per edge
+    from templates built once per document, and is byte for byte what
+    json.dumps writes for the same document as a dict tree.  PBW labels
+    carry four coordinates a side, as PbwElement's Nat4 does."""
+    head = json.dumps({"index_set": list(g.colors),
+                       "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None}, separators=(",", ":"))
+    maxes = g.maximum_elements()
+    tail, rows = "}", repeat(())
+    if stats:
+        codes, (eps, phi) = g.weight_codes(), g.tables()
+        order = sorted(g.colors)
+        fields = ",".join('"%d":%%d' % i for i in order)
+        tail = ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
+        wts = {c: json.dumps({str(i): wt[i] for i in order if i in wt}, separators=(",", ":"))
+               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
+        rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
+    plain = '{"id":%d' + tail
+    labelled = '{"id":%d,"a":[%d,%d,%d,%d],"x":[%d,%d,%d,%d]' + tail
+    vertices = ",".join([labelled % (v, *label.a, *label.x, *row) if isinstance(label, PbwElement)
+                         else plain % (v, *row) for v, label, row in zip(g.ids, g.labels, rows)])
+    edges = ",".join(map('{"from":%d,"to":%d,"color":%d}'.__mod__, g.edges()))
+    top = ',"max":%d' % maxes[0] if maxes else ""
+    return f'{head[:-1]},"vertices":[{vertices}],"edges":[{edges}]{top}}}'
+
+
 _EDGE_FIELDS = ("from", "to", "color")
 
 
+def _field(doc, key, owner="document"):
+    """doc[key]; a missing key is refused by name, not with its KeyError."""
+    if key not in doc:
+        raise ValueError(f'{owner} has no "{key}" field')
+    return doc[key]
+
+
 def _fields(entries, key, kind):
-    """entry[key] for each entry; an entry that is not an object is refused
-    by name, not with the TypeError of indexing it."""
+    """entry[key] for each entry; an entry that is not an object, or that
+    lacks the key, is refused by name, not with the TypeError or KeyError of
+    indexing it."""
     try:
         return list(map(itemgetter(key), entries))
     except TypeError:
         bad = next(e for e in entries if not isinstance(e, dict))
         raise ValueError(f"{kind} entry {bad!r} is not an object") from None
+    except KeyError:
+        bad = next(e for e in entries if key not in e)
+        raise ValueError(f"{kind} entry {bad!r} has no '{key}'") from None
 
 
 def doc_to_graph(doc):
@@ -111,22 +151,22 @@ def doc_to_graph(doc):
     The vertices are loaded in increasing id order, whatever their order in
     the document, and without labels.  Arrows are loaded without the degree
     guard so that deliberately broken documents can still be checked.
-    Input errors (ValueError, or the KeyError/TypeError of a missing or
-    malformed field) are looked for one kind at a time, each naming its
-    first vertex or edge in document order: integer fields, duplicate ids,
-    undeclared endpoints, colors outside index_set, and an undeclared "max".
+    Input errors (ValueError) are looked for one kind at a time, each naming
+    its field, or its first vertex or edge in document order: missing and
+    integer fields, duplicate ids, undeclared endpoints, colors outside
+    index_set, and an undeclared "max".
     """
-    colors = integers(array(doc["index_set"], "index_set"), lambda k: "index_set entry")
+    colors = integers(array(_field(doc, "index_set"), "index_set"), lambda k: "index_set entry")
     rows = doc.get("cartan")
     g = ColoredGraph(colors, cartan=GCM(rows, index_set=colors) if rows not in (None, []) else None)
-    vertices = array(doc["vertices"], "vertices")
+    vertices = array(_field(doc, "vertices"), "vertices")
     ids = integers(_fields(vertices, "id", "vertex"), lambda k: f"vertex {vertices[k]}: id")
     if len(set(ids)) < len(ids):
         seen = set()
         vid = next(v for v in ids if v in seen or seen.add(v))
         raise ValueError(f"vertex {vid} already present")
     g.add_vertices(sorted(ids))
-    edges = array(doc["edges"], "edges")
+    edges = array(_field(doc, "edges"), "edges")
     srcs, dsts, cols = (integers(_fields(edges, f, "edge"), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)
     s_pos, d_pos = g.positions(srcs), g.positions(dsts)
@@ -148,9 +188,11 @@ def doc_to_graph(doc):
 
 
 def dump_doc(doc, path):
-    """Write doc as one compact JSON line.  Documents are trees of dicts and
-    lists built fresh by graph_to_doc, with no reference cycle, so the
-    encoder's circular-reference scan is skipped; the bytes are the same."""
+    """Write doc as one compact JSON line.  It serves the benchmark's set-up
+    and the tests, which write the trees graph_to_doc builds, edited or not;
+    `gen` writes graph_to_json's text instead.  Such trees are built fresh,
+    with no reference cycle, so the encoder's circular-reference scan is
+    skipped; the bytes are the same."""
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, separators=(",", ":"), check_circular=False))
         fh.write("\n")
@@ -192,11 +234,12 @@ def _load_gcm(name):
     if name in _GCMS:
         return _GCMS[name]()
     if name.startswith("custom:"):
-        spec = load_doc(name[len("custom:"):])
+        path = name[len("custom:"):]
+        spec = load_doc(path)
         colors = spec.get("index_set")  # None takes the default 1..n
         if colors is not None:
             colors = integers(array(colors, "index_set"), lambda k: "index_set entry")
-        return GCM(spec["cartan"], index_set=colors)
+        return GCM(_field(spec, "cartan", path), index_set=colors)
     raise ValueError(f"unknown matrix {name!r} (use b2, b3 or custom:<path>)")
 
 
@@ -240,12 +283,14 @@ def cmd_gen(args):
             print("error: the pbw method exists only for the b2 matrix", file=sys.stderr)
             return EXIT_INPUT
         g = generate(tuple(hw), budget=_budget())
-        doc = graph_to_doc(g)
+        text = graph_to_json(g)
     else:
         g = synthesize(A, hw, budget_vertices=_budget())
-        doc = graph_to_doc(g, stats=True)
-    dump_doc(doc, args.out)
-    print(f"wrote {args.out}: {len(g)} vertices, {len(doc['edges'])} edges")
+        text = graph_to_json(g, stats=True)
+    with open(args.out, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
+    print(f"wrote {args.out}: {len(g)} vertices, {sum(len(s) for s, _ in g.arrows.values())} edges")
     return EXIT_PASS
 
 

@@ -1,6 +1,6 @@
-"""Hand-built fixture graphs, mutation helpers, and the reference graph
-passes, axiom checker, synthesis merges and verification scans shared by
-the tests."""
+"""Hand-built fixture graphs, mutation helpers, and the reference document
+builder, graph passes, axiom checker, synthesis merges and verification
+scans shared by the tests."""
 
 import random
 from functools import partial
@@ -19,19 +19,25 @@ from b2crystal.oracle import (
     corollary_delta_2_1,
 )
 from b2crystal.axioms import CheckReport, Violation
-from b2crystal.cartan import B2, classify_all_pairs, classify_pair
+from b2crystal.cartan import B2, GCM, b2_gcm, b3_gcm, classify_all_pairs, classify_pair
 from b2crystal.errors import (
     InconsistentWeight,
     NonTerminating,
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, GraphViolation
-from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES
+from b2crystal.graph import ColoredGraph, GraphViolation, decode_weights
+from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES, PbwElement
 
 # The rank-3 symplectic matrix: the other orientation of cartan.B3_MATRIX_ROWS
 # (swap -1/-2 in the lower right block), where (1,0,0) gives 6 vertices.
 C3_MATRIX_ROWS = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+
+# B2 [0,4]^2, B3 and C3 at three weights, and A3 (1,1,1): some of their
+# layers have merge classes of three members
+SYNTHESIS_CASES = [(b2_gcm(), lam) for lam in product(range(5), repeat=2)]
+SYNTHESIS_CASES += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
+SYNTHESIS_CASES.append((GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), (1, 1, 1)))
 
 # Coordinates at and past the limits of 64-bit integers (2**63 + 2**63 is
 # 2**64), where fixed-width arithmetic would wrap around or overflow.
@@ -165,6 +171,36 @@ def reference_load(doc, cartan=None):
         s, d = g.positions([e["from"], e["to"]])
         g.add_arrows(e["color"], [s], [d])
     return g.freeze()
+
+
+def reference_graph_to_doc(g, stats=False):
+    """A graph's document as a dict tree, the way the CLI built it before
+    `gen` formatted its text directly: json.dumps of this tree with compact
+    separators is the reference for cli.graph_to_json.  With stats, also
+    each vertex's wt/eps/phi, read from the graph's weight_codes and its
+    string tables."""
+    vertices = [{"id": v} for v in g.ids]
+    for entry, label in zip(vertices, g.labels):
+        if isinstance(label, PbwElement):
+            entry["a"], entry["x"] = list(label.a), list(label.x)
+    maxes = g.maximum_elements()
+    if stats:
+        codes, (eps, phi) = g.weight_codes(), g.tables()
+        order = sorted(g.colors)
+        keys = list(map(str, order))
+        wts = {c: {str(i): wt[i] for i in order if i in wt}
+               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
+        for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
+            entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
+    doc = {
+        "index_set": list(g.colors),
+        "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None,
+        "vertices": vertices,
+        "edges": [{"from": s, "to": d, "color": c} for s, d, c in g.edges()],
+    }
+    if maxes:
+        doc["max"] = maxes[0]
+    return doc
 
 
 # -- reference graph passes ------------------------------------------------------

@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from b2crystal import axioms, builder, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
-from b2crystal.cli import graph_to_doc
+from b2crystal.cli import graph_to_json
 from b2crystal.errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -19,6 +20,7 @@ from b2crystal.graph import ColoredGraph, string_tables
 from b2crystal.oracle import weyl_dim_general
 from helpers import (
     C3_MATRIX_ROWS,
+    SYNTHESIS_CASES,
     build_graph,
     copy_mutable,
     deletion_mutants,
@@ -28,18 +30,13 @@ from helpers import (
     redirect_mutants,
     reference_build_isomorphism,
     reference_collect_merges,
+    reference_graph_to_doc,
     reference_merge_classes,
     relabelled,
     renaming,
 )
 
 A = b2_gcm()
-
-# B2 [0,4]^2, B3 and C3 at three weights, and A3 (1,1,1): some of their
-# layers have merge classes of three members
-SYNTHESIS_CASES = [(A, lam) for lam in product(range(5), repeat=2)]
-SYNTHESIS_CASES += [(M, lam) for M in (b3_gcm(), GCM(C3_MATRIX_ROWS)) for lam in ((1, 0, 0), (0, 0, 1), (1, 1, 1))]
-SYNTHESIS_CASES.append((GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), (1, 1, 1)))
 
 
 def test_synthesize_anchors():
@@ -191,7 +188,7 @@ def test_synthesized_documents_pinned(monkeypatch):
         out = []
         for M, lam in SYNTHESIS_CASES:
             g = builder.synthesize(M, lam)
-            out.append((graph_to_doc(g, stats=True), g.tables(), g.weight_codes()))
+            out.append((reference_graph_to_doc(g, stats=True), g.tables(), g.weight_codes()))
         return out
 
     shared = build()
@@ -244,7 +241,7 @@ def test_synthesized_stats_match_strings():
         g = builder.synthesize(M, lam)
         eps, phi = string_tables(g)
         grading = g.wt_assign(g.maximum_elements()[0])
-        doc = graph_to_doc(g, stats=True)
+        doc = json.loads(graph_to_json(g, True))
         assert [entry["id"] for entry in doc["vertices"]] == g.ids == list(range(len(g)))
         for v, entry in enumerate(doc["vertices"]):
             assert entry["wt"] == {str(i): t for i, t in grading[v][0].items()}

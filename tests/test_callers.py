@@ -5,7 +5,9 @@ The program is src/ and perfbench/.  A public module-level function, class
 or constant, or a public method, that only the tests reach belongs in
 tests/helpers.py, not in the package; a defaulted parameter that no program
 call passes is a setting nothing sets, and goes; one that every program
-call passes has a default nothing reaches, and is required.
+call passes has a default nothing reaches, and is required.  A public name
+that only perfbench/ reaches is listed in BENCHMARK_ONLY, so that what
+leaves src/ with the next change to the benchmark is known.
 """
 
 import ast
@@ -18,6 +20,20 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "check_confluence": "acceptance criterion 9: the bounded confluence search, "
                         "run by the tests only to show the axioms imply it",
+}
+
+# qualified name -> why it stays though only perfbench/ reaches it
+BENCHMARK_ONLY = {
+    "ColoredGraph.wt_assign": "perfbench/tracing.py spans it and perfbench/stages.py times it; "
+                              "the program reads weight_codes",
+    "verify_kakunin1": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
+    "verify_kakunin2": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
+    "verify_kakunin3": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
+    "classify_all_pairs": "perfbench/tracing.py counts it; no program path calls it",
+    "graph_to_doc": "the benchmark's set-up builds and permutes its dict documents with it, and "
+                    "perfbench/tracing.py spans it; gen writes graph_to_json's text",
+    "dump_doc": "the benchmark's set-up writes its dict documents with it, and perfbench/tracing.py "
+                "spans it; gen writes graph_to_json's text",
 }
 
 # function.parameter -> why it stays without a program caller that passes it
@@ -44,7 +60,7 @@ ALLOWED_DEFAULTS = {
 # calls it (module.function or module.Class.method).
 SHARED = {
     "GCM.a": "cartan.classify_pair",
-    "GCM.pairs": "cartan.classify_all_pairs",
+    "GCM.pairs": "cli.cmd_iso",
     "VerificationReport.add": "oracle.verify_reversal",
     "VerificationReport.passed": "cli.cmd_verify_paper",
     "CheckReport.passed": "cli.cmd_check",
@@ -102,6 +118,16 @@ def test_every_public_name_has_a_program_caller():
     assert sorted(qual for qual, name in public if name not in used and name not in ALLOWED) == []
     # each allowed name is public and still without a caller
     assert {name for _, name in public if name in ALLOWED and name not in used} == set(ALLOWED)
+
+
+def test_benchmark_only_names_are_listed():
+    # a public name that only perfbench/ reaches is listed; a listed name
+    # that gains a caller in src/, or leaves the package or the benchmark,
+    # is no longer benchmark-only and leaves the list
+    src = {name for tree in _trees("src") for name in _references(tree)}
+    bench = {name for tree in _trees("perfbench") for name in _references(tree)}
+    public = [found for tree in _trees("src/b2crystal") for found in _public(tree)]
+    assert sorted(qual for qual, name in public if name in bench - src) == sorted(BENCHMARK_ONLY)
 
 
 def _shared(trees):

@@ -6,16 +6,27 @@ from itertools import product
 import pytest
 
 from b2crystal import axioms, builder, cli, pbw
-from b2crystal.cartan import B3_MATRIX_ROWS, b2_gcm
+from b2crystal.cartan import B3_MATRIX_ROWS, GCM, b2_gcm
 from b2crystal.cli import (
     doc_to_graph,
     dump_doc,
     graph_to_doc,
     graph_to_dot,
+    graph_to_json,
     load_doc,
     main,
 )
-from helpers import C3_MATRIX_ROWS, reference_check_all, reference_load, relabelled, renaming
+from b2crystal.pbw import PbwElement
+from helpers import (
+    C3_MATRIX_ROWS,
+    SYNTHESIS_CASES,
+    build_graph,
+    reference_check_all,
+    reference_graph_to_doc,
+    reference_load,
+    relabelled,
+    renaming,
+)
 
 
 @pytest.fixture
@@ -580,11 +591,52 @@ def test_duplicate_ids_name_the_first_repeat(docs, tmp_path, capsys):
     assert capsys.readouterr().err == "input error: ValueError('vertex 3 already present')\n"
 
 
+def _writer_cases():
+    """(graph, stats) pairs that the direct writer must write as the
+    reference tree's json.dumps text: generated and synthesized documents,
+    colors listed out of order, a loaded mutant with no matrix and no
+    maximum element, and integers past 64 bits."""
+    for lam in ((0, 0), (2, 1), (4, 4)):
+        yield pbw.generate(lam), False
+    for M, lam in SYNTHESIS_CASES:
+        yield builder.synthesize(M, lam), True
+    yield builder.synthesize(GCM([[2, -1], [-2, 2]], index_set=[2, 1]), (2, 1)), True
+    yield builder.synthesize(GCM(B3_MATRIX_ROWS, index_set=[5, 0, 3]), (1, 0, 1)), True
+    doc = graph_to_doc(pbw.generate((1, 1)))
+    mutant = doc_to_graph({**doc, "cartan": None, "edges": doc["edges"][1:]})
+    assert mutant.cartan is None and mutant.maximum_elements() == []
+    yield mutant, False
+    big = PbwElement((2**70, 0, 1, 2**64), (3, 2**70, 0, 5))
+    yield build_graph([1, 2], [7, 10**20], [(7, 10**20, 2)], labels=[big, None], cartan=b2_gcm()).freeze(), False
+
+
+def test_writer_matches_reference():
+    # gen's direct formatting writes exactly the text of json.dumps on the
+    # dict tree it replaced, key order, separators and big integers included
+    for g, stats in _writer_cases():
+        text = graph_to_json(g, stats)
+        assert text == json.dumps(reference_graph_to_doc(g, stats), separators=(",", ":")), (g.colors, len(g))
+        if g.colors == (5, 0, 3):
+            doc = json.loads(text)
+            assert doc["index_set"] == [5, 0, 3] and list(doc["vertices"][0]["eps"]) == ["0", "3", "5"]
+
+
+@pytest.mark.parametrize("method", ["pbw", "axioms"])
+def test_gen_counts_the_edges_it_writes(tmp_path, capsys, method):
+    # the printed count is read off the graph, not off a written document
+    out = tmp_path / "g.json"
+    capsys.readouterr()
+    assert main(["gen", "--hw", "3,2", "--method", method, "--out", str(out)]) == 0
+    doc = load_doc(out)
+    assert capsys.readouterr().out == f"wrote {out}: {len(doc['vertices'])} vertices, {len(doc['edges'])} edges\n"
+    assert len(doc["edges"]) > 0
+
+
 def test_dump_load_roundtrip(tmp_path):
     syn = builder.synthesize(b2_gcm(), (2, 1))
     cases = {
         "pbw": graph_to_doc(pbw.generate((2, 1))),
-        "axioms": graph_to_doc(syn, stats=True),
+        "axioms": reference_graph_to_doc(syn, stats=True),
     }
     for name, doc in cases.items():
         path = tmp_path / f"{name}.json"
@@ -601,8 +653,9 @@ def _malformed_inputs(doc):
     """(file contents, the commands that read the file, text the error must
     hold): every non-object file; every field that must be an array replaced
     by a string, an object and a number, in a document and in a custom matrix
-    file; entries that are not objects, integer fields that hold an array or
-    an object, and --hw entries that are not integers."""
+    file; missing fields and entries without an integer field; entries that
+    are not objects, integer fields that hold an array or an object, and
+    --hw entries that are not integers."""
     commands = (["check", "--in", "{f}"], ["iso", "{f}", "{f}"],
                 ["export-dot", "--in", "{f}", "--out", "{out}"],
                 ["gen", "--gcm", "custom:{f}", "--hw", "1,1", "--method", "axioms", "--out", "{out}"])
@@ -617,7 +670,13 @@ def _malformed_inputs(doc):
             yield {**spec, field: value}, commands[3:], f"{field} is not an array"
         yield {**spec, "cartan": [[2, -1], value]}, commands[3:], "cartan row 2 is not an array"
     edge = {**doc["edges"][0], "from": {}}
-    for edit, message in ((("vertices", [1, 2]), "vertex entry 1 is not an object"),
+    nameless, headless = {"idx": 1}, {k: v for k, v in doc["edges"][0].items() if k != "to"}
+    for field in ("index_set", "vertices", "edges"):
+        yield {k: v for k, v in doc.items() if k != field}, commands[:3], f'document has no "{field}" field'
+    yield {k: v for k, v in spec.items() if k != "cartan"}, commands[3:], '{f} has no "cartan" field'
+    for edit, message in ((("vertices", [{"id": 0}, nameless]), f"vertex entry {nameless!r} has no 'id'"),
+                          (("edges", doc["edges"][:1] + [headless]), f"edge entry {headless!r} has no 'to'"),
+                          (("vertices", [1, 2]), "vertex entry 1 is not an object"),
                           (("vertices", ["ab"]), "vertex entry 'ab' is not an object"),
                           (("edges", [3]), "edge entry 3 is not an object"),
                           (("edges", [edge] + doc["edges"][1:]), f"edge {edge}: from {{}} is not an integer"),
