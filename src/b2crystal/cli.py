@@ -70,24 +70,9 @@ EXIT_BUDGET = 3
 # -- document format ----------------------------------------------------------
 
 def graph_to_doc(g):
-    """Serialize a graph as a dict tree: ids, PBW labels, edges and the
-    maximum element.  It serves the benchmark's set-up, which permutes and
-    writes such trees, and the tests, which edit them into mutant and
-    malformed documents; `gen` writes graph_to_json's text instead."""
-    vertices = [{"id": v} for v in g.ids]
-    for entry, label in zip(vertices, g.labels):
-        if isinstance(label, PbwElement):
-            entry["a"], entry["x"] = list(label.a), list(label.x)
-    maxes = g.maximum_elements()
-    doc = {
-        "index_set": list(g.colors),
-        "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None,
-        "vertices": vertices,
-        "edges": [{"from": s, "to": d, "color": c} for s, d, c in g.edges()],
-    }
-    if maxes:
-        doc["max"] = maxes[0]
-    return doc
+    """graph_to_json's document as a dict tree, for the benchmark's set-up
+    and the tests, which permute and edit it into other documents."""
+    return json.loads(graph_to_json(g))
 
 
 def graph_to_json(g, stats=False):
@@ -127,7 +112,7 @@ _EDGE_FIELDS = ("from", "to", "color")
 def _field(doc, key, owner="document"):
     """doc[key]; a missing key is refused by name, not with its KeyError."""
     if key not in doc:
-        raise ValueError(f'{owner} has no "{key}" field')
+        raise ValueError(f"{owner} has no {key} field")
     return doc[key]
 
 
@@ -142,7 +127,7 @@ def _fields(entries, key, kind):
         raise ValueError(f"{kind} entry {bad!r} is not an object") from None
     except KeyError:
         bad = next(e for e in entries if key not in e)
-        raise ValueError(f"{kind} entry {bad!r} has no '{key}'") from None
+        raise ValueError(f"{kind} entry {bad!r} has no {key} field") from None
 
 
 def doc_to_graph(doc):
@@ -193,8 +178,13 @@ def dump_doc(doc, path):
     `gen` writes graph_to_json's text instead.  Such trees are built fresh,
     with no reference cycle, so the encoder's circular-reference scan is
     skipped; the bytes are the same."""
+    _write_line(json.dumps(doc, separators=(",", ":"), check_circular=False), path)
+
+
+def _write_line(text, path):
+    """Write a document's one-line text and its final newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":"), check_circular=False))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -287,9 +277,7 @@ def cmd_gen(args):
     else:
         g = synthesize(A, hw, budget_vertices=_budget())
         text = graph_to_json(g, stats=True)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    _write_line(text, args.out)
     print(f"wrote {args.out}: {len(g)} vertices, {sum(len(s) for s, _ in g.arrows.values())} edges")
     return EXIT_PASS
 

@@ -616,6 +616,8 @@ def test_writer_matches_reference():
     for g, stats in _writer_cases():
         text = graph_to_json(g, stats)
         assert text == json.dumps(reference_graph_to_doc(g, stats), separators=(",", ":")), (g.colors, len(g))
+        if not stats:
+            assert graph_to_doc(g) == reference_graph_to_doc(g)
         if g.colors == (5, 0, 3):
             doc = json.loads(text)
             assert doc["index_set"] == [5, 0, 3] and list(doc["vertices"][0]["eps"]) == ["0", "3", "5"]
@@ -672,10 +674,10 @@ def _malformed_inputs(doc):
     edge = {**doc["edges"][0], "from": {}}
     nameless, headless = {"idx": 1}, {k: v for k, v in doc["edges"][0].items() if k != "to"}
     for field in ("index_set", "vertices", "edges"):
-        yield {k: v for k, v in doc.items() if k != field}, commands[:3], f'document has no "{field}" field'
-    yield {k: v for k, v in spec.items() if k != "cartan"}, commands[3:], '{f} has no "cartan" field'
-    for edit, message in ((("vertices", [{"id": 0}, nameless]), f"vertex entry {nameless!r} has no 'id'"),
-                          (("edges", doc["edges"][:1] + [headless]), f"edge entry {headless!r} has no 'to'"),
+        yield {k: v for k, v in doc.items() if k != field}, commands[:3], f"document has no {field} field"
+    yield {k: v for k, v in spec.items() if k != "cartan"}, commands[3:], "{f} has no cartan field"
+    for edit, message in ((("vertices", [{"id": 0}, nameless]), f"vertex entry {nameless!r} has no id field"),
+                          (("edges", doc["edges"][:1] + [headless]), f"edge entry {headless!r} has no to field"),
                           (("vertices", [1, 2]), "vertex entry 1 is not an object"),
                           (("vertices", ["ab"]), "vertex entry 'ab' is not an object"),
                           (("edges", [3]), "edge entry 3 is not an object"),

@@ -1,11 +1,10 @@
 import hashlib
-import json
 from itertools import chain, product
 
 import pytest
 
 from b2crystal import kernel, oracle, pbw
-from b2crystal.cli import graph_to_doc
+from b2crystal.cli import graph_to_json
 from b2crystal.errors import BudgetExceeded, DuplicateEdge, HypothesisNotMet, MembershipViolation
 from b2crystal.oracle import weyl_dim_b2
 from helpers import (
@@ -167,7 +166,7 @@ def test_generate_deterministic_ids():
 ], ids=["0,0", "2,1", "4,4"])
 def test_generate_document_pinned(lam, digest):
     # ids in BFS order, labels and arrow order, as the compact document pins them
-    text = json.dumps(graph_to_doc(pbw.generate(lam)), separators=(",", ":"))
+    text = graph_to_json(pbw.generate(lam))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
