@@ -25,7 +25,6 @@ PHI0 (top statistics mismatch) and CONFLUENCE (bounded search failure).
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cartan import B2, classify_pair
@@ -34,8 +33,7 @@ from .errors import InconsistentWeight, UnsupportedPair
 DEFAULT_CONFLUENCE_DEPTH = 7
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     pair: Optional[tuple]
     witness: Optional[int]
@@ -412,12 +410,12 @@ def _meets_within(g, colors, x, i, j, s_max):
 
 # -- the aggregate check -----------------------------------------------------
 
-@dataclass
 class CheckReport:
-    violations: list = field(default_factory=list)
-    max_element: Optional[int] = None
-    phi0: Optional[dict] = None
-    n_vertices: int = 0
+    def __init__(self, n_vertices):
+        self.violations = []
+        self.max_element = None
+        self.phi0 = None
+        self.n_vertices = n_vertices
 
     @property
     def passed(self):

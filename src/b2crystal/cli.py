@@ -1,10 +1,12 @@
 """Command-line surface and the JSON / DOT file formats.
 
 Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
-2 input error (bad flags, malformed files, failed preconditions),
-3 budget exceeded.  The vertex budget, the CRYSTAL_BUDGET environment
-variable, bounds the crystals `gen` and `verify-paper` build, the lemma
-box of `verify-paper`, and the documents `check`, `iso` and `export-dot` read.
+2 input error (bad flags, malformed files, failed preconditions), 3 budget
+exceeded.  An input error prints `input error: <Type>: <message>` on stderr,
+and names a file that is missing, not UTF-8 or not JSON by its path.  The
+vertex budget, the CRYSTAL_BUDGET environment variable, bounds the crystals
+`gen` and `verify-paper` build, the lemma box of `verify-paper`, and the
+documents `check`, `iso` and `export-dot` read.
 `iso` certifies both documents under one matrix (two that declare different
 ones over one index set are an input error): the first with check_all, the
 second by the isomorphism walk, and with check_all too only where the walk
@@ -189,12 +191,14 @@ def _write_line(text, path):
 
 
 def load_doc(path):
-    """The JSON object in the file at path; any other JSON value is refused."""
+    """The JSON object in the file at path; anything else is refused by path."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object")
     return doc
@@ -396,8 +400,8 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"input error: {exc!r}", file=sys.stderr)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

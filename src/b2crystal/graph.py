@@ -20,15 +20,14 @@ codes), groupings.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import is_, lt
+from typing import NamedTuple
 
 from .errors import InconsistentWeight, NonTerminating
 
 
-@dataclass(frozen=True)
-class GraphViolation:
+class GraphViolation(NamedTuple):
     rule: str  # G1, G2 or G3
     witness: int
     detail: str

@@ -11,7 +11,6 @@ The fork classes form one table, FORKS, and verify_forks serves all three
 fork suites with one pass over each crystal.
 """
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
 from typing import Callable, NamedTuple, Optional
@@ -23,11 +22,11 @@ from .cartan import b2_gcm
 from .errors import BudgetExceeded, HypothesisNotMet, NotIsomorphic, PrereqFailed
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    domain_size: int = 0
-    counterexamples: list = field(default_factory=list)
+    def __init__(self, claim, domain_size):
+        self.claim = claim
+        self.domain_size = domain_size
+        self.counterexamples = []
 
     @property
     def passed(self):

@@ -40,6 +40,17 @@ def df_phi(g, phi, i, j, k):
     return None if w is None else phi[j][w] - phi[j][k]
 
 
+def test_violation_is_an_immutable_value():
+    # a violation is a value: immutable, compared and hashed by its fields,
+    # and printed as the frozen dataclass it replaced printed it
+    v = axioms.Violation("S2", (1, 2), 3, "x")
+    with pytest.raises(AttributeError):
+        v.witness = 4
+    twin = axioms.Violation("S2", (1, 2), 3, "x")
+    assert v == twin and hash(v) == hash(twin) and v != axioms.Violation("S2", (1, 2), 3, "y")
+    assert repr(v) == "Violation(axiom='S2', pair=(1, 2), witness=3, detail='x')"
+
+
 def test_generated_crystals_pass_everything():
     for l1 in range(5):
         for l2 in range(5):

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,8 @@ from helpers import (
     relabelled,
     renaming,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -151,6 +157,35 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert str(doc) in err and "nested too deeply" in err
     assert "Traceback" not in out + err and "RecursionError" not in out + err
+
+
+@pytest.mark.parametrize("contents, reason", [
+    (b'{"index_set":[1,2],"cartan"', "Expecting ':' delimiter"),
+    (b"\xff\xfe", "can't decode byte 0xff"),
+])
+def test_unreadable_json_names_the_file(docs, tmp_path, capsys, contents, reason):
+    # a truncated file and one that is not UTF-8 are refused by path, in
+    # either position of iso
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(contents)
+    for argv in (["check", "--in", bad], ["iso", bad, docs["pbw11"]], ["iso", docs["pbw11"], bad]):
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith(f"input error: ValueError: {bad}: ") and reason in err and out == "", (argv, err)
+
+
+def test_missing_files_are_named(docs, tmp_path, capsys):
+    # an input error prints its type and message, and a missing file's
+    # message holds its path
+    missing, out_path = tmp_path / "missing.json", tmp_path / "nodir" / "g.json"
+    for argv, path in ((["check", "--in", missing], missing), (["iso", missing, docs["pbw11"]], missing),
+                       (["iso", docs["pbw11"], missing], missing),
+                       (["gen", "--hw", "1,1", "--out", out_path], out_path)):
+        capsys.readouterr()
+        assert main(list(map(str, argv))) == 2, argv
+        out, err = capsys.readouterr()
+        assert err.startswith("input error: FileNotFoundError: ") and repr(str(path)) in err and out == "", (argv, err)
 
 
 def test_iso_cross_construction(docs, tmp_path):
@@ -588,7 +623,7 @@ def test_duplicate_ids_name_the_first_repeat(docs, tmp_path, capsys):
     dump_doc({**doc, "vertices": [{"id": v} for v in (3, 1, 3, 1)], "edges": []}, path)
     capsys.readouterr()
     assert main(["check", "--in", str(path)]) == 2
-    assert capsys.readouterr().err == "input error: ValueError('vertex 3 already present')\n"
+    assert capsys.readouterr().err == "input error: ValueError: vertex 3 already present\n"
 
 
 def _writer_cases():
@@ -746,3 +781,13 @@ def test_repeated_calls_give_the_first_results(docs, tmp_path, capsys):
     assert (args.max_hw, args.max_box) == (3, 8)
     capsys.readouterr()
     assert results() == first
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # each command is a fresh process that imports the package first; the
+    # package loads neither module, nor what inspect pulls in.  A fresh
+    # interpreter, since this one has imported both already.
+    probe = "import sys, b2crystal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

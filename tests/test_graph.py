@@ -68,6 +68,14 @@ def delta(g, direction, stat, i, j, v):
     return string_stats(g, w)[k][j] - string_stats(g, v)[k][j]
 
 
+def test_graph_violation_is_an_immutable_value():
+    v = graph.GraphViolation("G1", 3, "2 outgoing 1-arrows")
+    with pytest.raises(AttributeError):
+        v.rule = "G2"
+    twin = graph.GraphViolation("G1", 3, "2 outgoing 1-arrows")
+    assert v == twin and hash(v) == hash(twin) and v != graph.GraphViolation("G1", 4, "2 outgoing 1-arrows")
+
+
 def test_string_stats_isolated_and_chain():
     g = build_graph((1, 2), 1)
     eps, phi = string_stats(g, 0)

@@ -232,6 +232,16 @@ def test_report_serialization_and_rows():
     assert "pass" in rep.row()
 
 
+def test_report_keeps_fifty_notes():
+    # add caps the notes so a broken map does not flood verify-paper's output
+    rep = oracle.VerificationReport("a claim", 7)
+    assert rep.passed and rep.row() == f"{'a claim':<44} {7:>8}  pass"
+    for k in range(60):
+        rep.add(f"note {k}")
+    assert rep.counterexamples == [f"note {k}" for k in range(50)]
+    assert not rep.passed and rep.row() == f"{'a claim':<44} {7:>8}  FAIL(50)"
+
+
 def test_run_verification_battery():
     reports = oracle.run_verification(max_hw=1, max_box=3, extra=())
     assert reports and all(r.passed for r in reports)
