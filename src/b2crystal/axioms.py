@@ -9,7 +9,7 @@ so the checker is meaningful on arbitrary graphs.  The batteries read the
 graph's per-color position lists and its string tables, and report
 witnesses as vertex ids.  Each side (raising, lowering) of each color pair
 is read in one pass over positions, grouping them by their two deltas;
-a frozen graph keeps that grouping, and every rule on the pair reads it.
+the graph keeps that grouping, and every rule on the pair reads it.
 
 Every rule is a row of one table, decided on a grouping by scan(): the
 lowering-side rules (square, octagon, the pentagon's two hypotheses, the
@@ -334,7 +334,7 @@ def _assert(side, hits, out):
 def _battery(g, A, raised, lowered):
     """Assert the rules of raised through the raising side and those of
     lowered through the lowering side, on every color pair {i, j} (i first
-    in g's color order) by its grouping, which a frozen g keeps per side."""
+    in g's color order) by its grouping, which g keeps per side."""
     eps, phi = g.tables()
     sides = ((raising(g, eps, phi), raised), (lowering(g, eps, phi), lowered))
     out = []

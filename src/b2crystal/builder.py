@@ -128,14 +128,13 @@ def _merge_classes(candidates, pairs):
 def synthesize(A, phi0, budget_vertices=10**6, check=True):
     """Build the unique axiom-satisfying graph with the given top statistics.
 
-    phi0 maps colors to nonnegative integers (a sequence in index order is
-    also accepted).  The result is frozen, labeled with nothing, and has
-    passed check_all unless check=False.
+    phi0 is a sequence of nonnegative integers in index order, one per
+    color.  The result is labeled with nothing, and has passed check_all
+    unless check=False.
     """
-    if not isinstance(phi0, dict):
-        phi0 = dict(zip(A.colors, phi0))
-    if set(phi0) != set(A.colors):
-        raise ValueError("phi0 must assign every color")
+    if len(phi0) != len(A.colors):
+        raise ValueError(f"phi0 has {len(phi0)} entries for {len(A.colors)} colors")
+    phi0 = dict(zip(A.colors, phi0))
     if any(v < 0 for v in phi0.values()):
         raise ValueError("top statistics must be nonnegative")
 
@@ -145,8 +144,8 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
     colors, eps, phi = A.colors, st.eps, st.phi
     # a weight of layer k counts at most k steps of any color, and k is
     # below the vertex count, so with this base no digit of its code carries
-    base, m = budget_vertices + 1, len(colors)
-    inc = {i: base**m + base**c for c, i in enumerate(colors)}
+    base = budget_vertices + 1
+    inc = {i: base**c for c, i in enumerate(colors)}
     codes = [0]
     k = 0
     while True:
@@ -177,7 +176,7 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
                 if wts is None and codes[q] + inc[j] != code:
                     wts = decode_weights([code, codes[q] + inc[j]], base, colors)
                     errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
-                                         f"{wts[code][0]} vs {wts[codes[q] + inc[j]][0]}"))
+                                         f"{wts[code]} vs {wts[codes[q] + inc[j]]}"))
         st.g.add_vertices(range(first, first + n))
         for t, c in enumerate(colors, 1):
             mask = [q is not None for q in up[c]]
@@ -193,7 +192,7 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
             raise SynthesisInconsistency(min(errors)[2])
         st.layers.append(range(first, first + n))
 
-    g = st.g.freeze()
+    g = st.g
     if check:
         report = check_all(g, A, expected_phi0=phi0)
         if not report.passed:

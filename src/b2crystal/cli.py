@@ -97,7 +97,7 @@ def graph_to_json(g, stats=False):
         fields = ",".join('"%d":%%d' % i for i in order)
         tail = ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
         wts = {c: json.dumps({str(i): wt[i] for i in order if i in wt}, separators=(",", ":"))
-               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
+               for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
         rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
     plain = '{"id":%d' + tail
     labelled = '{"id":%d,"a":[%d,%d,%d,%d],"x":[%d,%d,%d,%d]' + tail
@@ -133,7 +133,7 @@ def _fields(entries, key, kind):
 
 
 def doc_to_graph(doc):
-    """Rebuild a frozen graph from a document, preserving ids.
+    """Rebuild a graph from a document, preserving ids.
 
     The vertices are loaded in increasing id order, whatever their order in
     the document, and without labels.  Arrows are loaded without the degree
@@ -152,11 +152,13 @@ def doc_to_graph(doc):
         seen = set()
         vid = next(v for v in ids if v in seen or seen.add(v))
         raise ValueError(f"vertex {vid} already present")
-    g.add_vertices(sorted(ids))
+    ids = sorted(ids)
+    g.add_vertices(ids)
+    pos = dict(zip(ids, range(len(ids))))  # id -> position
     edges = array(_field(doc, "edges"), "edges")
     srcs, dsts, cols = (integers(_fields(edges, f, "edge"), lambda k, f=f: f"edge {edges[k]}: {f}")
                         for f in _EDGE_FIELDS)
-    s_pos, d_pos = g.positions(srcs), g.positions(dsts)
+    s_pos, d_pos = list(map(pos.get, srcs)), list(map(pos.get, dsts))
     if None in s_pos or None in d_pos:
         k = min(p.index(None) for p in (s_pos, d_pos) if None in p)
         s, d = srcs[k], dsts[k]
@@ -169,9 +171,9 @@ def doc_to_graph(doc):
         mask = list(map(i.__eq__, cols))
         g.add_arrows(i, compress(s_pos, mask), compress(d_pos, mask))
     declared = doc.get("max")
-    if declared is not None and g.positions(integers([declared], lambda k: "max")) == [None]:
+    if declared is not None and integers([declared], lambda k: "max")[0] not in pos:
         raise ValueError(f"max {declared} is not a declared vertex")
-    return g.freeze()
+    return g
 
 
 def dump_doc(doc, path):

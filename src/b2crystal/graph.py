@@ -8,15 +8,14 @@ them, arrows[i] keeps every recorded i-arrow, duplicates included, as two
 position lists (sources, targets); the goodness check reads those.
 Vertices arrive in bulk with increasing ids (add_vertices), so positions
 follow the ids and a scan over positions visits vertices in id order; ids
-are read only where they enter or leave: add_vertices, positions,
-vertices/edges, and the reports built from the passes below.
+are read only where they enter or leave: add_vertices, vertices/edges, and
+the reports built from the passes below.
 
 The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions.
-Graphs are built mutably, then frozen; a frozen graph keeps what it derives
-once computed: string tables, the top walk (maximum element and weight
-codes), groupings.
+A graph keeps what it derives once computed (string tables, the top walk
+with its maximum element and weight codes, groupings) until its next edit.
 """
 
 from collections import Counter
@@ -44,44 +43,33 @@ class ColoredGraph:
         self.up = {i: [] for i in self.colors}
         self.down = {i: [] for i in self.colors}
         self.arrows = {i: ([], []) for i in self.colors}
-        self._pos = {}  # id -> position
-        self._frozen = False
         self._kept = {}
 
     # -- construction ------------------------------------------------------
 
-    def _check_mutable(self):
-        if self._frozen:
-            raise RuntimeError("graph is frozen")
-
     def add_vertices(self, ids, labels=None):
         """Append vertices, labels[k] labelling ids[k]; the ids must increase,
         past the last id already present."""
-        self._check_mutable()
         ids = list(ids)
-        n0, n = len(self.ids), len(ids)
+        n = len(ids)
         last = self.ids[-1:] + ids
         if not all(map(lt, last, islice(last, 1, None))):
             k = next(k for k in range(1, len(last)) if last[k] <= last[k - 1])
             raise ValueError(f"vertex ids must increase: {last[k]} after {last[k - 1]}")
-        self._pos.update(zip(ids, range(n0, n0 + n)))
+        self._kept.clear()
         self.ids.extend(ids)
         self.labels.extend([None] * n if labels is None else labels)
         for i in self.colors:
             self.up[i].extend([None] * n)
             self.down[i].extend([None] * n)
 
-    def positions(self, ids):
-        """The position of each id, None for an id that is not a vertex."""
-        return list(map(self._pos.get, ids))
-
     def add_arrows(self, color, sources, targets):
         """Record the arrows sources[k] -> targets[k] of one color, given as
         positions, without a degree guard: navigation keeps the first arrow
         per (vertex, color), and is_good sees every recorded arrow."""
-        self._check_mutable()
         if color not in self.arrows:
             raise ValueError(f"unknown color {color}")
+        self._kept.clear()
         sources, targets = list(sources), list(targets)
         srcs, dsts = self.arrows[color]
         srcs.extend(sources)
@@ -92,10 +80,6 @@ class ColoredGraph:
                 down[s] = d
             if up[d] is None:
                 up[d] = s
-
-    def freeze(self):
-        self._frozen = True
-        return self
 
     # -- basic queries -----------------------------------------------------
 
@@ -117,16 +101,14 @@ class ColoredGraph:
     # -- derived data --------------------------------------------------------
 
     def keep(self, key, compute):
-        """compute(self); a frozen graph computes it once and keeps it under
-        key, so callers share one read-only copy."""
-        if not self._frozen:
-            return compute(self)
+        """compute(self), computed once and kept under key until the next
+        add_vertices or add_arrows, so callers share one read-only copy."""
         if key not in self._kept:
             self._kept[key] = compute(self)
         return self._kept[key]
 
     def tables(self):
-        """string_tables(self), kept once the graph is frozen."""
+        """string_tables(self), kept until the next edit."""
         return self.keep("tables", string_tables)
 
     # -- structure checks --------------------------------------------------
@@ -167,12 +149,12 @@ class ColoredGraph:
         return [] if top is None else [self.ids[top[0]]]
 
     def weight_codes(self):
-        """The BFS weight/distance grading from the maximum element, one
-        integer per position: with base n + 1, the count of the c-th color
-        is its base**c digit and the distance its base**len(colors) digit.
-        The top walk's conflict, an arrow with WT(dst) != WT(src) + color
-        (the practical detection of a failed homogeneous local confluence),
-        is InconsistentWeight on every call; ValueError without a maximum."""
+        """The BFS weight grading from the maximum element, one integer per
+        position: with base n + 1, the count of the c-th color is its base**c
+        digit.  The top walk's conflict, an arrow with WT(dst) != WT(src) +
+        color (the practical detection of a failed homogeneous local
+        confluence), is InconsistentWeight on every call; ValueError without
+        a maximum."""
         top = self.keep("top", _top_walk)
         if top is None:
             raise ValueError("no maximum element")
@@ -182,36 +164,33 @@ class ColoredGraph:
 
     def wt_assign(self, x0):
         """weight_codes() decoded from the maximum element x0: {vertex: (color
-        multiset dict, dist)}.  It stays only because the benchmark reaches it
-        (perfbench/tracing.py spans it, perfbench/stages.py times it); it
-        leaves when they time weight_codes instead (ROADMAP item 7)."""
+        multiset dict, dist)}, dist being the multiset's total.  It stays
+        only because the benchmark reaches it (perfbench/tracing.py spans
+        it, perfbench/stages.py times it); it leaves when they time
+        weight_codes instead (ROADMAP item 7)."""
         if self.maximum_elements() != [x0]:
             raise ValueError(f"{x0} is not the maximum element")
         code = self.weight_codes()
         weights = decode_weights(code, len(self) + 1, self.colors)
-        return {v: (dict(weights[c][0]), weights[c][1]) for v, c in zip(self.ids, code)}
+        return {v: (dict(weights[c]), sum(weights[c].values())) for v, c in zip(self.ids, code)}
 
     def reverse(self):
         """New graph with every arrow reversed; colors and labels kept."""
         rev = ColoredGraph(self.colors, cartan=self.cartan)
         rev.ids, rev.labels = list(self.ids), list(self.labels)
-        rev._pos = dict(self._pos)
         for i in self.colors:
             rev.up[i], rev.down[i] = list(self.down[i]), list(self.up[i])
             srcs, dsts = self.arrows[i]
             rev.arrows[i] = (list(dsts), list(srcs))
-        if self._frozen:
-            rev.freeze()
         return rev
 
 
 def decode_weights(codes, base, colors):
     """Each distinct weight code, in weight_codes' digit layout with the
-    given base, decoded: {code: (color multiset dict, dist)}, the multiset
-    keyed in color order without its zero counts."""
-    m = len(colors)
-    digits = {c: [c // base**k % base for k in range(m + 1)] for c in set(codes)}
-    return {c: ({i: t for i, t in zip(colors, d) if t}, d[m]) for c, d in digits.items()}
+    given base, decoded: {code: color multiset dict}, keyed in color order
+    without its zero counts."""
+    digits = {c: [c // base**k % base for k in range(len(colors))] for c in set(codes)}
+    return {c: {i: t for i, t in zip(colors, d) if t} for c, d in digits.items()}
 
 
 def _top_walk(g):
@@ -227,8 +206,8 @@ def _top_walk(g):
     (k0,) = sources
     # every count is at most the distance, which is below n + 1, so no
     # digit carries
-    base, m = n + 1, len(colors)
-    steps = [(i, g.down[i], base**m + base**c) for c, i in enumerate(colors)]
+    base = n + 1
+    steps = [(i, g.down[i], base**c) for c, i in enumerate(colors)]
     code = [None] * n
     code[k0] = 0
     parent = [None] * n

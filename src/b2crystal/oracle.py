@@ -95,10 +95,11 @@ def positive_roots(A):
 def weyl_dim_general(A, lam):
     """Weyl dimension product over the positive-root closure.
 
-    lam maps colors to pairings (sequence in index order also accepted).
+    lam is a sequence of pairings in index order, one per color.
     """
-    if not isinstance(lam, dict):
-        lam = dict(zip(A.colors, lam))
+    if len(lam) != len(A.colors):
+        raise ValueError(f"lam has {len(lam)} entries for {len(A.colors)} colors")
+    lam = dict(zip(A.colors, lam))
     num = den = 1
     for _, coroot in positive_roots(A):
         num *= sum(d * (lam[c] + 1) for d, c in zip(coroot, A.colors))
@@ -316,7 +317,7 @@ def verify_kakunin3(lam):
 
 
 def verify_reversal(lam, g):
-    """Arrow reversal of the frozen crystal g = generate(lam) is again a
+    """Arrow reversal of the crystal g = generate(lam) is again a
     certified crystal, isomorphic to g with raising and lowering swapped."""
     rep = VerificationReport(f"arrow-reversal involution at {lam}", domain_size=weyl_dim_b2(*lam))
     try:

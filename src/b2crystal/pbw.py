@@ -157,4 +157,4 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
             d = next(d for d in dsts if dsts.count(d) > 1)
             raise DuplicateEdge(f"vertex {d} already has an incoming {i}-arrow")
         g.add_arrows(i, srcs, dsts)
-    return g.freeze()
+    return g

@@ -3,6 +3,7 @@ builder, graph passes, axiom checker, synthesis merges and verification
 scans shared by the tests."""
 
 import random
+from bisect import bisect_left
 from functools import partial
 from itertools import product
 from typing import NamedTuple, Tuple
@@ -45,7 +46,7 @@ LARGE_BOX = list(product((0, 1, 2**62, 2**62 + 1, 2**63), repeat=4))
 
 
 def build_graph(colors, ids, edges=(), labels=None, cartan=None):
-    """Unfrozen graph on the vertex ids (an int n meaning 0..n-1, or ids in
+    """Graph on the vertex ids (an int n meaning 0..n-1, or ids in
     any order, labels[k] labelling ids[k]) with the (src, dst, color)
     arrows, loaded through add_vertices in increasing id order and one
     add_arrows call per color, arrows in the given order."""
@@ -56,20 +57,26 @@ def build_graph(colors, ids, edges=(), labels=None, cartan=None):
     edges = list(edges)
     for i in dict.fromkeys(c for _, _, c in edges):
         mine = [(s, d) for s, d, c in edges if c == i]
-        g.add_arrows(i, g.positions(s for s, _ in mine), g.positions(d for _, d in mine))
+        g.add_arrows(i, [position(g, s) for s, _ in mine], [position(g, d) for _, d in mine])
     return g
+
+
+def position(g, v):
+    """The position of vertex v in g, None if v is not a vertex."""
+    k = bisect_left(g.ids, v)
+    return k if k < len(g.ids) and g.ids[k] == v else None
 
 
 def f_step(g, i, v):
     """Id of the target of the i-arrow out of vertex v, or None."""
-    (k,) = g.positions([v])
+    k = position(g, v)
     w = None if k is None else g.down[i][k]
     return None if w is None else g.ids[w]
 
 
 def e_step(g, i, v):
     """Id of the source of the i-arrow into vertex v, or None."""
-    (k,) = g.positions([v])
+    k = position(g, v)
     w = None if k is None else g.up[i][k]
     return None if w is None else g.ids[w]
 
@@ -86,14 +93,14 @@ def a2_crystal_2_0():
     Shape: a 1-string of length two into a square that closes, then a
     trailing 2-arrow; exercises the commuting-square axiom.
     """
-    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 2), (1, 3, 1), (2, 4, 1), (3, 4, 2), (4, 5, 2)]).freeze()
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 2), (1, 3, 1), (2, 4, 1), (3, 4, 2), (4, 5, 2)])
 
 
 def a2_crystal_1_1():
     """Eight-element simply-laced crystal with top statistics (1,1);
     its bottom vertex exercises the length-4 confluence."""
     return build_graph((1, 2), 8, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1),
-                                   (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2)]).freeze()
+                                   (3, 5, 2), (4, 6, 1), (5, 7, 1), (6, 7, 2)])
 
 
 def bad_confluence_graph():
@@ -108,11 +115,11 @@ def bad_confluence_graph():
         (0, 3, 2),  # x0 -> b
         (3, 4, 2),  # b  -> c
         (4, 2, 1),  # c  -> z
-    ]).freeze()
+    ])
 
 
 def copy_mutable(g, skip_edge=None, extra_edges=()):
-    """Unfrozen copy of g, optionally leaving out every copy of one
+    """Copy of g, optionally leaving out every copy of one
     (src, dst, color) arrow and recording extra_edges after the rest; an
     endpoint of extra_edges that g lacks becomes a new unlabelled vertex."""
     edges = [e for e in recorded_edges(g) if e != skip_edge] + list(extra_edges)
@@ -123,20 +130,20 @@ def copy_mutable(g, skip_edge=None, extra_edges=()):
 def deletion_mutants(g):
     """Every graph obtained from g by dropping one arrow."""
     for edge in g.edges():
-        yield edge, copy_mutable(g, skip_edge=edge).freeze()
+        yield edge, copy_mutable(g, skip_edge=edge)
 
 
 def redirect_mutants(g):
     """Every graph obtained by rerouting one arrow to a fresh vertex."""
     for edge in g.edges():
         s, d, c = edge
-        yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, g.ids[-1] + 1, c)]).freeze()
+        yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, g.ids[-1] + 1, c)])
 
 
 def duplicate_mutants(g):
     """Every graph obtained by recording one arrow twice (G1 and G2)."""
     for edge in g.edges():
-        yield edge, copy_mutable(g, extra_edges=[edge]).freeze()
+        yield edge, copy_mutable(g, extra_edges=[edge])
 
 
 def recolor_mutants(g):
@@ -145,7 +152,7 @@ def recolor_mutants(g):
         s, d, c = edge
         for other in g.colors:
             if other != c:
-                yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, d, other)]).freeze()
+                yield edge, copy_mutable(g, skip_edge=edge, extra_edges=[(s, d, other)])
 
 
 def renaming(g, seed):
@@ -160,7 +167,7 @@ def relabelled(g, seed):
     """Copy of g with each vertex v renamed renaming(g, seed)[v]."""
     name = renaming(g, seed)
     return build_graph(g.colors, map(name.get, g.ids), [(name[s], name[d], c) for s, d, c in g.edges()],
-                       labels=g.labels, cartan=g.cartan).freeze()
+                       labels=g.labels, cartan=g.cartan)
 
 
 def reference_load(doc, cartan=None):
@@ -168,9 +175,8 @@ def reference_load(doc, cartan=None):
     sorted by id, then each arrow recorded on its own, in document order."""
     g = build_graph(doc["index_set"], [v["id"] for v in doc["vertices"]], cartan=cartan)
     for e in doc["edges"]:
-        s, d = g.positions([e["from"], e["to"]])
-        g.add_arrows(e["color"], [s], [d])
-    return g.freeze()
+        g.add_arrows(e["color"], [position(g, e["from"])], [position(g, e["to"])])
+    return g
 
 
 def reference_graph_to_doc(g, stats=False):
@@ -189,7 +195,7 @@ def reference_graph_to_doc(g, stats=False):
         order = sorted(g.colors)
         keys = list(map(str, order))
         wts = {c: {str(i): wt[i] for i in order if i in wt}
-               for c, (wt, _) in decode_weights(codes, len(g) + 1, g.colors).items()}
+               for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
         for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
             entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
     doc = {

@@ -74,7 +74,7 @@ def test_identity_isomorphism():
 def test_prereq_failures():
     with pytest.raises(PrereqFailed):
         builder.build_isomorphism(pbw.generate((1, 1)), pbw.generate((3, 0)), A)
-    bad = copy_mutable(pbw.generate((1, 1)), skip_edge=pbw.generate((1, 1)).edges()[4]).freeze()
+    bad = copy_mutable(pbw.generate((1, 1)), skip_edge=pbw.generate((1, 1)).edges()[4])
     with pytest.raises(PrereqFailed):
         builder.build_isomorphism(bad, pbw.generate((1, 1)), A)
     # colors other than the matrix's are refused before check_all runs
@@ -120,7 +120,7 @@ def test_walk_certification_matches_certifying_both():
 
 def _rebuilt(g, edges, extra=0):
     """g's vertices plus `extra` new ones, joined by the given arrows."""
-    return build_graph(g.colors, len(g) + extra, edges, cartan=g.cartan).freeze()
+    return build_graph(g.colors, len(g) + extra, edges, cartan=g.cartan)
 
 
 def _refusals(g, top, mut):
@@ -368,5 +368,9 @@ def test_budgets():
 def test_bad_phi0_rejected():
     with pytest.raises(ValueError):
         builder.synthesize(A, (-1, 0))
-    with pytest.raises(ValueError):
-        builder.synthesize(A, {1: 1})
+    # a weight with too few or too many entries is refused, not cut or padded
+    for lam in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match=f"phi0 has {len(lam)} entries for 2 colors"):
+            builder.synthesize(A, lam)
+        with pytest.raises(ValueError, match=f"lam has {len(lam)} entries for 2 colors"):
+            weyl_dim_general(A, lam)

@@ -18,6 +18,7 @@ from helpers import (
     f_step,
     build_graph,
     pairing_of_root_count,
+    position,
     recolor_mutants,
     redirect_mutants,
     reference_is_good,
@@ -37,26 +38,17 @@ def test_add_vertices_requires_increasing_ids():
             g.add_vertices(ids)
     assert g.ids == [2, 5] and g.labels == [None, None] and g.up[1] == [None, None]
     g.add_vertices([6, 8], labels=["p", "q"])
-    assert (g.ids, g.labels, g.positions([8, 7])) == ([2, 5, 6, 8], [None, None, "p", "q"], [3, None])
+    assert (g.ids, g.labels, position(g, 8), position(g, 7)) == ([2, 5, 6, 8], [None, None, "p", "q"], 3, None)
     g.add_arrows(1, [0], [3])
     with pytest.raises(ValueError, match="unknown color 3"):
         g.add_arrows(3, [0], [1])
     assert (f_step(g, 1, 2), e_step(g, 1, 8), f_step(g, 2, 2)) == (8, 2, None)
 
 
-def test_frozen_graph_rejects_mutation():
-    g = build_graph((1, 2), 2).freeze()
-    with pytest.raises(RuntimeError):
-        g.add_vertices([2])
-    with pytest.raises(RuntimeError):
-        g.add_arrows(1, [0], [1])
-    assert (len(g), g.edges()) == (2, [])
-
-
 def string_stats(g, v):
     """Per-color (eps, phi) vectors at vertex v, read from the tables."""
     eps, phi = g.tables()
-    (k,) = g.positions([v])
+    k = position(g, v)
     return {i: eps[i][k] for i in g.colors}, {i: phi[i][k] for i in g.colors}
 
 
@@ -153,7 +145,7 @@ def test_is_good_reports_all():
     # navigation keeps the first recorded arrow, also in a graph whose
     # vertices were given out of id order
     assert (f_step(g, 1, 0), e_step(g, 1, 2)) == (2, 0)
-    h = build_graph((1,), (3, 2, 1, 0), edges).freeze()
+    h = build_graph((1,), (3, 2, 1, 0), edges)
     assert (f_step(h, 1, 0), e_step(h, 1, 2), h.is_good()) == (2, 0, g.is_good())
     assert pbw.generate((2, 2)).is_good() == []
 
@@ -207,20 +199,24 @@ def test_maximum_elements_matches_per_source_definition(monkeypatch):
     fixtures += [mut for _, mut in deletion_mutants(pbw.generate((1, 1)))]
     # many sources feeding one long chain: no maximum element
     fan = build_graph((1, 2), 69, [(k, k + 1, 1) for k in range(39)] + [(39 + k, k, 2) for k in range(1, 30)])
-    fixtures.append(fan.freeze())
+    fixtures.append(fan)
     # a 40-chain with a single source: its head is the maximum
     lone = build_graph((1,), 40, [(v, v + 1, 1) for v in range(39)])
-    fixtures.append(lone.freeze())
+    fixtures.append(lone)
     for g in fixtures:
         assert g.maximum_elements() == _maximum_elements_per_source(g)
         assert g.maximum_elements() == _maximum_elements_per_source(g)
     assert fan.maximum_elements() == [] and lone.maximum_elements() == [0]
-    # a frozen graph finds its maximum elements once, an unfrozen one per call
+    # a graph finds its maximum elements once, and again after each edit
     assert len(computed) == len(fixtures)
     computed.clear()
     m = copy_mutable(pbw.generate((1, 1)))
     assert m.maximum_elements() == m.maximum_elements() == [0]
-    assert computed == [m, m]
+    m.add_vertices([16])  # a second source
+    assert m.maximum_elements() == m.maximum_elements() == []
+    m.add_arrows(2, [16], [0])  # now the sole source
+    assert m.maximum_elements() == m.maximum_elements() == [16]
+    assert computed == [m, m, m]
 
 
 def test_frozen_graph_keeps_string_tables():
@@ -230,9 +226,9 @@ def test_frozen_graph_keeps_string_tables():
 
     m = build_graph((1,), 2)
     first = m.tables()
-    assert first == string_tables(m) and m.tables() is not first
-    m.add_arrows(1, [0], [1])  # an unfrozen graph's tables follow its edits
-    assert m.tables() == string_tables(m) == ({1: [0, 1]}, {1: [1, 0]})
+    assert first == string_tables(m) and m.tables() is first
+    m.add_arrows(1, [0], [1])  # the tables are kept until the next edit
+    assert m.tables() is not first and m.tables() == string_tables(m) == ({1: [0, 1]}, {1: [1, 0]})
 
 
 def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
@@ -240,8 +236,7 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     r = relabelled(pbw.generate((2, 1)), seed=5)
     eps, phi = r.tables()
     ref_eps, ref_phi = reference_string_tables(r)
-    assert r.ids == r.vertices() and r.ids[0] >= 1000
-    assert r.positions(r.ids) == list(range(len(r))) and r.positions([0]) == [None]
+    assert r.ids == r.vertices() == sorted(r.ids) and r.ids[0] >= 1000
     for k, v in enumerate(r.ids):
         for i in r.colors:
             assert vid(r, r.up[i][k]) == e_step(r, i, v)
@@ -269,7 +264,7 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     assert sorted(map(id, computed)) == sorted([id(g), id(s)])
     assert g.tables() is g.tables() and len(computed) == 2
 
-    # the first check of a frozen graph builds one grouping per side and
+    # the first check of a graph builds one grouping per side and
     # color pair, shared by S4-S5 and S6-S9, and one pair of tables; a second
     # check builds neither.  The B3 graph is loaded, since synthesize has
     # already checked its own result.
@@ -289,21 +284,25 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
         computed.clear()
         assert check_all(f, f.cartan).passed
         assert groupings == [] and computed == []
-    # an unfrozen graph keeps nothing, and checks the same
+    # a graph built by edits keeps its own tables until its next edit
     m = copy_mutable(g)
-    assert check_all(m, A).passed
-    assert m.tables() is not m.tables()
+    computed.clear()
+    assert check_all(m, A).passed and m.tables() is m.tables() and computed == [m]
+    m.add_vertices([m.ids[-1] + 1])
+    assert m.tables() is m.tables() and computed == [m, m]
 
 
 def test_frozen_graph_keeps_weight_codes(monkeypatch, tmp_path):
-    # a frozen graph walks from its top once, so gen --method axioms runs
-    # one weight BFS for both its certification and the document's wt; the
-    # kept conflict is raised on every call, and an unfrozen graph keeps
-    # nothing
+    # a graph walks from its top once until its next edit, so gen --method
+    # axioms runs one weight BFS for both its certification and the
+    # document's wt; the kept conflict is raised on every call
     g = pbw.generate((2, 1))
     assert g.weight_codes() is g.weight_codes()
     m = copy_mutable(g)
-    assert m.weight_codes() == g.weight_codes() and m.weight_codes() is not m.weight_codes()
+    assert m.weight_codes() == g.weight_codes() and m.weight_codes() is m.weight_codes()
+    m.add_vertices([len(g)])  # a second source: no maximum element
+    with pytest.raises(ValueError, match="no maximum element"):
+        m.weight_codes()
     bad = bad_confluence_graph()
     for _ in range(2):
         with pytest.raises(InconsistentWeight):
@@ -313,6 +312,23 @@ def test_frozen_graph_keeps_weight_codes(monkeypatch, tmp_path):
     monkeypatch.setattr(graph, "_top_walk", lambda g: walks.append(g) or walk(g))
     assert cli.main(["gen", "--hw", "4,4", "--method", "axioms", "--out", str(tmp_path / "g.json")]) == 0
     assert len(walks) == 1
+
+
+def test_kept_data_follows_edits():
+    # check_all fills the tables, the top walk and the groupings; after each
+    # edit, every read equals that of the same graph built fresh
+    A = b2_gcm()
+    g = pbw.generate((2, 1))
+    n = len(g)
+    assert check_all(g, A).passed
+    for edit in (lambda: g.add_vertices([n]),  # a second source
+                 lambda: g.add_arrows(1, [n - 1], [n])):  # the lowest vertex's 1-child
+        edit()
+        fresh = copy_mutable(g)
+        for read in (ColoredGraph.tables, ColoredGraph.maximum_elements, ColoredGraph.weight_codes,
+                     lambda h: check_all(h, A).to_dict()):
+            assert _outcome(read, g) == _outcome(read, fresh)
+    assert g.maximum_elements() == [0] and not check_all(g, A).passed
 
 
 def vid(g, k):
@@ -391,19 +407,19 @@ def test_k1_identity_on_generated():
 def chain_into_cycle():
     """A 1-chain 0 -> 1 entering the 1-cycle 1 -> 2 -> 3 -> 1, a 2-cycle
     4 <-> 5 that nothing enters, and a 2-arrow from the chain to it."""
-    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 4, 2), (0, 4, 2)]).freeze()
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 2), (5, 4, 2), (0, 4, 2)])
 
 
 def recolored(g):
     """g with its two colors exchanged, so that paths use color 2 first."""
-    return build_graph(g.colors, g.ids, [(s, d, 3 - c) for s, d, c in g.edges()]).freeze()
+    return build_graph(g.colors, g.ids, [(s, d, 3 - c) for s, d, c in g.edges()])
 
 
 def with_loose_loop(g):
     """g plus a vertex whose only arrow is a 2-loop: it is no source, and
     nothing reaches it."""
     v = g.ids[-1] + 1
-    return copy_mutable(g, extra_edges=[(v, v, 2)]).freeze()
+    return copy_mutable(g, extra_edges=[(v, v, 2)])
 
 
 def fork_mutants(g):
@@ -411,7 +427,7 @@ def fork_mutants(g):
     to the vertex after its target."""
     ids = g.vertices()
     for s, d, c in g.edges():
-        yield copy_mutable(g, extra_edges=[(s, ids[(ids.index(d) + 1) % len(ids)], c)]).freeze()
+        yield copy_mutable(g, extra_edges=[(s, ids[(ids.index(d) + 1) % len(ids)], c)])
 
 
 def _list_pass_cases():
@@ -480,7 +496,7 @@ def conflict_before_tail():
     """Two paths to vertex 3 with multisets {1: 2} and {2: 2}, and a 1-chain
     3 -> 4 -> 5 below it: a walk from 0 meets the conflict before it has
     reached 4 and 5."""
-    return build_graph((1, 2), 6, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2), (3, 4, 1), (4, 5, 1)]).freeze()
+    return build_graph((1, 2), 6, [(0, 1, 1), (1, 3, 1), (0, 2, 2), (2, 3, 2), (3, 4, 1), (4, 5, 1)])
 
 
 def test_top_walk_matches_reference():
@@ -515,7 +531,7 @@ def test_top_walk_matches_reference():
 
 def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):
     # the maximum element and the weight grading come from one kept walk: a
-    # first check_all on a fresh frozen graph runs it once, and iso once per
+    # first check_all on a fresh graph runs it once, and iso once per
     # document
     g = pbw.generate((2, 1))
     walks, walk = [], graph._top_walk
