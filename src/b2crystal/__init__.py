@@ -5,7 +5,7 @@ Submodules:
   graph    colored directed graphs, string statistics, weight grading
   kernel   the two transition maps between the PBW coordinate systems
   pbw      dual PBW coordinates, Kashiwara operators, crystal generation
-  axioms   the local axiom checker and bounded confluence search
+  axioms   the local axiom checker
   builder  synthesis from a highest weight; isomorphism by one walk from the top
   oracle   brute-force verification suites and dimension oracles
   cli      command-line interface and the JSON/DOT file formats

@@ -19,8 +19,8 @@ the diamond read through the raising side.  The checker asserts them all.
 Violation tags: S1 (goodness, with the G-rule in the detail), S2, S3,
 A_MINUS/B_MINUS (under S4), A_PLUS/B_PLUS (under S5), S6..S9 reported via
 their innermost sub-condition D_MINUS/D_PLUS/C1_PLUS/P1_MINUS/Q1_MINUS/
-R_MINUS, plus MAX (maximum element count), WT (weight grading conflict),
-PHI0 (top statistics mismatch) and CONFLUENCE (bounded search failure).
+R_MINUS, plus MAX (maximum element count), WT (weight grading conflict)
+and PHI0 (top statistics mismatch).
 """
 
 from bisect import bisect_left
@@ -29,8 +29,6 @@ from typing import NamedTuple, Optional
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
-
-DEFAULT_CONFLUENCE_DEPTH = 7
 
 
 class Violation(NamedTuple):
@@ -356,56 +354,6 @@ def check_s4_s5(g, A):
 def check_s6_s9(g, A):
     """S6 .. S9: the doubly-laced battery, per oriented pair of that type."""
     return _battery(g, A, (RAISED_DIAMOND,), DOUBLY_LACED)
-
-
-# -- bounded homogeneous local confluence ------------------------------------
-
-def check_confluence(g, s_max=DEFAULT_CONFLUENCE_DEPTH):
-    """Search for equal-multiset raising paths joining every two-parent fork.
-
-    A violation is a bounded-search failure at depth s_max, not a proof
-    of absence.
-    """
-    out = []
-    colors = g.colors
-    for ai, i in enumerate(colors):
-        for j in colors[ai + 1:]:
-            for x, (pi, pj) in enumerate(zip(g.up[i], g.up[j])):
-                if pi is None or pj is None:
-                    continue
-                if not _meets_within(g, colors, x, i, j, s_max):
-                    out.append(
-                        Violation(
-                            "CONFLUENCE", (i, j), g.ids[x],
-                            f"no equal-multiset meet above within {s_max} steps",
-                        )
-                    )
-    return _sorted(out)
-
-
-def _meets_within(g, colors, x, i, j, s_max):
-    def start(c):
-        ms = [0] * len(colors)
-        ms[colors.index(c)] = 1
-        return {(g.up[c][x], tuple(ms))}
-
-    def grow(level):
-        nxt = set()
-        for v, ms in level:
-            for idx, c in enumerate(colors):
-                w = g.up[c][v]
-                if w is not None:
-                    nxt.add((w, ms[:idx] + (ms[idx] + 1,) + ms[idx + 1:]))
-        return nxt
-
-    side_i, side_j = start(i), start(j)
-    for _ in range(s_max - 1):
-        side_i, side_j = grow(side_i), grow(side_j)
-        if not side_i or not side_j:
-            return False
-        if side_i & side_j:
-            return True
-    return False
 
 
 # -- the aggregate check -----------------------------------------------------

@@ -40,14 +40,17 @@ by file or field, and so is a missing index_set, vertices or edges field,
 a vertex or edge entry without one of its integer fields, and a custom
 matrix file without cartan; a null, empty or missing cartan means the
 document has none.
-The loader reads the vertex and edge arrays whole into the graph's
-position lists, the vertices sorted by id.  Documents are written as
-compact one-line JSON; `gen` formats that text itself (graph_to_json),
-building no dict tree and running no generic encoder.
+Documents are written as compact one-line JSON; `gen` formats that text
+itself (graph_to_json), and `check`, `iso` and `export-dot` read it back
+directly (json_to_graph), with no dict per vertex or edge.  Any other
+document, and every refusal, takes the JSON path (load_doc, doc_to_graph),
+the reference, to the same graph and output.  The loaders read the vertex
+and edge arrays whole into the graph's position lists, sorted by id.
 """
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -84,28 +87,121 @@ def graph_to_json(g, stats=False):
     follow the sorted colors, while index_set keeps the graph's order.
 
     The text is formatted directly, one %-format per vertex and per edge
-    from templates built once per document, and is byte for byte what
-    json.dumps writes for the same document as a dict tree.  PBW labels
-    carry four coordinates a side, as PbwElement's Nat4 does."""
-    head = json.dumps({"index_set": list(g.colors),
-                       "cartan": [list(r) for r in g.cartan.rows] if g.cartan else None}, separators=(",", ":"))
+    from the templates below, filled once per document, and is byte for
+    byte what json.dumps writes for the same document as a dict tree.  PBW
+    labels carry four coordinates a side, as PbwElement's Nat4 does."""
+    head = _header(list(g.colors), [list(r) for r in g.cartan.rows] if g.cartan else None)
     maxes = g.maximum_elements()
     tail, rows = "}", repeat(())
     if stats:
         codes, (eps, phi) = g.weight_codes(), g.tables()
         order = sorted(g.colors)
-        fields = ",".join('"%d":%%d' % i for i in order)
-        tail = ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
+        tail = _stats(order)
         wts = {c: json.dumps({str(i): wt[i] for i in order if i in wt}, separators=(",", ":"))
                for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
         rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
-    plain = '{"id":%d' + tail
-    labelled = '{"id":%d,"a":[%d,%d,%d,%d],"x":[%d,%d,%d,%d]' + tail
+    plain, labelled = _VERTEX + tail, _VERTEX + _LABEL + tail
     vertices = ",".join([labelled % (v, *label.a, *label.x, *row) if isinstance(label, PbwElement)
                          else plain % (v, *row) for v, label, row in zip(g.ids, g.labels, rows)])
-    edges = ",".join(map('{"from":%d,"to":%d,"color":%d}'.__mod__, g.edges()))
-    top = ',"max":%d' % maxes[0] if maxes else ""
-    return f'{head[:-1]},"vertices":[{vertices}],"edges":[{edges}]{top}}}'
+    edges = ",".join(map(_EDGE.__mod__, g.edges()))
+    top = _MAX % maxes[0] if maxes else ""
+    return _DOCUMENT % (head, vertices, edges, top)
+
+
+# graph_to_json's grammar: the templates it fills, which json_to_graph
+# reads back.  A stats vertex's wt keeps its nonzero counts only.
+_DOCUMENT = '%s,"vertices":[%s],"edges":[%s]%s}'
+_VERTEX = '{"id":%d'
+_LABEL = ',"a":[%d,%d,%d,%d],"x":[%d,%d,%d,%d]'
+_EDGE = '{"from":%d,"to":%d,"color":%d}'
+_MAX = ',"max":%d'
+_DIGITS = b"0123456789"
+_SPACED = bytes(c if c in _DIGITS else 32 for c in range(256))  # bytes.translate: non-digits to spaces
+_BLANKED = bytes(32 if c in _DIGITS else c for c in range(256))  # bytes.translate: digits to spaces
+
+
+def _header(index_set, cartan):
+    """The document's text before its vertex array."""
+    return json.dumps({"index_set": index_set, "cartan": cartan}, separators=(",", ":"))[:-1]
+
+
+def _stats(order):
+    """The end of a vertex with stats, over the sorted colors order."""
+    fields = ",".join('"%d":%%d' % i for i in order)
+    return ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
+
+
+def _columns(text, template, n):
+    """The numbers in text as digit strings, one list per number of the
+    template (each %d, and each number it writes out), if text is n copies
+    of it joined by commas with each number one that json writes; else None.
+    Checked without a parse: text less its digits is the copies less theirs;
+    no number is empty, so no two characters around one meet; one run of
+    digits stands per number, so none elsewhere; and only 0 starts with 0."""
+    pieces = ("," + template + ",").replace("%d", "0").encode().translate(_BLANKED).split()  # around numbers
+    padded, runs = b"," + text + b",", len(pieces) - 1
+    if text.translate(None, _DIGITS) != ((b"".join(pieces)[1:-1] + b",") * n)[:-1] \
+            or any(map(padded.__contains__, {a[-1:] + b[:1] for a, b in zip(pieces, pieces[1:])})):
+        return None
+    spaced = padded.translate(_SPACED)
+    numbers = spaced.split()
+    if len(numbers) != runs * n or numbers.count(b"0") != spaced.count(b" 0"):
+        return None
+    return [numbers[k::runs] for k in range(runs)]
+
+
+def json_to_graph(text, path):
+    """The graph and the declared max (or None) of the document whose bytes
+    are text, if text is exactly graph_to_json's, final newline or not, with
+    the ids 0..n-1 in any order; else None, and load_doc and doc_to_graph
+    read it, refusals included: duplicate ids, undeclared endpoints or max,
+    colors outside index_set.  The vertices are counted against the budget
+    before the graph is built; doc_to_graph reads the header."""
+    cuts = _DOCUMENT.encode().split(b"%s")[1:4]  # the text between the header, the arrays and max
+    head, _, rest = text.partition(cuts[0])
+    vertices, _, rest = rest.partition(cuts[1])
+    edges, _, tail = rest.partition(cuts[2])
+    tail = tail.removesuffix(b"\n")
+    top = [[]] if tail == b"}" else _columns(tail, _MAX + "}", 1)
+    skeleton = head.translate(None, b"[],-0123456789")  # gen's header is two keys and arrays of integers
+    if top is None or skeleton not in (b'{"index_set":"cartan":', b'{"index_set":"cartan":null'):
+        return None  # and no other header is parsed here, so the parse costs little
+    try:  # read and written back: nested too deeply for either is a RecursionError
+        doc = json.loads(head + b"}")
+        colors = doc.get("index_set")
+        if not isinstance(colors, list) or set(map(type, colors)) - {int} \
+                or _header(colors, doc.get("cartan")).encode() != head:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    vertex, wts, keys = _VERTEX + (_LABEL if b',"a":[' in vertices else "") + "}", [], []
+    if b',"wt":{' in vertices:  # wt objects differ in length: read them apart
+        first, *others = vertices.split(b',"wt":{')
+        wt, _, others = zip(*map(bytes.partition, others, repeat(b"}")))
+        vertices, wt = b',"wt":{}'.join([first, *others]), b",".join(filter(None, wt))
+        order = sorted(colors)
+        vertex, keys = _VERTEX + _stats(order).replace("%s", "{}"), [b"%d" % i for i in order] * 2
+        wts = _columns(wt, '"%d":%d', wt.count(b":"))
+    n = vertices.count(b'{"id":')
+    vs = _columns(vertices, vertex, n)
+    if None in (wts, vs) or any(set(column) - {key} for column, key in zip(vs[1::2], keys)):  # eps, phi keys
+        return None
+    ids = set(vs[0])
+    del vs  # the labels and stats, let go before the edges are read
+    es = _columns(edges, _EDGE, edges.count(b"{"))
+    if es is None:
+        return None
+    _within_budget(path, n)
+    pos = dict(zip(map(b"%d".__mod__, range(n)), range(n)))  # id text -> position, as the ids are 0..n-1
+    srcs, dsts, tops = (list(map(pos.get, c)) for c in (*es[:2], top[0]))
+    if ids != pos.keys() or None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= set(es[2]):
+        return None
+    g = doc_to_graph({**doc, "vertices": [], "edges": []})
+    g.add_vertices(range(n))
+    for i in g.colors:
+        mask = list(map((b"%d" % i).__eq__, es[2]))
+        g.add_arrows(i, compress(srcs, mask), compress(dsts, mask))
+    return g, tops[0] if tops else None
 
 
 _EDGE_FIELDS = ("from", "to", "color")
@@ -192,15 +288,18 @@ def _write_line(text, path):
         fh.write("\n")
 
 
-def load_doc(path):
-    """The JSON object in the file at path; anything else is refused by path."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(f"{path}: {exc}") from None
+def load_doc(path, stream=None):
+    """The JSON object in the file at path, read as text as open() reads it,
+    or from the bytes stream, closed before the parse frees its copy;
+    anything else is refused by path."""
+    try:
+        with open(path) if stream is None else io.TextIOWrapper(stream) as fh:
+            text = fh.read()
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object")
     return doc
@@ -251,14 +350,26 @@ def _budget():
     raise ValueError(f"CRYSTAL_BUDGET must be a nonnegative integer, not {value!r}")
 
 
+def _within_budget(path, n):
+    """Refuse a document of n vertices over the vertex budget."""
+    if n > _budget():
+        raise BudgetExceeded(f"{path} has {n} vertices, over the vertex budget {_budget()}")
+
+
 def _load_graph(path):
-    """The document at path and its graph; a document with more vertices
-    than the budget is refused before any graph is built."""
-    doc = load_doc(path)
-    vertices = doc.get("vertices")
-    if isinstance(vertices, list) and len(vertices) > _budget():
-        raise BudgetExceeded(f"{path} has {len(vertices)} vertices, over the vertex budget {_budget()}")
-    return doc, doc_to_graph(doc)
+    """The graph of the document at path and its declared max (None if it
+    declares none): read by json_to_graph where the text is graph_to_json's,
+    else by load_doc and doc_to_graph.  A document with more vertices than
+    the budget is refused before any graph is built."""
+    with open(path, "rb") as fh:  # read once: path may be a pipe
+        stream = io.BytesIO(fh.read())
+    found = json_to_graph(stream.getvalue(), path)
+    if found is not None:
+        return found
+    doc = load_doc(path, stream)
+    if isinstance(doc.get("vertices"), list):
+        _within_budget(path, len(doc["vertices"]))
+    return doc_to_graph(doc), doc.get("max")
 
 
 def cmd_gen(args):
@@ -289,12 +400,11 @@ def cmd_gen(args):
 
 
 def cmd_check(args):
-    doc, g = _load_graph(args.infile)
+    g, declared = _load_graph(args.infile)
     if g.cartan is None:
         print("error: document has no cartan matrix", file=sys.stderr)
         return EXIT_INPUT
     report = check_all(g, g.cartan)
-    declared = doc.get("max")
     if declared is not None and report.max_element is not None and report.max_element != int(declared):
         print(f"error: document declares max {declared}, but the maximum element is "
               f"{report.max_element}", file=sys.stderr)
@@ -308,7 +418,7 @@ def cmd_check(args):
 
 
 def cmd_iso(args):
-    ga, gb = _load_graph(args.a)[1], _load_graph(args.b)[1]
+    ga, gb = _load_graph(args.a)[0], _load_graph(args.b)[0]
     A, B = ga.cartan or gb.cartan, gb.cartan or ga.cartan
     if A is None:
         print("error: neither document has a cartan matrix", file=sys.stderr)
@@ -333,7 +443,7 @@ def cmd_iso(args):
 
 
 def cmd_export_dot(args):
-    _, g = _load_graph(args.infile)
+    g = _load_graph(args.infile)[0]
     with open(args.out, "w") as fh:
         fh.write(graph_to_dot(g))
     print(f"wrote {args.out}")
@@ -402,7 +512,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

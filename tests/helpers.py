@@ -1,6 +1,6 @@
-"""Hand-built fixture graphs, mutation helpers, and the reference document
-builder, graph passes, axiom checker, synthesis merges and verification
-scans shared by the tests."""
+"""Hand-built fixture graphs, mutation helpers, the bounded confluence
+search, and the reference document builder, graph passes, axiom checker,
+synthesis merges and verification scans shared by the tests."""
 
 import random
 from bisect import bisect_left
@@ -116,6 +116,59 @@ def bad_confluence_graph():
         (3, 4, 2),  # b  -> c
         (4, 2, 1),  # c  -> z
     ])
+
+
+DEFAULT_CONFLUENCE_DEPTH = 7
+
+
+def check_confluence(g, s_max=DEFAULT_CONFLUENCE_DEPTH):
+    """Search for equal-multiset raising paths joining every two-parent fork
+    (acceptance criterion 9: the axioms imply this bounded homogeneous local
+    confluence, so the tests run it beside them).
+
+    A violation is a bounded-search failure at depth s_max, not a proof
+    of absence.
+    """
+    out = []
+    colors = g.colors
+    for ai, i in enumerate(colors):
+        for j in colors[ai + 1:]:
+            for x, (pi, pj) in enumerate(zip(g.up[i], g.up[j])):
+                if pi is None or pj is None:
+                    continue
+                if not _meets_within(g, colors, x, i, j, s_max):
+                    out.append(
+                        Violation(
+                            "CONFLUENCE", (i, j), g.ids[x],
+                            f"no equal-multiset meet above within {s_max} steps",
+                        )
+                    )
+    return sorted(out, key=Violation.sort_key)
+
+
+def _meets_within(g, colors, x, i, j, s_max):
+    def start(c):
+        ms = [0] * len(colors)
+        ms[colors.index(c)] = 1
+        return {(g.up[c][x], tuple(ms))}
+
+    def grow(level):
+        nxt = set()
+        for v, ms in level:
+            for idx, c in enumerate(colors):
+                w = g.up[c][v]
+                if w is not None:
+                    nxt.add((w, ms[:idx] + (ms[idx] + 1,) + ms[idx + 1:]))
+        return nxt
+
+    side_i, side_j = start(i), start(j)
+    for _ in range(s_max - 1):
+        side_i, side_j = grow(side_i), grow(side_j)
+        if not side_i or not side_j:
+            return False
+        if side_i & side_j:
+            return True
+    return False
 
 
 def copy_mutable(g, skip_edge=None, extra_edges=()):

@@ -17,10 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a program caller
-ALLOWED = {
-    "check_confluence": "acceptance criterion 9: the bounded confluence search, "
-                        "run by the tests only to show the axioms imply it",
-}
+ALLOWED = {}
 
 # qualified name -> why it stays though only perfbench/ reaches it
 BENCHMARK_ONLY = {
@@ -213,7 +210,7 @@ def _program_calls():
     whether some program call omits it), for each defaulted parameter."""
     calls = [found for tree in _trees("src", "perfbench") for found in _calls(tree)]
     defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
-    assert len(defaulted) >= 20
+    assert len(defaulted) >= 19
     out = {}
     for callee, qual, k in defaulted:
         if callee not in ALLOWED:

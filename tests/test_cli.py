@@ -791,3 +791,60 @@ def test_import_leaves_out_dataclasses_and_inspect():
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+_HOSTILE_BASE = graph_to_doc(pbw.generate((1, 1)))
+# name -> (the edited fields, the exit codes of check, iso and export-dot).
+# A matrix that is a GCM but has a pair the checker does not support is an
+# S1 violation, not an input error, and export-dot reads no matrix; a 10**30
+# id is read exactly, as a second source.
+_HOSTILE = {
+    "ragged cartan": ({"cartan": [[2, -2], [-1]]}, 2, 2, 2),
+    "oversized cartan": ({"cartan": [[2, -2, 0], [-1, 2, 0], [0, 0, 2]]}, 2, 2, 2),
+    "string cartan": ({"cartan": "[[2,-2],[-1,2]]"}, 2, 2, 2),
+    "object cartan": ({"cartan": {"1": [2, -2], "2": [-1, 2]}}, 2, 2, 2),
+    "G2 pair": ({"cartan": [[2, -3], [-1, 2]]}, 1, 2, 0),
+    "A1(1)": ({"cartan": [[2, -2], [-2, 2]]}, 1, 2, 0),
+    "non-symmetric zero": ({"cartan": [[2, 0], [-1, 2]]}, 2, 2, 2),
+    "diagonal entry 3": ({"cartan": [[3, -2], [-1, 2]]}, 2, 2, 2),
+    "duplicate index_set": ({"index_set": [1, 1]}, 2, 2, 2),
+    "empty index_set": ({"index_set": []}, 2, 2, 2),
+    "null vertices": ({"vertices": None}, 2, 2, 2),
+    "10**30 id": ({"vertices": _HOSTILE_BASE["vertices"] + [{"id": 10**30}]}, 1, 2, 0),
+    "bad max": ({"max": 99}, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", _HOSTILE)
+def test_hostile_documents_exit_cleanly(tmp_path, capsys, name):
+    # main catches only OSError and ValueError as input errors, so a program
+    # bug that raises anything else shows as a traceback here.  Each document
+    # is written both as gen writes it (read directly) and spaced (read as
+    # JSON), with the same outputs; exit 2 is one line naming the refusal
+    edit, *codes = _HOSTILE[name]
+    path, out = tmp_path / "hostile.json", tmp_path / "out.dot"
+    commands = (["check", "--in", path], ["iso", path, path], ["export-dot", "--in", path, "--out", out])
+    runs = []
+    for text in (json.dumps({**_HOSTILE_BASE, **edit}, separators=(",", ":")), json.dumps({**_HOSTILE_BASE, **edit})):
+        path.write_text(text + "\n")
+        capsys.readouterr()
+        runs.append([(main(list(map(str, argv))), *capsys.readouterr()) for argv in commands])
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0]] == codes
+    for code, stdout, stderr in runs[0]:
+        if code == 2:
+            assert stdout == "" and stderr.count("\n") == 1
+            assert stderr.startswith(("input error: ValueError: ", "error: first graph fails certification: "))
+
+
+@pytest.mark.parametrize("rows", [[[2, -1], [-1]], [[2, "x"], [-1, 2]], [[2, 0], [-1, 2]],
+                                  [[3, -1], [-1, 2]], [[2, -3], [-1, 2]], [[2, -2], [-2, 2]]])
+def test_hostile_custom_matrices_are_input_errors(tmp_path, capsys, rows):
+    # ragged, non-numeric, a non-symmetric zero, a diagonal 3, G2 and A1(1)
+    spec, out = tmp_path / "m.json", tmp_path / "g.json"
+    spec.write_text(json.dumps({"cartan": rows}))
+    capsys.readouterr()
+    assert main(["gen", "--gcm", f"custom:{spec}", "--hw", "1,1", "--method", "axioms", "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.count("\n") == 1 and stderr.startswith("input error: ")
+    assert not out.exists()
