@@ -118,6 +118,7 @@ _MAX = ',"max":%d'
 _DIGITS = b"0123456789"
 _SPACED = bytes(c if c in _DIGITS else 32 for c in range(256))  # bytes.translate: non-digits to spaces
 _BLANKED = bytes(32 if c in _DIGITS else c for c in range(256))  # bytes.translate: digits to spaces
+_MARKED = bytes(48 if c == 48 else 49 if c in _DIGITS else 32 for c in range(256))  # 1-9 to 1, non-digits to spaces
 
 
 def _header(index_set, cartan):
@@ -131,19 +132,34 @@ def _stats(order):
     return ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
 
 
-def _columns(text, template, n):
-    """The numbers in text as digit strings, one list per number of the
-    template (each %d, and each number it writes out), if text is n copies
-    of it joined by commas with each number one that json writes; else None.
-    Checked without a parse: text less its digits is the copies less theirs;
-    no number is empty, so no two characters around one meet; one run of
-    digits stands per number, so none elsewhere; and only 0 starts with 0."""
+def _checked(text, template, n):
+    """(text, n, numbers per copy) if text less its digits is n copies of
+    the template less its numbers (each %d, and each number it writes out),
+    joined by commas, and no number is empty, so no two characters around
+    one meet; else None.  Checked without a split."""
     pieces = ("," + template + ",").replace("%d", "0").encode().translate(_BLANKED).split()  # around numbers
-    padded, runs = b"," + text + b",", len(pieces) - 1
+    padded = b"," + text + b","
     if text.translate(None, _DIGITS) != ((b"".join(pieces)[1:-1] + b",") * n)[:-1] \
             or any(map(padded.__contains__, {a[-1:] + b[:1] for a, b in zip(pieces, pieces[1:])})):
         return None
-    spaced = padded.translate(_SPACED)
+    return text, n, len(pieces) - 1
+
+
+def _json_numbers(checked):
+    """Whether a _checked text writes its numbers as json does: one run of
+    digits stands per number, so none elsewhere, and only 0 starts with 0.
+    Decided without a split, for a text over the budget; _split decides
+    the same from the numbers it splits."""
+    text, n, runs = checked
+    marks = (b" " + text).translate(_MARKED)  # a run of digits starts at " 0" or " 1"
+    return marks.count(b" 0") + marks.count(b" 1") == runs * n and b" 00" not in marks and b" 01" not in marks
+
+
+def _split(checked):
+    """The numbers of a _checked text as digit strings, one list per number
+    of its template, if _json_numbers holds; else None."""
+    text, n, runs = checked
+    spaced = text.translate(_SPACED)  # a digit first in text is a run no number stands for
     numbers = spaced.split()
     if len(numbers) != runs * n or numbers.count(b"0") != spaced.count(b" 0"):
         return None
@@ -155,16 +171,16 @@ def json_to_graph(text, path):
     are text, if text is exactly graph_to_json's, final newline or not, with
     the ids 0..n-1 in any order; else None, and load_doc and doc_to_graph
     read it, refusals included: duplicate ids, undeclared endpoints or max,
-    colors outside index_set.  The vertices are counted against the budget
-    before the graph is built; doc_to_graph reads the header."""
+    colors outside index_set.  Every section is checked before any is split
+    into its numbers, and the vertices are counted against the budget in
+    between; doc_to_graph reads the header."""
     cuts = _DOCUMENT.encode().split(b"%s")[1:4]  # the text between the header, the arrays and max
     head, _, rest = text.partition(cuts[0])
     vertices, _, rest = rest.partition(cuts[1])
     edges, _, tail = rest.partition(cuts[2])
     tail = tail.removesuffix(b"\n")
-    top = [[]] if tail == b"}" else _columns(tail, _MAX + "}", 1)
     skeleton = head.translate(None, b"[],-0123456789")  # gen's header is two keys and arrays of integers
-    if top is None or skeleton not in (b'{"index_set":"cartan":', b'{"index_set":"cartan":null'):
+    if skeleton not in (b'{"index_set":"cartan":', b'{"index_set":"cartan":null'):
         return None  # and no other header is parsed here, so the parse costs little
     try:  # read and written back: nested too deeply for either is a RecursionError
         doc = json.loads(head + b"}")
@@ -174,26 +190,36 @@ def json_to_graph(text, path):
             return None
     except (ValueError, RecursionError):
         return None
-    vertex, wts, keys = _VERTEX + (_LABEL if b',"a":[' in vertices else "") + "}", [], []
+    # so a near miss costs a few scans, and an oversized text no split
+    top = _checked(tail, "}" if tail == b"}" else _MAX + "}", 1)
+    es = None if top is None else _checked(edges, _EDGE, edges.count(b"{"))
+    if es is None:
+        return None
+    vertex, keys, wts = _VERTEX + (_LABEL if b',"a":[' in vertices else "") + "}", [], (b"", 0, 0)
     if b',"wt":{' in vertices:  # wt objects differ in length: read them apart
         first, *others = vertices.split(b',"wt":{')
         wt, _, others = zip(*map(bytes.partition, others, repeat(b"}")))
         vertices, wt = b',"wt":{}'.join([first, *others]), b",".join(filter(None, wt))
         order = sorted(colors)
         vertex, keys = _VERTEX + _stats(order).replace("%s", "{}"), [b"%d" % i for i in order] * 2
-        wts = _columns(wt, '"%d":%d', wt.count(b":"))
+        wts = _checked(wt, '"%d":%d', wt.count(b":"))
     n = vertices.count(b'{"id":')
-    vs = _columns(vertices, vertex, n)
-    if None in (wts, vs) or any(set(column) - {key} for column, key in zip(vs[1::2], keys)):  # eps, phi keys
+    vs = None if wts is None else _checked(vertices, vertex, n)
+    if vs is None:
+        return None
+    if n > _budget() and not all(map(_json_numbers, (top, es, wts, vs))):
+        return None  # not gen's text after all, and the JSON path refuses it as JSON
+    _within_budget(path, n)
+    vs = _split(vs)
+    if vs is None or _split(wts) is None or any(set(c) - {key} for c, key in zip(vs[1::2], keys)):  # eps, phi
         return None
     ids = set(vs[0])
-    del vs  # the labels and stats, let go before the edges are read
-    es = _columns(edges, _EDGE, edges.count(b"{"))
-    if es is None:
+    del vs  # the labels and stats, let go before the edges are split
+    es, top = _split(es), _split(top)  # top: [[max]], or [] where no max is declared
+    if es is None or top is None:
         return None
-    _within_budget(path, n)
     pos = dict(zip(map(b"%d".__mod__, range(n)), range(n)))  # id text -> position, as the ids are 0..n-1
-    srcs, dsts, tops = (list(map(pos.get, c)) for c in (*es[:2], top[0]))
+    srcs, dsts, tops = (list(map(pos.get, c)) for c in (*es[:2], top[0] if top else []))
     if ids != pos.keys() or None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= set(es[2]):
         return None
     g = doc_to_graph({**doc, "vertices": [], "edges": []})

@@ -8,11 +8,13 @@ the vertex counts against the Weyl dimension product formula.  Reports
 carry the scanned domain size so "verified" always names its domain.
 
 The fork classes form one table, FORKS, and verify_forks serves all three
-fork suites with one pass over each crystal.
+fork suites with one pass over each crystal.  Their closing checks walk
+each raising word as runs of one color (pbw.raise_walk), one kernel call
+per run.
 """
 
 from functools import cache, partial
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
@@ -95,13 +97,17 @@ def positive_roots(A):
 def weyl_dim_general(A, lam):
     """Weyl dimension product over the positive-root closure.
 
-    lam is a sequence of pairings in index order, one per color.
+    lam is a sequence of pairings in index order, one per color.  A GCM is
+    never edited, so the matrix object A keeps its closure: run_verification
+    builds its matrix per call and computes the closure once per call.
     """
     if len(lam) != len(A.colors):
         raise ValueError(f"lam has {len(lam)} entries for {len(A.colors)} colors")
     lam = dict(zip(A.colors, lam))
+    if "_roots" not in vars(A):
+        A._roots = positive_roots(A)
     num = den = 1
-    for _, coroot in positive_roots(A):
+    for _, coroot in A._roots:
         num *= sum(d * (lam[c] + 1) for d, c in zip(coroot, A.colors))
         den *= sum(coroot)
     assert num % den == 0, "non-integral Weyl quotient"
@@ -113,15 +119,16 @@ def weyl_dim_general(A, lam):
 # A fork is an element with eps1, eps2 >= 1; its raising deltas are the eps2
 # change across e1 and the eps1 change across e2.  The classes (1,2), (1,1) and
 # (0,2) are disjoint, so each fork goes to at most one entry of FORKS.  Raising
-# words are digit strings applied left to right: "211" is e2, then e1 twice.
+# words are digit strings applied left to right: "211" is e2, then e1 twice,
+# which is walked as two runs, e2 and then e1^2.
 
 @cache
-def _raising(word):
-    return tuple(("e", int(i)) for i in word)
+def _runs(word):
+    return tuple((int(i), len(list(run))) for i, run in groupby(word))
 
 
-def _up(m, word, lam):
-    return pbw.elem_walk(m, _raising(word), lam)
+def _up(m, word):
+    return pbw.raise_walk(m, _runs(word))
 
 
 def _down_delta(m, i, j, lam):
@@ -160,6 +167,14 @@ def _match_low_middle(m):
     )
 
 
+def _family_plane(a):
+    # every family fixes a3 - a1 or a1 + a2 - a3 - a4 at 0 or 1: interlocked
+    # and low_tail a3 = a1, (1,1) a3 = a1 + 1, low_middle a4 = a1 + a2 - a3,
+    # (0,2) a4 = a1 + a2 - a3 - 1
+    a1, a2, a3, a4 = a
+    return 0 <= a3 - a1 <= 1 or 0 <= a1 + a2 - a3 - a4 <= 1
+
+
 def _family_12(m):
     # interlocked and low_tail have a3 == a1, low_middle a4 == a1 + a2 - a3;
     # that test is cheap and fails on most vertices, so it goes first
@@ -182,7 +197,7 @@ def _close_12(m, lam, rep):
         rep.add(f"{m}: matches cases {cases}, need exactly one")
         return
     case = cases[0]
-    y, y1 = _up(m, "211", lam), _up(m, "12211", lam)
+    y, y1 = _up(m, "211"), _up(m, "12211")
     if y is None or y1 is None:
         rep.add(f"{m}: branch points missing ({y}, {y1})")
         return
@@ -191,7 +206,7 @@ def _close_12(m, lam, rep):
         rep.add(f"{m}: case {case} has branch deltas {t}, want {want}")
         return
     if case == "interlocked":
-        ends = [_up(m, w, lam) for w in ("1212112", "1221112", "2111221", "2112121")]
+        ends = [_up(m, w) for w in ("1212112", "1221112", "2111221", "2112121")]
         if None in ends or len(set(ends)) != 1:
             rep.add(f"{m}: four words disagree: {ends}")
             return
@@ -204,7 +219,7 @@ def _close_12(m, lam, rep):
             rep.add(f"{m}: lowering profile at meet is {d}")
         return
     if case == "low_tail":
-        w1, w2 = _up(m, "12121", lam), _up(m, "21112", lam)
+        w1, w2 = _up(m, "12121"), _up(m, "21112")
         if not (w1 == w2 == y1):
             rep.add(f"{m}: alternating words miss y' ({w1}, {w2}, {y1})")
             return
@@ -224,7 +239,7 @@ def _close_12(m, lam, rep):
 def _pentagon(words, meet, m, lam, rep):
     """Closing check of a pentagon class: the three raising words agree and
     end at meet(*m.a)."""
-    ends = [_up(m, w, lam) for w in words]
+    ends = [_up(m, w) for w in words]
     if None in ends or len(set(ends)) != 1:
         rep.add(f"{m}: pentagon words disagree: {ends}")
     elif ends[0] != meet(*m.a):
@@ -247,7 +262,7 @@ def _family_02(m):
 
 def _flat_ledge(m, lam):
     # two raising 1-steps up, a raising 2-step exists and leaves eps1 as it is
-    mm = _up(m, "11", lam)
+    mm = _up(m, "11")
     return mm.x[0] >= 1 and pbw.elem_delta(mm, "e", "eps", 2, 1, lam) == 0
 
 
@@ -275,15 +290,17 @@ def verify_forks(lam, g=None):
     """The three fork suites in one pass over the crystal g (generate(lam)
     when not given); returns their reports in FORKS order.  A vertex with
     eps1 = a1 >= 1 and eps2 = x1 >= 1 goes to the one class with its raising
-    deltas, one kernel call each; each class's forks must equal its family."""
+    deltas, one kernel call each; each class's forks must equal its family,
+    whose matchers run only on a vertex that passes _family_plane."""
     g = pbw.generate(lam) if g is None else g
     reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
     hits = {d: set() for d in FORKS}
     members = {d: set() for d in FORKS}
     for m in g.labels:
-        for d, f in FORKS.items():
-            if f.family(m):
-                members[d].add(m)
+        if _family_plane(m.a):
+            for d, f in FORKS.items():
+                if f.family(m):
+                    members[d].add(m)
         (a1, a2, a3, a4), (x1, x2, x3, x4) = m
         if a1 < 1 or x1 < 1:
             continue

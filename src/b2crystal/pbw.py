@@ -3,13 +3,16 @@
 An element is a pair of 4-tuples (a, x) of naturals linked by the
 transition map, carrying the same vertex in the two reduced-word
 coordinate systems (a along s1s2s1s2, x along s2s1s2s1).  Raising acts on
-a1 or x1 with a recompute of the other side; lowering likewise.  The
-Cartan matrix here is always [[2,-2],[-1,2]] with colors 1, 2.
+a1 or x1 with a recompute of the other side; lowering likewise.  A run of
+r raising steps of one color is one such update by r, and raise_walk takes
+a raising word as such runs.  The Cartan matrix here is always
+[[2,-2],[-1,2]] with colors 1, 2.
 
 ``lam`` arguments take a pairing pair (l1, l2) for a highest-weight
 crystal, or None for the unbounded crystal (lowering never guarded).
 """
 
+from collections import Counter
 from typing import NamedTuple, Optional, Tuple
 
 from . import kernel
@@ -31,37 +34,56 @@ ZERO = PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
 def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement]:
     """One raising ('e') or lowering ('f') step of color i, or None.
 
-    Raising is guarded by eps_i > 0.  Lowering is guarded by phi_i > 0
-    when lam is a highest weight and unguarded when lam is None.
+    Raising is guarded by eps_i > 0, and is a run of length one.  Lowering
+    is guarded by phi_i > 0 when lam is a highest weight and unguarded when
+    lam is None.
     """
+    if direction == "e":
+        return raise_walk(m, ((i, 1),))
+    if direction != "f":
+        raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
     # Elements are built with tuple.__new__ rather than PbwElement(...), whose
     # generated __new__ is one more Python call per step on the hot path.
     a, x = m
-    if direction == "e":
-        if i == 1:
-            if a[0] == 0:
-                return None
-            na = (a[0] - 1, a[1], a[2], a[3])
-            return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
-        if i == 2:
-            if x[0] == 0:
-                return None
-            nx = (x[0] - 1, x[1], x[2], x[3])
-            return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
-    elif direction == "f":
-        if i == 1:
-            if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
-                return None
-            na = (a[0] + 1, a[1], a[2], a[3])
-            return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
-        if i == 2:
-            if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
-                return None
-            nx = (x[0] + 1, x[1], x[2], x[3])
-            return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
-    else:
-        raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
+    if i == 1:
+        if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
+            return None
+        na = (a[0] + 1, a[1], a[2], a[3])
+        return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
+    if i == 2:
+        if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
+            return None
+        nx = (x[0] + 1, x[1], x[2], x[3])
+        return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
     raise ValueError(f"color must be 1 or 2, not {i!r}")
+
+
+def raise_walk(m: PbwElement, runs) -> Optional[PbwElement]:
+    """Apply raising runs (color i, length r), first run first: e_i^r for
+    each; None where a run finds eps_i < r.
+
+    Along the reduced word that starts with s_i, e_i lowers the first
+    coordinate of that side by one, and its guard reads that coordinate
+    only; the other side is recomputed from it.  So a run is one update and
+    one transition-map call, and gives the element its last single step
+    gives, whatever the map.  A negative coordinate, which only a broken map
+    makes, never reaches 0 on the way down and steps on, as single steps do.
+    """
+    a, x = m
+    for i, r in runs:
+        if i == 1:
+            if 0 <= a[0] < r:
+                return None
+            a = (a[0] - r, a[1], a[2], a[3])
+            x = kernel.r_transfer(a)
+        elif i == 2:
+            if 0 <= x[0] < r:
+                return None
+            x = (x[0] - r, x[1], x[2], x[3])
+            a = kernel.r_inverse(x)
+        else:
+            raise ValueError(f"color must be 1 or 2, not {i!r}")
+    return tuple.__new__(PbwElement, (a, x))
 
 
 def elem_walk(m, ops, lam=None):
@@ -154,7 +176,8 @@ def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
     g.add_vertices(range(len(labels)), labels)
     for i, (srcs, dsts) in arrows.items():
         if len(set(dsts)) < len(dsts):  # sources cannot repeat: each element steps once per color
-            d = next(d for d in dsts if dsts.count(d) > 1)
+            counts = Counter(dsts)
+            d = next(d for d in dsts if counts[d] > 1)  # the first target, in arrow order, that repeats
             raise DuplicateEdge(f"vertex {d} already has an incoming {i}-arrow")
         g.add_arrows(i, srcs, dsts)
     return g

@@ -7,7 +7,7 @@ import pytest
 from b2crystal import kernel, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded, HypothesisNotMet
-from b2crystal.kernel import r_transfer
+from b2crystal.kernel import r_inverse, r_transfer
 from helpers import (
     elem_stats,
     from_a,
@@ -37,7 +37,7 @@ def leaving_first(a):
 
 
 def broken_inverse(x):
-    a = kernel.r_inverse(x)
+    a = r_inverse(x)
     return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
 
 
@@ -179,14 +179,54 @@ def test_verify_lemmas_undefined_step_raises():
 
 
 def test_family_12_is_the_three_matchers():
-    # the pre-test on a3 and a4 drops no member of any (1,2) family
-    members = 0
+    # the pre-test on a3 and a4 drops no member of any (1,2) family, and
+    # verify_forks's one test per vertex drops no member of any family
+    members = dict.fromkeys(oracle.FORKS, 0)
     for a in product(range(7), repeat=4):
         m = pbw.PbwElement(a, r_transfer(a))
         want = oracle._match_interlocked(m) or oracle._match_low_tail(m) or oracle._match_low_middle(m)
         assert oracle._family_12(m) == want, m
-        members += want
-    assert members == 232
+        for d, f in oracle.FORKS.items():
+            if f.family(m):
+                assert oracle._family_plane(a), (d, m)
+                members[d] += 1
+    assert members == {(1, 2): 232, (1, 1): 112, (0, 2): 55}
+
+
+# the maps the run walk is checked under, each patched onto kernel
+_NAVIGATIONS = {"kernel": {}, "broken_transfer": {"r_transfer": broken_transfer}, "leaving": {"r_transfer": leaving},
+                "leaving_first": {"r_transfer": leaving_first}, "broken_inverse": {"r_inverse": broken_inverse}}
+
+
+@pytest.fixture(scope="module")
+def fork_walks():
+    """Every raising word the fork suites walk, recorded from verify_forks,
+    and the elements to walk it from: B(lam) for lam in [0,4]^2 and (7,2),
+    and (a, r_transfer(a)) for a in [0,3]^4."""
+    weights = [(a, b) for a in range(5) for b in range(5)] + [(7, 2)]
+    crystals = [pbw.generate(lam) for lam in weights]
+    words, up = set(), oracle._up
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_up", lambda e, word: words.add(word) or up(e, word))
+        for lam, g in zip(weights, crystals):
+            oracle.verify_forks(lam, g)
+    elements = {e for g in crystals for e in g.labels} | {pbw.PbwElement(a, r_transfer(a))
+                                                          for a in product(range(4), repeat=4)}
+    return words, elements
+
+
+@pytest.mark.parametrize("maps", _NAVIGATIONS.values(), ids=_NAVIGATIONS)
+def test_raise_walk_is_the_single_steps(monkeypatch, fork_walks, maps):
+    # the run walk gives what elem_walk's single steps give, None included,
+    # for every word the fork suites walk, under the kernel and a broken map
+    words, elements = fork_walks
+    assert {"211", "12211", "11221", "12112", "1212112", "11"} <= words
+    for name, f in maps.items():
+        monkeypatch.setattr(kernel, name, f)
+    for word in words:
+        steps = [("e", int(i)) for i in word]
+        for m in elements:
+            assert pbw.raise_walk(m, oracle._runs(word)) == pbw.elem_walk(m, steps), (word, m)
 
 
 def test_verify_forks_matches_reference(monkeypatch):
@@ -245,6 +285,20 @@ def test_report_keeps_fifty_notes():
 def test_run_verification_battery():
     reports = oracle.run_verification(max_hw=1, max_box=3, extra=())
     assert reports and all(r.passed for r in reports)
+
+
+def test_battery_computes_one_root_closure(monkeypatch):
+    calls, closure = [], oracle.positive_roots
+
+    def counted(A):
+        calls.append(A)
+        return closure(A)
+
+    monkeypatch.setattr(oracle, "positive_roots", counted)
+    reports = oracle.run_verification(max_hw=2, max_box=1, extra=())
+    assert reports[-1].passed and reports[-1].domain_size == 9 and len(calls) == 1
+    oracle.run_verification(max_hw=2, max_box=1, extra=())
+    assert len(calls) == 2  # kept for one call only
 
 
 def test_battery_generates_each_weight_once(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from itertools import chain, product
 
 import pytest
@@ -181,6 +182,25 @@ def test_generate_refuses_two_arrows_into_one_vertex(monkeypatch):
     monkeypatch.setattr(pbw, "kashiwara_step", merged)
     with pytest.raises(DuplicateEdge):
         pbw.generate((1, 1))
+
+
+def test_generate_names_the_repeated_target_in_linear_time(monkeypatch):
+    # a broken step sends the last 1-arrow at (10,10) onto the target of the
+    # one before it; the refusal names that vertex, the first target in arrow
+    # order that repeats, without a quadratic search for it
+    g = pbw.generate((10, 10))
+    srcs, dsts = g.arrows[1]
+    source, target = g.labels[srcs[-1]], g.labels[dsts[-2]]
+    step = pbw.kashiwara_step
+
+    def redirected(m, direction, i, lam=None):
+        return target if (m, direction, i) == (source, "f", 1) else step(m, direction, i, lam)
+
+    monkeypatch.setattr(pbw, "kashiwara_step", redirected)
+    start = time.perf_counter()
+    with pytest.raises(DuplicateEdge, match=r"^vertex 14639 already has an incoming 1-arrow$"):
+        pbw.generate((10, 10))
+    assert time.perf_counter() - start < 2
 
 
 def test_generate_budget():

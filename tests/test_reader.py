@@ -162,7 +162,7 @@ def test_many_colors_read_alike(tmp_path, monkeypatch, capsys):
 
 
 # gen's text with a number moved, emptied or added where each check of
-# cli._columns alone stands between it and a wrong read, and so refused by
+# cli._checked alone stands between it and a wrong read, and so refused by
 # the JSON path (check exits 2), or with a key gen would not write
 _PBW = graph_to_json(pbw.generate((1, 0))).encode()
 _STATS = graph_to_json(builder.synthesize(b2_gcm(), (1, 0)), stats=True).encode()
@@ -186,6 +186,50 @@ def test_misplaced_numbers_take_the_json_path(tmp_path, monkeypatch, capsys, bas
     assert json_to_graph(text, path) is None
     runs = _both_paths(monkeypatch, capsys, *_commands(path, other, tmp_path))
     assert runs[0] == runs[1] and runs[0][0][0] == code
+
+
+@pytest.mark.parametrize("base,old,new,code", _MISREADS)
+def test_misplaced_numbers_over_the_budget_read_alike(tmp_path, monkeypatch, capsys, base, old, new, code):
+    # the budget is counted only after every section has passed its checks,
+    # so a text the JSON path refuses as JSON is refused as JSON over the
+    # budget too (exit 2), and one it parses exits 3 on both paths
+    text = base.replace(old, new)
+    path = tmp_path / "near.json"
+    path.write_bytes(text)
+    monkeypatch.setenv("CRYSTAL_BUDGET", "1")
+    runs = _both_paths(monkeypatch, capsys, [["check", "--in", path]], [])
+    assert runs[0] == runs[1] and runs[0][0][0] == (3 if code == 0 else 2)
+
+
+def _spied_split(monkeypatch):
+    calls, split = [], cli._split
+
+    def spy(checked):
+        calls.append(checked[2])  # numbers per copy
+        return split(checked)
+
+    monkeypatch.setattr(cli, "_split", spy)
+    return calls
+
+
+def test_a_near_miss_is_refused_before_any_split(tmp_path, monkeypatch):
+    # every section is checked before any is split: one space in the last
+    # edge sends gen's text to the JSON path with no section split
+    text = graph_to_json(pbw.generate((3, 3))).encode()
+    last = text.rindex(b',"color"')
+    calls = _spied_split(monkeypatch)
+    assert json_to_graph(text[:last] + b" " + text[last:], tmp_path / "near.json") is None
+    assert calls == []
+    assert json_to_graph(text, tmp_path / "gen.json") is not None and calls == [9, 0, 3, 1]  # vertices, wt (none), edges, max
+
+
+def test_an_oversized_document_is_refused_before_any_split(tmp_path, monkeypatch):
+    path = _gen(tmp_path, "b2", "3,3", "pbw")
+    monkeypatch.setenv("CRYSTAL_BUDGET", "100")
+    calls = _spied_split(monkeypatch)
+    with pytest.raises(cli.BudgetExceeded, match=r"has 256 vertices, over the vertex budget 100$"):
+        json_to_graph(path.read_bytes(), path)
+    assert calls == []
 
 
 def test_a_header_nested_to_the_recursion_limit(tmp_path, monkeypatch, capsys):
