@@ -97,7 +97,7 @@ def graph_to_json(g, stats=False):
         codes, (eps, phi) = g.weight_codes(), g.tables()
         order = sorted(g.colors)
         tail = _stats(order)
-        wts = {c: json.dumps({str(i): wt[i] for i in order if i in wt}, separators=(",", ":"))
+        wts = {c: "{%s}" % ",".join(['"%d":%d' % (i, wt[i]) for i in order if i in wt])
                for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
         rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
     plain, labelled = _VERTEX + tail, _VERTEX + _LABEL + tail

@@ -6,7 +6,9 @@ class UnsupportedPair(ValueError):
 
 
 class DuplicateEdge(ValueError):
-    """Adding an edge would give a vertex two arrows of one color."""
+    """pbw.generate lowered to an element whose changed side is new but
+    whose other side already names a vertex: the transition map is not
+    injective."""
 
 
 class NonTerminating(RuntimeError):

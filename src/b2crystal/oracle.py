@@ -167,20 +167,8 @@ def _match_low_middle(m):
     )
 
 
-def _family_plane(a):
-    # every family fixes a3 - a1 or a1 + a2 - a3 - a4 at 0 or 1: interlocked
-    # and low_tail a3 = a1, (1,1) a3 = a1 + 1, low_middle a4 = a1 + a2 - a3,
-    # (0,2) a4 = a1 + a2 - a3 - 1
-    a1, a2, a3, a4 = a
-    return 0 <= a3 - a1 <= 1 or 0 <= a1 + a2 - a3 - a4 <= 1
-
-
 def _family_12(m):
-    # interlocked and low_tail have a3 == a1, low_middle a4 == a1 + a2 - a3;
-    # that test is cheap and fails on most vertices, so it goes first
-    a1, a2, a3, a4 = m.a
-    return ((a3 == a1 or a4 == a1 + a2 - a3)
-            and (_match_interlocked(m) or _match_low_tail(m) or _match_low_middle(m)))
+    return _match_interlocked(m) or _match_low_tail(m) or _match_low_middle(m)
 
 
 # the (1,2) families, each with its lowering deltas at the branch points y and y'
@@ -290,18 +278,23 @@ def verify_forks(lam, g=None):
     """The three fork suites in one pass over the crystal g (generate(lam)
     when not given); returns their reports in FORKS order.  A vertex with
     eps1 = a1 >= 1 and eps2 = x1 >= 1 goes to the one class with its raising
-    deltas, one kernel call each; each class's forks must equal its family,
-    whose matchers run only on a vertex that passes _family_plane."""
+    deltas, one kernel call each; each class's forks must equal its family.
+    A vertex meets only the families its first conditions allow: with
+    u = a3 - a1 and v = a1 + a2 - a3 - a4, interlocked and low_tail need
+    u = 0, low_middle v = 0, (1,1) u = 1 and (0,2) v = 1."""
     g = pbw.generate(lam) if g is None else g
     reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
     hits = {d: set() for d in FORKS}
     members = {d: set() for d in FORKS}
     for m in g.labels:
-        if _family_plane(m.a):
-            for d, f in FORKS.items():
-                if f.family(m):
-                    members[d].add(m)
         (a1, a2, a3, a4), (x1, x2, x3, x4) = m
+        u, v = a3 - a1, a1 + a2 - a3 - a4
+        if (u == 0 or v == 0) and _family_12(m):
+            members[1, 2].add(m)
+        if u == 1 and _family_11(m):
+            members[1, 1].add(m)
+        if v == 1 and _family_02(m):
+            members[0, 2].add(m)
         if a1 < 1 or x1 < 1:
             continue
         d = (kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1,

@@ -5,14 +5,15 @@ transition map, carrying the same vertex in the two reduced-word
 coordinate systems (a along s1s2s1s2, x along s2s1s2s1).  Raising acts on
 a1 or x1 with a recompute of the other side; lowering likewise.  A run of
 r raising steps of one color is one such update by r, and raise_walk takes
-a raising word as such runs.  The Cartan matrix here is always
+a raising word as such runs.  generate looks a child up by the side its
+step changes and calls the map only for a new vertex, whose other side must
+name no vertex yet (DuplicateEdge).  The Cartan matrix here is always
 [[2,-2],[-1,2]] with colors 1, 2.
 
 ``lam`` arguments take a pairing pair (l1, l2) for a highest-weight
 crystal, or None for the unbounded crystal (lowering never guarded).
 """
 
-from collections import Counter
 from typing import NamedTuple, Optional, Tuple
 
 from . import kernel
@@ -42,19 +43,28 @@ def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement
         return raise_walk(m, ((i, 1),))
     if direction != "f":
         raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
+    side = _lowered(m, i, lam)
+    if side is None:
+        return None
     # Elements are built with tuple.__new__ rather than PbwElement(...), whose
     # generated __new__ is one more Python call per step on the hot path.
+    if i == 1:
+        return tuple.__new__(PbwElement, (side, kernel.r_transfer(side)))
+    return tuple.__new__(PbwElement, (kernel.r_inverse(side), side))
+
+
+def _lowered(m, i, lam):
+    """The side f_i changes, with its first coordinate one up (a for color
+    1, x for color 2), or None where lam is given and phi_i = 0."""
     a, x = m
     if i == 1:
         if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
             return None
-        na = (a[0] + 1, a[1], a[2], a[3])
-        return tuple.__new__(PbwElement, (na, kernel.r_transfer(na)))
+        return (a[0] + 1, a[1], a[2], a[3])
     if i == 2:
         if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
             return None
-        nx = (x[0] + 1, x[1], x[2], x[3])
-        return tuple.__new__(PbwElement, (kernel.r_inverse(nx), nx))
+        return (x[0] + 1, x[1], x[2], x[3])
     raise ValueError(f"color must be 1 or 2, not {i!r}")
 
 
@@ -140,44 +150,63 @@ DEFAULT_MEMBERSHIP = "x4"
 def generate(lam, membership=DEFAULT_MEMBERSHIP, budget=10**6) -> ColoredGraph:
     """Closure of the zero element under guarded lowering, as a graph.
 
-    BFS order (color 1 before color 2, FIFO) fixes vertex ids.  The
-    membership predicate is asserted on every vertex so a wrong cutoff
-    rule surfaces as MembershipViolation instead of a silent drift.  The
-    graph is loaded in bulk after the BFS; two i-arrows into one vertex raise DuplicateEdge.
+    BFS order (color 1 before color 2, FIFO) fixes vertex ids.  f_1 changes
+    a and f_2 changes x, so the side a step changes names its child: the
+    vertices found so far are indexed by a and by x, a 1-child is looked up
+    by a + e1 and a 2-child by x + e1, and the transition map is called only
+    on a miss, once per new vertex, for its other side.  If that side
+    already names a vertex, the map is not injective and DuplicateEdge is
+    raised at once; under the real map this never happens, and no two
+    arrows of one color can reach one vertex.  The membership predicate is
+    asserted on every new vertex so a wrong cutoff rule surfaces as
+    MembershipViolation instead of a silent drift.  The graph is loaded in
+    bulk after the BFS.
     """
-    l1, l2 = lam
-    if l1 < 0 or l2 < 0:
-        raise ValueError("highest weight pairings must be nonnegative")
+    if len(lam) != 2:
+        raise ValueError(f"lam has {len(lam)} entries for 2 colors")
+    if not all(type(v) is int and v >= 0 for v in lam):  # a bool or a float is refused
+        raise ValueError(f"lam {lam!r}: pairings must be nonnegative integers")
     if budget < 1:  # the top vertex counts
         raise BudgetExceeded(f"vertex budget {budget} exceeded")
     pred = MEMBERSHIP_RULES[membership]
     if not pred(ZERO, lam):
         raise MembershipViolation(f"zero element rejected by rule {membership!r}")
-    labels, ids = [ZERO], {ZERO: 0}  # the vertex with id k is labels[k]
-    arrows = {1: ([], []), 2: ([], [])}
+    labels, by_a, by_x = [ZERO], {ZERO.a: 0}, {ZERO.x: 0}  # the vertex with id k is labels[k]
+    src1, dst1, src2, dst2 = [], [], [], []
+
+    def new(k, i, child):
+        # child is f_i of vertex k, and its side f_i leaves was just computed by the map
+        j = by_x.get(child.x) if i == 1 else by_a.get(child.a)
+        if j is not None:
+            raise DuplicateEdge(f"the {i}-arrow from vertex {k} reaches {child}, whose "
+                                f"{'xa'[i - 1]} side names vertex {j}: the transition map is not injective")
+        n = len(labels)
+        if n >= budget:
+            raise BudgetExceeded(f"vertex budget {budget} exceeded")
+        if not pred(child, lam):
+            raise MembershipViolation(f"{child} reached by lowering but rejected by rule {membership!r}")
+        by_a[child[0]] = by_x[child[1]] = n
+        labels.append(child)
+        return n
+
     for k, m in enumerate(labels):  # labels grows as the BFS queue
-        for i, (srcs, dsts) in arrows.items():
-            child = kashiwara_step(m, "f", i, lam)
-            if child is None:
-                continue
-            cid = ids.get(child)
-            if cid is None:
-                if len(ids) >= budget:
-                    raise BudgetExceeded(f"vertex budget {budget} exceeded")
-                if not pred(child, lam):
-                    raise MembershipViolation(
-                        f"{child} reached by lowering but rejected by rule {membership!r}"
-                    )
-                cid = ids[child] = len(labels)
-                labels.append(child)
-            srcs.append(k)
-            dsts.append(cid)
+        a = _lowered(m, 1, lam)
+        if a is not None:
+            c = by_a.get(a)
+            if c is None:
+                c = new(k, 1, tuple.__new__(PbwElement, (a, kernel.r_transfer(a))))
+            src1.append(k)
+            dst1.append(c)
+        x = _lowered(m, 2, lam)
+        if x is not None:
+            c = by_x.get(x)
+            if c is None:
+                c = new(k, 2, tuple.__new__(PbwElement, (kernel.r_inverse(x), x)))
+            src2.append(k)
+            dst2.append(c)
+    del by_a, by_x  # the indexes go before the graph is built, to keep the peak down
     g = ColoredGraph((1, 2), cartan=b2_gcm())
     g.add_vertices(range(len(labels)), labels)
-    for i, (srcs, dsts) in arrows.items():
-        if len(set(dsts)) < len(dsts):  # sources cannot repeat: each element steps once per color
-            counts = Counter(dsts)
-            d = next(d for d in dsts if counts[d] > 1)  # the first target, in arrow order, that repeats
-            raise DuplicateEdge(f"vertex {d} already has an incoming {i}-arrow")
-        g.add_arrows(i, srcs, dsts)
+    g.add_arrows(1, src1, dst1)
+    g.add_arrows(2, src2, dst2)
     return g

@@ -178,17 +178,17 @@ def test_verify_lemmas_undefined_step_raises():
             scan(1, transfer=undefined)
 
 
-def test_family_12_is_the_three_matchers():
-    # the pre-test on a3 and a4 drops no member of any (1,2) family, and
-    # verify_forks's one test per vertex drops no member of any family
+def test_fork_routing_drops_no_family_member():
+    # verify_forks tests the (1,2) families only where u = a3 - a1 or
+    # v = a1 + a2 - a3 - a4 is 0, (1,1) only where u = 1, (0,2) only where v = 1
+    routes = {(1, 2): lambda u, v: u == 0 or v == 0, (1, 1): lambda u, v: u == 1, (0, 2): lambda u, v: v == 1}
     members = dict.fromkeys(oracle.FORKS, 0)
     for a in product(range(7), repeat=4):
         m = pbw.PbwElement(a, r_transfer(a))
-        want = oracle._match_interlocked(m) or oracle._match_low_tail(m) or oracle._match_low_middle(m)
-        assert oracle._family_12(m) == want, m
+        u, v = a[2] - a[0], a[0] + a[1] - a[2] - a[3]
         for d, f in oracle.FORKS.items():
             if f.family(m):
-                assert oracle._family_plane(a), (d, m)
+                assert routes[d](u, v), (d, m)
                 members[d] += 1
     assert members == {(1, 2): 232, (1, 1): 112, (0, 2): 55}
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from itertools import chain, product
 
@@ -164,43 +165,71 @@ def test_generate_deterministic_ids():
     ((0, 0), "1fbc291fb250a465be1bec9c1802db7d5037ee543f7ab2c38ab8da8360761140"),
     ((2, 1), "05fed32f62ce81442b70811744b981e8fd6bda4a899032660b2a42d676ac99d1"),
     ((4, 4), "c6ab2a723da004b9977b6e2508b3eb609031b1a6a5b8b529732118723f73f67c"),
-], ids=["0,0", "2,1", "4,4"])
+    ((7, 2), "e5a9fb0e5a47db0aeccb09ac7284868b0208e3e2aba68e750cb59bc85359281b"),
+    ((10, 10), "4fa2299613c87520cdf2b01f373847a341c89f15c66be22c289457f42ad1e68e"),
+], ids=["0,0", "2,1", "4,4", "7,2", "10,10"])
 def test_generate_document_pinned(lam, digest):
     # ids in BFS order, labels and arrow order, as the compact document pins them
     text = graph_to_json(pbw.generate(lam))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_generate_refuses_two_arrows_into_one_vertex(monkeypatch):
-    # a broken step with f1(f2(0)) = f1(0) gives f1(0) two incoming 1-arrows
-    step = pbw.kashiwara_step
-    f2 = step(pbw.ZERO, "f", 2, (1, 1))
-
-    def merged(m, direction, i, lam=None):
-        return step(pbw.ZERO if (m, direction, i) == (f2, "f", 1) else m, direction, i, lam)
-
-    monkeypatch.setattr(pbw, "kashiwara_step", merged)
-    with pytest.raises(DuplicateEdge):
+def test_generate_refuses_a_map_that_is_not_injective(monkeypatch):
+    # a broken inverse map sends f2(0)'s x = (1,0,0,0) to f1(0)'s a, as it
+    # sends f1(0)'s own x: f2(0) would be a second vertex with that a
+    inverse = kernel.r_inverse
+    f1 = pbw.kashiwara_step(pbw.ZERO, "f", 1, (1, 1))
+    monkeypatch.setattr(kernel, "r_inverse", lambda x: f1.a if x == (1, 0, 0, 0) else inverse(x))
+    message = ("the 2-arrow from vertex 0 reaches PbwElement(a=(1, 0, 0, 0), x=(1, 0, 0, 0)), "
+               "whose a side names vertex 1: the transition map is not injective")
+    with pytest.raises(DuplicateEdge, match=f"^{re.escape(message)}$"):
         pbw.generate((1, 1))
 
 
-def test_generate_names_the_repeated_target_in_linear_time(monkeypatch):
-    # a broken step sends the last 1-arrow at (10,10) onto the target of the
-    # one before it; the refusal names that vertex, the first target in arrow
-    # order that repeats, without a quadratic search for it
+def test_generate_refuses_a_late_collision_in_linear_time(monkeypatch):
+    # a broken transfer map sends the a of the last vertex at (10,10) that a
+    # 1-arrow finds first onto the x of the vertex before it; the refusal
+    # comes as that vertex is found, naming the arrow and the vertex
     g = pbw.generate((10, 10))
-    srcs, dsts = g.arrows[1]
-    source, target = g.labels[srcs[-1]], g.labels[dsts[-2]]
-    step = pbw.kashiwara_step
-
-    def redirected(m, direction, i, lam=None):
-        return target if (m, direction, i) == (source, "f", 1) else step(m, direction, i, lam)
-
-    monkeypatch.setattr(pbw, "kashiwara_step", redirected)
+    first = {}  # vertex -> (source, color) of the arrow that finds it, in BFS order
+    for i in (1, 2):
+        for s, d in zip(*g.arrows[i]):
+            first[d] = min(first.get(d, (s, i)), (s, i))
+    v = max(d for d, (_, i) in first.items() if i == 1)
+    source, (a, _), (_, x) = first[v][0], g.labels[v], g.labels[v - 1]
+    assert (v, source) == (14638, 14634)
+    transfer = kernel.r_transfer
+    monkeypatch.setattr(kernel, "r_transfer", lambda b: x if b == a else transfer(b))
+    message = (f"the 1-arrow from vertex {source} reaches {pbw.PbwElement(a, x)}, "
+               f"whose x side names vertex {v - 1}: the transition map is not injective")
     start = time.perf_counter()
-    with pytest.raises(DuplicateEdge, match=r"^vertex 14639 already has an incoming 1-arrow$"):
+    with pytest.raises(DuplicateEdge, match=f"^{re.escape(message)}$"):
         pbw.generate((10, 10))
     assert time.perf_counter() - start < 2
+
+
+def test_generate_calls_the_map_once_per_new_vertex(monkeypatch):
+    # the maps are wrapped on the kernel module, as perfbench/tracing.py
+    # wraps them, so generate must look them up at call time
+    calls = []
+    for name in ("r_transfer", "r_inverse"):
+        f = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda side, f=f: calls.append(side) or f(side))
+    for lam in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3), (7, 2), (5, 5)]:
+        calls.clear()
+        g = pbw.generate(lam)
+        assert len(calls) == len(g) - 1, lam
+
+
+def test_generate_refuses_a_malformed_weight():
+    for lam, message in [((1, 2, 3), "lam has 3 entries for 2 colors"),
+                         ((1,), "lam has 1 entries for 2 colors"),
+                         ((1.5, 0), "lam (1.5, 0): pairings must be nonnegative integers"),
+                         ((1.0, 0), "lam (1.0, 0): pairings must be nonnegative integers"),
+                         ((0, True), "lam (0, True): pairings must be nonnegative integers"),
+                         ((2, -1), "lam (2, -1): pairings must be nonnegative integers")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pbw.generate(lam)
 
 
 def test_generate_budget():
