@@ -6,9 +6,8 @@ class UnsupportedPair(ValueError):
 
 
 class DuplicateEdge(ValueError):
-    """pbw.generate lowered to an element whose changed side is new but
-    whose other side already names a vertex: the transition map is not
-    injective."""
+    """graph.closure lowered to a new element one of whose other keys
+    already names a vertex: the transition map is not injective."""
 
 
 class NonTerminating(RuntimeError):
@@ -36,7 +35,7 @@ class HypothesisNotMet(ValueError):
 
 
 class MembershipViolation(RuntimeError):
-    """A generated vertex failed the highest-weight membership predicate."""
+    """pbw.generate lowered to a vertex outside the x4 rule (x4 <= l1, a4 <= l2)."""
 
 
 class SynthesisInconsistency(RuntimeError):

@@ -16,6 +16,9 @@ monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions.
 A graph keeps what it derives once computed (string tables, the top walk
 with its maximum element and weight codes, groupings) until its next edit.
+
+closure builds a model crystal's graph (pbw.generate's, for one) breadth
+first from its top element, with the elements as labels.
 """
 
 from collections import Counter
@@ -23,7 +26,7 @@ from itertools import compress, islice, repeat
 from operator import is_, lt
 from typing import NamedTuple
 
-from .errors import InconsistentWeight, NonTerminating
+from .errors import BudgetExceeded, DuplicateEdge, InconsistentWeight, NonTerminating
 
 
 class GraphViolation(NamedTuple):
@@ -183,6 +186,50 @@ class ColoredGraph:
             srcs, dsts = self.arrows[i]
             rev.arrows[i] = (list(dsts), list(srcs))
         return rev
+
+
+def closure(top, colors, lower, complete, budget):
+    """The closure of top under lowering, as a graph labelled by the elements.
+
+    An element is a named tuple of one key per color, in color order, and
+    each key alone names the element.  lower(m, i) is the key of m's
+    i-child, or None where f_i is undefined at m; complete(key, i), the
+    model's transition map, builds the child only when no vertex has that
+    key yet, so once per new vertex.  If another key of the new child
+    already names a vertex, the map is not injective and DuplicateEdge is
+    raised at once, so no two arrows of one color reach one vertex.  BFS
+    order (FIFO, colors in the given order) fixes the ids 0, 1, ...; the
+    top vertex counts against the budget.  The graph is loaded in bulk.
+    """
+    if budget < 1:  # the top vertex counts
+        raise BudgetExceeded(f"vertex budget {budget} exceeded")
+    labels, index = [top], [{key: 0} for key in top]  # the vertex with id k is labels[k]
+    steps = [(i, seen, [], []) for i, seen in zip(colors, index)]  # color, its key index, its arrows
+    for k, m in enumerate(labels):  # labels grows as the BFS queue
+        for i, found, srcs, dsts in steps:
+            key = lower(m, i)
+            if key is None:
+                continue
+            c = found.get(key)
+            if c is None:
+                child, c = complete(key, i), len(labels)
+                for q, side in enumerate(child):
+                    j = index[q].setdefault(side, c)
+                    if j != c:
+                        raise DuplicateEdge(f"the {i}-arrow from vertex {k} reaches {child}, whose {child._fields[q]} "
+                                            f"side names vertex {j}: the transition map is not injective")
+                if c >= budget:
+                    raise BudgetExceeded(f"vertex budget {budget} exceeded")
+                labels.append(child)
+            srcs.append(k)
+            dsts.append(c)
+    for seen in index:  # the indexes go before the graph is built, to keep the peak down
+        seen.clear()
+    g = ColoredGraph(colors)
+    g.add_vertices(range(len(labels)), labels)
+    for i, _, srcs, dsts in steps:
+        g.add_arrows(i, srcs, dsts)
+    return g
 
 
 def decode_weights(codes, base, colors):

@@ -1,6 +1,7 @@
 """Hand-built fixture graphs, mutation helpers, the bounded confluence
-search, and the reference document builder, graph passes, axiom checker,
-synthesis merges and verification scans shared by the tests."""
+search, the candidate membership rules, and the reference document builder,
+graph passes, axiom checker, synthesis merges and verification scans shared
+by the tests."""
 
 import random
 from bisect import bisect_left
@@ -23,12 +24,13 @@ from b2crystal.axioms import CheckReport, Violation
 from b2crystal.cartan import B2, GCM, b2_gcm, b3_gcm, classify_all_pairs, classify_pair
 from b2crystal.errors import (
     InconsistentWeight,
+    MembershipViolation,
     NonTerminating,
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, GraphViolation, decode_weights
-from b2crystal.pbw import DEFAULT_MEMBERSHIP, MEMBERSHIP_RULES, PbwElement
+from b2crystal.graph import ColoredGraph, GraphViolation, closure, decode_weights
+from b2crystal.pbw import PbwElement
 
 # The rank-3 symplectic matrix: the other orientation of cartan.B3_MATRIX_ROWS
 # (swap -1/-2 in the lower right block), where (1,0,0) gives 6 vertices.
@@ -887,9 +889,31 @@ def epsilon_star(m):
     return (m.x[3], m.a[3])
 
 
-def in_highest_weight(m, lam, rule=DEFAULT_MEMBERSHIP):
+# The candidate membership cutoff rules: the starred-statistic rule "x4",
+# which pbw.generate asserts, and the third-coordinate rule "x3", which the
+# pinning tests show lowering breaks.
+MEMBERSHIP_RULES = {
+    "x4": lambda m, lam: m.x[3] <= lam[0] and m.a[3] <= lam[1],
+    "x3": lambda m, lam: m.x[2] <= lam[0] and m.a[2] <= lam[1],
+}
+
+
+def in_highest_weight(m, lam, rule="x4"):
     """Membership of an unbounded-crystal element in B with pairings lam."""
     return MEMBERSHIP_RULES[rule](m, lam)
+
+
+def closure_under_rule(lam, rule):
+    """pbw.generate's closure with the candidate rule asserted on each new
+    vertex in place of the x4 rule; MembershipViolation where lowering
+    reaches an element the rule rejects."""
+    def complete(side, i):
+        m = PbwElement(side, kernel.r_transfer(side)) if i == 1 else PbwElement(kernel.r_inverse(side), side)
+        if not MEMBERSHIP_RULES[rule](m, lam):
+            raise MembershipViolation(f"{m} reached by lowering but rejected by rule {rule!r}")
+        return m
+
+    return closure(pbw.ZERO, (1, 2), partial(pbw._lowered, lam), complete, 10**6)
 
 
 def closed_form_r(a):

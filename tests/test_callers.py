@@ -35,8 +35,6 @@ BENCHMARK_ONLY = {
 
 # function.parameter -> why it stays without a program caller that passes it
 ALLOWED_PARAMETERS = {
-    "generate.membership": "acceptance criterion 8: the tests generate under each "
-                           "candidate membership rule to pin the one in use",
     "verify_lemmas.transfer": "the test seam that injects a broken transfer map",
     "verify_lemmas.transfer_inv": "the test seam that injects a broken inverse map",
 }
@@ -44,7 +42,6 @@ ALLOWED_PARAMETERS = {
 # function.parameter -> why its default stays though every program call passes it
 ALLOWED_DEFAULTS = {
     "GCM.__init__.index_set": "_load_gcm passes a document's index set through, None where it has none",
-    "ColoredGraph.__init__.cartan": "doc_to_graph and reverse pass a graph's matrix through, None where it has none",
     "kashiwara_step.lam": "None is the unbounded crystal, which only the tests navigate",
     "elem_walk.lam": "None is the unbounded crystal, which only the tests navigate",
     "elem_delta.lam": "None is the unbounded crystal, which only the tests navigate",

@@ -1,11 +1,15 @@
+import re
+from itertools import product
+from typing import NamedTuple
+
 import pytest
 
 from b2crystal import axioms, cli, graph, pbw
 from b2crystal.axioms import check_all, walk_all
 from b2crystal.builder import build_isomorphism, synthesize
-from b2crystal.cartan import b2_gcm, b3_gcm
+from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.cli import doc_to_graph, graph_to_doc
-from b2crystal.errors import InconsistentWeight, NonTerminating
+from b2crystal.errors import BudgetExceeded, DuplicateEdge, InconsistentWeight, NonTerminating
 from b2crystal.graph import ColoredGraph, string_tables
 from helpers import (
     a2_crystal_1_1,
@@ -389,6 +393,43 @@ def test_reverse():
     rc = chain.reverse()
     assert rc.maximum_elements() == [3]
     assert f_step(rc, 1, 3) == 2
+
+
+class Cell(NamedTuple):
+    # an A1 x A1 grid element: each color's key is the whole pair (u, v)
+    one: tuple
+    two: tuple
+
+
+def grid(p, q, budget, complete=lambda key, i: Cell(key, key)):
+    """The A1 x A1 crystal at (p, q) by closure: f_1 raises u while u < p,
+    f_2 raises v while v < q."""
+    def lower(m, i):
+        u, v = m.one
+        if i == 1:
+            return (u + 1, v) if u < p else None
+        return (u, v + 1) if v < q else None
+
+    return graph.closure(Cell((0, 0), (0, 0)), (1, 2), lower, complete, budget)
+
+
+def test_closure_builds_a_second_model():
+    A = GCM([[2, 0], [0, 2]])
+    for p, q in [(0, 0), (2, 0), (1, 3), (3, 2)]:
+        size = (p + 1) * (q + 1)
+        g = grid(p, q, size)
+        # breadth first, color 1 first: by distance, then u falling
+        cells = sorted(product(range(p + 1), range(q + 1)), key=lambda c: (c[0] + c[1], -c[0]))
+        assert g.ids == list(range(size)) and [m.one for m in g.labels] == cells
+        assert check_all(g, A, expected_phi0={1: p, 2: q}).passed
+        assert len(build_isomorphism(g, synthesize(A, (p, q)), A)) == size
+        with pytest.raises(BudgetExceeded, match=f"^vertex budget {size - 1} exceeded$"):
+            grid(p, q, size - 1)
+    # a completion that gives every child the top's key of color 2
+    message = ("the 1-arrow from vertex 0 reaches Cell(one=(1, 0), two=(0, 0)), "
+               "whose two side names vertex 0: the transition map is not injective")
+    with pytest.raises(DuplicateEdge, match=f"^{re.escape(message)}$"):
+        grid(1, 1, 4, complete=lambda key, i: Cell(key, (0, 0)))
 
 
 def test_k1_identity_on_generated():

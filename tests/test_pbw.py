@@ -13,6 +13,7 @@ from helpers import (
     LARGE_BOX,
     closed_form_r,
     closed_form_rinv,
+    closure_under_rule,
     elem_stats,
     epsilon_star,
     from_a,
@@ -239,17 +240,18 @@ def test_generate_budget():
 
 def test_membership_rule_pinned():
     # the starred-statistic cutoff rule holds on everything the guarded
-    # lowering reaches; the third-coordinate rule does not
-    assert pbw.DEFAULT_MEMBERSHIP == "x4"
+    # lowering reaches; the third-coordinate rule does not, and generate
+    # builds every weight where it fails
     x3_failures = 0
     for l1 in range(6):
         for l2 in range(6):
-            g = pbw.generate((l1, l2), membership="x4")
+            g = closure_under_rule((l1, l2), "x4")
             assert len(g) == weyl_dim_b2(l1, l2)
             try:
-                pbw.generate((l1, l2), membership="x3")
+                closure_under_rule((l1, l2), "x3")
             except MembershipViolation:
                 x3_failures += 1
+                assert len(pbw.generate((l1, l2))) == weyl_dim_b2(l1, l2)
     assert x3_failures > 0
 
 
