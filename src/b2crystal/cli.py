@@ -42,10 +42,12 @@ matrix file without cartan; a null, empty or missing cartan means the
 document has none.
 Documents are written as compact one-line JSON; `gen` formats that text
 itself (graph_to_json), and `check`, `iso` and `export-dot` read it back
-directly (json_to_graph), with no dict per vertex or edge.  Any other
-document, and every refusal, takes the JSON path (load_doc, doc_to_graph),
-the reference, to the same graph and output.  The loaders read the vertex
-and edge arrays whole into the graph's position lists, sorted by id.
+directly (json_to_graph), with no dict per vertex or edge, once each
+section is fills of its template's pattern (each %d a number as json
+writes it).  Any other document, and every refusal, takes the JSON path
+(load_doc, doc_to_graph), the reference, to the same graph and output.
+The loaders read the vertex and edge arrays whole into the graph's
+position lists, sorted by id.
 """
 
 import argparse
@@ -53,6 +55,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from itertools import compress, repeat
 from operator import itemgetter
@@ -96,8 +99,9 @@ def graph_to_json(g, stats=False):
     if stats:
         codes, (eps, phi) = g.weight_codes(), g.tables()
         order = sorted(g.colors)
-        tail = _stats(order)
-        wts = {c: "{%s}" % ",".join(['"%d":%d' % (i, wt[i]) for i in order if i in wt])
+        fields = ",".join('"%d":%%d' % i for i in order)
+        tail = _STATS % ("%s", fields, fields)
+        wts = {c: ",".join([_ENTRY % (i, wt[i]) for i in order if i in wt])
                for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
         rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
     plain, labelled = _VERTEX + tail, _VERTEX + _LABEL + tail
@@ -113,12 +117,11 @@ def graph_to_json(g, stats=False):
 _DOCUMENT = '%s,"vertices":[%s],"edges":[%s]%s}'
 _VERTEX = '{"id":%d'
 _LABEL = ',"a":[%d,%d,%d,%d],"x":[%d,%d,%d,%d]'
+_STATS = ',"wt":{%s},"eps":{%s},"phi":{%s}}'  # each %s: _ENTRY fills by sorted color
+_ENTRY = '"%d":%d'
 _EDGE = '{"from":%d,"to":%d,"color":%d}'
 _MAX = ',"max":%d'
-_DIGITS = b"0123456789"
-_SPACED = bytes(c if c in _DIGITS else 32 for c in range(256))  # bytes.translate: non-digits to spaces
-_BLANKED = bytes(32 if c in _DIGITS else c for c in range(256))  # bytes.translate: digits to spaces
-_MARKED = bytes(48 if c == 48 else 49 if c in _DIGITS else 32 for c in range(256))  # 1-9 to 1, non-digits to spaces
+_SPACED = bytes(c if c in b"0123456789" else 32 for c in range(256))  # bytes.translate: non-digits to spaces
 
 
 def _header(index_set, cartan):
@@ -126,44 +129,22 @@ def _header(index_set, cartan):
     return json.dumps({"index_set": index_set, "cartan": cartan}, separators=(",", ":"))[:-1]
 
 
-def _stats(order):
-    """The end of a vertex with stats, over the sorted colors order."""
-    fields = ",".join('"%d":%%d' % i for i in order)
-    return ',"wt":%s,"eps":{' + fields + '},"phi":{' + fields + '}}'
+def _pattern(template, *fills):
+    """The pattern of one fill of template: each %d a number as json
+    writes it, each %s the next of fills."""
+    return re.escape(template).replace("%d", "(?:0|[1-9][0-9]*)") % fills
 
 
-def _checked(text, template, n):
-    """(text, n, numbers per copy) if text less its digits is n copies of
-    the template less its numbers (each %d, and each number it writes out),
-    joined by commas, and no number is empty, so no two characters around
-    one meet; else None.  Checked without a split."""
-    pieces = ("," + template + ",").replace("%d", "0").encode().translate(_BLANKED).split()  # around numbers
-    padded = b"," + text + b","
-    if text.translate(None, _DIGITS) != ((b"".join(pieces)[1:-1] + b",") * n)[:-1] \
-            or any(map(padded.__contains__, {a[-1:] + b[:1] for a, b in zip(pieces, pieces[1:])})):
-        return None
-    return text, n, len(pieces) - 1
+def _fills(pattern, section):
+    """Whether section is fills of pattern joined by commas, none if it is
+    empty: deleting each fill with its comma leaves nothing.  (A full match
+    of a repeated group would keep backtracking state for every fill.)"""
+    return not section or not re.sub(pattern.encode() + b",", b"", section + b",")
 
 
-def _json_numbers(checked):
-    """Whether a _checked text writes its numbers as json does: one run of
-    digits stands per number, so none elsewhere, and only 0 starts with 0.
-    Decided without a split, for a text over the budget; _split decides
-    the same from the numbers it splits."""
-    text, n, runs = checked
-    marks = (b" " + text).translate(_MARKED)  # a run of digits starts at " 0" or " 1"
-    return marks.count(b" 0") + marks.count(b" 1") == runs * n and b" 00" not in marks and b" 01" not in marks
-
-
-def _split(checked):
-    """The numbers of a _checked text as digit strings, one list per number
-    of its template, if _json_numbers holds; else None."""
-    text, n, runs = checked
-    spaced = text.translate(_SPACED)  # a digit first in text is a run no number stands for
-    numbers = spaced.split()
-    if len(numbers) != runs * n or numbers.count(b"0") != spaced.count(b" 0"):
-        return None
-    return [numbers[k::runs] for k in range(runs)]
+def _numbers(section):
+    """The numbers of a section _fills has checked, as digit strings."""
+    return section.translate(_SPACED).split()
 
 
 def json_to_graph(text, path):
@@ -171,9 +152,9 @@ def json_to_graph(text, path):
     are text, if text is exactly graph_to_json's, final newline or not, with
     the ids 0..n-1 in any order; else None, and load_doc and doc_to_graph
     read it, refusals included: duplicate ids, undeclared endpoints or max,
-    colors outside index_set.  Every section is checked before any is split
-    into its numbers, and the vertices are counted against the budget in
-    between; doc_to_graph reads the header."""
+    colors outside index_set.  Every section passes _fills before the
+    vertices are counted against the budget, and before any is read into
+    numbers; doc_to_graph reads the header."""
     cuts = _DOCUMENT.encode().split(b"%s")[1:4]  # the text between the header, the arrays and max
     head, _, rest = text.partition(cuts[0])
     vertices, _, rest = rest.partition(cuts[1])
@@ -190,42 +171,30 @@ def json_to_graph(text, path):
             return None
     except (ValueError, RecursionError):
         return None
-    # so a near miss costs a few scans, and an oversized text no split
-    top = _checked(tail, "}" if tail == b"}" else _MAX + "}", 1)
-    es = None if top is None else _checked(edges, _EDGE, edges.count(b"{"))
-    if es is None:
-        return None
-    vertex, keys, wts = _VERTEX + (_LABEL if b',"a":[' in vertices else "") + "}", [], (b"", 0, 0)
-    if b',"wt":{' in vertices:  # wt objects differ in length: read them apart
-        first, *others = vertices.split(b',"wt":{')
-        wt, _, others = zip(*map(bytes.partition, others, repeat(b"}")))
-        vertices, wt = b',"wt":{}'.join([first, *others]), b",".join(filter(None, wt))
-        order = sorted(colors)
-        vertex, keys = _VERTEX + _stats(order).replace("%s", "{}"), [b"%d" % i for i in order] * 2
-        wts = _checked(wt, '"%d":%d', wt.count(b":"))
+    stats, vertex = b',"wt":{' in vertices, _pattern(_VERTEX + (_LABEL if b',"a":[' in vertices else "") + "}")
+    if stats:  # eps and phi hold any entries here, and their keys are compared below
+        entries = "(?:{0}(?:,{0})*)?".format(_pattern(_ENTRY))
+        vertex = _pattern(_VERTEX + _STATS, entries, entries, entries)
+    if not (tail == b"}" or re.fullmatch(_pattern(_MAX + "}").encode(), tail)) \
+            or not _fills(_pattern(_EDGE), edges) or not _fills(vertex, vertices):
+        return None  # so a near miss costs a few scans, and is split nowhere
     n = vertices.count(b'{"id":')
-    vs = None if wts is None else _checked(vertices, vertex, n)
-    if vs is None:
-        return None
-    if n > _budget() and not all(map(_json_numbers, (top, es, wts, vs))):
-        return None  # not gen's text after all, and the JSON path refuses it as JSON
     _within_budget(path, n)
-    vs = _split(vs)
-    if vs is None or _split(wts) is None or any(set(c) - {key} for c, key in zip(vs[1::2], keys)):  # eps, phi
-        return None
-    ids = set(vs[0])
-    del vs  # the labels and stats, let go before the edges are split
-    es, top = _split(es), _split(top)  # top: [[max]], or [] where no max is declared
-    if es is None or top is None:
-        return None
+    tables = set(re.findall(rb'"(?:eps|phi)":\{([^}]*)', vertices)) if stats else ()  # each distinct one once
+    keys = list(map(b"%d".__mod__, sorted(colors)))
+    if any(table.split(b'"')[1::2] != keys for table in tables):
+        return None  # an eps or phi object whose keys are not the sorted colors
     pos = dict(zip(map(b"%d".__mod__, range(n)), range(n)))  # id text -> position, as the ids are 0..n-1
-    srcs, dsts, tops = (list(map(pos.get, c)) for c in (*es[:2], top[0] if top else []))
-    if ids != pos.keys() or None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= set(es[2]):
+    if set(re.findall(rb'"id":([0-9]+)', vertices)) != pos.keys():  # a set let go before the edges are split
+        return None
+    es, top = _numbers(edges), _numbers(tail)  # top: [max] or []
+    srcs, dsts, tops = (list(map(pos.get, c)) for c in (es[0::3], es[1::3], top))
+    if None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= set(es[2::3]):
         return None
     g = doc_to_graph({**doc, "vertices": [], "edges": []})
     g.add_vertices(range(n))
     for i in g.colors:
-        mask = list(map((b"%d" % i).__eq__, es[2]))
+        mask = list(map((b"%d" % i).__eq__, es[2::3]))
         g.add_arrows(i, compress(srcs, mask), compress(dsts, mask))
     return g, tops[0] if tops else None
 

@@ -11,6 +11,9 @@ import random
 import re
 import sys
 import threading
+import time
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -156,16 +159,20 @@ def test_many_colors_read_alike(tmp_path, monkeypatch, capsys):
         json.dumps(colors, separators=(",", ":")), entries, entries)
     path, dot = tmp_path / "wide.json", tmp_path / "wide.dot"
     path.write_text(text)
+    start = time.perf_counter()
     assert json_to_graph(text.encode(), path) is not None
+    assert time.perf_counter() - start < 1  # nothing per color: a pattern spelling every key out takes seconds
     runs = _both_paths(monkeypatch, capsys, [["export-dot", "--in", path, "--out", dot]], [dot])
     assert runs[0] == runs[1] and runs[0][0][0] == 0
 
 
-# gen's text with a number moved, emptied or added where each check of
-# cli._checked alone stands between it and a wrong read, and so refused by
-# the JSON path (check exits 2), or with a key gen would not write
+# gen's text with a number moved, emptied or added, or an entry or a comma
+# too many or too few, where only the pattern of a section stands between it
+# and a wrong read, and so refused by the JSON path (check exits 2), or with
+# a key, an entry or a vertex gen would not write
 _PBW = graph_to_json(pbw.generate((1, 0))).encode()
 _STATS = graph_to_json(builder.synthesize(b2_gcm(), (1, 0)), stats=True).encode()
+_ZERO = graph_to_json(pbw.generate((0, 0))).encode()
 _MISREADS = [
     (_PBW, b'"a":[1,0,0,0],"x"', b'"a":[,0,0,0],"x1"', 2),  # a label emptied into the next key
     (_PBW, b'{"id":1,"a"', b'{"id":,"a1"', 2),  # an id emptied into the next key
@@ -173,6 +180,12 @@ _MISREADS = [
     (_PBW, b'"a":[1,0,0,0]', b'"a":[01,0,0,0]', 2),  # a leading zero
     (_STATS, b'"wt":{"1":1},"eps"', b'"wt":{"1":},"e1ps"', 2),  # a wt count emptied into the next key
     (_STATS, b'"wt":{"1":1},"eps":{"1"', b'"wt":{"1":1},"eps":{"3"', 0),  # an eps key that is no color
+    (_STATS, b'"eps":{"1":1,"2":0},"phi":{"1":0,"2":1}', b'"eps":{"1":1},"phi":{"1":0,"2":1}', 0),  # an eps entry missing
+    (_STATS, b'"phi":{"1":0,"2":0}}', b'"phi":{"1":0,"2":0,"3":0}}', 0),  # a phi entry too many
+    (_PBW, b'"x":[0,1,0,1]}],"edges"', b'"x":[0,1,0,1]},],"edges"', 2),  # a trailing comma in the vertex array
+    (_STATS, b'"wt":{"1":2,"2":1}', b'"wt":{"1":2,"2":1,}', 2),  # a trailing comma in a wt object
+    (_ZERO, b'"edges":[]', b'"edges":[,]', 2),  # an empty edge array holding a comma
+    (_PBW, b'{"id":2,"a":[0,0,1,0],"x":[1,0,0,1]}', b'{"id":2}', 0),  # a plain vertex among labelled ones
 ]
 
 
@@ -201,35 +214,54 @@ def test_misplaced_numbers_over_the_budget_read_alike(tmp_path, monkeypatch, cap
     assert runs[0] == runs[1] and runs[0][0][0] == (3 if code == 0 else 2)
 
 
-def _spied_split(monkeypatch):
-    calls, split = [], cli._split
-
-    def spy(checked):
-        calls.append(checked[2])  # numbers per copy
-        return split(checked)
-
-    monkeypatch.setattr(cli, "_split", spy)
+def _spied_reads(monkeypatch):
+    """The budget counts and the reads of a section into numbers, in call
+    order, as (what, vertex count or section length)."""
+    calls, budget, numbers, findall = [], cli._within_budget, cli._numbers, re.findall
+    monkeypatch.setattr(cli, "_within_budget", lambda path, n: calls.append(("budget", n)) or budget(path, n))
+    monkeypatch.setattr(cli, "_numbers", lambda section: calls.append(("numbers", len(section))) or numbers(section))
+    monkeypatch.setattr(cli, "re", types.SimpleNamespace(
+        **{**vars(re), "findall": lambda pattern, section: calls.append(("ids", len(section))) or findall(pattern, section)}))
     return calls
 
 
 def test_a_near_miss_is_refused_before_any_split(tmp_path, monkeypatch):
-    # every section is checked before any is split: one space in the last
-    # edge sends gen's text to the JSON path with no section split
+    # every section is checked before the budget is counted and before any
+    # is read: one space in the last edge sends gen's text to the JSON path
+    # with no count and no read; gen's text reads each section once
     text = graph_to_json(pbw.generate((3, 3))).encode()
     last = text.rindex(b',"color"')
-    calls = _spied_split(monkeypatch)
+    calls = _spied_reads(monkeypatch)
     assert json_to_graph(text[:last] + b" " + text[last:], tmp_path / "near.json") is None
     assert calls == []
-    assert json_to_graph(text, tmp_path / "gen.json") is not None and calls == [9, 0, 3, 1]  # vertices, wt (none), edges, max
+    assert json_to_graph(text, tmp_path / "gen.json") is not None
+    vertices, edges, tail = re.fullmatch(rb'.*?"vertices":\[(.*?)\],"edges":\[(.*)\](.*)', text).groups()
+    assert calls == [("budget", 256), ("ids", len(vertices)), ("numbers", len(edges)), ("numbers", len(tail))]
 
 
 def test_an_oversized_document_is_refused_before_any_split(tmp_path, monkeypatch):
     path = _gen(tmp_path, "b2", "3,3", "pbw")
     monkeypatch.setenv("CRYSTAL_BUDGET", "100")
-    calls = _spied_split(monkeypatch)
+    calls = _spied_reads(monkeypatch)
     with pytest.raises(cli.BudgetExceeded, match=r"has 256 vertices, over the vertex budget 100$"):
         json_to_graph(path.read_bytes(), path)
-    assert calls == []
+    assert calls == [("budget", 256)]
+
+
+def test_an_oversized_document_is_refused_in_bounded_memory(tmp_path, monkeypatch):
+    # each section is checked by deleting its fills, not by a full match of
+    # a repeated group, whose backtracking state grows with every fill
+    # (about 12 times the text here)
+    text = graph_to_json(pbw.generate((12, 12))).encode()
+    monkeypatch.setenv("CRYSTAL_BUDGET", "100")
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.BudgetExceeded):
+            json_to_graph(text, tmp_path / "big.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text)
 
 
 def test_a_header_nested_to_the_recursion_limit(tmp_path, monkeypatch, capsys):
