@@ -189,11 +189,12 @@ def json_to_graph(text, path):
         return None
     es, top = _numbers(edges), _numbers(tail)  # top: [max] or []
     srcs, dsts, tops = (list(map(pos.get, c)) for c in (es[0::3], es[1::3], top))
-    if None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= set(es[2::3]):
+    used = set(es[2::3])  # the colors that have edges
+    if None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= used:
         return None
     g = doc_to_graph({**doc, "vertices": [], "edges": []})
     g.add_vertices(range(n))
-    for i in g.colors:
+    for i in [i for i in g.colors if b"%d" % i in used]:
         mask = list(map((b"%d" % i).__eq__, es[2::3]))
         g.add_arrows(i, compress(srcs, mask), compress(dsts, mask))
     return g, tops[0] if tops else None
@@ -255,10 +256,11 @@ def doc_to_graph(doc):
         s, d = srcs[k], dsts[k]
         raise ValueError(f"edge {edges[k]}: endpoint {d if s_pos[k] is not None else s} "
                          "is not a declared vertex")
-    if not set(cols) <= set(colors):
+    used = set(cols)  # the colors that have edges
+    if not used <= set(colors):
         k = next(k for k, c in enumerate(cols) if c not in g.colors)
         raise ValueError(f"edge {edges[k]}: color {cols[k]} is not in index_set {colors}")
-    for i in g.colors:
+    for i in filter(used.__contains__, g.colors):
         mask = list(map(i.__eq__, cols))
         g.add_arrows(i, compress(s_pos, mask), compress(d_pos, mask))
     declared = doc.get("max")

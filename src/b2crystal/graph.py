@@ -13,7 +13,8 @@ the reports built from the passes below.
 
 The goodness conditions (per-color out-degree <= 1, in-degree <= 1, finite
 monochromatic strings) make the up/down string lengths eps/phi well
-defined; string_tables computes them as per-color lists over positions.
+defined; string_tables computes them as per-color lists over positions
+(where degrees are clean, is_good reads G3 from their coverage).
 A graph keeps what it derives once computed (string tables, the top walk
 with its maximum element and weight codes, groupings) until its next edit.
 
@@ -117,20 +118,33 @@ class ColoredGraph:
     # -- structure checks --------------------------------------------------
 
     def is_good(self):
-        """All G1/G2/G3 violations (empty list means the graph is good)."""
+        """All G1/G2/G3 violations (empty list means the graph is good), G1/G2
+        before G3 per color.  With clean degrees, G3 is read from the string
+        tables, which a good graph keeps; cycles are marked only otherwise."""
         n = len(self.ids)
         ids = self.ids
-        violations = []
+        degrees = []  # each color's G1/G2 violations
         for i in self.colors:
             srcs, dsts = self.arrows[i]
-            up, down = self.up[i], self.down[i]
+            found = []
             # as many arrows as vertices with a step: no vertex has two
-            for rule, ends, step, way in (("G1", srcs, down, "outgoing"), ("G2", dsts, up, "incoming")):
+            for rule, ends, step, way in (("G1", srcs, self.down[i], "outgoing"), ("G2", dsts, self.up[i], "incoming")):
                 if len(ends) == n - step.count(None):
                     continue
                 counts = Counter(ends)
                 for k in sorted(k for k, c in counts.items() if c > 1):
-                    violations.append(GraphViolation(rule, ids[k], f"{counts[k]} {way} {i}-arrows"))
+                    found.append(GraphViolation(rule, ids[k], f"{counts[k]} {way} {i}-arrows"))
+            degrees.append(found)
+        if not any(degrees):
+            try:
+                self.tables()
+                return []
+            except NonTerminating:
+                pass
+        violations = []
+        for i, found in zip(self.colors, degrees):
+            violations.extend(found)
+            down = self.down[i]
             # cycle detection along the navigation successor map: a walk that
             # meets a position it marked itself has closed a cycle
             walk = [0] * n
@@ -269,29 +283,32 @@ def _top_walk(g):
             cv = code[v]
             if cv is None:
                 code[v] = cu + inc
-                parent[v] = u, i
+                parent[v] = u
                 queue.append(v)
             elif cv != cu + inc and conflict is None:
                 # multisets keyed in order of first use along the paths
                 path = _tree_path
-                conflict = g.ids[v], Counter(path(parent, k0, v)), Counter(path(parent, k0, u) + [i])
+                conflict = g.ids[v], Counter(path(g, parent, k0, v)), Counter(path(g, parent, k0, u) + [i])
     return (k0, code, conflict) if len(queue) == n else None
 
 
-def _tree_path(parent, k0, k):
-    """Colors along the BFS-tree path from k0 to k; parent[v] = (u, color)."""
+def _tree_path(g, parent, k0, k):
+    """Colors along the BFS-tree path from k0 to k; each step's color is the
+    first, in g.colors order, whose arrow leads from parent[v] to v."""
     path = []
     while k != k0:
-        k, i = parent[k]
-        path.append(i)
+        k, v = parent[k], k
+        path.append(next(i for i in g.colors if g.down[i][k] == v))
     return path[::-1]
 
 
 def string_tables(g):
     """eps/phi of every position for every color, in O(V) per color.
 
-    Returns (eps, phi), each mapping a color to a list over positions.
-    Requires a good graph (strings decompose into disjoint chains).
+    Returns (eps, phi), each mapping a color to a list over positions, from
+    two counting walks down each string from its head.  NonTerminating on a
+    walk past n steps or a position no head reaches: with clean degrees,
+    exactly when a monochromatic cycle exists.
     """
     n = len(g.ids)
     eps, phi = {}, {}
@@ -299,17 +316,18 @@ def string_tables(g):
         down = g.down[i]
         e, p = [None] * n, [None] * n
         for v in compress(range(n), map(is_, g.up[i], repeat(None))):
-            chain = [v]
-            w = down[v]
+            k, w = 0, v
             while w is not None:
-                chain.append(w)
-                if len(chain) > n + 1:
+                e[w] = k
+                k += 1
+                if k > n:
                     raise NonTerminating(f"monochromatic {i}-cycle through {g.ids[v]}")
                 w = down[w]
-            top = len(chain) - 1
-            for k, u in enumerate(chain):
-                e[u] = k
-                p[u] = top - k
+            w = v
+            while w is not None:
+                k -= 1
+                p[w] = k
+                w = down[w]
         eps[i], phi[i] = e, p
     for i in g.colors:
         if None in eps[i]:

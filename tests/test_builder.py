@@ -328,6 +328,34 @@ def test_reversal_certifies_each_graph_once(monkeypatch):
         assert rep.counterexamples == ["(2, 1): reversal is not an involutive crystal symmetry"]
 
 
+# (matrix, -w0 as the color each color's statistic comes from, weights):
+# -w0 swaps the ends of A3 and the spin nodes 4, 5 of D5, and is the
+# identity on B3, C3 and D4
+_DUAL_TYPES = [
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (3, 2, 1), [(1, 0, 0), (1, 1, 0), (2, 0, 1)]),
+    (b3_gcm().rows, (1, 2, 3), [(1, 0, 0), (0, 0, 1), (1, 1, 0)]),
+    (C3_MATRIX_ROWS, (1, 2, 3), [(1, 0, 0), (0, 0, 1), (1, 0, 1)]),
+    ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], (1, 2, 3, 4),
+     [(1, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1)]),
+    ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], (1, 2, 3, 5, 4),
+     [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (1, 0, 0, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("rows,dual,weights", _DUAL_TYPES, ids=["A3", "B3", "C3", "D4", "D5"])
+def test_reversal_is_the_crystal_at_minus_w0_lambda(rows, dual, weights):
+    # the reversal of B(lam) is B(-w0 lam): it passes the axioms, its top
+    # statistics are those of the lowest element, and it is isomorphic to
+    # the crystal synthesized there
+    A = GCM(rows)
+    for lam in weights:
+        mirrored = tuple(lam[c - 1] for c in dual)
+        rev = builder.synthesize(A, lam).reverse()
+        assert axioms.check_all(rev, A).passed, lam
+        assert axioms.summit(rev)[1] == dict(zip(A.colors, mirrored)), lam
+        assert builder.build_isomorphism(rev, builder.synthesize(A, mirrored), A)
+
+
 def test_rank3_smoke():
     B3 = b3_gcm()
     g = builder.synthesize(B3, (1, 0, 0))

@@ -90,6 +90,23 @@ def test_string_stats_cycle_detection():
     assert any(v.rule == "G3" for v in g.is_good())
     with pytest.raises(NonTerminating):
         string_tables(g)
+    # under a G2 violation, a head's string can run into a cycle: the walk
+    # from the head 7 loops through 8 -> 9 -> 8
+    h = build_graph((1,), (7, 8, 9), [(7, 8, 1), (8, 9, 1), (9, 8, 1)])
+    assert [v.rule for v in h.is_good()] == ["G2", "G3"] and h.is_good() == reference_is_good(h)
+    with pytest.raises(NonTerminating, match="^monochromatic 1-cycle through 7$"):
+        string_tables(h)
+
+
+def test_is_good_reads_cycles_from_string_coverage():
+    # degrees are clean in both colors; color 2 has a head-less 3-cycle
+    # 15 -> 13 -> 14 -> 15 beside the chain 10 -> 11 -> 12 and a chain 16 -> 17
+    # into nothing, and color 1 is good
+    edges = [(10, 11, 1), (11, 12, 1), (13, 16, 1), (10, 11, 2), (11, 12, 2),
+             (15, 13, 2), (13, 14, 2), (14, 15, 2), (16, 17, 2)]
+    g = build_graph((1, 2), range(10, 18), edges)
+    assert g.is_good() == reference_is_good(g) == [graph.GraphViolation("G3", 13, "monochromatic 2-cycle")]
+    assert "tables" not in g._kept  # the tables raised, so none are kept
 
 
 def test_delta_basics():
@@ -282,6 +299,7 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     monkeypatch.setattr(axioms, "grouping", counted_grouping)
     for f, calls in zip(fresh, (2, 6)):
         computed.clear()
+        assert f.is_good() == [] and computed == [f]  # goodness computes the tables check_all reads
         assert check_all(f, f.cartan).passed
         assert len(groupings) == len(set(groupings)) == calls and computed == [f]
         groupings.clear()
@@ -568,6 +586,18 @@ def test_top_walk_matches_reference():
     with pytest.raises(InconsistentWeight) as exc:
         early.weight_codes()
     assert (exc.value.vertex, exc.value.first, exc.value.second) == (3, {1: 2}, {2: 2})
+
+
+def test_top_walk_conflict_after_a_double_step():
+    # vertex 1 reaches 2 by both colors, so the grading breaks there, and
+    # again at the arrow 2 -> 4 further down; the first conflict's multisets
+    # read the tree step 1 -> 2 back as color 1, the first color whose arrow
+    # leads there
+    g = build_graph((1, 2), 5, [(0, 3, 1), (0, 1, 2), (3, 4, 1), (1, 2, 1), (1, 2, 2), (2, 4, 2)])
+    assert g.down[1][1] == g.down[2][1] == 2 and g.maximum_elements() == [0]
+    want = _outcome(reference_wt_assign, g, 0)
+    assert _outcome(g.weight_codes) == want
+    assert want == ("InconsistentWeight", "vertex 2: conflicting path multisets {2: 1, 1: 1} vs {2: 2}")
 
 
 def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):

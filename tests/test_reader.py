@@ -164,6 +164,17 @@ def test_many_colors_read_alike(tmp_path, monkeypatch, capsys):
     assert time.perf_counter() - start < 1  # nothing per color: a pattern spelling every key out takes seconds
     runs = _both_paths(monkeypatch, capsys, [["export-dot", "--in", path, "--out", dot]], [dot])
     assert runs[0] == runs[1] and runs[0][0][0] == 0
+    # either reader loads only the colors that have edges: none of these,
+    # both of a B2 document's
+    loaded, add_arrows = [], ColoredGraph.add_arrows
+    monkeypatch.setattr(ColoredGraph, "add_arrows", lambda g, i, *ends: loaded.append(i) or add_arrows(g, i, *ends))
+    counts = []
+    for doc in (text, graph_to_json(pbw.generate((2, 1)))):
+        for read in (lambda d: json_to_graph(d.encode(), path), lambda d: doc_to_graph(json.loads(d))):
+            loaded.clear()
+            assert read(doc) is not None
+            counts.append(list(loaded))
+    assert counts == [[], [], [1, 2], [1, 2]]
 
 
 # gen's text with a number moved, emptied or added, or an entry or a comma
