@@ -24,18 +24,15 @@ and PHI0 (top statistics mismatch).
 """
 
 from bisect import bisect_left
-from collections import defaultdict
-from typing import NamedTuple, Optional
+from collections import defaultdict, namedtuple
 
 from .cartan import B2, classify_pair
 from .errors import InconsistentWeight, UnsupportedPair
 
 
-class Violation(NamedTuple):
-    axiom: str
-    pair: Optional[tuple]
-    witness: Optional[int]
-    detail: str
+class Violation(namedtuple("Violation", "axiom pair witness detail")):
+    """axiom: the tag; pair: a color pair or None; witness: an id or None."""
+    __slots__ = ()
 
     def sort_key(self):
         return (
@@ -115,18 +112,10 @@ def check_s2_s3(g, A):
 ORDERED, UNORDERED, ORIENTED = "ordered", "unordered", "B2-oriented"
 
 
-class Side(NamedTuple):
-    """A direction through the graph, named for reports, with the opposite
-    steps and statistic that closing deltas read, and the vertex ids that
-    witnesses are reported by."""
-    sign: str
-    where: str
-    other: str
-    steps: dict
-    stat: dict
-    back: dict
-    back_stat: dict
-    ids: list
+# A direction through the graph, named for reports, with the opposite steps
+# and statistic that closing deltas read, and the vertex ids that witnesses
+# are reported by.
+Side = namedtuple("Side", "sign where other steps stat back back_stat ids")
 
 
 def lowering(g, eps, phi):
@@ -146,7 +135,8 @@ def walk_all(steps, xs, word):
     return xs
 
 
-class Rule(NamedTuple):
+class Rule(namedtuple("Rule", "tag name pairs hypothesis words apart closing unclosed guard",
+                      defaults=(None, "", None))):
     """tag: reported with _PLUS or _MINUS; name: used in synthesis errors;
     pairs: the color pairs it runs on; hypothesis / closing: the deltas
     (ij, ji) at x / at the meet, None where free (a closing of None tests
@@ -155,15 +145,7 @@ class Rule(NamedTuple):
     to assert) or a defect (tag, detail) reported under its own tag; apart /
     unclosed: the details when the words do not meet / the closing deltas
     are off."""
-    tag: str
-    name: str
-    pairs: str
-    hypothesis: tuple
-    words: object
-    apart: str
-    closing: Optional[tuple] = None
-    unclosed: str = ""
-    guard: object = None
+    __slots__ = ()
 
 
 def _two_child(side, xs, i, j):

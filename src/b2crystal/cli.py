@@ -92,7 +92,7 @@ def graph_to_json(g, stats=False):
     The text is formatted directly, one %-format per vertex and per edge
     from the templates below, filled once per document, and is byte for
     byte what json.dumps writes for the same document as a dict tree.  PBW
-    labels carry four coordinates a side, as PbwElement's Nat4 does."""
+    labels carry four coordinates a side, as a PbwElement's a and x do."""
     head = _header(list(g.colors), [list(r) for r in g.cartan.rows] if g.cartan else None)
     maxes = g.maximum_elements()
     tail, rows = "}", repeat(())

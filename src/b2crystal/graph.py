@@ -22,18 +22,14 @@ closure builds a model crystal's graph (pbw.generate's, for one) breadth
 first from its top element, with the elements as labels.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import compress, islice, repeat
 from operator import is_, lt
-from typing import NamedTuple
 
 from .errors import BudgetExceeded, DuplicateEdge, InconsistentWeight, NonTerminating
 
 
-class GraphViolation(NamedTuple):
-    rule: str  # G1, G2 or G3
-    witness: int
-    detail: str
+GraphViolation = namedtuple("GraphViolation", "rule witness detail")  # rule: G1, G2 or G3
 
 
 class ColoredGraph:

@@ -13,9 +13,9 @@ each raising word as runs of one color (pbw.raise_walk), one kernel call
 per run.
 """
 
+from collections import namedtuple
 from functools import cache, partial
 from itertools import groupby, product
-from typing import Callable, NamedTuple, Optional
 
 from . import kernel, pbw
 from .axioms import summit
@@ -254,12 +254,13 @@ def _flat_ledge(m, lam):
     return mm.x[0] >= 1 and pbw.elem_delta(mm, "e", "eps", 2, 1, lam) == 0
 
 
-class Fork(NamedTuple):
-    claim: str  # report title, formatted with lam
-    eps1: int  # least eps1 of a fork in the class
-    guard: Optional[Callable]  # guard(m, lam): a further condition on the fork
-    family: Callable  # family(m): the parametrized family the forks must equal
-    close: Callable  # close(m, lam, rep): adds the fork's counterexamples to rep
+# A fork class:
+#   claim: report title, formatted with lam
+#   eps1: least eps1 of a fork in the class
+#   guard(m, lam): a further condition on the fork, or None
+#   family(m): the parametrized family the forks must equal
+#   close(m, lam, rep): adds the fork's counterexamples to rep
+Fork = namedtuple("Fork", "claim eps1 guard family close")
 
 
 # raising deltas -> class, in report order

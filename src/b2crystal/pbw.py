@@ -16,26 +16,21 @@ here is always [[2,-2],[-1,2]] with colors 1, 2.
 crystal, or None for the unbounded crystal (lowering never guarded).
 """
 
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple, Optional, Tuple
 
 from . import kernel
 from .cartan import b2_gcm
 from .errors import HypothesisNotMet, MembershipViolation
 from .graph import ColoredGraph, closure
 
-Nat4 = Tuple[int, int, int, int]
-
-
-class PbwElement(NamedTuple):
-    a: Nat4
-    x: Nat4
+PbwElement = namedtuple("PbwElement", "a x")
 
 
 ZERO = PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
 
 
-def kashiwara_step(m: PbwElement, direction, i, lam=None) -> Optional[PbwElement]:
+def kashiwara_step(m, direction, i, lam=None):
     """One raising ('e') or lowering ('f') step of color i, or None.
 
     Raising is guarded by eps_i > 0, and is a run of length one.  Lowering
@@ -71,7 +66,7 @@ def _lowered(lam, m, i):
     raise ValueError(f"color must be 1 or 2, not {i!r}")
 
 
-def raise_walk(m: PbwElement, runs) -> Optional[PbwElement]:
+def raise_walk(m, runs):
     """Apply raising runs (color i, length r), first run first: e_i^r for
     each; None where a run finds eps_i < r.
 

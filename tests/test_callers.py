@@ -124,12 +124,24 @@ def test_benchmark_only_names_are_listed():
     assert sorted(qual for qual, name in public if name in bench - src) == sorted(BENCHMARK_ONLY)
 
 
+def _namedtuple_fields(tree):
+    """The field names of each namedtuple("Name", "f1 f2 ...") call that a
+    module-level assignment of tree makes or a class of tree takes as a
+    base."""
+    for node in tree.body:
+        calls = node.bases if isinstance(node, ast.ClassDef) else [node.value] if isinstance(node, ast.Assign) else []
+        for call in calls:
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "namedtuple":
+                yield from call.args[1].value.split()
+
+
 def _shared(trees):
     """The qualified names of the public definitions whose name another
-    public definition, a field (an annotated class attribute or an attribute
-    set on self) or a method of a builtin type also names."""
+    public definition, a field (a namedtuple field, an annotated class
+    attribute or an attribute set on self) or a method of a builtin type
+    also names."""
     public = [found for tree in trees for found in _public(tree)]
-    fields = set()
+    fields = {name for tree in trees for name in _namedtuple_fields(tree)}
     for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
         for node in ast.walk(cls):
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):

@@ -783,12 +783,14 @@ def test_repeated_calls_give_the_first_results(docs, tmp_path, capsys):
     assert results() == first
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
+def test_import_leaves_out_dataclasses_inspect_and_typing():
     # each command is a fresh process that imports the package first; the
-    # package loads neither module, nor what inspect pulls in.  A fresh
-    # interpreter, since this one has imported both already.
-    probe = "import sys, b2crystal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+    # package loads none of these modules, nor what inspect pulls in.  A
+    # fresh interpreter, since this one has imported them already, and
+    # without site, whose .pth hooks may import typing themselves.
+    probe = ("import sys, b2crystal.cli, b2crystal.oracle; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
 
