@@ -8,8 +8,8 @@ literal graph; phi/eps are always string lengths, never trusted labels,
 so the checker is meaningful on arbitrary graphs.  The batteries read the
 graph's per-color position lists and its string tables, and report
 witnesses as vertex ids.  Each side (raising, lowering) of each color pair
-is read in one pass over positions, grouping them by their two deltas;
-the graph keeps that grouping, and every rule on the pair reads it.
+is read in one pass over positions (S2/S3's on the raising side), grouping
+them by their two deltas; the graph keeps it for every rule on the pair.
 
 Every rule is a row of one table, decided on a grouping by scan(): the
 lowering-side rules (square, octagon, the pentagon's two hypotheses, the
@@ -70,34 +70,36 @@ def _vid(side, k):
 def check_s2_s3(g, A):
     """String-difference equality and sign bounds across every raising
     step, for j != i (at j = i the equality reads 2 = a_ii, which GCM
-    already requires)."""
+    already requires), in one pass per color pair {i, j}, which keeps the
+    pair's raising grouping: each position with both steps by its eps deltas."""
     eps, phi = g.tables()
-    ids = g.ids
     out = []
-    for i in g.colors:
-        up_i = g.up[i]
-        for j in g.colors:
-            if j == i:
-                continue
-            a = A.a(j, i)
-            eps_j, phi_j = eps[j], phi[j]
-            for x, w in enumerate(up_i):
-                if w is None:
-                    continue
-                dphi = phi_j[w] - phi_j[x]
-                deps = eps_j[w] - eps_j[x]
-                if dphi - deps != a:
-                    out.append(
-                        Violation(
-                            "S2", (i, j), ids[x],
-                            f"phi/eps difference {dphi}-{deps} != a[{j},{i}]={a}",
-                        )
-                    )
-                if not (dphi <= 0 <= deps):
-                    out.append(
-                        Violation("S3", (i, j), ids[x], f"need {dphi} <= 0 <= {deps}")
-                    )
+    for ai, i in enumerate(g.colors):
+        for j in g.colors[ai + 1:]:
+            a_ji, a_ij = A.a(j, i), A.a(i, j)
+            eps_i, phi_i, eps_j, phi_j = eps[i], phi[i], eps[j], phi[j]
+            groups = defaultdict(list)
+            for x, (wi, wj) in enumerate(zip(g.up[i], g.up[j])):
+                if wi is not None:
+                    dphi, d_ij = phi_j[wi] - phi_j[x], eps_j[wi] - eps_j[x]
+                    if dphi - d_ij != a_ji or dphi > 0 or d_ij < 0:
+                        _s2_s3(out, (i, j), g.ids[x], dphi, d_ij, a_ji)
+                if wj is not None:
+                    dphi, d_ji = phi_i[wj] - phi_i[x], eps_i[wj] - eps_i[x]
+                    if dphi - d_ji != a_ij or dphi > 0 or d_ji < 0:
+                        _s2_s3(out, (j, i), g.ids[x], dphi, d_ji, a_ij)
+                    if wi is not None:
+                        groups[d_ij, d_ji].append(x)
+            g.keep(("grouping", "MINUS", i, j), lambda g: groups)
     return _sorted(out)
+
+
+def _s2_s3(out, pair, v, dphi, deps, a):
+    """Report the S2 and S3 violations at vertex v across its pair[0]-step."""
+    if dphi - deps != a:
+        out.append(Violation("S2", pair, v, f"phi/eps difference {dphi}-{deps} != a[{pair[1]},{pair[0]}]={a}"))
+    if not (dphi <= 0 <= deps):
+        out.append(Violation("S3", pair, v, f"need {dphi} <= 0 <= {deps}"))
 
 
 # -- the lowering-side rules -------------------------------------------------

@@ -20,17 +20,17 @@ The isomorphism is one breadth-first walk over both graphs from their
 tops, each a maximum element with its top statistics: the i-child of a
 mapped vertex goes to the i-child of its image, which checks every arrow of
 both graphs on the way.  A graph that passes check_all is the crystal of
-its top statistics, so a good graph that the walk maps onto it arrow for
-arrow is that crystal too: only the first graph runs check_all, and the
-second runs it only where the walk fails, for the verdict that certifying
-both first would give.
+its top statistics, so a graph with clean degrees and one source that the
+walk maps onto it arrow for arrow is that crystal too: only the first graph
+runs check_all, and the second runs it only where the walk fails, for the
+verdict that certifying both first would give.
 """
 
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress
 
-from .axioms import check_all, grouping, lowering, rule_pairs, scan, summit, walk_all
+from .axioms import check_all, grouping, lowering, rule_pairs, scan, walk_all
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -219,15 +219,20 @@ def build_isomorphism(X, Y, gcm):
     color, both i-children are missing or both present, and the image of
     the child is the child of the image (NotIsomorphic otherwise).
     X runs check_all; Y runs it only where its pre-check (the matrix's
-    colors, a good graph, one maximum element) or the walk fails, for the
+    colors, clean G1/G2 degrees, one source) or the walk fails, for the
     outcome of certifying both graphs first.
     """
     tx = _certify("first", X, gcm)
-    ty = set(Y.colors) == set(gcm.colors) and not Y.is_good() and summit(Y)
-    if not ty:
+    found = Y.sources()
+    if set(Y.colors) != set(gcm.colors) or any(map(Y.degree_violations, Y.colors)) or len(found) != 1:
         return _match(X, tx, Y, _certify("second", Y, gcm))
+    phi0 = {}  # the lengths of the source's strings, paths by the clean degrees
+    for i in Y.colors:
+        k, phi0[i] = found[0], 0
+        while Y.down[i][k] is not None:
+            k, phi0[i] = Y.down[i][k], phi0[i] + 1
     try:
-        return _match(X, tx, Y, ty)
+        return _match(X, tx, Y, (Y.ids[found[0]], phi0))
     except (PrereqFailed, NotIsomorphic):
         _certify("second", Y, gcm)
         raise

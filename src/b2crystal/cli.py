@@ -184,8 +184,9 @@ def json_to_graph(text, path):
     keys = list(map(b"%d".__mod__, sorted(colors)))
     if any(table.split(b'"')[1::2] != keys for table in tables):
         return None  # an eps or phi object whose keys are not the sorted colors
-    pos = dict(zip(map(b"%d".__mod__, range(n)), range(n)))  # id text -> position, as the ids are 0..n-1
-    if set(re.findall(rb'"id":([0-9]+)', vertices)) != pos.keys():  # a set let go before the edges are split
+    ids = re.findall(rb'"id":([0-9]+)', vertices)
+    pos = dict(zip(ids, map(int, ids)))  # id text -> position: n distinct canonical ids below n are 0..n-1
+    if len(pos) != n or max(pos.values(), default=-1) >= n:
         return None
     es, top = _numbers(edges), _numbers(tail)  # top: [max] or []
     srcs, dsts, tops = (list(map(pos.get, c)) for c in (es[0::3], es[1::3], top))

@@ -113,24 +113,29 @@ class ColoredGraph:
 
     # -- structure checks --------------------------------------------------
 
+    def degree_violations(self, i):
+        """The G1/G2 violations of color i: vertices with two out- or in-arrows."""
+        srcs, dsts = self.arrows[i]
+        found = []
+        # as many arrows as vertices with a step: no vertex has two
+        for rule, ends, step, way in (("G1", srcs, self.down[i], "outgoing"), ("G2", dsts, self.up[i], "incoming")):
+            if len(ends) == len(self.ids) - step.count(None):
+                continue
+            counts = Counter(ends)
+            for k in sorted(k for k, c in counts.items() if c > 1):
+                found.append(GraphViolation(rule, self.ids[k], f"{counts[k]} {way} {i}-arrows"))
+        return found
+
+    def sources(self):
+        """The positions with no incoming arrow."""
+        return list(compress(range(len(self.ids)), map(((None,) * len(self.up)).__eq__, zip(*self.up.values()))))
+
     def is_good(self):
         """All G1/G2/G3 violations (empty list means the graph is good), G1/G2
         before G3 per color.  With clean degrees, G3 is read from the string
         tables, which a good graph keeps; cycles are marked only otherwise."""
-        n = len(self.ids)
-        ids = self.ids
-        degrees = []  # each color's G1/G2 violations
-        for i in self.colors:
-            srcs, dsts = self.arrows[i]
-            found = []
-            # as many arrows as vertices with a step: no vertex has two
-            for rule, ends, step, way in (("G1", srcs, self.down[i], "outgoing"), ("G2", dsts, self.up[i], "incoming")):
-                if len(ends) == n - step.count(None):
-                    continue
-                counts = Counter(ends)
-                for k in sorted(k for k, c in counts.items() if c > 1):
-                    found.append(GraphViolation(rule, ids[k], f"{counts[k]} {way} {i}-arrows"))
-            degrees.append(found)
+        n, ids = len(self.ids), self.ids
+        degrees = list(map(self.degree_violations, self.colors))
         if not any(degrees):
             try:
                 self.tables()
@@ -256,8 +261,7 @@ def _top_walk(g):
     in g.colors order; conflict is None, or the InconsistentWeight arguments
     at the first arrow that breaks the grading, past which the walk goes on."""
     n, colors = len(g.ids), g.colors
-    ups = [g.up[i] for i in colors]
-    sources = list(compress(range(n), map(((None,) * len(ups)).__eq__, zip(*ups))))
+    sources = g.sources()
     if len(sources) != 1:
         return None
     (k0,) = sources

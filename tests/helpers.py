@@ -9,7 +9,7 @@ from functools import partial
 from itertools import product
 from typing import NamedTuple, Tuple
 
-from b2crystal import builder, kernel, pbw
+from b2crystal import axioms, builder, kernel, pbw
 from b2crystal.oracle import (
     FORKS,
     VerificationReport,
@@ -29,7 +29,7 @@ from b2crystal.errors import (
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, GraphViolation, closure, decode_weights
+from b2crystal.graph import ColoredGraph, GraphViolation, closure, decode_weights, string_tables
 from b2crystal.pbw import PbwElement
 
 # The rank-3 symplectic matrix: the other orientation of cartan.B3_MATRIX_ROWS
@@ -840,6 +840,15 @@ def reference_merge_classes(candidates, pairs):
             ca |= cb
             classes.remove(cb)
     return sorted(sorted(s) for s in classes)
+
+
+def reference_raising_groupings(g):
+    """{(i, j): axioms.grouping(raising side, every position, i, j) as a
+    list of (deltas, positions) items} for each color pair {i, j}, i first
+    in g's color order, from freshly computed string tables."""
+    side = axioms.raising(g, *string_tables(g))
+    return {(i, j): list(axioms.grouping(side, range(len(g)), i, j).items())
+            for a, i in enumerate(g.colors) for j in g.colors[a + 1:]}
 
 
 def reference_build_isomorphism(X, Y, gcm):

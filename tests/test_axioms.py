@@ -21,6 +21,7 @@ from helpers import (
     reference_check_s2_s3,
     reference_check_s4_s5,
     reference_check_s6_s9,
+    reference_raising_groupings,
     relabelled,
     walk,
 )
@@ -240,6 +241,38 @@ def test_batteries_match_reference():
             assert out == reference(g, M), g.vertices()[:3]
             tags.update(v.axiom for v in out)
     assert BATTERY_TAGS <= tags, BATTERY_TAGS - tags
+
+
+def test_s2_s3_keeps_the_raising_grouping():
+    # the S2/S3 pass files each position with both raising steps under the
+    # two eps deltas it computes: on a fresh graph it leaves the raising
+    # grouping of every color pair, key for key and list for list in the
+    # order grouping() gives, and check_s4_s5 reads that one
+    pairs = 0
+    for M, g in _differential_cases():
+        want = reference_raising_groupings(g)
+        axioms.check_s2_s3(g, M)
+        for (i, j), items in want.items():
+            kept = g.keep(("grouping", "MINUS", i, j), None)
+            assert list(kept.items()) == items, (g.vertices()[:3], i, j)
+            pairs += 1
+        assert axioms.check_s4_s5(g, M) == reference_check_s4_s5(g, M)
+    assert pairs > 100
+
+
+def test_check_all_reads_alike_whichever_battery_builds_the_grouping():
+    # a fresh graph whose S4-S5 battery ran before S2/S3 keeps the raising
+    # grouping that grouping() builds; check_all reports as on a fresh copy,
+    # where the S2/S3 pass builds it
+    good = 0
+    for M, g in _differential_cases():
+        if g.is_good():
+            continue
+        fresh = copy_mutable(g)
+        axioms.check_s4_s5(g, M)
+        assert axioms.check_all(g, M).to_dict() == axioms.check_all(fresh, M).to_dict()
+        good += 1
+    assert good > 50
 
 
 def test_confluence_checker():

@@ -25,6 +25,8 @@ from helpers import (
     C3_MATRIX_ROWS,
     SYNTHESIS_CASES,
     build_graph,
+    copy_mutable,
+    reference_build_isomorphism,
     reference_check_all,
     reference_graph_to_doc,
     reference_load,
@@ -224,6 +226,44 @@ def test_iso_precondition(docs, tmp_path, capsys):
     assert main(["iso", docs["syn11"], str(broken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: second graph fails certification: FAIL:")
+
+
+def _passes_the_pre_check_only(g):
+    """Graphs with g's clean degrees and one source that are not the
+    crystal g: an i-string of g closed into a cycle away from the top, a
+    detached monochromatic cycle, a vertex unreachable from the source (a
+    two-color cycle), and a new top above g's, whose statistics differ."""
+    n = len(g)
+    x = next(x for x in range(1, n) if g.up[1][x] is None and g.down[1][x] is not None)
+    t = x
+    while g.down[1][t] is not None:
+        t = g.down[1][t]
+    for extra in ([(t, x, 1)], [(n, n + 1, 1), (n + 1, n, 1)], [(n, n + 1, 1), (n + 1, n, 2)], [(n, 0, 1)]):
+        yield copy_mutable(g, extra_edges=extra)
+
+
+def test_iso_certifies_the_second_document_like_check_all(tmp_path, monkeypatch, capsys):
+    # a second document that passes the walk's pre-check but is not the
+    # crystal gets the exit code, stdout and stderr of certifying both
+    # documents first, in either order
+    g = pbw.generate((1, 1))
+    intact = tmp_path / "intact.json"
+    dump_doc(graph_to_doc(g), intact)
+    codes = set()
+    for k, h in enumerate(_passes_the_pre_check_only(g)):
+        assert not any(map(h.degree_violations, h.colors)) and len(h.sources()) == 1
+        assert not axioms.check_all(h, g.cartan).passed
+        path = tmp_path / f"h{k}.json"
+        dump_doc(graph_to_doc(h), path)
+        for pair in ((intact, path), (path, intact)):
+            runs = []
+            for build in (builder.build_isomorphism, reference_build_isomorphism):
+                monkeypatch.setattr(cli, "build_isomorphism", build)
+                capsys.readouterr()
+                runs.append((main(["iso", *map(str, pair)]), *capsys.readouterr()))
+            assert runs[0] == runs[1], (k, pair)
+            codes.add(runs[0][0])
+    assert codes == {2}
 
 
 def test_iso_color_sets_differ(docs, tmp_path, capsys):

@@ -285,10 +285,11 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
     assert sorted(map(id, computed)) == sorted([id(g), id(s)])
     assert g.tables() is g.tables() and len(computed) == 2
 
-    # the first check of a graph builds one grouping per side and
-    # color pair, shared by S4-S5 and S6-S9, and one pair of tables; a second
-    # check builds neither.  The B3 graph is loaded, since synthesize has
-    # already checked its own result.
+    # the first check of a graph keeps one grouping per side and color
+    # pair, shared by S4-S5 and S6-S9, and one pair of tables: the S2/S3
+    # pass builds the raising groupings, so axioms.grouping runs once per
+    # pair, for the lowering side only; a second check builds neither.  The
+    # B3 graph is loaded, since synthesize has already checked its own result.
     groupings, grouping = [], axioms.grouping
 
     def counted_grouping(side, xs, i, j):
@@ -297,11 +298,14 @@ def test_frozen_graph_keeps_positions_and_tables(monkeypatch):
 
     fresh = [pbw.generate((2, 1)), doc_to_graph(graph_to_doc(synthesize(b3_gcm(), (1, 0, 0))))]
     monkeypatch.setattr(axioms, "grouping", counted_grouping)
-    for f, calls in zip(fresh, (2, 6)):
+    for f, kept in zip(fresh, (2, 6)):
         computed.clear()
         assert f.is_good() == [] and computed == [f]  # goodness computes the tables check_all reads
         assert check_all(f, f.cartan).passed
-        assert len(groupings) == len(set(groupings)) == calls and computed == [f]
+        keys = [key for key in f._kept if isinstance(key, tuple) and key[0] == "grouping"]
+        assert len(keys) == kept and {key[1] for key in keys} == {"MINUS", "PLUS"}
+        assert len(groupings) == len(set(groupings)) == kept // 2 and {s for s, _, _ in groupings} == {"PLUS"}
+        assert computed == [f]
         groupings.clear()
         computed.clear()
         assert check_all(f, f.cartan).passed
@@ -602,8 +606,9 @@ def test_top_walk_conflict_after_a_double_step():
 
 def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):
     # the maximum element and the weight grading come from one kept walk: a
-    # first check_all on a fresh graph runs it once, and iso once per
-    # document
+    # first check_all on a fresh graph runs it once, and a passing iso runs
+    # it on the first document only, since the isomorphism walk certifies
+    # the second
     g = pbw.generate((2, 1))
     walks, walk = [], graph._top_walk
     monkeypatch.setattr(graph, "_top_walk", lambda g: walks.append(g) or walk(g))
@@ -614,4 +619,4 @@ def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):
         cli.dump_doc(graph_to_doc(h), path)
     walks.clear()
     assert cli.main(["iso", *paths]) == 0
-    assert len(walks) == 2 and walks[0] is not walks[1]
+    assert [h.edges() for h in walks] == [g.edges()]

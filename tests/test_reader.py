@@ -117,6 +117,42 @@ def test_direct_reader_matches_reference(tmp_path, monkeypatch, capsys):
         assert runs[0] == runs[1], path.name
 
 
+def _renamed(doc, image):
+    """doc with each id v renamed image.get(v, v), in its arrows and max too."""
+    def name(v):
+        return image.get(v, v)
+    return {**doc, "vertices": [{**v, "id": name(v["id"])} for v in doc["vertices"]],
+            "edges": [{**e, "from": name(e["from"]), "to": name(e["to"])} for e in doc["edges"]],
+            "max": name(doc["max"])}
+
+
+def test_ids_other_than_a_permutation_read_alike(tmp_path, monkeypatch, capsys):
+    # the direct reader takes gen's text only with the ids 0..n-1, in any
+    # order: a duplicate id (of a vertex whose arrows are gone, so that no
+    # arrow names the missing id), a gap, an id equal to n go to the JSON
+    # path, and all four read alike on both paths
+    path = _gen(tmp_path, "b2", "1,1", "pbw")
+    doc = load_doc(path)
+    n = len(doc["vertices"])
+    vertices = doc["vertices"]
+    kept = [e for e in doc["edges"] if n - 1 not in (e["from"], e["to"])]
+    edits = {
+        "duplicate id": ({**doc, "vertices": vertices[:-1] + [{**vertices[-1], "id": n - 2}], "edges": kept}, False),
+        "gap": (_renamed(doc, {5: n + 1}), False),
+        "id equal to n": (_renamed(doc, {n - 1: n}), False),
+        "out of order": ({**doc, "vertices": vertices[::-1]}, True),
+    }
+    for name, (edited, direct) in edits.items():
+        edited_path = tmp_path / f"{name.replace(' ', '-')}.json"
+        dump_doc(edited, edited_path)
+        found = json_to_graph(edited_path.read_bytes(), edited_path)
+        assert (found is not None) == direct, name
+        if direct:
+            assert _graph(found[0]) == _graph(doc_to_graph(edited)) and found[1] == edited["max"]
+        runs = _both_paths(monkeypatch, capsys, *_commands(edited_path, path, tmp_path))
+        assert runs[0] == runs[1], name
+
+
 def test_budget_refuses_before_any_graph(tmp_path, monkeypatch, capsys):
     # a gen document one vertex over CRYSTAL_BUDGET exits 3 on either path
     # with the same message, before the header is read into a graph

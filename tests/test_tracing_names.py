@@ -1,10 +1,12 @@
 """The benchmark's tracer wraps package functions by name; every name it
-lists must resolve, or a traced run would fail on a moved function."""
+lists must resolve, or a traced run would fail on a moved function, and
+its spans must time what they name."""
 
 import importlib
 import os
 import runpy
 
+from b2crystal import axioms, pbw
 from b2crystal.graph import ColoredGraph
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
@@ -21,3 +23,21 @@ def test_traced_names_resolve():
                 assert callable(getattr(owner, fn, None)), f"{mod}.{fn}"
     for fn in graph_methods:
         assert callable(getattr(ColoredGraph, fn, None)), f"ColoredGraph.{fn}"
+
+
+def test_a_first_check_runs_each_battery_once():
+    # the tracer's per-layer spans time what they name: a first check_all on
+    # a fresh graph calls each battery once, the S2/S3 pass building the
+    # raising groupings that the other two read; counted by wrapping the
+    # module attributes, as the tracer does
+    importlib.import_module("b2crystal.cli")  # loads every module the tracer patches
+    tracer = runpy.run_path(TRACING)["Tracer"]()
+    g = pbw.generate((3, 2))
+    tracer.install()
+    try:
+        assert axioms.check_all(g, g.cartan).passed
+    finally:
+        tracer.uninstall()
+    names = [rec[3] for rec in tracer.spans]
+    batteries = [name for name in names if name.startswith("axioms.check_s")]
+    assert batteries == ["axioms.check_s2_s3", "axioms.check_s4_s5", "axioms.check_s6_s9"]
