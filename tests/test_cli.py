@@ -8,6 +8,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from b2crystal import axioms, builder, cli, pbw
 from b2crystal.cartan import B3_MATRIX_ROWS, GCM, b2_gcm
@@ -890,3 +892,62 @@ def test_hostile_custom_matrices_are_input_errors(tmp_path, capsys, rows):
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and stderr.count("\n") == 1 and stderr.startswith("input error: ")
     assert not out.exists()
+
+
+# gen's plain and stats texts of B2 (1,1) and (2,1), as gen writes them
+_FUZZ_SOURCES = [graph_to_json(g, stats) + "\n" for lam in ((1, 1), (2, 1))
+                 for g, stats in ((pbw.generate(lam), False), (builder.synthesize(b2_gcm(), lam), True))]
+# wrong types and out-of-range values for any field
+_FUZZ_VALUES = (None, True, 1.5, "1", "", [], {}, [0], {"1": 0}, -1, 0, 2, 99, 10**30, -10**30)
+
+
+def _fuzz_paths(node):
+    """(parent, key) of every field and entry below node, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _fuzz_paths(child)
+
+
+@st.composite
+def edited_documents(draw):
+    """(source index, text): 1-3 JSON-level edits of a source document, each
+    deleting or duplicating an arrow, setting a field or entry to a value of
+    the wrong type or out of range, or dropping a field; the text written as
+    gen writes it, then maybe truncated."""
+    k = draw(st.integers(0, len(_FUZZ_SOURCES) - 1))
+    doc = json.loads(_FUZZ_SOURCES[k])
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete arrow", "duplicate arrow", "set", "drop"]))
+        edges = doc.get("edges")
+        if edit.endswith("arrow") and isinstance(edges, list) and edges:
+            at = draw(st.integers(0, len(edges) - 1))
+            if edit == "delete arrow":
+                del edges[at]
+            else:
+                edges.insert(draw(st.integers(0, len(edges))), json.loads(json.dumps(edges[at])))
+            continue
+        fields = [(node, key) for node, key in _fuzz_paths(doc) if edit == "set" or isinstance(node, dict)]
+        if fields:
+            node, key = draw(st.sampled_from(fields))
+            if edit == "set":
+                node[key] = draw(st.sampled_from(_FUZZ_VALUES))
+            else:
+                del node[key]
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    return k, text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=edited_documents())
+def test_edited_documents_exit_with_a_code(tmp_path, case):
+    # check, iso both ways against the intact source, and export-dot on an
+    # edited document each return an exit code, 0-3; no exception escapes
+    # main, whose input-error net is OSError and ValueError only
+    k, text = case
+    path, intact, out = tmp_path / "edited.json", tmp_path / "intact.json", tmp_path / "out.dot"
+    path.write_text(text)
+    intact.write_text(_FUZZ_SOURCES[k])
+    for argv in (["check", "--in", path], ["iso", path, intact], ["iso", intact, path],
+                 ["export-dot", "--in", path, "--out", out]):
+        assert main(list(map(str, argv))) in (0, 1, 2, 3), (text, argv)

@@ -41,6 +41,20 @@ def broken_inverse(x):
     return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
 
 
+def lifted_first(a):
+    # moves x1 where a1 = 1: a delta(1,2) step from a1 = 2 reads the moved
+    # value, its own point an unmoved one
+    x = r_transfer(a)
+    return (x[0] + 1,) + x[1:] if a[0] == 1 else x
+
+
+def lifted_inverse_first(x):
+    # moves a1 where x1 = 1: a delta(2,1) step from x1 = 2 reads the moved
+    # value, its own point an unmoved one
+    a = r_inverse(x)
+    return (a[0] + 1,) + a[1:] if x[0] == 1 else a
+
+
 def test_weyl_dim_b2_anchors():
     assert oracle.weyl_dim_b2(1, 1) == 16
     assert oracle.weyl_dim_b2(3, 0) == 20
@@ -156,15 +170,68 @@ def test_verify_lemmas_counterexamples_pinned():
         "d25fb920d6677d42feb94af27bcc12160d8411932711fd4c23ba3dc17329e9b4")
 
 
+@pytest.fixture
+def uncapped_notes(monkeypatch):
+    """Reports keep every note past the cap of 50, so that the corollary
+    notes, filed after the roundtrip notes, are compared too."""
+    monkeypatch.setattr(oracle.VerificationReport, "add", lambda rep, note: rep.counterexamples.append(note))
+
+
 @pytest.mark.parametrize("maps", [{}, {"transfer": broken_transfer}, {"transfer": leaving},
                                   {"transfer": leaving_first}, {"transfer_inv": broken_inverse},
-                                  {"transfer": broken_transfer, "transfer_inv": broken_inverse}],
+                                  {"transfer": broken_transfer, "transfer_inv": broken_inverse},
+                                  {"transfer": lifted_first}, {"transfer_inv": lifted_inverse_first}],
                          ids=["kernel", "broken_transfer", "leaving", "leaving_first", "broken_inverse",
-                              "both_broken"])
-def test_verify_lemmas_matches_reference(maps):
+                              "both_broken", "lifted_first", "lifted_inverse_first"])
+def test_verify_lemmas_matches_reference(uncapped_notes, maps):
     for n in range(6):
         got = verification_dict(oracle.verify_lemmas(n, **maps))
         assert got == verification_dict(reference_verify_lemmas(n, **maps))
+
+
+@pytest.mark.parametrize("name, broken", [("r_transfer", broken_transfer), ("r_transfer", leaving),
+                                           ("r_transfer", leaving_first), ("r_inverse", broken_inverse),
+                                           ("r_transfer", lifted_first), ("r_inverse", lifted_inverse_first)],
+                         ids=["broken_transfer", "leaving", "leaving_first", "broken_inverse", "lifted_first",
+                              "lifted_inverse_first"])
+def test_verify_lemmas_matches_reference_under_a_broken_kernel(monkeypatch, uncapped_notes, name, broken):
+    # no map injected: the scanned tables are the kernel's own, and the
+    # corollary steps read them, broken values included
+    monkeypatch.setattr(kernel, name, broken)
+    for n in range(6):
+        got = verification_dict(oracle.verify_lemmas(n))
+        assert got == verification_dict(reference_verify_lemmas(n))
+    assert not got["pass"]
+
+
+def test_verify_lemmas_kernel_calls(monkeypatch):
+    # each map once per box point, the roundtrips and the corollary steps
+    # only where they leave the box
+    calls = dict.fromkeys(("r_transfer", "r_inverse"), 0)
+
+    def counted(name, f):
+        def wrapper(v):
+            calls[name] += 1
+            return f(v)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "r_transfer", counted("r_transfer", r_transfer))
+    monkeypatch.setattr(kernel, "r_inverse", counted("r_inverse", r_inverse))
+    for n in range(7):
+        box = set(product(range(n + 1), repeat=4))
+        steps = []  # the raising 2-steps of the delta(2,1) and product-zero checks
+        for a in box:
+            x1, x2, x3, x4 = r_transfer(a)
+            if (a[2] >= a[0] >= 1 and x1 >= 1
+                    or not (x3 >= x1 >= 1 and a[0] >= 1) and a[0] > a[2] and x1 > x3):
+                steps.append((x1 - 1, x2, x3, x4))
+        want = {"r_transfer": len(box) + sum(r_inverse(x) not in box for x in box),
+                "r_inverse": len(box) + sum(r_transfer(a) not in box for a in box)
+                + sum(s not in box for s in steps)}
+        calls.update(dict.fromkeys(calls, 0))
+        assert oracle.verify_lemmas(n).passed
+        assert calls == want, n
+    assert calls == {"r_transfer": 3577, "r_inverse": 4438}
 
 
 def test_verify_lemmas_undefined_step_raises():
