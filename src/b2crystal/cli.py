@@ -66,7 +66,7 @@ from .builder import build_isomorphism, synthesize
 from .cartan import GCM, array, b2_gcm, b3_gcm, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
 from .graph import ColoredGraph, decode_weights
-from .oracle import run_verification
+from .oracle import run_verification, weyl_dim_b2
 from .pbw import PbwElement, generate
 
 EXIT_PASS = 0
@@ -131,8 +131,11 @@ def _header(index_set, cartan):
 
 def _pattern(template, *fills):
     """The pattern of one fill of template: each %d a number as json
-    writes it, each %s the next of fills."""
-    return re.escape(template).replace("%d", "(?:0|[1-9][0-9]*)") % fills
+    writes it, of no more digits than int(), and so json, reads (any
+    number where that limit is 0), each %s the next of fills."""
+    most = sys.get_int_max_str_digits()
+    number = "(?:0|[1-9][0-9]{0,%d})" % (most - 1) if most else "(?:0|[1-9][0-9]*)"
+    return re.escape(template).replace("%d", number) % fills
 
 
 def _fills(pattern, section):
@@ -184,7 +187,7 @@ def json_to_graph(text, path):
     keys = list(map(b"%d".__mod__, sorted(colors)))
     if any(table.split(b'"')[1::2] != keys for table in tables):
         return None  # an eps or phi object whose keys are not the sorted colors
-    ids = re.findall(rb'"id":([0-9]+)', vertices)
+    ids = re.findall(rb'"id":([0-9]{1,%d})(?![0-9])' % len(b"%d" % n), vertices)  # no text too long to be below n
     pos = dict(zip(ids, map(int, ids)))  # id text -> position: n distinct canonical ids below n are 0..n-1
     if len(pos) != n or max(pos.values(), default=-1) >= n:
         return None
@@ -387,6 +390,8 @@ def cmd_gen(args):
         if args.gcm != "b2":
             print("error: the pbw method exists only for the b2 matrix", file=sys.stderr)
             return EXIT_INPUT
+        if (n := weyl_dim_b2(*hw)) > _budget():  # refused before anything is built
+            raise BudgetExceeded(f"the crystal at {tuple(hw)} has {n} vertices, over the budget {_budget()}")
         g = generate(tuple(hw), budget=_budget())
         text = graph_to_json(g)
     else:

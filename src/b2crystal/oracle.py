@@ -10,7 +10,7 @@ carry the scanned domain size so "verified" always names its domain.
 The fork classes form one table, FORKS, and verify_forks serves all three
 fork suites with one pass over each crystal.  Their closing checks walk
 each raising word as runs of one color (pbw.raise_walk), one kernel call
-per run.
+per run, and lower by pbw.kashiwara_step, one guarded step at a time.
 """
 
 from collections import namedtuple
@@ -131,13 +131,16 @@ def _up(m, word):
     return pbw.raise_walk(m, _runs(word))
 
 
+def _phi(m, j):
+    # phi_j less its lam term, which cancels in a difference
+    return m.a[0] + 2 * (m.x[0] - m.x[2] - m.x[3]) if j == 1 else m.x[3] - m.x[0] - m.x[1]
+
+
 def _down_delta(m, i, j, lam):
     """Change of phi_j across one lowering i-step; None where the step is
     undefined, so a broken map is reported rather than raised."""
-    try:
-        return pbw.elem_delta(m, "f", "phi", i, j, lam)
-    except HypothesisNotMet:
-        return None
+    w = pbw.kashiwara_step(m, i, lam)
+    return None if w is None else _phi(w, j) - _phi(m, j)
 
 
 def _match_interlocked(m):
@@ -211,15 +214,16 @@ def _close_12(m, lam, rep):
         if not (w1 == w2 == y1):
             rep.add(f"{m}: alternating words miss y' ({w1}, {w2}, {y1})")
             return
-    f2y1 = pbw.kashiwara_step(y1, "f", 2, lam)
-    e1y = pbw.kashiwara_step(y, "e", 1, lam)
+    f2y1 = pbw.kashiwara_step(y1, 2, lam)
+    e1y = _up(y, "1")
     if f2y1 is None or f2y1 != e1y:
         rep.add(f"{m}: ledge equality fails ({f2y1} vs {e1y})")
     want = 1 if case == "low_tail" else 2
     if _down_delta(y1, 2, 1, lam) != want:
         rep.add(f"{m}: delta at y' is not {want}")
     if case == "low_middle":
-        w = pbw.elem_walk(y1, [("f", 1), ("f", 1)], lam)
+        w = pbw.kashiwara_step(y1, 1, lam)
+        w = w and pbw.kashiwara_step(w, 1, lam)
         if w is None or _down_delta(w, 2, 1, lam) != 0:
             rep.add(f"{m}: delta two steps under y' is not 0")
 
@@ -248,16 +252,16 @@ def _family_02(m):
             and m.x == (a2, a1 - 2, a2 + 1, a3))
 
 
-def _flat_ledge(m, lam):
+def _flat_ledge(m):
     # two raising 1-steps up, a raising 2-step exists and leaves eps1 as it is
     mm = _up(m, "11")
-    return mm.x[0] >= 1 and pbw.elem_delta(mm, "e", "eps", 2, 1, lam) == 0
+    return mm.x[0] >= 1 and _up(mm, "2").a[0] == mm.a[0]
 
 
 # A fork class:
 #   claim: report title, formatted with lam
 #   eps1: least eps1 of a fork in the class
-#   guard(m, lam): a further condition on the fork, or None
+#   guard(m): a further condition on the fork, or None
 #   family(m): the parametrized family the forks must equal
 #   close(m, lam, rep): adds the fork's counterexamples to rep
 Fork = namedtuple("Fork", "claim eps1 guard family close")
@@ -301,7 +305,7 @@ def verify_forks(lam, g=None):
         d = (kernel.r_transfer((a1 - 1, a2, a3, a4))[0] - x1,
              kernel.r_inverse((x1 - 1, x2, x3, x4))[0] - a1)
         f = FORKS.get(d)
-        if f is None or a1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
+        if f is None or a1 < f.eps1 or (f.guard is not None and not f.guard(m)):
             continue
         hits[d].add(m)
         f.close(m, lam, reps[d])

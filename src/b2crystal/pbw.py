@@ -11,9 +11,6 @@ looked up by the side its step changes and the map is called only for a
 new vertex, whose other side must name no vertex yet (DuplicateEdge), and
 which must satisfy the x4 rule (x4 <= l1, a4 <= l2).  The Cartan matrix
 here is always [[2,-2],[-1,2]] with colors 1, 2.
-
-``lam`` arguments take a pairing pair (l1, l2) for a highest-weight
-crystal, or None for the unbounded crystal (lowering never guarded).
 """
 
 from collections import namedtuple
@@ -21,7 +18,7 @@ from functools import partial
 
 from . import kernel
 from .cartan import b2_gcm
-from .errors import HypothesisNotMet, MembershipViolation
+from .errors import MembershipViolation
 from .graph import ColoredGraph, closure
 
 PbwElement = namedtuple("PbwElement", "a x")
@@ -30,17 +27,9 @@ PbwElement = namedtuple("PbwElement", "a x")
 ZERO = PbwElement((0, 0, 0, 0), (0, 0, 0, 0))
 
 
-def kashiwara_step(m, direction, i, lam=None):
-    """One raising ('e') or lowering ('f') step of color i, or None.
-
-    Raising is guarded by eps_i > 0, and is a run of length one.  Lowering
-    is guarded by phi_i > 0 when lam is a highest weight and unguarded when
-    lam is None.
-    """
-    if direction == "e":
-        return raise_walk(m, ((i, 1),))
-    if direction != "f":
-        raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
+def kashiwara_step(m, i, lam):
+    """One lowering step f_i in the crystal with pairings lam = (l1, l2),
+    or None where phi_i = 0."""
     side = _lowered(lam, m, i)
     if side is None:
         return None
@@ -53,14 +42,14 @@ def kashiwara_step(m, direction, i, lam=None):
 
 def _lowered(lam, m, i):
     """The side f_i changes, with its first coordinate one up (a for color
-    1, x for color 2), or None where lam is given and phi_i = 0."""
+    1, x for color 2), or None where phi_i = 0."""
     a, x = m
     if i == 1:
-        if lam is not None and a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
+        if a[0] + lam[0] + 2 * (x[0] - x[2] - x[3]) <= 0:
             return None
         return (a[0] + 1, a[1], a[2], a[3])
     if i == 2:
-        if lam is not None and lam[1] - x[0] - x[1] + x[3] <= 0:
+        if lam[1] - x[0] - x[1] + x[3] <= 0:
             return None
         return (x[0] + 1, x[1], x[2], x[3])
     raise ValueError(f"color must be 1 or 2, not {i!r}")
@@ -92,34 +81,6 @@ def raise_walk(m, runs):
         else:
             raise ValueError(f"color must be 1 or 2, not {i!r}")
     return tuple.__new__(PbwElement, (a, x))
-
-
-def elem_walk(m, ops, lam=None):
-    """Apply (direction, color) steps, first entry first; None if any fails."""
-    for direction, i in ops:
-        m = kashiwara_step(m, direction, i, lam)
-        if m is None:
-            return None
-    return m
-
-
-# eps_j and phi_j of an element, phi_j less its lam term, which cancels in a difference
-_STATS = {("eps", 1): lambda m: m.a[0], ("eps", 2): lambda m: m.x[0],
-          ("phi", 1): lambda m: m.a[0] + 2 * (m.x[0] - m.x[2] - m.x[3]),
-          ("phi", 2): lambda m: m.x[3] - m.x[0] - m.x[1]}
-
-
-def elem_delta(m, direction, stat, i, j, lam=None):
-    """Change of the j-statistic across one i-step, by element navigation.
-
-    Differences of eps/phi do not depend on lam, but the step itself is
-    guarded by it; None-steps raise.
-    """
-    w = kashiwara_step(m, direction, i, lam)
-    if w is None:
-        raise HypothesisNotMet(f"{direction}_{i} undefined at {m}")
-    f = _STATS[stat, j]
-    return f(w) - f(m)
 
 
 # -- full generation ---------------------------------------------------------

@@ -5,8 +5,11 @@ by the tests."""
 
 import random
 from bisect import bisect_left
+from collections import Counter
+from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
 from typing import NamedTuple, Tuple
 
 from b2crystal import axioms, builder, kernel, pbw
@@ -19,10 +22,12 @@ from b2crystal.oracle import (
     closed_rinv_x3_le_x1,
     corollary_delta_1_2,
     corollary_delta_2_1,
+    positive_roots,
 )
 from b2crystal.axioms import CheckReport, Violation
 from b2crystal.cartan import B2, GCM, b2_gcm, b3_gcm, classify_all_pairs, classify_pair
 from b2crystal.errors import (
+    HypothesisNotMet,
     InconsistentWeight,
     MembershipViolation,
     NonTerminating,
@@ -877,7 +882,7 @@ class ElemStats(NamedTuple):
 def elem_stats(m, lam=None):
     """String statistics and weight pairings of an element, from its
     coordinates; lam=None behaves as (0, 0).  The reference that
-    pbw.kashiwara_step's guards and pbw.elem_delta are tested against."""
+    pbw.kashiwara_step's guard and elem_step's guards are tested against."""
     l1, l2 = lam if lam is not None else (0, 0)
     x1, x2, x3, x4 = m.x
     h1 = l1 + 2 * x1 - 2 * x3 - 2 * x4
@@ -885,6 +890,54 @@ def elem_stats(m, lam=None):
     eps1 = m.a[0]
     eps2 = x1
     return ElemStats(eps1, eps2, eps1 + h1, eps2 + h2, (h1, h2))
+
+
+# -- single-step navigation, the reference for the program's walks ------------------
+
+def elem_step(m, direction, i, lam=None):
+    """One raising ('e') or lowering ('f') step of color i, or None.
+
+    e_i and f_i move a1 (color 1) or x1 (color 2) by one and recompute the
+    other side through kernel, looked up at call time so that a map patched
+    onto it is the one navigated.  Raising is guarded by eps_i != 0, so a
+    negative coordinate, which only a broken map makes, steps on.  Lowering
+    is guarded by phi_i > 0 when lam is a highest weight, and unguarded when
+    lam is None: the unbounded crystal."""
+    if direction not in ("e", "f"):
+        raise ValueError(f"direction must be 'e' or 'f', not {direction!r}")
+    if i not in (1, 2):
+        raise ValueError(f"color must be 1 or 2, not {i!r}")
+    a, x = m
+    if direction == "e" and (a if i == 1 else x)[0] == 0:
+        return None
+    if direction == "f" and lam is not None and elem_stats(m, lam)[i + 1] <= 0:
+        return None
+    d = 1 if direction == "f" else -1
+    if i == 1:
+        a = (a[0] + d,) + a[1:]
+        return PbwElement(a, kernel.r_transfer(a))
+    x = (x[0] + d,) + x[1:]
+    return PbwElement(kernel.r_inverse(x), x)
+
+
+def elem_walk(m, ops, lam=None):
+    """Apply (direction, color) steps, first entry first; None if any fails."""
+    for direction, i in ops:
+        m = elem_step(m, direction, i, lam)
+        if m is None:
+            return None
+    return m
+
+
+def elem_delta(m, direction, stat, i, j, lam=None):
+    """Change of the j-statistic ('eps' or 'phi') across one i-step.
+    Differences do not depend on lam, but the step itself is guarded by it;
+    an undefined step raises HypothesisNotMet."""
+    w = elem_step(m, direction, i, lam)
+    if w is None:
+        raise HypothesisNotMet(f"{direction}_{i} undefined at {m}")
+    field = j - 1 if stat == "eps" else j + 1
+    return elem_stats(w)[field] - elem_stats(m)[field]
 
 
 def root_count(m):
@@ -950,7 +1003,7 @@ def verification_dict(rep):
 # oracle.verify_lemmas and oracle.verify_forks as they were before they read
 # the maps from one evaluation per box point and the fork deltas from the
 # coordinates: every map value is recomputed where it is used, and every delta
-# goes through pbw.elem_delta.  The differential tests require the oracle's
+# goes through elem_delta.  The differential tests require the oracle's
 # reports to equal these.
 
 def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
@@ -980,16 +1033,16 @@ def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
         a1, a2, a3, a4 = a
         x1, x2, x3, x4 = x
         if a3 >= a1 >= 1 and x1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 2, 1)
+            nav = elem_delta(m, "e", "eps", 2, 1)
             if corollary_delta_2_1(m) != nav:
                 corollaries.append(f"{m}: delta(2,1) formula {corollary_delta_2_1(m)} != {nav}")
         if x3 >= x1 >= 1 and a1 >= 1:
-            nav = pbw.elem_delta(m, "e", "eps", 1, 2)
+            nav = elem_delta(m, "e", "eps", 1, 2)
             if corollary_delta_1_2(m) != nav:
                 corollaries.append(f"{m}: delta(1,2) formula != {nav}")
         if a1 > a3 and x1 > x3:
-            d1 = pbw.elem_delta(m, "e", "eps", 1, 2)
-            d2 = pbw.elem_delta(m, "e", "eps", 2, 1)
+            d1 = elem_delta(m, "e", "eps", 1, 2)
+            d2 = elem_delta(m, "e", "eps", 2, 1)
             if d1 * d2 != 0:
                 corollaries.append(f"{m}: delta product {d1}*{d2} != 0")
     for x in product(range(n + 1), repeat=4):
@@ -1010,7 +1063,7 @@ def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
 
 def reference_verify_forks(lam, g=None):
     """The three fork suites in one pass over the crystal g; each vertex's
-    statistics come from elem_stats and its deltas from pbw.elem_delta."""
+    statistics come from elem_stats and its deltas from elem_delta."""
     g = pbw.generate(lam) if g is None else g
     reps = {d: VerificationReport(f.claim.format(lam), len(g)) for d, f in FORKS.items()}
     hits = {d: set() for d in FORKS}
@@ -1022,9 +1075,9 @@ def reference_verify_forks(lam, g=None):
         st = elem_stats(m, lam)
         if st.eps1 < 1 or st.eps2 < 1:
             continue
-        d = (pbw.elem_delta(m, "e", "eps", 1, 2, lam), pbw.elem_delta(m, "e", "eps", 2, 1, lam))
+        d = (elem_delta(m, "e", "eps", 1, 2, lam), elem_delta(m, "e", "eps", 2, 1, lam))
         f = FORKS.get(d)
-        if f is None or st.eps1 < f.eps1 or (f.guard is not None and not f.guard(m, lam)):
+        if f is None or st.eps1 < f.eps1 or (f.guard is not None and not f.guard(m)):
             continue
         hits[d].add(m)
         f.close(m, lam, reps[d])
@@ -1033,3 +1086,67 @@ def reference_verify_forks(lam, g=None):
             rep.add(f"set identity fails: families minus forks {sorted(members[d] - hits[d])[:3]}, "
                     f"forks minus families {sorted(hits[d] - members[d])[:3]}")
     return list(reps.values())
+
+
+# -- weight multiplicities by Freudenthal's recursion ------------------------------
+
+def weight_counts(g):
+    """How many vertices of g have each weight lam - sum_i beta_i alpha_i:
+    a Counter keyed by beta, the color counts in g.colors order, decoded
+    from weight_codes."""
+    codes = Counter(g.weight_codes())
+    weights = decode_weights(codes, len(g) + 1, g.colors)
+    return Counter({tuple(weights[c].get(i, 0) for i in g.colors): k for c, k in codes.items()})
+
+
+def symmetrizer(A):
+    """Positive integers d, one per color in order, with d_i a_ij = d_j a_ji,
+    for a connected matrix A that has them."""
+    d = {A.colors[0]: Fraction(1)}
+    for _ in A.colors:
+        for i, j in A.pairs():
+            if i in d and j not in d and A.a(i, j):
+                d[j] = d[i] * A.a(i, j) / A.a(j, i)
+    assert len(d) == len(A.colors), "the matrix is not connected"
+    scale = lcm(*(q.denominator for q in d.values()))
+    return [int(d[i] * scale) for i in A.colors]
+
+
+def freudenthal(A, lam):
+    """The weight multiplicities of the irreducible module of finite type
+    A with highest weight pairings lam (in color order), keyed as
+    weight_counts keys them, every multiplicity positive.
+
+    Freudenthal's recursion, m(lam - beta) (2 (lam + rho, beta) - (beta,
+    beta)) = 2 sum over positive roots r and k >= 1 of (lam - beta + k r,
+    r) m(lam - beta + k r), in exact integers with the form (alpha_i,
+    alpha_j) = d_i a_ij, so that (lam + rho, alpha_i) = d_i (lam_i + 1).
+    Each weight but lam lies one simple root under another weight, so beta
+    grows from 0 one simple root at a time, one height per pass; where the
+    sum is 0, lam - beta is not a weight."""
+    n, d = len(A.colors), symmetrizer(A)
+    form = [[d[p] * A.a(i, j) for j in A.colors] for p, i in enumerate(A.colors)]
+
+    def pair(u, v):
+        return sum(u[p] * form[p][q] * v[q] for p in range(n) for q in range(n))
+
+    roots = [(r, sum(d[p] * lam[p] * r[p] for p in range(n))) for r, _ in positive_roots(A)]  # (r, (lam, r))
+    mult = {(0,) * n: 1}
+    layer = [(0,) * n]
+    while layer:
+        grown = {b[:p] + (b[p] + 1,) + b[p + 1:] for b in layer for p in range(n)}
+        layer = []
+        for beta in sorted(grown):
+            total = 0
+            for r, lam_r in roots:
+                g = tuple(b - c for b, c in zip(beta, r))
+                while min(g) >= 0:  # lam - g = lam - beta + k r
+                    total += mult.get(g, 0) * (lam_r - pair(g, r))
+                    g = tuple(b - c for b, c in zip(g, r))
+            if total:
+                den = 2 * sum(beta[p] * d[p] * (lam[p] + 1) for p in range(n)) - pair(beta, beta)
+                m, rest = divmod(2 * total, den)
+                assert den > 0 and rest == 0 and m > 0, (lam, beta)
+                mult[beta] = m
+                layer.append(beta)
+    return mult

@@ -42,9 +42,6 @@ ALLOWED_PARAMETERS = {
 # function.parameter -> why its default stays though every program call passes it
 ALLOWED_DEFAULTS = {
     "GCM.__init__.index_set": "_load_gcm passes a document's index set through, None where it has none",
-    "kashiwara_step.lam": "None is the unbounded crystal, which only the tests navigate",
-    "elem_walk.lam": "None is the unbounded crystal, which only the tests navigate",
-    "elem_delta.lam": "None is the unbounded crystal, which only the tests navigate",
 }
 
 
@@ -219,7 +216,7 @@ def _program_calls():
     whether some program call omits it), for each defaulted parameter."""
     calls = [found for tree in _trees("src", "perfbench") for found in _calls(tree)]
     defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
-    assert len(defaulted) >= 19
+    assert len(defaulted) >= 16
     out = {}
     for callee, qual, k in defaulted:
         if callee not in ALLOWED:

@@ -106,6 +106,19 @@ def test_gen_pbw_budget_at_the_dimension(tmp_path, monkeypatch, hw, dim):
     assert main(argv) == 0 and len(load_doc(out)["vertices"]) == dim
 
 
+def test_gen_pbw_over_budget_refuses_before_generating(tmp_path, capsys, monkeypatch):
+    # the Weyl dimension is the vertex count, so a crystal over the budget
+    # is refused before any vertex is built
+    out = tmp_path / "g.json"
+    monkeypatch.setenv("CRYSTAL_BUDGET", "1000000")
+    monkeypatch.setattr(cli, "generate", lambda *args, **kwargs: pytest.fail("crystal generated over budget"))
+    assert main(["gen", "--hw", "200,200", "--method", "pbw", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("budget exceeded: the crystal at (200, 200) has 1632240801 vertices, "
+                            "over the budget 1000000\n")
+
+
 @pytest.mark.parametrize("value", ["-1", "x"])
 def test_budget_must_be_a_nonnegative_integer(docs, tmp_path, capsys, monkeypatch, value):
     # a budget that is not a count is an input error of every command, named

@@ -4,17 +4,22 @@ from itertools import product
 
 import pytest
 
-from b2crystal import kernel, oracle, pbw
+from b2crystal import builder, kernel, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded, HypothesisNotMet
 from b2crystal.kernel import r_inverse, r_transfer
 from helpers import (
+    C3_MATRIX_ROWS,
+    elem_delta,
     elem_stats,
+    elem_walk,
+    freudenthal,
     from_a,
     in_highest_weight,
     reference_verify_forks,
     reference_verify_lemmas,
     verification_dict,
+    weight_counts,
 )
 
 
@@ -81,6 +86,23 @@ def test_weyl_dim_general():
     assert oracle.weyl_dim_general(GCM([[2, -1], [-1, 2]]), (1, 1)) == 8
 
 
+def test_weight_multiplicities_match_freudenthal():
+    # how many vertices carry each weight, against Freudenthal's recursion
+    # from the matrix alone: pbw.generate over B2 [0,4]^2, and synthesize
+    # over A3, B3 and C3 at [0,1]^3; the transposed pairings give another
+    # module, so a crystal built at them does not match
+    A = b2_gcm()
+    for lam in product(range(5), repeat=2):
+        got = weight_counts(pbw.generate(lam))
+        assert got == freudenthal(A, lam), lam
+        if lam[0] != lam[1]:
+            assert got != freudenthal(A, lam[::-1]), lam
+    for A in (GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), b3_gcm(), GCM(C3_MATRIX_ROWS)):
+        for lam in product(range(2), repeat=3):
+            g = builder.synthesize(A, lam)
+            assert g.colors == A.colors and weight_counts(g) == freudenthal(A, lam), (A, lam)
+
+
 def test_not_finite_type():
     with pytest.raises(BudgetExceeded):
         oracle.positive_roots(GCM([[2, -2], [-2, 2]]))
@@ -90,13 +112,13 @@ def test_fork12_spot_example():
     # the fully interlocked element in the 16-element crystal merges at the top
     lam = (1, 1)
     m = from_a((1, 1, 1, 1))
-    y = pbw.elem_walk(m, [("e", 2), ("e", 1), ("e", 1)], lam)
-    y1 = pbw.elem_walk(m, [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1)], lam)
+    y = elem_walk(m, [("e", 2), ("e", 1), ("e", 1)], lam)
+    y1 = elem_walk(m, [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1)], lam)
     assert (
-        pbw.elem_delta(y, "f", "phi", 1, 2, lam),
-        pbw.elem_delta(y1, "f", "phi", 1, 2, lam),
+        elem_delta(y, "f", "phi", 1, 2, lam),
+        elem_delta(y1, "f", "phi", 1, 2, lam),
     ) == (0, 1)
-    z = pbw.elem_walk(
+    z = elem_walk(
         m,
         [("e", 1), ("e", 2), ("e", 2), ("e", 1), ("e", 1), ("e", 1), ("e", 2)],
         lam,
@@ -113,8 +135,8 @@ def test_fork11_membership_example():
     st = elem_stats(m, lam)
     assert st.eps1 >= 2 and st.eps2 >= 1
     assert (
-        pbw.elem_delta(m, "e", "eps", 1, 2, lam),
-        pbw.elem_delta(m, "e", "eps", 2, 1, lam),
+        elem_delta(m, "e", "eps", 1, 2, lam),
+        elem_delta(m, "e", "eps", 2, 1, lam),
     ) == (1, 1)
     rep = oracle.verify_kakunin2(lam)
     assert rep.passed, rep.counterexamples[:3]
@@ -124,7 +146,7 @@ def test_fork02_meet_formula():
     # family instance with parameters (2,1,0); the pentagon meet in closed form
     m = from_a((2, 1, 0, 2))
     assert m.x == (1, 0, 2, 0)
-    z = pbw.elem_walk(m, [("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)])
+    z = elem_walk(m, [("e", 1), ("e", 1), ("e", 2), ("e", 2), ("e", 1)])
     assert z == pbw.PbwElement((1, 0, 0, 1), (0, 1, 0, 0))
 
 
@@ -293,7 +315,7 @@ def test_raise_walk_is_the_single_steps(monkeypatch, fork_walks, maps):
     for word in words:
         steps = [("e", int(i)) for i in word]
         for m in elements:
-            assert pbw.raise_walk(m, oracle._runs(word)) == pbw.elem_walk(m, steps), (word, m)
+            assert pbw.raise_walk(m, oracle._runs(word)) == elem_walk(m, steps), (word, m)
 
 
 def test_verify_forks_matches_reference(monkeypatch):

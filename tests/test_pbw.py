@@ -14,7 +14,9 @@ from helpers import (
     closed_form_r,
     closed_form_rinv,
     closure_under_rule,
+    elem_delta,
     elem_stats,
+    elem_step,
     epsilon_star,
     from_a,
     in_highest_weight,
@@ -67,15 +69,18 @@ def test_epsilon_star():
 
 
 def test_kashiwara_step_examples():
-    assert pbw.kashiwara_step(pbw.ZERO, "f", 1, (1, 0)) == pbw.PbwElement(
-        (1, 0, 0, 0), (0, 0, 0, 1)
-    )
-    assert pbw.kashiwara_step(pbw.ZERO, "e", 1, (1, 0)) is None
-    assert pbw.kashiwara_step(pbw.ZERO, "f", 1, (0, 1)) is None
+    f1 = pbw.PbwElement((1, 0, 0, 0), (0, 0, 0, 1))
+    assert pbw.kashiwara_step(pbw.ZERO, 1, (1, 0)) == elem_step(pbw.ZERO, "f", 1, (1, 0)) == f1
+    assert elem_step(pbw.ZERO, "e", 1, (1, 0)) is None
+    assert pbw.raise_walk(pbw.ZERO, ((1, 1),)) is None
+    assert pbw.kashiwara_step(pbw.ZERO, 1, (0, 1)) is None
+    assert elem_step(pbw.ZERO, "f", 1, (0, 1)) is None
     with pytest.raises(ValueError):
-        pbw.kashiwara_step(pbw.ZERO, "g", 1)
+        elem_step(pbw.ZERO, "g", 1)
     with pytest.raises(ValueError):
-        pbw.kashiwara_step(pbw.ZERO, "f", 3)
+        pbw.kashiwara_step(pbw.ZERO, 3, (1, 1))
+    with pytest.raises(ValueError):
+        elem_step(pbw.ZERO, "f", 3)
 
 
 def test_step_inverse_property():
@@ -84,11 +89,11 @@ def test_step_inverse_property():
     for a in product(range(4), repeat=4):
         m = from_a(a)
         for i in (1, 2):
-            up = pbw.kashiwara_step(m, "e", i)
+            up = elem_step(m, "e", i)
             if up is not None:
-                assert type(up) is pbw.PbwElement and pbw.kashiwara_step(up, "f", i) == m
-            down = pbw.kashiwara_step(m, "f", i)  # unbounded crystal
-            assert type(down) is pbw.PbwElement and pbw.kashiwara_step(down, "e", i) == m
+                assert type(up) is pbw.PbwElement and elem_step(up, "f", i) == m
+            down = elem_step(m, "f", i)  # unbounded crystal
+            assert type(down) is pbw.PbwElement and elem_step(down, "e", i) == m
 
 
 def test_step_statistics_identities():
@@ -96,32 +101,40 @@ def test_step_statistics_identities():
         m = from_a(a)
         st = elem_stats(m)
         for i, eps_field, phi_field in ((1, 0, 2), (2, 1, 3)):
-            down = pbw.kashiwara_step(m, "f", i)
+            down = elem_step(m, "f", i)
             st2 = elem_stats(down)
             assert st2[eps_field] == st[eps_field] + 1
             assert st2[phi_field] == st[phi_field] - 1
 
 
 def test_steps_and_deltas_match_elem_stats():
-    # kashiwara_step's inline guards and elem_delta's statistic table
-    # against the elem_stats fields (eps1, eps2, phi1, phi2)
+    # the guards of kashiwara_step, raise_walk and elem_step, and the
+    # oracle's lowering deltas, against the elem_stats fields (eps1, eps2,
+    # phi1, phi2)
     for a, lam in product(product(range(4), repeat=4), [None, (0, 0), (1, 2), (3, 1)]):
         m = from_a(a)
         st = elem_stats(m, lam)
         for direction, i in product("ef", (1, 2)):
-            w = pbw.kashiwara_step(m, direction, i, lam)
+            w = elem_step(m, direction, i, lam)
             if direction == "e":
                 assert (w is None) == (st[i - 1] <= 0), (m, direction, i)
+                assert pbw.raise_walk(m, ((i, 1),)) == w
             else:
                 assert (w is None) == (lam is not None and st[i + 1] <= 0), (m, lam, i)
+                if lam is not None:
+                    assert pbw.kashiwara_step(m, i, lam) == w
             for stat, j in product(("eps", "phi"), (1, 2)):
                 field = j - 1 if stat == "eps" else j + 1
                 if w is None:
                     with pytest.raises(HypothesisNotMet):
-                        pbw.elem_delta(m, direction, stat, i, j, lam)
+                        elem_delta(m, direction, stat, i, j, lam)
+                    if direction == "f" and stat == "phi":
+                        assert oracle._down_delta(m, i, j, lam) is None
                 else:
                     want = elem_stats(w, lam)[field] - st[field]
-                    assert pbw.elem_delta(m, direction, stat, i, j, lam) == want
+                    assert elem_delta(m, direction, stat, i, j, lam) == want
+                    if direction == "f" and stat == "phi" and lam is not None:
+                        assert oracle._down_delta(m, i, j, lam) == want
 
 
 def test_generate_counts():
@@ -179,7 +192,7 @@ def test_generate_refuses_a_map_that_is_not_injective(monkeypatch):
     # a broken inverse map sends f2(0)'s x = (1,0,0,0) to f1(0)'s a, as it
     # sends f1(0)'s own x: f2(0) would be a second vertex with that a
     inverse = kernel.r_inverse
-    f1 = pbw.kashiwara_step(pbw.ZERO, "f", 1, (1, 1))
+    f1 = pbw.kashiwara_step(pbw.ZERO, 1, (1, 1))
     monkeypatch.setattr(kernel, "r_inverse", lambda x: f1.a if x == (1, 0, 0, 0) else inverse(x))
     message = ("the 2-arrow from vertex 0 reaches PbwElement(a=(1, 0, 0, 0), x=(1, 0, 0, 0)), "
                "whose a side names vertex 1: the transition map is not injective")
@@ -285,9 +298,9 @@ def test_corollaries_match_navigation():
     for a in product(range(6), repeat=4):
         m = from_a(a)
         if m.a[2] >= m.a[0] >= 1 and m.x[0] >= 1:
-            assert oracle.corollary_delta_2_1(m) == pbw.elem_delta(m, "e", "eps", 2, 1)
+            assert oracle.corollary_delta_2_1(m) == elem_delta(m, "e", "eps", 2, 1)
         if m.x[2] >= m.x[0] >= 1 and m.a[0] >= 1:
-            assert oracle.corollary_delta_1_2(m) == pbw.elem_delta(m, "e", "eps", 1, 2)
+            assert oracle.corollary_delta_1_2(m) == elem_delta(m, "e", "eps", 1, 2)
 
 
 def test_delta_product_zero_on_generated():
@@ -299,6 +312,6 @@ def test_delta_product_zero_on_generated():
                 if m.a[0] > m.a[2] and m.x[0] > m.x[2]:
                     st = elem_stats(m, lam)
                     if st.eps1 >= 1 and st.eps2 >= 1:
-                        d1 = pbw.elem_delta(m, "e", "eps", 1, 2, lam)
-                        d2 = pbw.elem_delta(m, "e", "eps", 2, 1, lam)
+                        d1 = elem_delta(m, "e", "eps", 1, 2, lam)
+                        d2 = elem_delta(m, "e", "eps", 2, 1, lam)
                         assert d1 * d2 == 0

@@ -233,6 +233,9 @@ _MISREADS = [
     (_STATS, b'"wt":{"1":2,"2":1}', b'"wt":{"1":2,"2":1,}', 2),  # a trailing comma in a wt object
     (_ZERO, b'"edges":[]', b'"edges":[,]', 2),  # an empty edge array holding a comma
     (_PBW, b'{"id":2,"a":[0,0,1,0],"x":[1,0,0,1]}', b'{"id":2}', 0),  # a plain vertex among labelled ones
+    # a number of more digits than int() reads, as an id and in a label
+    pytest.param(_PBW, b'{"id":1,"a"', b'{"id":1' + b"0" * 4300 + b',"a"', 2, id="4301-digit id"),
+    pytest.param(_PBW, b'"a":[1,0,0,0]', b'"a":[1' + b"0" * 4300 + b',0,0,0]', 2, id="4301-digit label"),
 ]
 
 
@@ -377,7 +380,7 @@ def near_misses(draw):
         at = draw(st.sampled_from([k for k in range(max(a - 12, 0), min(b + 12, len(text)) + 1) if k <= a or k >= b]))
         return (text[:at] + number + text[at:a] + text[b:]) if at <= a else (text[:a] + text[b:at] + number + text[at:])
     return put({"numeric string": b'"' + number + b'"', "float": number + b".0", "leading zero": b"0" + number,
-                "plus": b"+" + number, "empty number": b"", "negative": b"-" + number, "big": b"1" + b"0" * 30,
+                "plus": b"+" + number, "empty number": b"", "negative": b"-" + number, "big": b"1" + b"0" * draw(st.sampled_from([30, 4300])),
                 "other number": b"%d" % draw(st.integers(0, 12))}[edit])
 
 

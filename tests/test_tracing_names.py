@@ -6,8 +6,9 @@ import importlib
 import os
 import runpy
 
-from b2crystal import axioms, pbw
+from b2crystal import axioms, oracle, pbw
 from b2crystal.graph import ColoredGraph
+from test_callers import BENCHMARK_ONLY
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -41,3 +42,21 @@ def test_a_first_check_runs_each_battery_once():
     names = [rec[3] for rec in tracer.spans]
     batteries = [name for name in names if name.startswith("axioms.check_s")]
     assert batteries == ["axioms.check_s2_s3", "axioms.check_s4_s5", "axioms.check_s6_s9"]
+
+
+def test_every_counter_counts_a_small_battery():
+    # a counter whose name no longer reaches the program reads 0 without
+    # failing; a small battery calls every counted boundary that a program
+    # path reaches (the benchmark-only ones aside): the transition maps and
+    # the oracle's guarded lowering steps, which the (1,1) crystal's
+    # interlocked fork takes
+    importlib.import_module("b2crystal.cli")
+    tracer = runpy.run_path(TRACING)["Tracer"]()
+    tracer.install()
+    try:
+        oracle.run_verification(max_hw=1, max_box=1, extra=())
+    finally:
+        tracer.uninstall()
+    counted = {name: n for name, n in tracer.counts.items() if name.split(".")[1] not in BENCHMARK_ONLY}
+    assert set(counted) >= {"kernel.r_transfer", "kernel.r_inverse", "pbw.kashiwara_step"}
+    assert [name for name, n in counted.items() if n == 0] == []
