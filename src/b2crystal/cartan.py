@@ -3,6 +3,8 @@
 Colors are small integers; a_ij = <h_i, alpha_j> is read with GCM.a.
 """
 
+from math import prod
+
 from .errors import UnsupportedPair
 
 ORTHOGONAL = "ORTHOGONAL"
@@ -107,6 +109,40 @@ class GCM:
 
     def __repr__(self):
         return f"GCM({[list(r) for r in self.rows]}, index_set={list(self.colors)})"
+
+
+def finite_type(A):
+    """Whether A is of finite type: some positive diagonal D makes DA
+    symmetric, and DA is positive definite, as all its leading principal
+    minors are positive (Kac, Infinite-Dimensional Lie Algebras, ch. 4).
+
+    All in exact integers.  D spreads from each component's first color,
+    d_q = d_p a_pq / a_qp, from the product of all off-diagonal entries,
+    which each such quotient divides.  The k-th minor is the k-th pivot of
+    fraction-free (Bareiss) elimination."""
+    rows, n = A.rows, len(A.rows)
+    d, top = [0] * n, prod(-a for row in rows for a in row if a < 0)
+    for root in range(n):
+        if not d[root]:
+            d[root] = top
+            reached = [root]
+            for p in reached:
+                for q in range(n):
+                    if rows[p][q] and not d[q]:
+                        d[q] = d[p] * rows[p][q] // rows[q][p]
+                        reached.append(q)
+    m = [[d[p] * a for a in row] for p, row in enumerate(rows)]
+    if any(m[p][q] != m[q][p] for p in range(n) for q in range(p)):
+        return False  # not symmetrizable
+    last = 1
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for p in range(k + 1, n):
+            for q in range(k + 1, n):
+                m[p][q] = (m[p][q] * m[k][k] - m[p][k] * m[k][q]) // last
+        last = m[k][k]
+    return True
 
 
 def b2_gcm():

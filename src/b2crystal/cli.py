@@ -5,8 +5,9 @@ Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
 exceeded.  An input error prints `input error: <Type>: <message>` on stderr,
 and names a file that is missing, not UTF-8 or not JSON by its path.  The
 vertex budget, the CRYSTAL_BUDGET environment variable, bounds the crystals
-`gen` and `verify-paper` build, the lemma box of `verify-paper`, and the
-documents `check`, `iso` and `export-dot` read.
+`gen` and `verify-paper` build (one of a finite-type matrix is refused by
+its Weyl dimension before it is built), the lemma box of `verify-paper`,
+and the documents `check`, `iso` and `export-dot` read.
 `iso` certifies both documents under one matrix (two that declare different
 ones over one index set are an input error): the first with check_all, the
 second by the isomorphism walk, and with check_all too only where the walk
@@ -47,7 +48,9 @@ section is fills of its template's pattern (each %d a number as json
 writes it).  Any other document, and every refusal, takes the JSON path
 (load_doc, doc_to_graph), the reference, to the same graph and output.
 The loaders read the vertex and edge arrays whole into the graph's
-position lists, sorted by id.
+position lists, sorted by id.  Each files the edges by color in one pass
+(_load_arrows) and makes one add_arrows call per color that has edges, in
+index_set order.
 """
 
 import argparse
@@ -57,16 +60,16 @@ import json
 import os
 import re
 import sys
-from itertools import compress, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from . import __version__
 from .axioms import check_all
 from .builder import build_isomorphism, synthesize
-from .cartan import GCM, array, b2_gcm, b3_gcm, integers
+from .cartan import GCM, array, b2_gcm, b3_gcm, classify_all_pairs, finite_type, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
 from .graph import ColoredGraph, decode_weights
-from .oracle import run_verification, weyl_dim_b2
+from .oracle import run_verification, weyl_dim_general
 from .pbw import PbwElement, generate
 
 EXIT_PASS = 0
@@ -192,16 +195,30 @@ def json_to_graph(text, path):
     if len(pos) != n or max(pos.values(), default=-1) >= n:
         return None
     es, top = _numbers(edges), _numbers(tail)  # top: [max] or []
-    srcs, dsts, tops = (list(map(pos.get, c)) for c in (es[0::3], es[1::3], top))
-    used = set(es[2::3])  # the colors that have edges
-    if None in srcs + dsts + tops or not set(map(b"%d".__mod__, colors)) >= used:
+    try:  # a miss: an endpoint or max that is no id, or a color off index_set
+        srcs, dsts, tops = (list(map(pos.__getitem__, c)) for c in (es[0::3], es[1::3], top))
+        cols = list(map({b"%d" % i: i for i in colors}.__getitem__, es[2::3]))
+    except KeyError:
         return None
     g = doc_to_graph({**doc, "vertices": [], "edges": []})
     g.add_vertices(range(n))
-    for i in [i for i in g.colors if b"%d" % i in used]:
-        mask = list(map((b"%d" % i).__eq__, es[2::3]))
-        g.add_arrows(i, compress(srcs, mask), compress(dsts, mask))
+    _load_arrows(g, srcs, dsts, cols)
     return g, tops[0] if tops else None
+
+
+def _load_arrows(g, srcs, dsts, cols):
+    """Record the arrows srcs[k] -> dsts[k] of color cols[k], positions and
+    colors of g: one pass over the three columns files each arrow under its
+    color, in document order, and each color that has edges is loaded by
+    one add_arrows call, in g.colors order."""
+    filed = {i: ([], []) for i in g.colors}
+    put = {i: (s.append, d.append) for i, (s, d) in filed.items()}
+    for s, d, (put_s, put_d) in zip(srcs, dsts, map(put.__getitem__, cols)):
+        put_s(s)
+        put_d(d)
+    for i, (s, d) in filed.items():
+        if s:
+            g.add_arrows(i, s, d)
 
 
 _EDGE_FIELDS = ("from", "to", "color")
@@ -260,13 +277,10 @@ def doc_to_graph(doc):
         s, d = srcs[k], dsts[k]
         raise ValueError(f"edge {edges[k]}: endpoint {d if s_pos[k] is not None else s} "
                          "is not a declared vertex")
-    used = set(cols)  # the colors that have edges
-    if not used <= set(colors):
+    if not set(cols) <= set(colors):
         k = next(k for k, c in enumerate(cols) if c not in g.colors)
         raise ValueError(f"edge {edges[k]}: color {cols[k]} is not in index_set {colors}")
-    for i in filter(used.__contains__, g.colors):
-        mask = list(map(i.__eq__, cols))
-        g.add_arrows(i, compress(s_pos, mask), compress(d_pos, mask))
+    _load_arrows(g, s_pos, d_pos, cols)
     declared = doc.get("max")
     if declared is not None and integers([declared], lambda k: "max")[0] not in pos:
         raise ValueError(f"max {declared} is not a declared vertex")
@@ -386,12 +400,13 @@ def cmd_gen(args):
     if any(v < 0 for v in hw):
         print("error: --hw entries must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
+    if args.method == "pbw" and args.gcm != "b2":
+        print("error: the pbw method exists only for the b2 matrix", file=sys.stderr)
+        return EXIT_INPUT
+    classify_all_pairs(A)  # an unsupported pair is an input error before the budget is counted
+    if finite_type(A) and (n := weyl_dim_general(A, hw)) > _budget():  # refused before anything is built
+        raise BudgetExceeded(f"the crystal at {tuple(hw)} has {n} vertices, over the budget {_budget()}")
     if args.method == "pbw":
-        if args.gcm != "b2":
-            print("error: the pbw method exists only for the b2 matrix", file=sys.stderr)
-            return EXIT_INPUT
-        if (n := weyl_dim_b2(*hw)) > _budget():  # refused before anything is built
-            raise BudgetExceeded(f"the crystal at {tuple(hw)} has {n} vertices, over the budget {_budget()}")
         g = generate(tuple(hw), budget=_budget())
         text = graph_to_json(g)
     else:

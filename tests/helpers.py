@@ -1006,10 +1006,10 @@ def verification_dict(rep):
 # goes through elem_delta.  The differential tests require the oracle's
 # reports to equal these.
 
-def reference_verify_lemmas(n, transfer=None, transfer_inv=None):
-    """Scan [0,n]^4: closed forms, inverses, weight identities, delta formulas."""
-    transfer = transfer or kernel.r_transfer
-    transfer_inv = transfer_inv or kernel.r_inverse
+def reference_verify_lemmas(n):
+    """Scan [0,n]^4: closed forms, inverses, weight identities, delta
+    formulas; the maps are kernel's at call time, as elem_delta's are."""
+    transfer, transfer_inv = kernel.r_transfer, kernel.r_inverse
     rep = VerificationReport(f"transition-map lemmas on [0,{n}]^4", domain_size=(n + 1) ** 4)
     corollaries = []  # reported after the inverse scan's notes
     for a in product(range(n + 1), repeat=4):
@@ -1150,3 +1150,66 @@ def freudenthal(A, lam):
                 mult[beta] = m
                 layer.append(beta)
     return mult
+
+
+# -- Demazure characters against Demazure crystals ---------------------------------
+
+def weyl_elements(A):
+    """The Weyl group of the finite-type matrix A, breadth first from the
+    identity by the pairings of w rho: s_i lengthens w iff <h_i, w rho> >
+    0, and <h_j, s_i mu> = <h_j, mu> - <h_i, mu> a_ji.  A list of (parent,
+    p), element 0 the identity and each other element s_i times its
+    parent, i = A.colors[p], so that its letters down the parents are a
+    reduced word; parents come first."""
+    colors = A.colors
+    queue = [(1,) * len(colors)]  # w rho of each element, in order
+    seen, out = {queue[0]: 0}, [(None, None)]
+    for w, mu in enumerate(queue):
+        for p, i in enumerate(colors):
+            if mu[p] > 0:
+                nu = tuple(m - mu[p] * A.a(j, i) for m, j in zip(mu, colors))
+                if nu not in seen:
+                    seen[nu] = len(out)
+                    out.append((w, p))
+                    queue.append(nu)
+    return out
+
+
+def demazure_operator(A, lam, p, char):
+    """D_i of the character char, i = A.colors[p]: {beta: multiplicity},
+    beta keying the weight lam - sum_j beta_j alpha_j, as weight_counts
+    keys it.  Where q = <h_i, lam - sum_j beta_j alpha_j>, e^beta becomes
+    the sum of e^(beta + k alpha_i) for k = 0..q when q >= 0, nothing when
+    q = -1, and minus the sum of e^(beta - k alpha_i) for k = 1..-q-1 when
+    q <= -2.  Exact integers; zero multiplicities are dropped."""
+    i, out = A.colors[p], Counter()
+    for beta, m in char.items():
+        q = lam[p] - sum(b * A.a(i, j) for b, j in zip(beta, A.colors))
+        for k in range(q + 1) if q >= 0 else range(-1, q, -1):
+            out[beta[:p] + (beta[p] + k,) + beta[p + 1:]] += m if q >= 0 else -m
+    return {beta: m for beta, m in out.items() if m}
+
+
+def demazure_mismatches(g, A, lam):
+    """The Weyl elements w, as indexes into weyl_elements(A), at which the
+    Demazure crystal of g disagrees with Demazure's character formula.  The
+    crystal side is B_w = F_i(B_v) for w = s_i v, from {top}, F_i(S) being S
+    with each f_i-string walked to its end on g.down, its weights decoded
+    from weight_codes; the character side is D_i of v's character, from
+    e^lam (M. Demazure 1974; M. Kashiwara, Duke Math. J. 71, 1993)."""
+    codes = g.weight_codes()
+    decoded = decode_weights(codes, len(g) + 1, g.colors)
+    beta = [tuple(decoded[c].get(i, 0) for i in g.colors) for c in codes]
+    sets, chars, bad = [frozenset([position(g, g.maximum_elements()[0])])], [{(0,) * len(lam): 1}], []
+    for w, (parent, p) in enumerate(weyl_elements(A)[1:], 1):
+        down, grown = g.down[A.colors[p]], set(sets[parent])
+        for v in sets[parent]:
+            v = down[v]
+            while v is not None and v not in grown:
+                grown.add(v)
+                v = down[v]
+        sets.append(frozenset(grown))
+        chars.append(demazure_operator(A, lam, p, chars[parent]))
+        if Counter(map(beta.__getitem__, grown)) != chars[w]:
+            bad.append(w)
+    return bad

@@ -26,7 +26,6 @@ BENCHMARK_ONLY = {
     "verify_kakunin1": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
     "verify_kakunin2": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
     "verify_kakunin3": "perfbench/tracing.py spans it; verify_forks runs the fork checks",
-    "classify_all_pairs": "perfbench/tracing.py counts it; no program path calls it",
     "graph_to_doc": "the benchmark's set-up builds and permutes its dict documents with it, and "
                     "perfbench/tracing.py spans it; gen writes graph_to_json's text",
     "dump_doc": "the benchmark's set-up writes its dict documents with it, and perfbench/tracing.py "
@@ -34,10 +33,7 @@ BENCHMARK_ONLY = {
 }
 
 # function.parameter -> why it stays without a program caller that passes it
-ALLOWED_PARAMETERS = {
-    "verify_lemmas.transfer": "the test seam that injects a broken transfer map",
-    "verify_lemmas.transfer_inv": "the test seam that injects a broken inverse map",
-}
+ALLOWED_PARAMETERS = {}
 
 # function.parameter -> why its default stays though every program call passes it
 ALLOWED_DEFAULTS = {
@@ -216,7 +212,7 @@ def _program_calls():
     whether some program call omits it), for each defaulted parameter."""
     calls = [found for tree in _trees("src", "perfbench") for found in _calls(tree)]
     defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
-    assert len(defaulted) >= 16
+    assert len(defaulted) >= 14
     out = {}
     for callee, qual, k in defaulted:
         if callee not in ALLOWED:

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from b2crystal.cartan import (
     b3_gcm,
     classify_all_pairs,
     classify_pair,
+    finite_type,
 )
 from b2crystal.errors import UnsupportedPair
 from helpers import add_counts, pairing_of_root_count
@@ -63,6 +65,41 @@ def test_gcm_refuses_truncated_entries():
         with pytest.raises(ValueError, match=re.escape(f"Cartan entry {entry} is not an integer")):
             GCM(rows, index_set=index_set)
     assert GCM([[2.0, "-2"], [-1, "2"]]) == b2_gcm()
+
+
+# Dynkin types by their rows: the finite ones, then affine, hyperbolic and
+# non-symmetrizable matrices, none of which is of finite type
+_FINITE = {
+    "A1+A1": [[2, 0], [0, 2]], "A2": [[2, -1], [-1, 2]], "B2": [[2, -2], [-1, 2]], "G2": [[2, -3], [-1, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], "A1+B2": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "E8": [[2 if p == q else -1 if abs(p - q) == 1 and 7 not in (p, q) or {p, q} == {2, 7} else 0
+            for q in range(8)] for p in range(8)],
+}
+_INFINITE = {
+    "A1(1)": [[2, -2], [-2, 2]], "A2(2)": [[2, -4], [-1, 2]], "hyperbolic": [[2, -3], [-3, 2]],
+    "A2(1)": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "C2(1)": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "D3(2)": [[2, -2, 0], [-1, 2, -1], [0, -2, 2]], "A1+A1(1)": [[2, 0, 0], [0, 2, -2], [0, -2, 2]],
+    "B3(1)": [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -2, 2]],
+    "E8(1)": [[2 if p == q else -1 if abs(p - q) == 1 and 8 not in (p, q) or {p, q} == {2, 8} else 0
+               for q in range(9)] for p in range(9)],
+    "not symmetrizable": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+}
+
+
+@pytest.mark.parametrize("rows, finite", [(rows, True) for rows in _FINITE.values()]
+                         + [(rows, False) for rows in _INFINITE.values()], ids=[*_FINITE, *_INFINITE])
+def test_finite_type(rows, finite):
+    assert finite_type(GCM(rows)) is finite
+
+
+def test_finite_type_at_rank_2():
+    # a rank-2 matrix is of finite type iff a12 a21 < 4
+    for a, b in product(range(6), repeat=2):
+        if (a == 0) == (b == 0):
+            assert finite_type(GCM([[2, -a], [-b, 2]])) is (a * b < 4), (a, b)
 
 
 def test_pairing_of_root_count_examples():

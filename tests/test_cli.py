@@ -86,8 +86,8 @@ def test_gen_budget_exit(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("gcm, hw, dim", [("b2", "3,3", 256), ("b3", "1,1,1", 512), ("b2", "0,0", 1)])
 def test_gen_axioms_budget_at_the_dimension(tmp_path, monkeypatch, gcm, hw, dim):
-    # the synthesizer's one budget test per layer: exit 3 one vertex short;
-    # the top vertex counts, so a budget of 0 refuses even one vertex
+    # exit 3 one vertex short, by the Weyl dimension before synthesis; the
+    # top vertex counts, so a budget of 0 refuses even one vertex
     out = tmp_path / "g.json"
     argv = ["gen", "--gcm", gcm, "--hw", hw, "--method", "axioms", "--out", str(out)]
     monkeypatch.setenv("CRYSTAL_BUDGET", str(dim - 1))
@@ -117,6 +117,30 @@ def test_gen_pbw_over_budget_refuses_before_generating(tmp_path, capsys, monkeyp
     assert captured.out == "" and not out.exists()
     assert captured.err == ("budget exceeded: the crystal at (200, 200) has 1632240801 vertices, "
                             "over the budget 1000000\n")
+
+
+def test_gen_axioms_over_budget_refuses_before_synthesis(tmp_path, capsys, monkeypatch):
+    # a finite-type matrix has the Weyl dimension as its vertex count, so a
+    # crystal over the budget is refused before synthesis, as gen --method
+    # pbw refuses; an affine matrix has none and grows to the budget, and
+    # an unsupported pair stays an input error over the budget too
+    out, c21, g2 = tmp_path / "g.json", tmp_path / "c21.json", tmp_path / "g2.json"
+    c21.write_text(json.dumps({"cartan": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]]}))
+    g2.write_text(json.dumps({"cartan": [[2, -3], [-1, 2]]}))
+    monkeypatch.setenv("CRYSTAL_BUDGET", "3000")
+    synthesize = builder.synthesize
+    monkeypatch.setattr(cli, "synthesize", lambda *args, **kwargs: pytest.fail("crystal synthesized over budget"))
+    for argv, code, err in (
+            (["--gcm", "b3", "--hw", "3,3,3"], 3,
+             "budget exceeded: the crystal at (3, 3, 3) has 262144 vertices, over the budget 3000\n"),
+            (["--gcm", f"custom:{g2}", "--hw", "300,300"], 2,
+             "input error: UnsupportedPair: pair (1,2) has off-diagonal entries (-3, -1)\n")):
+        capsys.readouterr()
+        assert main(["gen", *argv, "--method", "axioms", "--out", str(out)]) == code
+        assert capsys.readouterr() == ("", err) and not out.exists()
+    monkeypatch.setattr(cli, "synthesize", synthesize)
+    assert main(["gen", "--gcm", f"custom:{c21}", "--hw", "1,0,0", "--method", "axioms", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "budget exceeded: vertex budget 3000 exceeded\n") and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])

@@ -1,15 +1,19 @@
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
 
 from b2crystal import builder, kernel, oracle, pbw
+from b2crystal.axioms import check_all
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.errors import BudgetExceeded, HypothesisNotMet
 from b2crystal.kernel import r_inverse, r_transfer
 from helpers import (
     C3_MATRIX_ROWS,
+    build_graph,
+    demazure_mismatches,
     elem_delta,
     elem_stats,
     elem_walk,
@@ -20,6 +24,7 @@ from helpers import (
     reference_verify_lemmas,
     verification_dict,
     weight_counts,
+    weyl_elements,
 )
 
 
@@ -58,6 +63,14 @@ def lifted_inverse_first(x):
     # value, its own point an unmoved one
     a = r_inverse(x)
     return (a[0] + 1,) + a[1:] if x[0] == 1 else a
+
+
+# the maps the run walk is checked under, each patched onto kernel, and the
+# further ones the lemma scan is compared under
+_NAVIGATIONS = {"kernel": {}, "broken_transfer": {"r_transfer": broken_transfer}, "leaving": {"r_transfer": leaving},
+                "leaving_first": {"r_transfer": leaving_first}, "broken_inverse": {"r_inverse": broken_inverse}}
+_LEMMA_MAPS = {**_NAVIGATIONS, "both_broken": {"r_transfer": broken_transfer, "r_inverse": broken_inverse},
+               "lifted_first": {"r_transfer": lifted_first}, "lifted_inverse_first": {"r_inverse": lifted_inverse_first}}
 
 
 def test_weyl_dim_b2_anchors():
@@ -101,6 +114,48 @@ def test_weight_multiplicities_match_freudenthal():
         for lam in product(range(2), repeat=3):
             g = builder.synthesize(A, lam)
             assert g.colors == A.colors and weight_counts(g) == freudenthal(A, lam), (A, lam)
+
+
+def test_demazure_characters_match_the_crystal():
+    # each Demazure crystal of a built crystal, F_i1(...F_il({top})) for a
+    # reduced word of w, has the character D_i1...D_il(e^lam), for every w
+    # of the Weyl group: pbw.generate over B2 [0,5]^2, and synthesize over
+    # A3, B3 and C3 at [0,1]^3; the transposed pairings give another
+    # module, so a crystal built at them does not match
+    A = b2_gcm()
+    assert len(weyl_elements(A)) == 8
+    for lam in product(range(6), repeat=2):
+        assert demazure_mismatches(pbw.generate(lam), A, lam) == [], lam
+    for a, b in product(range(4), repeat=2):
+        if a != b:
+            assert demazure_mismatches(pbw.generate((a, b)), A, (b, a)), (a, b)
+    for A, order in ((GCM([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), 24), (b3_gcm(), 48), (GCM(C3_MATRIX_ROWS), 48)):
+        assert len(weyl_elements(A)) == order
+        for lam in product(range(2), repeat=3):
+            assert demazure_mismatches(builder.synthesize(A, lam), A, lam) == [], (A, lam)
+
+
+def test_demazure_characters_see_what_weight_counts_miss():
+    # swapping the targets of two same-colored arrows whose targets have one
+    # weight keeps every weight count, so Freudenthal passes each swap; the
+    # checker refuses each, and the Demazure characters about half of them
+    A, rng = b2_gcm(), random.Random(21)
+    refused = []
+    for lam in ((2, 1), (1, 2), (2, 2), (3, 1), (3, 3), (4, 2)):
+        g = pbw.generate(lam)
+        codes, edges, counts = g.weight_codes(), g.edges(), freudenthal(A, lam)
+        for _ in range(10):
+            while True:
+                k, q = rng.sample(range(len(edges)), 2)
+                (s1, d1, i), (s2, d2, j) = edges[k], edges[q]
+                if i == j and d1 != d2 and codes[d1] == codes[d2]:
+                    break
+            swapped = list(edges)
+            swapped[k], swapped[q] = (s1, d2, i), (s2, d1, j)
+            h = build_graph(g.colors, len(g), swapped, cartan=A)
+            assert weight_counts(h) == counts and not check_all(h, A).passed, (lam, k, q)
+            refused.append(bool(demazure_mismatches(h, A, lam)))
+    assert sum(refused) == 30
 
 
 def test_not_finite_type():
@@ -172,20 +227,23 @@ def test_verify_lemmas_passes():
     assert rep.passed and rep.domain_size == 9**4
 
 
-def test_verify_lemmas_catches_injected_bugs():
-    rep = oracle.verify_lemmas(3, transfer=broken_transfer)
-    assert not rep.passed
-    rep = oracle.verify_lemmas(3, transfer_inv=broken_inverse)
-    assert not rep.passed
+def test_verify_lemmas_catches_injected_bugs(monkeypatch):
+    for name, broken in (("r_transfer", broken_transfer), ("r_inverse", broken_inverse)):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, name, broken)
+            assert not oracle.verify_lemmas(3).passed
 
 
-def test_verify_lemmas_counterexamples_pinned():
+def test_verify_lemmas_counterexamples_pinned(monkeypatch):
     # the counterexample lists of three broken maps, in order, pinned by
     # sha256; the second map sends the points with a1 = a2 = 1 out of N^4,
     # and their delta corollaries are still checked
-    notes = [oracle.verify_lemmas(1, transfer=broken_transfer).counterexamples,
-             oracle.verify_lemmas(2, transfer=leaving).counterexamples,
-             oracle.verify_lemmas(1, transfer_inv=broken_inverse).counterexamples]
+    notes = []
+    for n, name, broken in ((1, "r_transfer", broken_transfer), (2, "r_transfer", leaving),
+                            (1, "r_inverse", broken_inverse)):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, name, broken)
+            notes.append(oracle.verify_lemmas(n).counterexamples)
     assert [len(n) for n in notes] == [20, 19, 17]  # under the cap of 50
     assert any(n.startswith("PbwElement(a=(1, 1, 1, 0), x=(1, 1, -2, 3))") for n in notes[1])
     assert hashlib.sha256(json.dumps(notes).encode()).hexdigest() == (
@@ -199,31 +257,16 @@ def uncapped_notes(monkeypatch):
     monkeypatch.setattr(oracle.VerificationReport, "add", lambda rep, note: rep.counterexamples.append(note))
 
 
-@pytest.mark.parametrize("maps", [{}, {"transfer": broken_transfer}, {"transfer": leaving},
-                                  {"transfer": leaving_first}, {"transfer_inv": broken_inverse},
-                                  {"transfer": broken_transfer, "transfer_inv": broken_inverse},
-                                  {"transfer": lifted_first}, {"transfer_inv": lifted_inverse_first}],
-                         ids=["kernel", "broken_transfer", "leaving", "leaving_first", "broken_inverse",
-                              "both_broken", "lifted_first", "lifted_inverse_first"])
-def test_verify_lemmas_matches_reference(uncapped_notes, maps):
-    for n in range(6):
-        got = verification_dict(oracle.verify_lemmas(n, **maps))
-        assert got == verification_dict(reference_verify_lemmas(n, **maps))
-
-
-@pytest.mark.parametrize("name, broken", [("r_transfer", broken_transfer), ("r_transfer", leaving),
-                                           ("r_transfer", leaving_first), ("r_inverse", broken_inverse),
-                                           ("r_transfer", lifted_first), ("r_inverse", lifted_inverse_first)],
-                         ids=["broken_transfer", "leaving", "leaving_first", "broken_inverse", "lifted_first",
-                              "lifted_inverse_first"])
-def test_verify_lemmas_matches_reference_under_a_broken_kernel(monkeypatch, uncapped_notes, name, broken):
-    # no map injected: the scanned tables are the kernel's own, and the
-    # corollary steps read them, broken values included
-    monkeypatch.setattr(kernel, name, broken)
+@pytest.mark.parametrize("maps", _LEMMA_MAPS.values(), ids=_LEMMA_MAPS)
+def test_verify_lemmas_matches_reference(monkeypatch, uncapped_notes, maps):
+    # the scanned tables are the kernel's own, and the corollary steps read
+    # them, broken values included, as the reference's navigation does
+    for name, f in maps.items():
+        monkeypatch.setattr(kernel, name, f)
     for n in range(6):
         got = verification_dict(oracle.verify_lemmas(n))
         assert got == verification_dict(reference_verify_lemmas(n))
-    assert not got["pass"]
+    assert got["pass"] == (not maps)
 
 
 def test_verify_lemmas_kernel_calls(monkeypatch):
@@ -256,15 +299,16 @@ def test_verify_lemmas_kernel_calls(monkeypatch):
     assert calls == {"r_transfer": 3577, "r_inverse": 4438}
 
 
-def test_verify_lemmas_undefined_step_raises():
+def test_verify_lemmas_undefined_step_raises(monkeypatch):
     # a broken image with x1 = 0 > x3 at a point with a1 > a3 asks the
     # product-zero check for an undefined raising 2-step
     def undefined(a):
         return (0, 0, -1, 0) if a == (1, 0, 0, 0) else r_transfer(a)
 
+    monkeypatch.setattr(kernel, "r_transfer", undefined)
     for scan in (oracle.verify_lemmas, reference_verify_lemmas):
         with pytest.raises(HypothesisNotMet, match=r"^e_2 undefined at PbwElement\(a=\(1, 0, 0, 0\), x=\(0, 0, -1, 0\)\)$"):
-            scan(1, transfer=undefined)
+            scan(1)
 
 
 def test_fork_routing_drops_no_family_member():
@@ -280,11 +324,6 @@ def test_fork_routing_drops_no_family_member():
                 assert routes[d](u, v), (d, m)
                 members[d] += 1
     assert members == {(1, 2): 232, (1, 1): 112, (0, 2): 55}
-
-
-# the maps the run walk is checked under, each patched onto kernel
-_NAVIGATIONS = {"kernel": {}, "broken_transfer": {"r_transfer": broken_transfer}, "leaving": {"r_transfer": leaving},
-                "leaving_first": {"r_transfer": leaving_first}, "broken_inverse": {"r_inverse": broken_inverse}}
 
 
 @pytest.fixture(scope="module")

@@ -20,9 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from b2crystal import builder, cli, pbw
-from b2crystal.cartan import b2_gcm, b3_gcm
+from b2crystal.cartan import B3_MATRIX_ROWS, GCM, b2_gcm, b3_gcm
 from b2crystal.cli import doc_to_graph, dump_doc, graph_to_doc, graph_to_json, json_to_graph, load_doc, main
 from b2crystal.graph import ColoredGraph
+from helpers import reference_load
 
 # (matrix, top statistics, method) of the documents gen writes here
 GEN_CASES = [("b2", hw, method) for hw in ("0,0", "1,0", "3,5", "5,5") for method in ("pbw", "axioms")]
@@ -211,6 +212,40 @@ def test_many_colors_read_alike(tmp_path, monkeypatch, capsys):
             assert read(doc) is not None
             counts.append(list(loaded))
     assert counts == [[], [], [1, 2], [1, 2]]
+
+
+def test_arrows_filed_by_color_read_alike(tmp_path, monkeypatch, capsys):
+    # edges that interleave the colors in shuffled order, with one arrow of
+    # each color recorded twice, first, and one more arrow of that color from
+    # the source of its first arrow: both readers give the graph of each
+    # arrow recorded on its own in document order (arrows in document order,
+    # the first arrow from or to a vertex winning), the same check, iso and
+    # export-dot output, and load each color that has edges by one
+    # add_arrows call, in index_set order, which is not sorted here
+    A = GCM(B3_MATRIX_ROWS, index_set=[3, 1, 2])
+    path, edited_path = tmp_path / "b3.json", tmp_path / "filed.json"
+    path.write_text(graph_to_json(builder.synthesize(A, (1, 1, 0)), stats=True))
+    doc = load_doc(path)
+    edges = random.Random(36).sample(doc["edges"], len(doc["edges"]))
+    for i in A.colors:
+        mine = [k for k, e in enumerate(edges) if e["color"] == i]
+        first, last = edges[mine[0]], edges[mine[-1]]
+        edges.insert(mine[-1] + 1, {**first, "to": last["to"]})
+        edges.insert(0, dict(last))
+    edited = {**doc, "edges": edges}
+    dump_doc(edited, edited_path)
+    found = json_to_graph(edited_path.read_bytes(), edited_path)
+    want = _graph(reference_load(edited, A))
+    assert found is not None and _graph(found[0]) == want == _graph(doc_to_graph(edited))
+    assert [len(found[0].arrows[i][0]) for i in A.colors] == [len(mine) + 2 for mine in (
+        [e for e in doc["edges"] if e["color"] == i] for i in A.colors)]
+    runs = _both_paths(monkeypatch, capsys, *_commands(edited_path, path, tmp_path))
+    assert runs[0] == runs[1] and runs[0][0][0] == 1
+    loaded, add_arrows = [], ColoredGraph.add_arrows
+    monkeypatch.setattr(ColoredGraph, "add_arrows", lambda g, i, *ends: loaded.append(i) or add_arrows(g, i, *ends))
+    for read in (lambda: json_to_graph(edited_path.read_bytes(), edited_path), lambda: doc_to_graph(edited)):
+        loaded.clear()
+        assert read() is not None and loaded == [3, 1, 2]
 
 
 # gen's text with a number moved, emptied or added, or an entry or a comma

@@ -44,17 +44,18 @@ def test_a_first_check_runs_each_battery_once():
     assert batteries == ["axioms.check_s2_s3", "axioms.check_s4_s5", "axioms.check_s6_s9"]
 
 
-def test_every_counter_counts_a_small_battery():
+def test_every_counter_counts_a_small_battery(tmp_path, capsys):
     # a counter whose name no longer reaches the program reads 0 without
-    # failing; a small battery calls every counted boundary that a program
-    # path reaches (the benchmark-only ones aside): the transition maps and
-    # the oracle's guarded lowering steps, which the (1,1) crystal's
-    # interlocked fork takes
-    importlib.import_module("b2crystal.cli")
+    # failing; a small battery and a small gen call every counted boundary
+    # that a program path reaches (the benchmark-only ones aside): the
+    # transition maps and the oracle's guarded lowering steps, which the
+    # (1,1) crystal's interlocked fork takes, and gen's pair classification
+    cli = importlib.import_module("b2crystal.cli")
     tracer = runpy.run_path(TRACING)["Tracer"]()
     tracer.install()
     try:
         oracle.run_verification(max_hw=1, max_box=1, extra=())
+        assert cli.main(["gen", "--hw", "1,0", "--method", "axioms", "--out", str(tmp_path / "g.json")]) == 0
     finally:
         tracer.uninstall()
     counted = {name: n for name, n in tracer.counts.items() if name.split(".")[1] not in BENCHMARK_ONLY}
