@@ -1,20 +1,22 @@
 """Synthesis of the unique axiom-satisfying graph from a highest weight,
 and the isomorphism between two such graphs.
 
-Synthesis grows the graph one distance layer at a time.  Each vertex of
-the previous layer contributes one child candidate per color with a
-positive lowering statistic; the checker's lowering-side rules
-(axioms.RULES, found by axioms.scan on a layer's grouping), evaluated on
-sealed layers, force the last steps of their two words to coincide, and
-the layer's classes are the connected components of those merge pairs
-over its candidates, found before anything is materialized.  Each class
-is one new vertex, and a finished layer goes into the graph with one
-add_vertices call and one add_arrows call per color.  The statistics are
-flat lists over positions: one weight code per vertex (weight_codes'
-digit layout) and per-color eps/phi.  Raising statistics come from the
-parents, lowering ones from the pairing <h_c, wt> = phi_c - eps_c of the
-head parent less the Cartan entry of the step; a final full check
-certifies the result (a wrong merge or a missed one cannot survive it).
+Synthesis grows the graph one distance layer at a time: the driver
+(synthesize) finds each layer's merge classes, and _layer checks and
+loads them.  Each vertex of the previous layer contributes one child
+candidate per color with a positive lowering statistic; the checker's
+lowering-side rules (axioms.RULES, found by axioms.scan on a layer's
+grouping), evaluated on sealed layers, force the last steps of their two
+words to coincide, and the layer's classes are the connected components
+of those merge pairs over its candidates, found before anything is
+materialized.  Each class is one new vertex, and a finished layer goes
+into the graph with one add_vertices call and one add_arrows call per
+color.  The statistics are flat lists over positions: one weight code per
+vertex (weight_codes' digit layout) and per-color eps/phi.  Raising
+statistics come from the parents, lowering ones from the pairing
+<h_c, wt> = phi_c - eps_c of the head parent less the Cartan entry of the
+step; one final check_all certifies the result and its top statistics (a
+wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
 tops, each a maximum element with its top statistics: the i-child of a
@@ -46,8 +48,14 @@ class _Build:
     they are the graph's positions, each layer is a range of them, and the
     statistics are per-color lists over them."""
 
-    def __init__(self, A, phi0):
+    def __init__(self, A, phi0, budget):
         self.A = A
+        self.budget = budget
+        # a weight of layer k counts at most k steps of any color, and k is
+        # below the vertex count, so with this base no digit of its code carries
+        self.base = budget + 1
+        self.inc = {i: self.base**c for c, i in enumerate(A.colors)}
+        self.codes = [0]
         self.g = ColoredGraph(A.colors, cartan=A)
         self.g.add_vertices([0])
         self.eps = {i: [0] for i in A.colors}
@@ -125,6 +133,47 @@ def _merge_classes(candidates, pairs):
     return classes
 
 
+def _layer(st, k, classes):
+    """Check layer k's merge classes and load them into st, one vertex per
+    class with its arrows, weight code and eps/phi."""
+    colors, eps, phi, codes, inc = st.A.colors, st.eps, st.phi, st.codes, st.inc
+    first, n = len(st.g), len(classes)
+    if first + n > st.budget:
+        raise BudgetExceeded(f"vertex budget {st.budget} exceeded")
+    # the class's first member is its vertex's head parent; up[c] lists
+    # each new vertex's parent through color c, None where it has none
+    heads = [group[0] for group in classes]
+    up = {c: [p if i == c else None for p, i in heads] for c in colors}
+    codes.extend([codes[p] + inc[i] for p, i in heads])
+    errors = []  # (vertex, kind, text); the least one is raised
+    for v, group in [(v, group) for v, group in enumerate(classes, first) if len(group) > 1]:
+        t, code, wts = v - first, codes[v], None
+        for q, j in group[1:]:
+            if up[j][t] is not None:
+                errors.append((v, -1, f"layer {k}: merged candidates collide on color {j}: "
+                                      f"vertex {v} already has an incoming {j}-arrow"))
+                break
+            up[j][t] = q
+            if wts is None and codes[q] + inc[j] != code:
+                wts = decode_weights([code, codes[q] + inc[j]], st.base, colors)
+                errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
+                                     f"{wts[code]} vs {wts[codes[q] + inc[j]]}"))
+    st.g.add_vertices(range(first, first + n))
+    for t, c in enumerate(colors, 1):
+        mask = [q is not None for q in up[c]]
+        st.g.add_arrows(c, compress(up[c], mask), compress(range(first, first + n), mask))
+        # phi - eps is the pairing <h_c, wt>: the head parent's, less <h_c, alpha_i>
+        e, f, a = eps[c], phi[c], {i: st.A.a(c, i) for i in colors}
+        e.extend([0 if q is None else e[q] + 1 for q in up[c]])
+        f.extend([e[v] + f[p] - e[p] - a[i] for v, (p, i) in enumerate(heads, first)])
+        if min(f[first:]) < 0:
+            v = next(v for v in range(first, first + n) if f[v] < 0)
+            errors.append((v, t, f"layer {k}: vertex {v} got negative lowering statistic for {c}"))
+    if errors:
+        raise SynthesisInconsistency(min(errors)[2])
+    st.layers.append(range(first, first + n))
+
+
 def synthesize(A, phi0, budget_vertices=10**6, check=True):
     """Build the unique axiom-satisfying graph with the given top statistics.
 
@@ -140,72 +189,26 @@ def synthesize(A, phi0, budget_vertices=10**6, check=True):
 
     if budget_vertices < 1:  # the top vertex counts
         raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
-    st = _Build(A, phi0)
-    colors, eps, phi = A.colors, st.eps, st.phi
-    # a weight of layer k counts at most k steps of any color, and k is
-    # below the vertex count, so with this base no digit of its code carries
-    base = budget_vertices + 1
-    inc = {i: base**c for c, i in enumerate(colors)}
-    codes = [0]
-    k = 0
-    while True:
+    st = _Build(A, phi0, budget_vertices)
+    k = 1
+    while cands := [(p, i) for i in A.colors for p in st.layer(k - 1) if st.phi[i][p] > 0]:
+        _layer(st, k, _merge_classes(cands, _collect_merges(st, k, set(cands))))
         k += 1
-        prev = st.layer(k - 1)
-        first = len(st.g)
-        cands = [(p, i) for i in colors for p in prev if phi[i][p] > 0]
-        if not cands:
-            break
-        classes = _merge_classes(cands, _collect_merges(st, k, set(cands)))
-        n = len(classes)
-        if first + n > budget_vertices:
-            raise BudgetExceeded(f"vertex budget {budget_vertices} exceeded")
-        # the class's first member is its vertex's head parent; up[c] lists
-        # each new vertex's parent through color c, None where it has none
-        heads = [group[0] for group in classes]
-        up = {c: [p if i == c else None for p, i in heads] for c in colors}
-        codes.extend([codes[p] + inc[i] for p, i in heads])
-        errors = []  # (vertex, kind, text); the least one is raised
-        for v, group in [(v, group) for v, group in enumerate(classes, first) if len(group) > 1]:
-            t, code, wts = v - first, codes[v], None
-            for q, j in group[1:]:
-                if up[j][t] is not None:
-                    errors.append((v, -1, f"layer {k}: merged candidates collide on color {j}: "
-                                          f"vertex {v} already has an incoming {j}-arrow"))
-                    break
-                up[j][t] = q
-                if wts is None and codes[q] + inc[j] != code:
-                    wts = decode_weights([code, codes[q] + inc[j]], base, colors)
-                    errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
-                                         f"{wts[code]} vs {wts[codes[q] + inc[j]]}"))
-        st.g.add_vertices(range(first, first + n))
-        for t, c in enumerate(colors, 1):
-            mask = [q is not None for q in up[c]]
-            st.g.add_arrows(c, compress(up[c], mask), compress(range(first, first + n), mask))
-            # phi - eps is the pairing <h_c, wt>: the head parent's, less <h_c, alpha_i>
-            e, f, a = eps[c], phi[c], {i: A.a(c, i) for i in colors}
-            e.extend([0 if q is None else e[q] + 1 for q in up[c]])
-            f.extend([e[v] + f[p] - e[p] - a[i] for v, (p, i) in enumerate(heads, first)])
-            if min(f[first:]) < 0:
-                v = next(v for v in range(first, first + n) if f[v] < 0)
-                errors.append((v, t, f"layer {k}: vertex {v} got negative lowering statistic for {c}"))
-        if errors:
-            raise SynthesisInconsistency(min(errors)[2])
-        st.layers.append(range(first, first + n))
 
-    g = st.g
     if check:
-        report = check_all(g, A, expected_phi0=phi0)
+        report = check_all(st.g, A)
         if not report.passed:
             raise SynthesisInconsistency(
                 f"synthesized graph failed certification: {report.summary()}"
             )
-        # the (K1)-defined statistics must coincide with the literal strings
-        eps_t, phi_t = g.tables()
-        if (eps_t, phi_t) != (eps, phi):
-            v = next(v for v in range(len(g)) if any(
-                eps_t[c][v] != eps[c][v] or phi_t[c][v] != phi[c][v] for c in colors))
-            raise SynthesisInconsistency(f"vertex {v}: bookkeeping stats differ from string lengths")
-    return g
+        # the bookkept eps/phi are then the string tables: a new vertex's
+        # eps_c is its c-parent's plus one, the string length, as the
+        # collision check allows one incoming c-arrow, and S2 moves the literal
+        # phi - eps by a_ci on every arrow, as the bookkeeping does, so the two
+        # differ everywhere by the literal top statistics less phi0
+        if report.phi0 != phi0:
+            raise SynthesisInconsistency(f"synthesized graph has top statistics {report.phi0}, not {phi0}")
+    return st.g
 
 
 def build_isomorphism(X, Y, gcm):

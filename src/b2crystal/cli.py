@@ -160,7 +160,7 @@ def json_to_graph(text, path):
     read it, refusals included: duplicate ids, undeclared endpoints or max,
     colors outside index_set.  Every section passes _fills before the
     vertices are counted against the budget, and before any is read into
-    numbers; doc_to_graph reads the header."""
+    numbers; _header_graph reads the header, as it does for doc_to_graph."""
     cuts = _DOCUMENT.encode().split(b"%s")[1:4]  # the text between the header, the arrays and max
     head, _, rest = text.partition(cuts[0])
     vertices, _, rest = rest.partition(cuts[1])
@@ -200,7 +200,7 @@ def json_to_graph(text, path):
         cols = list(map({b"%d" % i: i for i in colors}.__getitem__, es[2::3]))
     except KeyError:
         return None
-    g = doc_to_graph({**doc, "vertices": [], "edges": []})
+    g = _header_graph(doc)
     g.add_vertices(range(n))
     _load_arrows(g, srcs, dsts, cols)
     return g, tops[0] if tops else None
@@ -245,6 +245,13 @@ def _fields(entries, key, kind):
         raise ValueError(f"{kind} entry {bad!r} has no {key} field") from None
 
 
+def _header_graph(doc):
+    """The graph of a document's index_set and cartan, with no vertex yet."""
+    colors = integers(array(_field(doc, "index_set"), "index_set"), lambda k: "index_set entry")
+    rows = doc.get("cartan")
+    return ColoredGraph(colors, cartan=GCM(rows, index_set=colors) if rows not in (None, []) else None)
+
+
 def doc_to_graph(doc):
     """Rebuild a graph from a document, preserving ids.
 
@@ -256,9 +263,7 @@ def doc_to_graph(doc):
     integer fields, duplicate ids, undeclared endpoints, colors outside
     index_set, and an undeclared "max".
     """
-    colors = integers(array(_field(doc, "index_set"), "index_set"), lambda k: "index_set entry")
-    rows = doc.get("cartan")
-    g = ColoredGraph(colors, cartan=GCM(rows, index_set=colors) if rows not in (None, []) else None)
+    g = _header_graph(doc)
     vertices = array(_field(doc, "vertices"), "vertices")
     ids = integers(_fields(vertices, "id", "vertex"), lambda k: f"vertex {vertices[k]}: id")
     if len(set(ids)) < len(ids):
@@ -277,9 +282,9 @@ def doc_to_graph(doc):
         s, d = srcs[k], dsts[k]
         raise ValueError(f"edge {edges[k]}: endpoint {d if s_pos[k] is not None else s} "
                          "is not a declared vertex")
-    if not set(cols) <= set(colors):
+    if not set(cols) <= set(g.colors):
         k = next(k for k, c in enumerate(cols) if c not in g.colors)
-        raise ValueError(f"edge {edges[k]}: color {cols[k]} is not in index_set {colors}")
+        raise ValueError(f"edge {edges[k]}: color {cols[k]} is not in index_set {list(g.colors)}")
     _load_arrows(g, s_pos, d_pos, cols)
     declared = doc.get("max")
     if declared is not None and integers([declared], lambda k: "max")[0] not in pos:

@@ -20,7 +20,7 @@ from itertools import groupby, product
 from . import kernel, pbw
 from .axioms import summit
 from .builder import build_isomorphism
-from .cartan import b2_gcm
+from .cartan import b2_gcm, finite_type
 from .errors import BudgetExceeded, HypothesisNotMet, NotIsomorphic, PrereqFailed
 
 
@@ -59,38 +59,28 @@ def positive_roots(A):
 
     Each root is a coefficient tuple over the simple roots; its coroot is
     tracked as a coefficient tuple over the simple coroots, transforming
-    contragradiently under the simple reflections.  Closure growing past
-    4096 roots means the matrix is not finite type.
+    contragradiently under the simple reflections.  Any other matrix has
+    infinitely many, and is refused before the closure starts.
     """
+    if not finite_type(A):
+        raise BudgetExceeded("positive-root closure outgrew its budget (not finite type?)")
+    # <h_k, root> and <coroot, alpha_k> over the nonzero entries of row and column k
     n = len(A.colors)
-    simple = []
-    for k in range(n):
-        c = tuple(1 if t == k else 0 for t in range(n))
-        simple.append((c, c))
-    seen = {c: d for c, d in simple}
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for c, d in frontier:
-            for k, i in enumerate(A.colors):
-                # <h_i, root> and reflection of root and coroot
-                pair = sum(A.a(i, A.colors[t]) * c[t] for t in range(n))
-                nc = list(c)
-                nc[k] -= pair
-                nc = tuple(nc)
-                if any(v < 0 for v in nc) or all(v == 0 for v in nc):
-                    continue
-                if nc in seen:
-                    continue
-                copair = sum(d[t] * A.a(A.colors[t], i) for t in range(n))
-                nd = list(d)
-                nd[k] -= copair
-                nd = tuple(nd)
-                seen[nc] = nd
-                nxt.append((nc, nd))
-                if len(seen) > 4096:
-                    raise BudgetExceeded("positive-root closure outgrew its budget (not finite type?)")
-        frontier = nxt
+    rows = [[(t, a) for t, a in enumerate(row) if a] for row in A.rows]
+    cols = [[(t, a) for t, a in enumerate(col) if a] for col in zip(*A.rows)]
+    simple = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    seen = dict(zip(simple, simple))
+    found = list(seen.items())  # grows as it is read: breadth first
+    for c, d in found:
+        for k in range(n):
+            # the reflection s_k changes entry k only, so a root leaves the
+            # positive cone where that entry goes negative
+            pair = sum(a * c[t] for t, a in rows[k])
+            nc = (*c[:k], c[k] - pair, *c[k + 1:])
+            if pair > c[k] or nc in seen:
+                continue
+            seen[nc] = nd = (*d[:k], d[k] - sum(d[t] * a for t, a in cols[k]), *d[k + 1:])
+            found.append((nc, nd))
     return sorted(seen.items())
 
 

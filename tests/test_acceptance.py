@@ -49,8 +49,9 @@ def test_criterion_3_axiom_soundness():
     for lam in product(range(6), repeat=2):
         g = pbw.generate(lam)
         expected = {1: lam[0], 2: lam[1]}
-        ok = ok and axioms.check_all(g, A, expected_phi0=expected).passed
-        ok = ok and axioms.check_all(g.reverse(), A, expected_phi0=expected).passed
+        for h in (g, g.reverse()):
+            rep = axioms.check_all(h, A)
+            ok = ok and rep.passed and rep.phi0 == expected
     _report(3, "axiom soundness fwd+reversed [0,5]^2", ok, time.time() - t0, 60)
 
 
@@ -108,7 +109,8 @@ def test_criterion_7_rank3_smoke():
     g = builder.synthesize(B3, (1, 0, 0))
     ok = (
         len(g) == oracle.weyl_dim_general(B3, (1, 0, 0)) == 7
-        and axioms.check_all(g, B3, expected_phi0={1: 1, 2: 0, 3: 0}).passed
+        and (rep := axioms.check_all(g, B3)).passed
+        and rep.phi0 == {1: 1, 2: 0, 3: 0}
         and "SIMPLY_LACED" in types
         and ("B2" in types or "B2_TRANSPOSE" in types)
     )

@@ -301,6 +301,43 @@ def test_missing_merges_refused(monkeypatch, M, lam, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("M, lam", [(A, (0, 0)), (A, (2, 2)), (b3_gcm(), (1, 1, 1))])
+def test_one_layer_step_per_layer(monkeypatch, M, lam):
+    # the driver runs the layer step once per nonempty layer, k = 1, 2, ...,
+    # and the layers are ranges that partition the ids by distance from the top
+    calls, states, layer = [], [], builder._layer
+
+    def spied(st, k, classes):
+        calls.append((k, len(classes)))
+        states.append(st)
+        layer(st, k, classes)
+
+    monkeypatch.setattr(builder, "_layer", spied)
+    g = builder.synthesize(M, lam)
+    assert [k for k, _ in calls] == list(range(1, len(calls) + 1)) and all(n for _, n in calls)
+    layers = states[-1].layers if states else [range(1)]
+    assert [len(r) for r in layers] == [1] + [n for _, n in calls]
+    assert [v for r in layers for v in r] == g.ids == list(range(len(g)))
+    depth = {v: k for k, r in enumerate(layers) for v in r}
+    assert all(depth[d] == depth[s] + 1 for s, d, _ in g.edges())
+
+
+def test_certification_refused(monkeypatch):
+    # the final check_all is the one certificate: a failing report is
+    # refused by its summary, and a passing one must carry the top
+    # statistics asked for
+    failing, passing = axioms.CheckReport(4), axioms.CheckReport(4)
+    failing.violations.append(axioms.Violation("S2", (1, 2), 0, "x"))
+    passing.max_element, passing.phi0 = 0, {1: 1, 2: 0}
+    for report, message in (
+            (failing, "synthesized graph failed certification: FAIL: 1 violation(s) [S2]"),
+            (passing, "synthesized graph has top statistics {1: 1, 2: 0}, not {1: 0, 2: 1}")):
+        monkeypatch.setattr(builder, "check_all", lambda g, M: report)
+        with pytest.raises(SynthesisInconsistency) as exc:
+            builder.synthesize(A, (0, 1))
+        assert str(exc.value) == message
+
+
 def test_reversal_involution():
     for lam in [(0, 0), (1, 1), (3, 2)]:
         assert oracle.verify_reversal(lam, pbw.generate(lam)).passed
@@ -360,7 +397,8 @@ def test_rank3_smoke():
     B3 = b3_gcm()
     g = builder.synthesize(B3, (1, 0, 0))
     assert len(g) == weyl_dim_general(B3, (1, 0, 0)) == 7
-    assert axioms.check_all(g, B3, expected_phi0={1: 1, 2: 0, 3: 0}).passed
+    rep = axioms.check_all(g, B3)
+    assert rep.passed and rep.phi0 == {1: 1, 2: 0, 3: 0}
     # the other orientation of the doubly-laced block is the rank-3
     # symplectic matrix, whose first fundamental representation has
     # dimension 6; synthesis and the product formula agree there too

@@ -212,7 +212,7 @@ def _program_calls():
     whether some program call omits it), for each defaulted parameter."""
     calls = [found for tree in _trees("src", "perfbench") for found in _calls(tree)]
     defaulted = [found for tree in _trees("src/b2crystal") for found in _defaulted(tree)]
-    assert len(defaulted) >= 14
+    assert len(defaulted) >= 13
     out = {}
     for callee, qual, k in defaulted:
         if callee not in ALLOWED:

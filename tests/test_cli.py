@@ -71,6 +71,20 @@ def test_gen_single_vertex(tmp_path):
     assert len(doc["vertices"]) == 1 and doc["edges"] == []
 
 
+def test_gen_large_finite_type_matrix(tmp_path, capsys):
+    # B65 has 4,225 positive roots; its crystal at the zero weight is one
+    # vertex, which the Weyl dimension's root closure must not refuse
+    n = 65
+    rows = [[2 if p == q else -1 if abs(p - q) == 1 else 0 for q in range(n)] for p in range(n)]
+    rows[n - 2][n - 1] = -2
+    spec, out = tmp_path / "b65.json", tmp_path / "b65crystal.json"
+    spec.write_text(json.dumps({"cartan": rows}))
+    argv = ["gen", "--gcm", f"custom:{spec}", "--hw", ",".join(["0"] * n), "--method", "axioms", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 1 vertices, 0 edges\n"
+    assert len(load_doc(out)["vertices"]) == 1
+
+
 def test_gen_rejects_pbw_on_rank3(tmp_path):
     out = tmp_path / "x.json"
     assert main(["gen", "--gcm", "b3", "--hw", "1,0,0", "--method", "pbw", "--out", str(out)]) == 2

@@ -443,7 +443,8 @@ def test_closure_builds_a_second_model():
         # breadth first, color 1 first: by distance, then u falling
         cells = sorted(product(range(p + 1), range(q + 1)), key=lambda c: (c[0] + c[1], -c[0]))
         assert g.ids == list(range(size)) and [m.one for m in g.labels] == cells
-        assert check_all(g, A, expected_phi0={1: p, 2: q}).passed
+        rep = check_all(g, A)
+        assert rep.passed and rep.phi0 == {1: p, 2: q}
         assert len(build_isomorphism(g, synthesize(A, (p, q)), A)) == size
         with pytest.raises(BudgetExceeded, match=f"^vertex budget {size - 1} exceeded$"):
             grid(p, q, size - 1)
