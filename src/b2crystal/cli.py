@@ -1,15 +1,17 @@
 """Command-line surface and the JSON / DOT file formats.
 
-Exit codes: 0 pass, 1 semantic failure (axiom violations, not isomorphic),
-2 input error (bad flags, malformed files, failed preconditions), 3 budget
-exceeded.  An input error prints `input error: <Type>: <message>` on stderr,
-and names a file that is missing, not UTF-8 or not JSON by its path.  The
-vertex budget, the CRYSTAL_BUDGET environment variable, bounds the crystals
-`gen` and `verify-paper` build (one of a finite-type matrix is refused by
-its Weyl dimension before it is built), the lemma box of `verify-paper`,
-and the documents `check`, `iso` and `export-dot` read.
+Exit codes, which `main` alone maps outcomes to (the handlers return 0 or 1
+from a report and raise the rest): 0 pass; 1 axiom violations, or `iso`'s
+`not isomorphic: <message>` on stdout; 2 `error: <message>` (a refused
+request, a failed certification) or `input error: <Type>: <message>` (bad
+flags, malformed files) on stderr; 3 `budget exceeded: <message>` on stderr.
+An input error names a file that is missing, not UTF-8 or not JSON by its
+path.  The vertex budget, the CRYSTAL_BUDGET environment variable, bounds
+the crystals `gen` and `verify-paper` build (one of a finite-type matrix is
+refused by its Weyl dimension before it is built), the lemma box of
+`verify-paper`, and the documents `check`, `iso` and `export-dot` read.
 `iso` certifies both documents under one matrix (two that declare different
-ones over one index set are an input error): the first with check_all, the
+ones over one index set are refused, exit 2): the first with check_all, the
 second by the isomorphism walk, and with check_all too only where the walk
 fails, so the exit code and message are those of certifying both first.
 
@@ -302,7 +304,7 @@ def dump_doc(doc, path):
 
 
 def _write_line(text, path):
-    """Write a document's one-line text and its final newline."""
+    """Write an output file: text and its final newline."""
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
@@ -326,8 +328,8 @@ def load_doc(path, stream=None):
 
 
 def graph_to_dot(g):
-    """Deterministic DOT text; color-1 arrows are drawn heavy, the other
-    colors carry numeric labels."""
+    """Deterministic DOT text, without its final newline; color-1 arrows are
+    drawn heavy, the other colors carry numeric labels."""
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for v in g.vertices():
         lines.append(f'  {v} [label="{v}"];')
@@ -337,12 +339,16 @@ def graph_to_dot(g):
         else:
             lines.append(f'  {s} -> {d} [label="{c}"];')
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # -- subcommands ---------------------------------------------------------------
 
 _GCMS = {"b2": b2_gcm, "b3": b3_gcm}
+
+
+class _Refusal(Exception):
+    """A request a handler refuses; main prints `error: <message>`, exit 2."""
 
 
 def _load_gcm(name):
@@ -397,17 +403,13 @@ def cmd_gen(args):
     try:
         hw = [int(t) for t in args.hw.split(",")]
     except ValueError:
-        print("error: --hw entries must be integers", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal("--hw entries must be integers") from None
     if len(hw) != len(A.colors):
-        print(f"error: --hw needs {len(A.colors)} entries", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(f"--hw needs {len(A.colors)} entries")
     if any(v < 0 for v in hw):
-        print("error: --hw entries must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal("--hw entries must be nonnegative")
     if args.method == "pbw" and args.gcm != "b2":
-        print("error: the pbw method exists only for the b2 matrix", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal("the pbw method exists only for the b2 matrix")
     classify_all_pairs(A)  # an unsupported pair is an input error before the budget is counted
     if finite_type(A) and (n := weyl_dim_general(A, hw)) > _budget():  # refused before anything is built
         raise BudgetExceeded(f"the crystal at {tuple(hw)} has {n} vertices, over the budget {_budget()}")
@@ -425,17 +427,12 @@ def cmd_gen(args):
 def cmd_check(args):
     g, declared = _load_graph(args.infile)
     if g.cartan is None:
-        print("error: document has no cartan matrix", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal("document has no cartan matrix")
     report = check_all(g, g.cartan)
     if declared is not None and report.max_element is not None and report.max_element != int(declared):
-        print(f"error: document declares max {declared}, but the maximum element is "
-              f"{report.max_element}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal(f"document declares max {declared}, but the maximum element is {report.max_element}")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_line(json.dumps(report.to_dict(), indent=1), args.report)
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -444,31 +441,18 @@ def cmd_iso(args):
     ga, gb = _load_graph(args.a)[0], _load_graph(args.b)[0]
     A, B = ga.cartan or gb.cartan, gb.cartan or ga.cartan
     if A is None:
-        print("error: neither document has a cartan matrix", file=sys.stderr)
-        return EXIT_INPUT
+        raise _Refusal("neither document has a cartan matrix")
     if set(A.colors) == set(B.colors) and any(A.a(i, j) != B.a(i, j) for i, j in A.pairs()):
-        print(f"error: {args.a} and {args.b} declare different matrices: {A!r} vs {B!r}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        iso = build_isomorphism(ga, gb, gcm=A)
-    except CertificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PrereqFailed, NotIsomorphic) as exc:
-        print(f"not isomorphic: {exc}")
-        return EXIT_FAIL
+        raise _Refusal(f"{args.a} and {args.b} declare different matrices: {A!r} vs {B!r}")
+    iso = build_isomorphism(ga, gb, gcm=A)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(sorted(map(list, iso.items())), fh, indent=None)
-            fh.write("\n")
+        _write_line(json.dumps(sorted(map(list, iso.items()))), args.out)
     print(f"isomorphic on {len(iso)} vertices")
     return EXIT_PASS
 
 
 def cmd_export_dot(args):
-    g = _load_graph(args.infile)[0]
-    with open(args.out, "w") as fh:
-        fh.write(graph_to_dot(g))
+    _write_line(graph_to_dot(_load_graph(args.infile)[0]), args.out)
     print(f"wrote {args.out}")
     return EXIT_PASS
 
@@ -476,8 +460,7 @@ def cmd_export_dot(args):
 def cmd_verify_paper(args):
     for flag, value in (("--max-hw", args.max_hw), ("--max-box", args.max_box)):
         if value < 0:
-            print(f"error: {flag} must be nonnegative", file=sys.stderr)
-            return EXIT_INPUT
+            raise _Refusal(f"{flag} must be nonnegative")
     reports = run_verification(max_hw=args.max_hw, max_box=args.max_box, budget=_budget())
     print(f"{'claim':<44} {'domain':>8}  status")
     for r in reports:
@@ -535,6 +518,12 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (_Refusal, CertificationFailed) as exc:  # CertificationFailed is a PrereqFailed: it goes first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (PrereqFailed, NotIsomorphic) as exc:  # ValueErrors, so before the input-error clause
+        print(f"not isomorphic: {exc}")
+        return EXIT_FAIL
     except (OSError, ValueError) as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -63,7 +63,7 @@ def positive_roots(A):
     infinitely many, and is refused before the closure starts.
     """
     if not finite_type(A):
-        raise BudgetExceeded("positive-root closure outgrew its budget (not finite type?)")
+        raise BudgetExceeded("the matrix is not of finite type: it has infinitely many positive roots")
     # <h_k, root> and <coroot, alpha_k> over the nonzero entries of row and column k
     n = len(A.colors)
     rows = [[(t, a) for t, a in enumerate(row) if a] for row in A.rows]

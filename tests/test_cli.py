@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from b2crystal import axioms, builder, cli, pbw
+from b2crystal import axioms, builder, cli, kernel, oracle, pbw
 from b2crystal.cartan import B3_MATRIX_ROWS, GCM, b2_gcm
 from b2crystal.cli import (
     doc_to_graph,
@@ -22,6 +23,7 @@ from b2crystal.cli import (
     load_doc,
     main,
 )
+from b2crystal.errors import BudgetExceeded, MembershipViolation
 from b2crystal.pbw import PbwElement
 from helpers import (
     C3_MATRIX_ROWS,
@@ -155,6 +157,21 @@ def test_gen_axioms_over_budget_refuses_before_synthesis(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "synthesize", synthesize)
     assert main(["gen", "--gcm", f"custom:{c21}", "--hw", "1,0,0", "--method", "axioms", "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", "budget exceeded: vertex budget 3000 exceeded\n") and not out.exists()
+
+
+def test_a_refused_gen_stays_in_bounded_memory(tmp_path, monkeypatch):
+    # refused by its Weyl dimension, 262,144 vertices over a budget of
+    # 100,000, before anything is built: a gen that built to the budget
+    # first would trace tens of MB, at about 0.4 KB a vertex
+    out = tmp_path / "g.json"
+    monkeypatch.setenv("CRYSTAL_BUDGET", "100000")
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--gcm", "b3", "--hw", "3,3,3", "--method", "axioms", "--out", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])
@@ -618,6 +635,62 @@ def test_verify_paper_rejects_negative_bounds(capsys, flag):
     assert err == f"error: {flag} must be nonnegative\n" and out == ""
 
 
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["check", "--in", "{bare}"], 2, "", "error: document has no cartan matrix\n"),
+    (["iso", "{bare}", "{bare}"], 2, "", "error: neither document has a cartan matrix\n"),
+    (["iso", "{pbw11}", "{pbw30}"], 1, "not isomorphic: top statistics differ: {1: 1, 2: 1} vs {1: 3, 2: 0}\n", ""),
+    (["gen", "--hw", "1,-1", "--out", "{out}"], 2, "", "error: --hw entries must be nonnegative\n"),
+    (["gen", "--hw", "1", "--out", "{out}"], 2, "", "error: --hw needs 2 entries\n"),
+    (["gen", "--gcm", "b3", "--hw", "1,0,0", "--out", "{out}"], 2, "",
+     "error: the pbw method exists only for the b2 matrix\n"),
+    (["gen", "--gcm", "nope", "--hw", "1,1", "--out", "{out}"], 2, "",
+     "input error: ValueError: unknown matrix 'nope' (use b2, b3 or custom:<path>)\n"),
+    (["gen", "--gcm", "custom:{empty}", "--hw", "1,1", "--out", "{out}"], 2, "",
+     "input error: ValueError: empty Cartan matrix\n"),
+    (["check", "--in", "{twice}"], 2, "",
+     "input error: ValueError: colors must be a nonempty list of distinct labels\n"),
+])
+def test_refusals_pinned(docs, tmp_path, capsys, argv, code, stdout, stderr):
+    # each refusal's exit code and its one line, byte for byte: a gen
+    # document whose cartan is null (read directly), the same with a
+    # repeated index_set (read as JSON), and a custom matrix with no rows
+    text = Path(docs["pbw11"]).read_text().replace('"cartan":[[2,-2],[-1,2]]', '"cartan":null')
+    paths = {**docs, "out": tmp_path / "out.json"}
+    for name, contents in (("bare", text), ("twice", json.dumps({**json.loads(text), "index_set": [1, 1]})),
+                           ("empty", json.dumps({"cartan": []}))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(contents)
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr() == (stdout, stderr)
+    assert not paths["out"].exists()
+
+
+def test_verify_paper_prints_a_failing_suite(capsys, monkeypatch):
+    # a dimension formula that reads 0 fails the vertex-count suite: its
+    # row is FAIL with the number of counterexamples, the first notes follow
+    # it indented, the tally counts it, and the exit code is 1
+    monkeypatch.setattr(oracle, "weyl_dim_general", lambda A, lam: 0)
+    assert main(["verify-paper", "--max-hw", "1", "--max-box", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith("vertex counts vs dimension formula [0,1]^2"))
+    assert lines[row].endswith("FAIL(4)")
+    assert lines[row + 1] == "    (0, 0): general product 0, rank-2 formula 1"
+    assert lines[-1] == "20/21 suites pass"
+
+
+def test_library_refusals_pinned(monkeypatch):
+    # the vertex budget counts the top vertex, so synthesis under a budget
+    # of 0 refuses before its first layer; a transfer map that raises x4
+    # lowers out of the crystal, and generate names the vertex
+    with pytest.raises(BudgetExceeded, match=r"^vertex budget 0 exceeded$"):
+        builder.synthesize(b2_gcm(), (1, 1), budget_vertices=0)
+    transfer = kernel.r_transfer
+    monkeypatch.setattr(kernel, "r_transfer", lambda a: (*transfer(a)[:3], transfer(a)[3] + 1))
+    with pytest.raises(MembershipViolation, match=r"rejected by the x4 rule$"):
+        pbw.generate((1, 1))
+
+
 @pytest.mark.parametrize("command", [
     ["check", "--in", "{doc}"],
     ["iso", "{doc}", "{doc}"],
@@ -888,6 +961,20 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     assert done.stdout == "[]\n"
 
 
+def test_exit_codes_of_a_real_process(tmp_path):
+    # the exit status the shell sees, through the module's __main__ line:
+    # a written document, a check that finds a violation, a refused flag
+    g, broken, out = tmp_path / "g.json", tmp_path / "broken.json", tmp_path / "out.json"
+    doc = graph_to_doc(pbw.generate((1, 1)))
+    dump_doc({**doc, "edges": doc["edges"][1:]}, broken)
+    for argv, code in ((["gen", "--hw", "1,1", "--out", g], 0), (["check", "--in", broken], 1),
+                       (["gen", "--hw", "1,-1", "--out", out], 2)):
+        done = subprocess.run([sys.executable, "-m", "b2crystal.cli", *map(str, argv)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True)
+        assert done.returncode == code, (argv, done.stderr)
+    assert g.exists() and not out.exists()
+
+
 _HOSTILE_BASE = graph_to_doc(pbw.generate((1, 1)))
 # name -> (the edited fields, the exit codes of check, iso and export-dot).
 # A matrix that is a GCM but has a pair the checker does not support is an
@@ -933,9 +1020,10 @@ def test_hostile_documents_exit_cleanly(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("rows", [[[2, -1], [-1]], [[2, "x"], [-1, 2]], [[2, 0], [-1, 2]],
-                                  [[3, -1], [-1, 2]], [[2, -3], [-1, 2]], [[2, -2], [-2, 2]]])
+                                  [[3, -1], [-1, 2]], [[2, -3], [-1, 2]], [[2, -2], [-2, 2]], []])
 def test_hostile_custom_matrices_are_input_errors(tmp_path, capsys, rows):
-    # ragged, non-numeric, a non-symmetric zero, a diagonal 3, G2 and A1(1)
+    # ragged, non-numeric, a non-symmetric zero, a diagonal 3, G2, A1(1) and
+    # no rows
     spec, out = tmp_path / "m.json", tmp_path / "g.json"
     spec.write_text(json.dumps({"cartan": rows}))
     capsys.readouterr()

@@ -159,7 +159,8 @@ def test_demazure_characters_see_what_weight_counts_miss():
 
 
 def test_not_finite_type():
-    with pytest.raises(BudgetExceeded):
+    message = "the matrix is not of finite type: it has infinitely many positive roots"
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
         oracle.positive_roots(GCM([[2, -2], [-2, 2]]))
 
 
