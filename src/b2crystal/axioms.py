@@ -168,13 +168,12 @@ def _branch_points(side, xs, i, j):
     deltas (ij), read on the other side; or the detail of what is missing."""
     back, stat = side.back[i], side.back_stat[j]
     out = []
+    # back[y] and back[y1] exist: each walk ends in an i-step, whose arrow defines the step back
     for y, y1 in zip(walk_all(side.steps, xs, (j, i, i)), walk_all(side.steps, xs, (i, j, j, i, i))):
         if y is None:
             out.append(f"first branch point {side.where} is missing")
         elif y1 is None:
             out.append(f"second branch point {side.where} is missing")
-        elif back[y] is None or back[y1] is None:
-            out.append(f"branch-point {side.other} deltas undefined")
         else:
             out.append((y, y1, (stat[back[y]] - stat[y], stat[back[y1]] - stat[y1])))
     return out

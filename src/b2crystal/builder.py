@@ -11,12 +11,12 @@ words to coincide, and the layer's classes are the connected components
 of those merge pairs over its candidates, found before anything is
 materialized.  Each class is one new vertex, and a finished layer goes
 into the graph with one add_vertices call and one add_arrows call per
-color.  The statistics are flat lists over positions: one weight code per
-vertex (weight_codes' digit layout) and per-color eps/phi.  Raising
-statistics come from the parents, lowering ones from the pairing
+color.  The statistics are per-color eps/phi, flat lists over positions.
+Raising statistics come from the parents, lowering ones from the pairing
 <h_c, wt> = phi_c - eps_c of the head parent less the Cartan entry of the
-step; one final check_all certifies the result and its top statistics (a
-wrong merge or a missed one cannot survive it).
+step; no weight is kept, as the graph derives its grading itself.  One
+final check_all certifies the result, its grading and its top statistics
+(a wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
 tops, each a maximum element with its top statistics: the i-child of a
@@ -40,7 +40,7 @@ from .errors import (
     PrereqFailed,
     SynthesisInconsistency,
 )
-from .graph import ColoredGraph, decode_weights
+from .graph import ColoredGraph
 
 
 class _Build:
@@ -51,11 +51,6 @@ class _Build:
     def __init__(self, A, phi0, budget):
         self.A = A
         self.budget = budget
-        # a weight of layer k counts at most k steps of any color, and k is
-        # below the vertex count, so with this base no digit of its code carries
-        self.base = budget + 1
-        self.inc = {i: self.base**c for c, i in enumerate(A.colors)}
-        self.codes = [0]
         self.g = ColoredGraph(A.colors, cartan=A)
         self.g.add_vertices([0])
         self.eps = {i: [0] for i in A.colors}
@@ -135,8 +130,8 @@ def _merge_classes(candidates, pairs):
 
 def _layer(st, k, classes):
     """Check layer k's merge classes and load them into st, one vertex per
-    class with its arrows, weight code and eps/phi."""
-    colors, eps, phi, codes, inc = st.A.colors, st.eps, st.phi, st.codes, st.inc
+    class with its arrows and eps/phi."""
+    colors, eps, phi = st.A.colors, st.eps, st.phi
     first, n = len(st.g), len(classes)
     if first + n > st.budget:
         raise BudgetExceeded(f"vertex budget {st.budget} exceeded")
@@ -144,20 +139,16 @@ def _layer(st, k, classes):
     # each new vertex's parent through color c, None where it has none
     heads = [group[0] for group in classes]
     up = {c: [p if i == c else None for p, i in heads] for c in colors}
-    codes.extend([codes[p] + inc[i] for p, i in heads])
+    # no weight check: a rule's two words use each color equally often, so
+    # the candidates that a merge pair joins have one weight
     errors = []  # (vertex, kind, text); the least one is raised
-    for v, group in [(v, group) for v, group in enumerate(classes, first) if len(group) > 1]:
-        t, code, wts = v - first, codes[v], None
+    for t, group in enumerate(classes):
         for q, j in group[1:]:
             if up[j][t] is not None:
-                errors.append((v, -1, f"layer {k}: merged candidates collide on color {j}: "
-                                      f"vertex {v} already has an incoming {j}-arrow"))
+                errors.append((first + t, 0, f"layer {k}: merged candidates collide on color {j}: "
+                                             f"vertex {first + t} already has an incoming {j}-arrow"))
                 break
             up[j][t] = q
-            if wts is None and codes[q] + inc[j] != code:
-                wts = decode_weights([code, codes[q] + inc[j]], st.base, colors)
-                errors.append((v, 0, f"layer {k}: vertex {v} merged with unequal weights "
-                                     f"{wts[code]} vs {wts[codes[q] + inc[j]]}"))
     st.g.add_vertices(range(first, first + n))
     for t, c in enumerate(colors, 1):
         mask = [q is not None for q in up[c]]

@@ -70,7 +70,7 @@ from .axioms import check_all
 from .builder import build_isomorphism, synthesize
 from .cartan import GCM, array, b2_gcm, b3_gcm, classify_all_pairs, finite_type, integers
 from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
-from .graph import ColoredGraph, decode_weights
+from .graph import ColoredGraph
 from .oracle import run_verification, weyl_dim_general
 from .pbw import PbwElement, generate
 
@@ -107,7 +107,7 @@ def graph_to_json(g, stats=False):
         fields = ",".join('"%d":%%d' % i for i in order)
         tail = _STATS % ("%s", fields, fields)
         wts = {c: ",".join([_ENTRY % (i, wt[i]) for i in order if i in wt])
-               for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
+               for c, wt in g.weights().items()}
         rows = zip(map(wts.__getitem__, codes), *map(eps.get, order), *map(phi.get, order))
     plain, labelled = _VERTEX + tail, _VERTEX + _LABEL + tail
     vertices = ",".join([labelled % (v, *label.a, *label.x, *row) if isinstance(label, PbwElement)

@@ -16,7 +16,8 @@ monochromatic strings) make the up/down string lengths eps/phi well
 defined; string_tables computes them as per-color lists over positions
 (where degrees are clean, is_good reads G3 from their coverage).
 A graph keeps what it derives once computed (string tables, the top walk
-with its maximum element and weight codes, groupings) until its next edit.
+with its maximum element and weight codes, groupings) until its next edit;
+only weight_codes and weights, which decodes them, know the digit layout.
 
 closure builds a model crystal's graph (pbw.generate's, for one) breadth
 first from its top element, with the elements as labels.
@@ -188,9 +189,15 @@ class ColoredGraph:
         weight_codes instead (ROADMAP item 7)."""
         if self.maximum_elements() != [x0]:
             raise ValueError(f"{x0} is not the maximum element")
-        code = self.weight_codes()
-        weights = decode_weights(code, len(self) + 1, self.colors)
+        code, weights = self.weight_codes(), self.weights()
         return {v: (dict(weights[c]), sum(weights[c].values())) for v, c in zip(self.ids, code)}
+
+    def weights(self):
+        """Each distinct code of weight_codes() decoded: {code: color
+        multiset dict}, keyed in color order without its zero counts."""
+        base = len(self) + 1
+        return {c: {i: t for k, i in enumerate(self.colors) if (t := c // base**k % base)}
+                for c in set(self.weight_codes())}
 
     def reverse(self):
         """New graph with every arrow reversed; colors and labels kept."""
@@ -245,14 +252,6 @@ def closure(top, colors, lower, complete, budget):
     for i, _, srcs, dsts in steps:
         g.add_arrows(i, srcs, dsts)
     return g
-
-
-def decode_weights(codes, base, colors):
-    """Each distinct weight code, in weight_codes' digit layout with the
-    given base, decoded: {code: color multiset dict}, keyed in color order
-    without its zero counts."""
-    digits = {c: [c // base**k % base for k in range(len(colors))] for c in set(codes)}
-    return {c: {i: t for i, t in zip(colors, d) if t} for c, d in digits.items()}
 
 
 def _top_walk(g):

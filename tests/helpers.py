@@ -34,7 +34,7 @@ from b2crystal.errors import (
     SynthesisInconsistency,
     UnsupportedPair,
 )
-from b2crystal.graph import ColoredGraph, GraphViolation, closure, decode_weights, string_tables
+from b2crystal.graph import ColoredGraph, GraphViolation, closure, string_tables
 from b2crystal.pbw import PbwElement
 
 # The rank-3 symplectic matrix: the other orientation of cartan.B3_MATRIX_ROWS
@@ -255,7 +255,7 @@ def reference_graph_to_doc(g, stats=False):
         order = sorted(g.colors)
         keys = list(map(str, order))
         wts = {c: {str(i): wt[i] for i in order if i in wt}
-               for c, wt in decode_weights(codes, len(g) + 1, g.colors).items()}
+               for c, wt in g.weights().items()}
         for entry, c, e, p in zip(vertices, codes, zip(*map(eps.get, order)), zip(*map(phi.get, order))):
             entry["wt"], entry["eps"], entry["phi"] = dict(wts[c]), dict(zip(keys, e)), dict(zip(keys, p))
     doc = {
@@ -1089,7 +1089,7 @@ def weight_counts(g):
     a Counter keyed by beta, the color counts in g.colors order, decoded
     from weight_codes."""
     codes = Counter(g.weight_codes())
-    weights = decode_weights(codes, len(g) + 1, g.colors)
+    weights = g.weights()
     return Counter({tuple(weights[c].get(i, 0) for i in g.colors): k for c, k in codes.items()})
 
 
@@ -1192,7 +1192,7 @@ def demazure_mismatches(g, A, lam):
     from weight_codes; the character side is D_i of v's character, from
     e^lam (M. Demazure 1974; M. Kashiwara, Duke Math. J. 71, 1993)."""
     codes = g.weight_codes()
-    decoded = decode_weights(codes, len(g) + 1, g.colors)
+    decoded = g.weights()
     beta = [tuple(decoded[c].get(i, 0) for i in g.colors) for c in codes]
     sets, chars, bad = [frozenset([position(g, g.maximum_elements()[0])])], [{(0,) * len(lam): 1}], []
     for w, (parent, p) in enumerate(weyl_elements(A)[1:], 1):

@@ -1,8 +1,9 @@
 import json
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2crystal import axioms, builder, oracle, pbw
@@ -116,6 +117,83 @@ def test_walk_certification_matches_certifying_both():
         assert _outcome(builder.build_isomorphism, X, Y) == want
         kinds.add(want[0] if isinstance(want, tuple) else dict)
     assert kinds == {dict, CertificationFailed, PrereqFailed}
+
+
+@lru_cache(maxsize=None)
+def _crystal(lam):
+    return pbw.generate(lam)
+
+
+@lru_cache(maxsize=None)
+def _synthesized(phi0):
+    return builder.synthesize(A, phi0)
+
+
+def _edit(n, edges, edit):
+    """The vertex count and arrows after one edit of a graph on 0..n-1: the
+    drawn integers pick what it acts on.  An edit that needs an arrow where
+    there is none adds one."""
+    kind, a, b, c = edit
+    if kind == "join":  # a second crystal, its top glued to vertex a
+        second, v = _crystal(divmod(c % 9, 3)), a % n
+        name = [v] + list(range(n, n + len(second) - 1))
+        return n + len(second) - 1, edges + [(name[s], name[d], i) for s, d, i in second.edges()]
+    if kind == "add" or not edges:
+        return n, edges + [(a % n, b % n, A.colors[c % 2])]
+    k = a % len(edges)
+    s, d, i = edges[k]
+    rest = edges[:k] + edges[k + 1:]
+    if kind == "recolor":  # to the other of the colors 1 and 2
+        return n, rest + [(s, d, 3 - i)]
+    same = [e for e in rest if e[2] == i]
+    if kind == "delete" or not same:
+        return n, rest
+    s2, d2, _ = same[b % len(same)]  # swap: the targets of two i-arrows
+    rest.remove((s2, d2, i))
+    return n, rest + [(s, d2, i), (s2, d, i)]
+
+
+_EDITS = st.tuples(st.sampled_from(("delete", "swap", "recolor", "add", "join")),
+                   st.integers(0, 999), st.integers(0, 999), st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.lists(_EDITS, min_size=1, max_size=3))
+@example((1, 0), [("join", 3, 0, 3)])  # a clean graph with one source that only the walk refuses
+@example((2, 1), [("join", 0, 0, 0)])  # gluing the one-vertex crystal changes nothing
+@example((1, 0), [("add", 3, 1, 1), ("delete", 0, 0, 0)])  # a vertex beside a cycle: only the count refuses it
+def test_walk_certifies_exactly_the_crystals(lam, edits):
+    # a crystal edited once or more passes check_all exactly when the walk
+    # from the crystal synthesized at its top statistics maps onto it: the
+    # report's, else the string lengths of its sole source where its degrees
+    # are clean, else lam.  The walk, which runs no check_all on a clean
+    # graph with one source, must certify no graph that check_all refuses
+    g = _crystal(lam)
+    n, edges = len(g), g.edges()
+    for edit in edits:
+        n, edges = _edit(n, edges, edit)
+    h = build_graph(A.colors, n, edges, cartan=A)
+    rep, sources = axioms.check_all(h, A), h.sources()
+    phi0 = lam
+    if rep.passed:
+        phi0 = tuple(rep.phi0[i] for i in A.colors)
+    elif not any(map(h.degree_violations, A.colors)) and len(sources) == 1:
+        phi0 = tuple(_string_length(h, i, sources[0]) for i in A.colors)
+    try:
+        builder.build_isomorphism(_synthesized(phi0), h, A)
+        walked = True
+    except (CertificationFailed, PrereqFailed, NotIsomorphic):
+        walked = False
+    assert walked == rep.passed
+
+
+def _string_length(g, i, k):
+    """How many i-steps lead down from k; with clean degrees no walk from a
+    source enters a cycle, so it ends."""
+    n = 0
+    while (k := g.down[i][k]) is not None:
+        n += 1
+    return n
 
 
 def _rebuilt(g, edges, extra=0):
@@ -272,12 +350,13 @@ def _forced_unions(monkeypatch, layer, pairs):
     # two members with one color, also past the first two members of a class
     (2, [((1, 2), (2, 2))], "layer 2: merged candidates collide on color 2: vertex 4 already has an incoming 2-arrow"),
     (5, [((12, 1), (14, 1))], "layer 5: merged candidates collide on color 1: vertex 19 already has an incoming 1-arrow"),
-    # weights are written in color order
-    (2, [((2, 1), (2, 2))], "layer 2: vertex 5 merged with unequal weights {1: 1, 2: 1} vs {2: 2}"),
-    (2, [((1, 1), (1, 2))], "layer 2: vertex 3 merged with unequal weights {1: 2} vs {1: 1, 2: 1}"),
+    # members of unequal weights, which no rule's words can pair, are refused
+    # where the statistics they break first show it
+    (2, [((2, 1), (2, 2))], "layer 5: vertex 27 got negative lowering statistic for 2"),
+    (2, [((1, 1), (1, 2))], "layer 6: vertex 21 got negative lowering statistic for 2"),
     # with several wrong classes in one layer, the first vertex's defect is reported
     (5, [((16, 1), (17, 1)), ((12, 2), (14, 1))],
-     "layer 5: vertex 20 merged with unequal weights {1: 2, 2: 3} vs {1: 3, 2: 2}"),
+     "layer 5: merged candidates collide on color 1: vertex 22 already has an incoming 1-arrow"),
     (5, [((16, 1), (17, 1)), ((17, 2), (18, 1))],
      "layer 5: merged candidates collide on color 1: vertex 23 already has an incoming 1-arrow"),
 ])
@@ -285,6 +364,42 @@ def test_wrong_merges_refused(monkeypatch, layer, pairs, message):
     _forced_unions(monkeypatch, layer, pairs)
     with pytest.raises(SynthesisInconsistency) as exc:
         builder.synthesize(A, (2, 2))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows", [[[2, -2], [-1, 2]], [[2, -1], [-2, 2]], [[2, -1], [-1, 2]], [[2, 0], [0, 2]]],
+                         ids=["B2", "B2-transposed", "A2", "A1xA1"])
+def test_rule_words_share_their_letters(rows):
+    # a rule's two words take each color equally often, in every orientation
+    # that rule_pairs yields, so both ends of a merge pair carry one weight:
+    # the reason _layer checks no weights
+    entries = axioms.rule_pairs(GCM(rows), 1, 2, axioms.RULES + (axioms.RAISED_DIAMOND,))
+    assert entries
+    for rule, pair in entries:
+        w1, w2 = rule.words(*pair)
+        assert sorted(w1) == sorted(w2), (rule.name, pair)
+
+
+def _fake_rule(words, guard=None):
+    """A rule named "fake" that fires at every vertex with both steps on the
+    lowering side, which synthesis reads where the vertex's children exist."""
+    return axioms.Rule("F", "fake", axioms.ORDERED, (None, None), words, "", guard=guard)
+
+
+@pytest.mark.parametrize("lam, rule, message", [
+    ((1, 1), _fake_rule(lambda i, j: ((i, j), (j, i)), lambda side, xs, i, j: [("F", "forged defect")] * len(xs)),
+     "layer 2: fake at 0 (1,2): forged defect"),
+    ((1, 1), _fake_rule(lambda i, j: ((i, i, i), (j, j, j))), "layer 3: fake at 0 (1,2) lost its prefix"),
+    ((2, 2), _fake_rule(lambda i, j: ((i, i, i), (j, j, j))),
+     "layer 3: fake at 0 (1,2) forces child (3, 1) but its statistic is 0"),
+])
+def test_forged_rules_refused(monkeypatch, lam, rule, message):
+    # _collect_merges refuses a guard's defect, a word that steps off the
+    # graph, and a forced child that the statistics rule out
+    rule_pairs = builder.rule_pairs
+    monkeypatch.setattr(builder, "rule_pairs", lambda M, i, j: rule_pairs(M, i, j) + [(rule, (i, j))])
+    with pytest.raises(SynthesisInconsistency) as exc:
+        builder.synthesize(A, lam)
     assert str(exc.value) == message
 
 

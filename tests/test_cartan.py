@@ -28,6 +28,8 @@ def test_classify_pair_examples():
     assert classify_pair(GCM([[2, -1], [-1, 2]]), 1, 2) == SIMPLY_LACED
     with pytest.raises(UnsupportedPair):
         classify_pair(GCM([[2, -3], [-1, 2]]), 1, 2)
+    with pytest.raises(ValueError, match="^pair classification needs two distinct colors$"):
+        classify_pair(b2_gcm(), 1, 1)
 
 
 def test_classify_pair_transpose_duality():

@@ -51,6 +51,12 @@ def broken_inverse(x):
     return (a[0], a[1], a[2], a[3] + (1 if x[0] > x[2] else 0))
 
 
+def leaving_inverse(x):
+    # sends the points with x1 = x2 = 1 out of N^4 through a4
+    a = r_inverse(x)
+    return a[:3] + (-1,) if x[0] == x[1] == 1 else a
+
+
 def lifted_first(a):
     # moves x1 where a1 = 1: a delta(1,2) step from a1 = 2 reads the moved
     # value, its own point an unmoved one
@@ -70,7 +76,8 @@ def lifted_inverse_first(x):
 _NAVIGATIONS = {"kernel": {}, "broken_transfer": {"r_transfer": broken_transfer}, "leaving": {"r_transfer": leaving},
                 "leaving_first": {"r_transfer": leaving_first}, "broken_inverse": {"r_inverse": broken_inverse}}
 _LEMMA_MAPS = {**_NAVIGATIONS, "both_broken": {"r_transfer": broken_transfer, "r_inverse": broken_inverse},
-               "lifted_first": {"r_transfer": lifted_first}, "lifted_inverse_first": {"r_inverse": lifted_inverse_first}}
+               "lifted_first": {"r_transfer": lifted_first}, "lifted_inverse_first": {"r_inverse": lifted_inverse_first},
+               "leaving_inverse": {"r_inverse": leaving_inverse}}
 
 
 def test_weyl_dim_b2_anchors():
@@ -251,6 +258,15 @@ def test_verify_lemmas_counterexamples_pinned(monkeypatch):
         "d25fb920d6677d42feb94af27bcc12160d8411932711fd4c23ba3dc17329e9b4")
 
 
+def test_verify_lemmas_reports_preimages_off_the_box(monkeypatch):
+    monkeypatch.setattr(kernel, "r_inverse", leaving_inverse)
+    notes = oracle.verify_lemmas(1).counterexamples
+    assert notes[3:] == ["(1, 1, 0, 0): preimage (1, 0, 0, -1) leaves N^4",
+                         "(1, 1, 0, 1): preimage (1, 0, 1, -1) leaves N^4",
+                         "(1, 1, 1, 0): preimage (1, 1, 0, -1) leaves N^4",
+                         "(1, 1, 1, 1): preimage (1, 1, 1, -1) leaves N^4"]
+
+
 @pytest.fixture
 def uncapped_notes(monkeypatch):
     """Reports keep every note past the cap of 50, so that the corollary
@@ -358,16 +374,42 @@ def test_raise_walk_is_the_single_steps(monkeypatch, fork_walks, maps):
             assert pbw.raise_walk(m, oracle._runs(word)) == elem_walk(m, steps), (word, m)
 
 
+def bumped(f, slot, when):
+    """f with one output slot raised by 1 where when(v) holds and sum(v) > 3."""
+    def g(v):
+        out = f(v)
+        return out[:slot] + (out[slot] + 1,) + out[slot + 1:] if when(v) and sum(v) > 3 else out
+    return g
+
+
+# maps that spoil the forks only past the classification, so that each fork
+# suite reaches its closing checks
+_FORK_MAPS = {"kernel": {}, "broken_transfer": {"r_transfer": broken_transfer},
+              "x4_bumped": {"r_transfer": bumped(r_transfer, 3, lambda a: a[3] % 3 == 0)},
+              "x2_bumped": {"r_transfer": bumped(r_transfer, 1, lambda a: a[0] % 7 == 5)},
+              "a1_bumped": {"r_inverse": bumped(r_inverse, 0, lambda x: x[3] % 7 == 4)},
+              # one lowering 1-step from an interlocked meet lands on a1 = a3 + 1, a2 = a4
+              "x4_below_meets": {"r_transfer": bumped(r_transfer, 3, lambda a: a[0] == a[2] + 1 and a[1] == a[3])}}
+
+
 def test_verify_forks_matches_reference(monkeypatch):
-    # as generated, then navigated with a broken map after generation
+    # as generated, then navigated with each map after generation
     weights = [(a, b) for a in range(5) for b in range(5)] + [(7, 2), (5, 3), (6, 6)]
     crystals = {lam: pbw.generate(lam) for lam in weights}
-    for broken in (False, True):
-        if broken:
-            monkeypatch.setattr(kernel, "r_transfer", broken_transfer)
-        for lam, g in crystals.items():
-            got = [verification_dict(r) for r in oracle.verify_forks(lam, g)]
-            assert got == [verification_dict(r) for r in reference_verify_forks(lam, g)], (lam, broken)
+    notes = []
+    for name, maps in _FORK_MAPS.items():
+        with monkeypatch.context() as m:
+            for attr, f in maps.items():
+                m.setattr(kernel, attr, f)
+            for lam, g in crystals.items():
+                got = [verification_dict(r) for r in oracle.verify_forks(lam, g)]
+                assert got == [verification_dict(r) for r in reference_verify_forks(lam, g)], (lam, name)
+                notes += [note for r in got for note in r["counterexamples"]]
+    # every closing check of both fork suites is reached
+    for phrase in ("matches cases", "four words disagree", "!= closed form", "lowering profile at meet",
+                   "ledge equality", "delta at y'", "delta two steps", "pentagon words disagree",
+                   "alternating words"):
+        assert any(phrase in note for note in notes), phrase
 
 
 def test_negative_bounds_raise():
@@ -414,6 +456,16 @@ def test_report_keeps_fifty_notes():
 def test_run_verification_battery():
     reports = oracle.run_verification(max_hw=1, max_box=3, extra=())
     assert reports and all(r.passed for r in reports)
+
+
+def test_battery_reports_a_count_off_the_formula(monkeypatch):
+    # a rank-2 formula one over at (1, 1) is off from both the generated
+    # crystal and the general product
+    formula = oracle.weyl_dim_b2
+    monkeypatch.setattr(oracle, "weyl_dim_b2", lambda a, b: formula(a, b) + ((a, b) == (1, 1)))
+    dims = oracle.run_verification(max_hw=1, max_box=0, extra=())[-1]
+    assert dims.counterexamples == ["(1, 1): generated 16, formula 17",
+                                    "(1, 1): general product 16, rank-2 formula 17"]
 
 
 def test_battery_computes_one_root_closure(monkeypatch):

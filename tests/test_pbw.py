@@ -79,6 +79,8 @@ def test_kashiwara_step_examples():
         elem_step(pbw.ZERO, "g", 1)
     with pytest.raises(ValueError):
         pbw.kashiwara_step(pbw.ZERO, 3, (1, 1))
+    with pytest.raises(ValueError, match="^color must be 1 or 2, not 3$"):
+        pbw.raise_walk(f1, ((3, 1),))
     with pytest.raises(ValueError):
         elem_step(pbw.ZERO, "f", 3)
 
