@@ -37,7 +37,6 @@ from .errors import (
     BudgetExceeded,
     CertificationFailed,
     NotIsomorphic,
-    PrereqFailed,
     SynthesisInconsistency,
 )
 from .graph import ColoredGraph
@@ -207,7 +206,7 @@ def build_isomorphism(X, Y, gcm):
 
     Both inputs must have the matrix's colors and pass check_all for it
     (CertificationFailed otherwise, the first graph tested first), and
-    agree on the top statistics (PrereqFailed otherwise), in whatever order
+    agree on the top statistics (NotIsomorphic otherwise), in whatever order
     each lists its colors.  Returns the map as a dict from X's ids to Y's.
     Found by one walk from the maximum elements: for each mapped vertex and
     color, both i-children are missing or both present, and the image of
@@ -227,7 +226,7 @@ def build_isomorphism(X, Y, gcm):
             k, phi0[i] = Y.down[i][k], phi0[i] + 1
     try:
         return _match(X, tx, Y, (Y.ids[found[0]], phi0))
-    except (PrereqFailed, NotIsomorphic):
+    except NotIsomorphic:
         _certify("second", Y, gcm)
         raise
 
@@ -250,7 +249,7 @@ def _match(X, tx, Y, ty):
     matrix's colors, and Y is read in X's color order."""
     (x_top, x_phi), (y_top, y_phi) = tx, ty
     if x_phi != y_phi:
-        raise PrereqFailed(f"top statistics differ: {x_phi} vs {y_phi}")
+        raise NotIsomorphic(f"top statistics differ: {x_phi} vs {y_phi}")
 
     # h maps X's positions to Y's and hit marks its image; ids are for messages
     xid, yid = X.ids, Y.ids

@@ -69,7 +69,7 @@ from . import __version__
 from .axioms import check_all
 from .builder import build_isomorphism, synthesize
 from .cartan import GCM, array, b2_gcm, b3_gcm, classify_all_pairs, finite_type, integers
-from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic, PrereqFailed
+from .errors import BudgetExceeded, CertificationFailed, NotIsomorphic
 from .graph import ColoredGraph
 from .oracle import run_verification, weyl_dim_general
 from .pbw import PbwElement, generate
@@ -518,10 +518,10 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_Refusal, CertificationFailed) as exc:  # CertificationFailed is a PrereqFailed: it goes first
+    except (_Refusal, CertificationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PrereqFailed, NotIsomorphic) as exc:  # ValueErrors, so before the input-error clause
+    except NotIsomorphic as exc:  # a ValueError, so before the input-error clause
         print(f"not isomorphic: {exc}")
         return EXIT_FAIL
     except (OSError, ValueError) as exc:

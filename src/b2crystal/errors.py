@@ -42,15 +42,11 @@ class SynthesisInconsistency(RuntimeError):
     """Axiom-driven synthesis produced contradictory state."""
 
 
-class PrereqFailed(ValueError):
-    """Isomorphism construction input failed its preconditions."""
-
-
-class CertificationFailed(PrereqFailed):
+class CertificationFailed(ValueError):
     """An isomorphism input does not pass check_all."""
 
 
 class NotIsomorphic(ValueError):
-    """The walk from the maximum elements found the two graphs differ: an
-    arrow without a counterpart, two vertices with one image, or a map that
-    is not onto."""
+    """Two certified graphs differ: in their top statistics, or, on the walk
+    from the maximum elements, by an arrow without a counterpart, two
+    vertices with one image, or a map that is not onto."""

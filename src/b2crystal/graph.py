@@ -17,7 +17,7 @@ defined; string_tables computes them as per-color lists over positions
 (where degrees are clean, is_good reads G3 from their coverage).
 A graph keeps what it derives once computed (string tables, the top walk
 with its maximum element and weight codes, groupings) until its next edit;
-only weight_codes and weights, which decodes them, know the digit layout.
+only the top walk, which writes the codes, and _decode know their layout.
 
 closure builds a model crystal's graph (pbw.generate's, for one) breadth
 first from its top element, with the elements as labels.
@@ -178,7 +178,8 @@ class ColoredGraph:
         if top is None:
             raise ValueError("no maximum element")
         if top[2] is not None:
-            raise InconsistentWeight(*top[2])
+            vertex, *codes = top[2]
+            raise InconsistentWeight(vertex, *(_decode(c, len(self) + 1, self.colors) for c in codes))
         return top[1]
 
     def wt_assign(self, x0):
@@ -195,9 +196,7 @@ class ColoredGraph:
     def weights(self):
         """Each distinct code of weight_codes() decoded: {code: color
         multiset dict}, keyed in color order without its zero counts."""
-        base = len(self) + 1
-        return {c: {i: t for k, i in enumerate(self.colors) if (t := c // base**k % base)}
-                for c in set(self.weight_codes())}
+        return {c: _decode(c, len(self) + 1, self.colors) for c in set(self.weight_codes())}
 
     def reverse(self):
         """New graph with every arrow reversed; colors and labels kept."""
@@ -257,20 +256,18 @@ def closure(top, colors, lower, complete, budget):
 def _top_walk(g):
     """(k0, codes, conflict) if the sole source k0 f-reaches every vertex (no
     vertex reaches another source), else None.  Breadth first from k0, colors
-    in g.colors order; conflict is None, or the InconsistentWeight arguments
+    in g.colors order; conflict is None, or the vertex id and its two codes
     at the first arrow that breaks the grading, past which the walk goes on."""
     n, colors = len(g.ids), g.colors
     sources = g.sources()
     if len(sources) != 1:
         return None
     (k0,) = sources
-    # every count is at most the distance, which is below n + 1, so no
-    # digit carries
+    # a count, even in a conflict's second code, is at most n: no digit carries
     base = n + 1
     steps = [(i, g.down[i], base**c) for c, i in enumerate(colors)]
     code = [None] * n
     code[k0] = 0
-    parent = [None] * n
     conflict = None
     queue = [k0]
     for u in queue:
@@ -282,23 +279,16 @@ def _top_walk(g):
             cv = code[v]
             if cv is None:
                 code[v] = cu + inc
-                parent[v] = u
                 queue.append(v)
             elif cv != cu + inc and conflict is None:
-                # multisets keyed in order of first use along the paths
-                path = _tree_path
-                conflict = g.ids[v], Counter(path(g, parent, k0, v)), Counter(path(g, parent, k0, u) + [i])
+                conflict = g.ids[v], cv, cu + inc
     return (k0, code, conflict) if len(queue) == n else None
 
 
-def _tree_path(g, parent, k0, k):
-    """Colors along the BFS-tree path from k0 to k; each step's color is the
-    first, in g.colors order, whose arrow leads from parent[v] to v."""
-    path = []
-    while k != k0:
-        k, v = parent[k], k
-        path.append(next(i for i in g.colors if g.down[i][k] == v))
-    return path[::-1]
+def _decode(code, base, colors):
+    """The color multiset of a weight code: the c-th color counts its
+    base**c digit; zero counts are left out."""
+    return {i: t for k, i in enumerate(colors) if (t := code // base**k % base)}
 
 
 def string_tables(g):

@@ -21,7 +21,7 @@ from . import kernel, pbw
 from .axioms import summit
 from .builder import build_isomorphism
 from .cartan import b2_gcm, finite_type
-from .errors import BudgetExceeded, HypothesisNotMet, NotIsomorphic, PrereqFailed
+from .errors import BudgetExceeded, CertificationFailed, HypothesisNotMet, NotIsomorphic
 
 
 class VerificationReport:
@@ -63,7 +63,7 @@ def positive_roots(A):
     infinitely many, and is refused before the closure starts.
     """
     if not finite_type(A):
-        raise BudgetExceeded("the matrix is not of finite type: it has infinitely many positive roots")
+        raise ValueError("the matrix is not of finite type: it has infinitely many positive roots")
     # <h_k, root> and <coroot, alpha_k> over the nonzero entries of row and column k
     n = len(A.colors)
     rows = [[(t, a) for t, a in enumerate(row) if a] for row in A.rows]
@@ -328,7 +328,7 @@ def verify_reversal(lam, g):
     try:
         # the reversal runs check_all, and the walk from it certifies g
         iso = build_isomorphism(g.reverse(), g, b2_gcm())
-    except (PrereqFailed, NotIsomorphic):
+    except (CertificationFailed, NotIsomorphic):
         iso = None
     # the map carries the reversal's top statistics to g's, which must be lam's
     holds = iso is not None and summit(g)[1] == {1: lam[0], 2: lam[1]}

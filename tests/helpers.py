@@ -370,7 +370,7 @@ def reference_wt_assign(g, x0):
                 cand = add_counts(wt[u], {i: 1})
                 if v in wt:
                     if wt[v] != cand:
-                        raise InconsistentWeight(v, wt[v], cand)
+                        raise InconsistentWeight(v, *({i: w[i] for i in g.colors if i in w} for w in (wt[v], cand)))
                 else:
                     wt[v] = cand
                     dist[v] = dist[u] + 1

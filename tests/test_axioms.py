@@ -15,7 +15,9 @@ from helpers import (
     check_confluence,
     copy_mutable,
     deletion_mutants,
+    e_step,
     f_step,
+    recorded_edges,
     redirect_mutants,
     reference_check_all,
     reference_check_s2_s3,
@@ -245,6 +247,20 @@ def test_batteries_match_reference():
             assert out == reference(g, M), g.vertices()[:3]
             tags.update(v.axiom for v in out)
     assert BATTERY_TAGS <= tags, BATTERY_TAGS - tags
+
+
+def test_first_branch_point_missing():
+    # check_all runs the batteries on good graphs only, where the branch
+    # point always exists; a battery run on its own can meet a graph whose
+    # degrees are not clean. Vertex -1's 1-arrow into e_2(34), recorded
+    # first, is the step back there, so the walk e_2 e_1 e_1 up from 34
+    # stops at -1, which has no 1-parent
+    g = pbw.generate((2, 2))
+    top = e_step(g, 2, 34)
+    h = build_graph(g.colors, [-1] + g.ids, [(-1, top, 1)] + recorded_edges(g))
+    want = [axioms.Violation("D_MINUS", (1, 2), 34, "first branch point above is missing")]
+    assert axioms.check_s6_s9(h, A) == reference_check_s6_s9(h, A) == want
+    assert [v.axiom for v in axioms.check_all(h, A).violations] == ["S1"]
 
 
 def test_s2_s3_keeps_the_raising_grouping():

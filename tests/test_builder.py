@@ -13,7 +13,6 @@ from b2crystal.errors import (
     BudgetExceeded,
     CertificationFailed,
     NotIsomorphic,
-    PrereqFailed,
     SynthesisInconsistency,
     UnsupportedPair,
 )
@@ -73,10 +72,10 @@ def test_identity_isomorphism():
 
 
 def test_prereq_failures():
-    with pytest.raises(PrereqFailed):
+    with pytest.raises(NotIsomorphic):
         builder.build_isomorphism(pbw.generate((1, 1)), pbw.generate((3, 0)), A)
     bad = copy_mutable(pbw.generate((1, 1)), skip_edge=pbw.generate((1, 1)).edges()[4])
-    with pytest.raises(PrereqFailed):
+    with pytest.raises(CertificationFailed):
         builder.build_isomorphism(bad, pbw.generate((1, 1)), A)
     # colors other than the matrix's are refused before check_all runs
     b3 = builder.synthesize(b3_gcm(), (1, 0, 0))
@@ -88,7 +87,7 @@ def test_not_isomorphic_same_profile():
     # two certified graphs with equal top statistics for different matrices
     # cannot arise; instead check that a mangled target is refused loudly
     g = pbw.generate((1, 1))
-    with pytest.raises(PrereqFailed, match=r"top statistics differ: \{1: 1, 2: 1\} vs \{1: 1, 2: 2\}"):
+    with pytest.raises(NotIsomorphic, match=r"top statistics differ: \{1: 1, 2: 1\} vs \{1: 1, 2: 2\}"):
         builder.build_isomorphism(g, pbw.generate((1, 2)), A)
 
 
@@ -96,7 +95,7 @@ def _outcome(build, X, Y):
     """The map build(X, Y, A) returns, or the type and message it raises."""
     try:
         return build(X, Y, A)
-    except (CertificationFailed, PrereqFailed, NotIsomorphic) as exc:
+    except (CertificationFailed, NotIsomorphic) as exc:
         return type(exc), str(exc)
 
 
@@ -116,7 +115,7 @@ def test_walk_certification_matches_certifying_both():
         want = _outcome(reference_build_isomorphism, X, Y)
         assert _outcome(builder.build_isomorphism, X, Y) == want
         kinds.add(want[0] if isinstance(want, tuple) else dict)
-    assert kinds == {dict, CertificationFailed, PrereqFailed}
+    assert kinds == {dict, CertificationFailed, NotIsomorphic}
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +181,7 @@ def test_walk_certifies_exactly_the_crystals(lam, edits):
     try:
         builder.build_isomorphism(_synthesized(phi0), h, A)
         walked = True
-    except (CertificationFailed, PrereqFailed, NotIsomorphic):
+    except (CertificationFailed, NotIsomorphic):
         walked = False
     assert walked == rep.passed
 

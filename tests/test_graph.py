@@ -595,14 +595,14 @@ def test_top_walk_matches_reference():
 
 def test_top_walk_conflict_after_a_double_step():
     # vertex 1 reaches 2 by both colors, so the grading breaks there, and
-    # again at the arrow 2 -> 4 further down; the first conflict's multisets
-    # read the tree step 1 -> 2 back as color 1, the first color whose arrow
-    # leads there
+    # again at the arrow 2 -> 4 further down; the first conflict pits vertex
+    # 2's code, which the 1-arrow gave it (colors are walked in index order),
+    # against the code the 2-arrow implies, both keyed in color order
     g = build_graph((1, 2), 5, [(0, 3, 1), (0, 1, 2), (3, 4, 1), (1, 2, 1), (1, 2, 2), (2, 4, 2)])
     assert g.down[1][1] == g.down[2][1] == 2 and g.maximum_elements() == [0]
     want = _outcome(reference_wt_assign, g, 0)
     assert _outcome(g.weight_codes) == want
-    assert want == ("InconsistentWeight", "vertex 2: conflicting path multisets {2: 1, 1: 1} vs {2: 2}")
+    assert want == ("InconsistentWeight", "vertex 2: conflicting path multisets {1: 1, 2: 1} vs {2: 2}")
 
 
 def test_one_top_walk_per_frozen_graph(monkeypatch, tmp_path):

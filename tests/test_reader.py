@@ -360,6 +360,25 @@ def test_a_header_nested_to_the_recursion_limit(tmp_path, monkeypatch, capsys):
         assert runs[0] == runs[1] and runs[0][0][0] == 2, depth
 
 
+def test_a_header_gen_does_not_write_takes_the_json_path(tmp_path, monkeypatch, capsys):
+    # a header of gen's skeleton that is not gen's text, once loaded and
+    # written back, is read by the JSON path alone: a cartan entry 0 written
+    # -0 parses and checks, an index_set entry that is a list is refused
+    spec, path = tmp_path / "a1a1.json", tmp_path / "gen.json"
+    spec.write_text(json.dumps({"cartan": [[2, 0], [0, 2]]}))
+    assert main(["gen", "--gcm", f"custom:{spec}", "--hw", "1,1", "--method", "axioms", "--out", str(path)]) == 0
+    text = path.read_bytes()
+    for old, new, want in ((b'"cartan":[[2,0]', b'"cartan":[[2,-0]', (0, "pass (4 vertices)\n", "")),
+                           (b'"index_set":[1,2]', b'"index_set":[[1],2]',
+                            (2, "", "input error: ValueError: index_set entry [1] is not an integer\n"))):
+        edited, edited_path = text.replace(old, new), tmp_path / "edited.json"
+        assert edited.count(new) == 1
+        edited_path.write_bytes(edited)
+        assert json_to_graph(edited, edited_path) is None
+        runs = _both_paths(monkeypatch, capsys, [["check", "--in", edited_path]], [])
+        assert runs[0] == runs[1] == [(*want, [])]
+
+
 # -- near misses ---------------------------------------------------------------
 
 _BASES = [graph_to_json(pbw.generate((1, 0))), graph_to_json(pbw.generate((0, 1))),

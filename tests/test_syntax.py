@@ -1,6 +1,7 @@
 """The package, its tests and its benchmark keep to the oldest Python that
-pyproject.toml admits (requires-python = ">=3.10"): each file parses under
-3.10's grammar."""
+pyproject.toml admits (requires-python = ">=3.10.7", the first 3.10 with
+sys.get_int_max_str_digits, which the reader of gen's text calls): each
+file parses under 3.10's grammar, which no patch release changes."""
 
 import ast
 from pathlib import Path
