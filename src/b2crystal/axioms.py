@@ -20,10 +20,10 @@ Violation tags: S1 (goodness, with the G-rule in the detail), S2, S3,
 A_MINUS/B_MINUS (under S4), A_PLUS/B_PLUS (under S5), S6..S9 reported via
 their innermost sub-condition D_MINUS/D_PLUS/C1_PLUS/P1_MINUS/Q1_MINUS/
 R_MINUS, plus MAX (maximum element count) and WT (weight grading
-conflict); a report's phi0 holds the top statistics, for callers to compare.
+conflict); a report's max_element and phi0 hold the graph's summit() (the
+maximum element as an id) for callers to compare.
 """
 
-from bisect import bisect_left
 from collections import defaultdict, namedtuple
 
 from .cartan import B2, classify_pair
@@ -368,18 +368,6 @@ class CheckReport:
         return f"FAIL: {len(self.violations)} violation(s) [{worst}]"
 
 
-def summit(g):
-    """(x0, phi0) for a good graph g: its maximum element and the string
-    lengths phi_i there, its top statistics; None unless g has exactly one
-    maximum element."""
-    maxes = g.maximum_elements()  # at most one: see graph._top_walk
-    if not maxes:
-        return None
-    (x0,) = maxes
-    k0 = bisect_left(g.ids, x0)
-    return x0, {i: phi[k0] for i, phi in g.tables()[1].items()}
-
-
 def check_all(g, A):
     """Goodness, unique maximum, weight grading, then the axiom batteries.
 
@@ -393,11 +381,12 @@ def check_all(g, A):
         report.violations = _sorted(report.violations)
         return report
 
-    top = summit(g)
+    top = g.summit()
     if top is None:
         report.violations.append(Violation("MAX", None, None, "found 0 maximum elements, need exactly 1"))
         return report
-    report.max_element, report.phi0 = top
+    k0, report.phi0 = top
+    report.max_element = g.ids[k0]
 
     try:
         g.weight_codes()

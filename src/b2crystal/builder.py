@@ -19,16 +19,15 @@ final check_all certifies the result, its grading and its top statistics
 (a wrong merge or a missed one cannot survive it).
 
 The isomorphism is one breadth-first walk over both graphs from their
-tops, each a maximum element with its top statistics: the i-child of a
-mapped vertex goes to the i-child of its image, which checks every arrow of
-both graphs on the way.  A graph that passes check_all is the crystal of
-its top statistics, so a graph with clean degrees and one source that the
-walk maps onto it arrow for arrow is that crystal too: only the first graph
-runs check_all, and the second runs it only where the walk fails, for the
+tops, the positions ColoredGraph.summit() reads: the i-child of a mapped
+vertex goes to the i-child of its image, which checks every arrow of both
+graphs.  A graph that passes check_all is the crystal of its top
+statistics, and a walk that maps a graph with clean degrees and one source
+onto it matches every string, top statistics included: only the first
+graph runs check_all, and the second only where the walk fails, for the
 verdict that certifying both first would give.
 """
 
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import compress
 
@@ -212,27 +211,21 @@ def build_isomorphism(X, Y, gcm):
     color, both i-children are missing or both present, and the image of
     the child is the child of the image (NotIsomorphic otherwise).
     X runs check_all; Y runs it only where its pre-check (the matrix's
-    colors, clean G1/G2 degrees, one source) or the walk fails, for the
-    outcome of certifying both graphs first.
+    colors, clean G1/G2 degrees, one source) or the walk from its source
+    with X's top statistics fails, for the outcome of certifying both first.
     """
     tx = _certify("first", X, gcm)
     found = Y.sources()
-    if set(Y.colors) != set(gcm.colors) or any(map(Y.degree_violations, Y.colors)) or len(found) != 1:
-        return _match(X, tx, Y, _certify("second", Y, gcm))
-    phi0 = {}  # the lengths of the source's strings, paths by the clean degrees
-    for i in Y.colors:
-        k, phi0[i] = found[0], 0
-        while Y.down[i][k] is not None:
-            k, phi0[i] = Y.down[i][k], phi0[i] + 1
-    try:
-        return _match(X, tx, Y, (Y.ids[found[0]], phi0))
-    except NotIsomorphic:
-        _certify("second", Y, gcm)
-        raise
+    if set(Y.colors) == set(gcm.colors) and not any(map(Y.degree_violations, Y.colors)) and len(found) == 1:
+        try:
+            return _match(X, tx, Y, (found[0], tx[1]))
+        except NotIsomorphic:
+            pass  # Y's certification decides: its refusal, differing tops, or this walk's message again
+    return _match(X, tx, Y, _certify("second", Y, gcm))
 
 
 def _certify(name, g, A):
-    """The top (x0, phi0) of g, which must pass check_all for A."""
+    """The summit (k0, phi0) of g, which must pass check_all for A."""
     if set(g.colors) != set(A.colors):
         raise CertificationFailed(
             f"{name} graph has colors {tuple(g.colors)} but the Cartan matrix has {tuple(A.colors)}"
@@ -240,21 +233,20 @@ def _certify(name, g, A):
     rep = check_all(g, A)
     if not rep.passed:
         raise CertificationFailed(f"{name} graph fails certification: {rep.summary()}")
-    return rep.max_element, rep.phi0
+    return g.summit()
 
 
 def _match(X, tx, Y, ty):
     """The walk of build_isomorphism from the tops tx and ty of X and Y,
-    each a maximum element and its top statistics; both graphs have the
-    matrix's colors, and Y is read in X's color order."""
-    (x_top, x_phi), (y_top, y_phi) = tx, ty
+    each a maximum element's position and its top statistics; both graphs
+    have the matrix's colors, and Y is read in X's color order."""
+    (x0, x_phi), (y0, y_phi) = tx, ty
     if x_phi != y_phi:
         raise NotIsomorphic(f"top statistics differ: {x_phi} vs {y_phi}")
 
     # h maps X's positions to Y's and hit marks its image; ids are for messages
     xid, yid = X.ids, Y.ids
     h, hit = [None] * len(X), [False] * len(Y)
-    x0, y0 = bisect_left(xid, x_top), bisect_left(yid, y_top)
     h[x0], hit[y0] = y0, True
     queue = [x0]
     for x in queue:

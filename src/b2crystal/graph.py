@@ -18,6 +18,7 @@ defined; string_tables computes them as per-color lists over positions
 A graph keeps what it derives once computed (string tables, the top walk
 with its maximum element and weight codes, groupings) until its next edit;
 only the top walk, which writes the codes, and _decode know their layout.
+summit() reads the top, by position, from the top walk and the tables.
 
 closure builds a model crystal's graph (pbw.generate's, for one) breadth
 first from its top element, with the elements as labels.
@@ -166,6 +167,13 @@ class ColoredGraph:
         """The vertices with no incoming arrows that f-reach every vertex."""
         top = self.keep("top", _top_walk)
         return [] if top is None else [self.ids[top[0]]]
+
+    def summit(self):
+        """(k0, phi0): the maximum element's position and the string lengths
+        phi_i there, its top statistics, or None without a maximum element.
+        The one reader of a crystal's top; the tables' NonTerminating passes."""
+        top = self.keep("top", _top_walk)
+        return None if top is None else (top[0], {i: phi[top[0]] for i, phi in self.tables()[1].items()})
 
     def weight_codes(self):
         """The BFS weight grading from the maximum element, one integer per

@@ -18,7 +18,6 @@ from functools import cache, partial
 from itertools import groupby, product
 
 from . import kernel, pbw
-from .axioms import summit
 from .builder import build_isomorphism
 from .cartan import b2_gcm, finite_type
 from .errors import BudgetExceeded, CertificationFailed, HypothesisNotMet, NotIsomorphic
@@ -331,7 +330,7 @@ def verify_reversal(lam, g):
     except (CertificationFailed, NotIsomorphic):
         iso = None
     # the map carries the reversal's top statistics to g's, which must be lam's
-    holds = iso is not None and summit(g)[1] == {1: lam[0], 2: lam[1]}
+    holds = iso is not None and g.summit()[1] == {1: lam[0], 2: lam[1]}
     if holds:
         eg, pg = g.tables()  # indexed by position, which is the id in a generated graph
         vs = g.vertices()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from b2crystal import axioms, builder, oracle, pbw
+from b2crystal import axioms, builder, graph, oracle, pbw
 from b2crystal.cartan import GCM, b2_gcm, b3_gcm
 from b2crystal.cli import graph_to_json
 from b2crystal.errors import (
@@ -69,6 +69,23 @@ def test_identity_isomorphism():
     g = pbw.generate((2, 1))
     iso = builder.build_isomorphism(g, g, A)
     assert all(iso[v] == v for v in g.vertices())
+
+
+def test_passing_walk_reads_only_the_first_graphs_top(monkeypatch):
+    # the walk starts at the second graph's source with the first graph's
+    # top statistics, so a passing map runs the top walk and the string
+    # tables on the first graph alone
+    X, Y = pbw.generate((3, 2)), builder.synthesize(A, (3, 2), check=False)
+    seen = []
+
+    def spy(name, real):
+        return lambda g: seen.append((name, g)) or real(g)
+
+    for name in ("_top_walk", "string_tables"):
+        monkeypatch.setattr(graph, name, spy(name, getattr(graph, name)))
+    assert len(builder.build_isomorphism(X, Y, A)) == 140
+    assert sorted(name for name, _ in seen) == ["_top_walk", "string_tables"]
+    assert all(g is X for _, g in seen)
 
 
 def test_prereq_failures():
@@ -503,7 +520,7 @@ def test_reversal_is_the_crystal_at_minus_w0_lambda(rows, dual, weights):
         mirrored = tuple(lam[c - 1] for c in dual)
         rev = builder.synthesize(A, lam).reverse()
         assert axioms.check_all(rev, A).passed, lam
-        assert axioms.summit(rev)[1] == dict(zip(A.colors, mirrored)), lam
+        assert rev.summit()[1] == dict(zip(A.colors, mirrored)), lam
         assert builder.build_isomorphism(rev, builder.synthesize(A, mirrored), A)
 
 

@@ -49,6 +49,10 @@ def test_closed_form_branches_agree_on_overlap():
     with pytest.raises(HypothesisNotMet):
         oracle.closed_r_a3_ge_a1((2, 0, 0, 0))
     with pytest.raises(HypothesisNotMet):
+        oracle.closed_r_a3_le_a1((0, 0, 2, 0))
+    with pytest.raises(HypothesisNotMet):
+        oracle.closed_rinv_x3_ge_x1((2, 0, 0, 0))
+    with pytest.raises(HypothesisNotMet):
         oracle.closed_rinv_x3_le_x1((0, 0, 2, 0))
 
 
@@ -291,6 +295,8 @@ def test_corollary_formulas():
     assert oracle.corollary_delta_1_2(m) == 1
     with pytest.raises(HypothesisNotMet):
         oracle.corollary_delta_2_1(pbw.ZERO)
+    with pytest.raises(HypothesisNotMet):
+        oracle.corollary_delta_1_2(pbw.ZERO)
     # a3 far above a1 clamps to zero
     m = from_a((1, 2, 4, 2))
     assert oracle.corollary_delta_2_1(m) == 0
